@@ -80,7 +80,6 @@ def build_parser():
         p.add_argument("--factored", dest="factored", action="store_true",
                        default=True)
         p.add_argument("--monolithic", dest="factored", action="store_false")
-        p.add_argument("--incremental", action="store_true")
         p.add_argument("--lazy-closure", dest="lazy_closure",
                        action="store_true", default=True)
         p.add_argument("--eager-closure", dest="lazy_closure",
@@ -150,7 +149,7 @@ def _apply_config_file(args):
     mapping = {"timeout": "timeout", "solver": "solver",
                "dependency-mode": "dependency_mode", "fragment": "fragment",
                "per-class": "per_class", "factored": "factored",
-               "incremental": "incremental", "lazy-closure": "lazy_closure",
+               "lazy-closure": "lazy_closure",
                "symmetry-break": "symmetry_break", "parallel": "parallel",
                "budget": "budget", "format": "format"}
     defaults = build_parser().parse_args(
@@ -190,7 +189,6 @@ def _make_config(args):
         per_class=args.per_class,
         fragment_kind=_FRAGMENTS[args.fragment],
         factored=args.factored,
-        incremental=args.incremental,
         lazy_closure=args.lazy_closure,
         symmetry_break=args.symmetry_break,
         cutoff_budget=args.budget,

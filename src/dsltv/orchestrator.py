@@ -42,7 +42,6 @@ class VerificationConfig:
     fragment_kind: FragmentKind = FragmentKind.MINIMAL
     cegar: bool = True
     factored: bool = True
-    incremental: bool = False
     lazy_closure: bool = True
     symmetry_break: bool = False
     binding_ceiling: int = 200_000
@@ -59,7 +58,6 @@ class VerificationConfig:
     def encode_options(self, fragment, rule_names):
         return EncodeOptions(
             factored=self.factored,
-            incremental=self.incremental,
             lazy_closure=self.lazy_closure,
             symmetry_break=self.symmetry_break,
             binding_ceiling=self.binding_ceiling,

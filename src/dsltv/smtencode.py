@@ -30,13 +30,11 @@ class EncodingCeilingError(Exception):
 @dataclass
 class EncodeOptions:
     factored: bool = True
-    incremental: bool = False
     lazy_closure: bool = True
     symmetry_break: bool = False
     binding_ceiling: int = 200_000
     layer_indices: tuple = None   # fragment; None = all layers
     rule_names: frozenset = None  # relevant subset; None = all rules
-    pre_binding_index: int = None  # incremental: encode one binding only
 
 
 @dataclass
@@ -500,9 +498,6 @@ class Encoder:
     def encode_property(self):
         pre_bindings = self.enumerate_bindings(self.prop.precondition,
                                                self.src)
-        if self.options.pre_binding_index is not None:
-            pre_bindings = [
-                pre_bindings[self.options.pre_binding_index]]
         self.pre_bindings = pre_bindings
         post_groups = self._post_components()
 

@@ -1,9 +1,11 @@
 """Child-process driver for an SMT-LIB 2 solver.
 
 The problem text is written to a temporary .smt2 file and the solver is
-invoked on it.  By default the bundled finite-domain solver is used
-(python -m dsltv.smtsolver); any solver accepting a filename argument and
-printing sat/unsat plus a (model ...) block works (z3, cvc5, ...).
+invoked on it.  By default the bundled finite-domain solver is used, loaded
+from its file in this package's directory so that the child needs no
+installed package and no PYTHONPATH; any solver accepting a filename
+argument and printing sat/unsat plus a (model ...) block works (z3, cvc5,
+...).
 """
 
 from __future__ import annotations
@@ -29,8 +31,17 @@ class SolverVerdict:
         assert (self.model is not None) == (self.status == "sat")
 
 
+# The child puts this package's directory first on its path and imports the
+# stdlib-only smtsolver.py as a top-level module.  Importing it, rather than
+# running the file as a script, lets the child use its cached bytecode
+# instead of compiling the module on every solve.
+_SOLVER_LAUNCHER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+                    "import smtsolver; sys.exit(smtsolver.main())")
+
+
 def default_solver_command():
-    return [sys.executable, "-m", "dsltv.smtsolver"]
+    return [sys.executable, "-c", _SOLVER_LAUNCHER,
+            os.path.dirname(os.path.abspath(__file__))]
 
 
 def parse_model_text(text):

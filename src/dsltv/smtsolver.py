@@ -5,7 +5,13 @@ variable must have derivable lower and upper bounds from the asserted
 constraints (the encoder always asserts them).  Integers are grounded with a
 one-hot boolean encoding, formulas are Tseitin-transformed to CNF, and a
 small CDCL search (watched literals, first-UIP learning, VSIDS, restarts)
-decides satisfiability.
+decides satisfiability.  Literal values and watch lists are lists indexed
+directly by the signed literal, and VSIDS picks its decision variable from a
+lazy binary heap that is rebuilt whenever it holds more than 2n entries; see
+``Solver``.
+
+This module imports only the standard library and nothing from its package,
+so it also runs as a plain file: ``python path/to/smtsolver.py [file]``.
 
 Usage: dsltv-solve [file]   (reads stdin when no file is given)
 Prints "sat" plus a (model ...) block, or "unsat".
@@ -13,6 +19,8 @@ Prints "sat" plus a (model ...) block, or "unsat".
 
 from __future__ import annotations
 
+import heapq
+import re
 import sys
 
 
@@ -24,73 +32,58 @@ class SmtSyntaxError(ValueError):
     pass
 
 
+# One alternative per token kind; findall skips only the whitespace between
+# tokens.
+_TOKEN = re.compile(r'''
+    [()]
+  | [^ \t\r\n();|"][^ \t\r\n();]*    # symbol or numeral
+  | \|[^|]*\|                        # quoted symbol
+  | "(?:[^"]|"")*"                   # string; "" stands for one quote
+  | ;[^\n]*                          # comment
+  | [|"]                             # unterminated quoted symbol or string
+''', re.VERBOSE)
+
+
 def tokenize_sexprs(text):
+    """Split SMT-LIB text into tokens: "(", ")", symbols and numerals, quoted
+    symbols without their bars, and strings with their quotes and "" undone.
+    Equal tokens are one shared string object."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(ch)
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
+    known = {}
+    for tok in _TOKEN.findall(text):
+        ch = tok[0]
+        if ch == ";":
+            continue
+        if ch == "|":
+            if len(tok) == 1:
                 raise SmtSyntaxError("unterminated quoted symbol")
-            toks.append(text[i + 1:j])
-            i = j + 1
+            tok = tok[1:-1]
         elif ch == '"':
-            j = i + 1
-            out = []
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        out.append('"')
-                        j += 2
-                        continue
-                    break
-                out.append(text[j])
-                j += 1
-            else:
+            if len(tok) == 1:
                 raise SmtSyntaxError("unterminated string")
-            toks.append('"' + "".join(out) + '"')
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(text[i:j])
-            i = j
+            tok = '"' + tok[1:-1].replace('""', '"') + '"'
+        toks.append(known.setdefault(tok, tok))
     return toks
 
 
 def parse_sexprs(text):
-    toks = tokenize_sexprs(text)
-    pos = 0
     out = []
-
-    def read():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
+    stack = []
+    cur = out
+    for tok in tokenize_sexprs(text):
         if tok == "(":
+            stack.append(cur)
             lst = []
-            while pos < len(toks) and toks[pos] != ")":
-                lst.append(read())
-            if pos >= len(toks):
-                raise SmtSyntaxError("unbalanced parenthesis")
-            pos += 1
-            return lst
-        if tok == ")":
-            raise SmtSyntaxError("unexpected ')'")
-        return tok
-
-    while pos < len(toks):
-        out.append(read())
+            cur.append(lst)
+            cur = lst
+        elif tok == ")":
+            if not stack:
+                raise SmtSyntaxError("unexpected ')'")
+            cur = stack.pop()
+        else:
+            cur.append(tok)
+    if stack:
+        raise SmtSyntaxError("unbalanced parenthesis")
     return out
 
 
@@ -108,161 +101,219 @@ class Cnf:
         return self.nvars
 
     def add(self, clause):
-        clause = sorted(set(clause), key=abs)
-        for lit in clause:
-            if -lit in clause:
+        lits = set(clause)
+        for lit in lits:
+            if -lit in lits:
                 return
-        self.clauses.append(clause)
+        self.clauses.append(sorted(lits, key=abs))
 
 
 class Solver:
-    """CDCL over integer-labelled literals (v and -v)."""
+    """CDCL over integer-labelled literals (v and -v).
+
+    Per-literal tables (``lv`` values and ``watches``) are lists of length
+    2n+1 indexed directly by the signed literal: Python's negative indexing
+    puts -v at index 2n+1-v, past every positive literal, so no lookup needs
+    abs().  ``watches[lit]`` holds the clauses that watch -lit, visited when
+    lit becomes true.
+
+    Decisions take the unassigned variable of highest activity, lowest index
+    on ties, from a lazy binary heap of (-activity, var) entries.  Every
+    unassigned variable has a live entry keyed on its current activity, and
+    ``heap_act[var]`` is the key of var's newest live entry (-1 once popped).
+    Popped entries of assigned variables or of an older activity are
+    dropped.  Backtracking pushes an unassigned variable only when it has no
+    live entry with its current activity, and the heap is rebuilt from the
+    unassigned variables when activities are rescaled or when it holds more
+    than 2n entries, which bounds its size.
+
+    The solver takes over the clause lists of ``cnf`` and reorders their
+    literals while it watches them.
+    """
 
     def __init__(self, cnf):
-        self.n = cnf.nvars
-        self.assign = [0] * (self.n + 1)   # 0 unset, 1 true, -1 false
-        self.level = [0] * (self.n + 1)
-        self.reason = [None] * (self.n + 1)
-        self.activity = [0.0] * (self.n + 1)
-        self.phase = [False] * (self.n + 1)
+        n = self.n = cnf.nvars
+        self.lv = [0] * (2 * n + 1)        # literal -> 1 true, -1 false, 0
+        self.level = [0] * (n + 1)
+        self.reason = [None] * (n + 1)
+        self.activity = [0.0] * (n + 1)
+        self.phase = [False] * (n + 1)
+        self.seen = [False] * (n + 1)      # scratch for analyze
         self.trail = []
         self.trail_lim = []
-        self.watches = {}
-        self.clauses = []
+        self.watches = [[] for _ in range(2 * n + 1)]
+        self.heap = [(0.0, v) for v in range(1, n + 1)]  # sorted: a heap
+        self.heap_act = [0.0] * (n + 1)    # key of var's newest entry, or -1
         self.var_inc = 1.0
+        self._qhead = 0
         self.ok = True
         for c in cnf.clauses:
             if not self.add_clause(c):
                 self.ok = False
                 break
 
-    def watch(self, lit, clause):
-        self.watches.setdefault(lit, []).append(clause)
-
-    def value(self, lit):
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def add_clause(self, lits):
         if not lits:
             return False
         if len(lits) == 1:
             return self.enqueue(lits[0], None)
-        clause = list(lits)
-        self.clauses.append(clause)
-        self.watch(-clause[0], clause)
-        self.watch(-clause[1], clause)
+        self.watches[-lits[0]].append(lits)
+        self.watches[-lits[1]].append(lits)
         return True
 
     def enqueue(self, lit, reason):
-        v = self.value(lit)
-        if v == 1:
-            return True
-        if v == -1:
-            return False
-        var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
+        lv = self.lv
+        v = lv[lit]
+        if v:
+            return v == 1
+        lv[lit] = 1
+        lv[-lit] = -1
+        var = lit if lit > 0 else -lit
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
     def propagate(self):
-        while self._qhead < len(self.trail):
-            lit = self.trail[self._qhead]
-            self._qhead += 1
-            watching = self.watches.get(lit, [])
-            keep = []
-            i = 0
-            while i < len(watching):
-                clause = watching[i]
-                i += 1
+        lv = self.lv
+        trail = self.trail
+        watches = self.watches
+        enqueue = self.enqueue
+        qhead = self._qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            false_lit = -lit
+            ws = watches[lit]
+            # compact ws in place: clauses that keep watching false_lit move
+            # down to ws[:j]; none is added to ws while it is scanned
+            j = moved = 0
+            for clause in ws:
                 # keep the falsified watch in position 1
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self.value(clause[0]) == 1:
-                    keep.append(clause)
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                v = lv[first]
+                if v == 1:
+                    ws[j] = clause
+                    j += 1
                     continue
-                moved = False
-                for idx in range(2, len(clause)):
-                    if self.value(clause[idx]) != -1:
-                        clause[1], clause[idx] = clause[idx], clause[1]
-                        self.watch(-clause[1], clause)
-                        moved = True
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if lv[other] != -1:
+                        clause[k] = clause[1]
+                        clause[1] = other
+                        watches[-other].append(clause)
+                        moved += 1
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if not self.enqueue(clause[0], clause):
-                    keep.extend(watching[i:])
-                    self.watches[lit] = keep
-                    return clause
-            self.watches[lit] = keep
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if v:
+                        # conflict: keep the clauses not yet visited
+                        ws[j:] = ws[j + moved:]
+                        self._qhead = qhead
+                        return clause
+                    enqueue(first, clause)
+            del ws[j:]
+        self._qhead = qhead
         return None
 
-    _qhead = 0
-
-    def bump(self, var):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for i in range(1, self.n + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
+    def _rebuild_heap(self):
+        lv, activity, heap_act = self.lv, self.activity, self.heap_act
+        heap = self.heap = []
+        for v in range(1, self.n + 1):
+            if lv[v] == 0:
+                heap.append((-activity[v], v))
+                heap_act[v] = activity[v]
+            else:
+                heap_act[v] = -1.0
+        heapq.heapify(heap)
 
     def analyze(self, conflict):
-        learnt = []
-        seen = [False] * (self.n + 1)
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        activity = self.activity
+        trail = self.trail
+        var_inc = self.var_inc
+        learnt = [0]                 # learnt[0] becomes the negated UIP
         counter = 0
-        lit0 = None
-        p_reason = conflict
-        idx = len(self.trail) - 1
+        p = None
+        clause = conflict
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
-            for q in p_reason:
-                if q is lit0:
+            for q in clause:
+                if q == p:
                     continue
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self.bump(var)
-                    if self.level[var] == cur_level:
+                    act = activity[var] = activity[var] + var_inc
+                    if act > 1e100:
+                        for v in range(1, self.n + 1):
+                            activity[v] *= 1e-100
+                        var_inc = self.var_inc = var_inc * 1e-100
+                        self._rebuild_heap()
+                    if level[var] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
-            lit0 = p
-            seen[abs(p)] = False
+            p = trail[idx]
+            var = abs(p)
+            seen[var] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            p_reason = [l for l in (self.reason[abs(p)] or []) if l != p]
-        learnt.insert(0, -lit0)
-        if len(learnt) == 1:
-            bt = 0
-        else:
-            bt = max(self.level[abs(l)] for l in learnt[1:])
+            clause = reason[var] or ()
+        learnt[0] = -p
+        bt = 0
+        for q in learnt[1:]:
+            var = abs(q)
+            seen[var] = False
+            if level[var] > bt:
+                bt = level[var]
         return learnt, bt
 
     def backtrack(self, level):
-        while self.trail_lim and len(self.trail_lim) > level:
-            lim = self.trail_lim.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.phase[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
+        trail_lim = self.trail_lim
+        if len(trail_lim) > level:
+            trail = self.trail
+            lim = trail_lim[level]
+            lv, phase, reason = self.lv, self.phase, self.reason
+            activity, heap, heap_act = self.activity, self.heap, self.heap_act
+            push = heapq.heappush
+            for k in range(len(trail) - 1, lim - 1, -1):
+                lit = trail[k]
+                var = lit if lit > 0 else -lit
+                phase[var] = lit > 0
+                lv[lit] = lv[-lit] = 0
+                reason[var] = None
+                act = activity[var]
+                if heap_act[var] != act:
+                    push(heap, (-act, var))
+                    heap_act[var] = act
+            del trail[lim:]
+            del trail_lim[level:]
+            if len(heap) > 2 * self.n:
+                self._rebuild_heap()
         self._qhead = min(self._qhead, len(self.trail))
 
     def decide(self):
-        best, best_act = 0, -1.0
-        for v in range(1, self.n + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        return best
+        heap, lv, heap_act = self.heap, self.lv, self.heap_act
+        pop = heapq.heappop
+        while heap:
+            key, var = pop(heap)
+            if -key == heap_act[var]:
+                heap_act[var] = -1.0
+                if lv[var] == 0:
+                    return var
+        return 0
 
     def solve(self):
         if not self.ok:
@@ -270,6 +321,7 @@ class Solver:
         self._qhead = 0
         conflicts_budget = 100
         total_restarts = 0
+        level = self.level
         while True:
             conflict = self.propagate()
             if conflict is not None:
@@ -283,12 +335,11 @@ class Solver:
                 else:
                     # put a literal of backtrack level in watch position 1
                     for i in range(1, len(learnt)):
-                        if self.level[abs(learnt[i])] == bt:
+                        if level[abs(learnt[i])] == bt:
                             learnt[1], learnt[i] = learnt[i], learnt[1]
                             break
-                    self.clauses.append(learnt)
-                    self.watch(-learnt[0], learnt)
-                    self.watch(-learnt[1], learnt)
+                    self.watches[-learnt[0]].append(learnt)
+                    self.watches[-learnt[1]].append(learnt)
                     self.enqueue(learnt[0], learnt)
                 self.var_inc *= 1.05
                 conflicts_budget -= 1
@@ -304,7 +355,7 @@ class Solver:
             self.enqueue(var if self.phase[var] else -var, None)
 
     def model_value(self, var):
-        return self.assign[var] == 1
+        return self.lv[var] == 1
 
 
 # ---------------------------------------------------------------------------
