@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from .inheritance import flatten_inheritance_info
 from .spec_ast import (
     AttributeDecl, ClassDecl, CopyBinding, IntSet, IntUnbounded, Metamodel,
-    PatternElement, PatternGraph, PropertyDecl, Specification, StringUnbounded,
-    StringVocab,
+    Specification, StringUnbounded, StringVocab,
 )
 
 _BIG = 10 ** 9
@@ -89,13 +88,6 @@ class AbstractionReport:
     @property
     def valid(self):
         return all(ok for _, _, ok in self.predicate_outcomes)
-
-
-@dataclass(frozen=True)
-class FlattenedVariant:
-    original: PropertyDecl
-    substitution: dict
-    variant: PropertyDecl
 
 
 class AbstractionError(ValueError):
@@ -332,56 +324,29 @@ def validate_abstraction(spec, amap):
 
 
 # ---------------------------------------------------------------------------
-# Inheritance flattening of properties
+# Abstract-typed property elements
 # ---------------------------------------------------------------------------
 
 def flatten_property(prop, spec):
-    """Expand abstract-typed pattern elements over their concrete subtypes."""
-    variants = []
+    """The properties to verify for `prop`: always ``[prop]`` itself.
 
-    def info_for(klass):
-        mm, _ = spec.find_class(klass)
-        return flatten_inheritance_info(mm)
+    An abstract-typed pattern element is not split into one variant per
+    concrete subtype.  The cutoff, the encoder and the concrete check all
+    range it over every concrete subtype, so one run verifies and confirms
+    the user's own property; requiring every variant of an existential
+    postcondition element to hold reported false violations.  The name and
+    the list result remain because perfbench/tracer.py wraps this function
+    and counts its result as ``abstraction.variants``.
 
-    choices = []  # (element name, side, list of concrete classes)
-    for side, pattern in (("pre", prop.precondition),
-                          ("post", prop.postcondition)):
+    Raises AbstractionError when an abstract element has no concrete
+    subtype, which makes the property vacuous.
+    """
+    for pattern in (prop.precondition, prop.postcondition):
         for e in pattern.elements:
-            info = info_for(e.klass)
-            if info[e.klass].abstract:
-                subs = sorted(info[e.klass].subtypes)
-                if not subs:
-                    raise AbstractionError(
-                        f"abstract class {e.klass} has no concrete subtypes; "
-                        f"property {prop.name} is vacuous")
-                choices.append((e.name, side, subs))
-
-    if not choices:
-        return [FlattenedVariant(prop, {}, prop)]
-
-    import itertools
-    for combo in itertools.product(*(subs for _, _, subs in choices)):
-        subst = {(name, side): cls
-                 for (name, side, _), cls in zip(choices, combo)}
-
-        def rewrite(pattern, side):
-            elements = tuple(
-                PatternElement(e.name, subst.get((e.name, side), e.klass),
-                               e.any_flag, e.constraints)
-                for e in pattern.elements)
-            return PatternGraph(elements, pattern.links)
-
-        variant = PropertyDecl(
-            prop.name, prop.doc,
-            rewrite(prop.precondition, "pre"),
-            rewrite(prop.postcondition, "post"),
-            prop.traces)
-        variants.append(FlattenedVariant(
-            prop, {name: cls for (name, _), cls in subst.items()}, variant))
-    return variants
-
-
-def lift_counterexample(variant, source, target, binding):
-    """Counterexamples from a variant already use concrete classes; lifting
-    restores the original property's element names in the binding."""
-    return source, target, binding
+            mm, _ = spec.find_class(e.klass)
+            info = flatten_inheritance_info(mm)
+            if info[e.klass].abstract and not info[e.klass].subtypes:
+                raise AbstractionError(
+                    f"abstract class {e.klass} has no concrete subtypes; "
+                    f"property {prop.name} is vacuous")
+    return [prop]

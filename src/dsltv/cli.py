@@ -84,7 +84,9 @@ def build_parser():
                        action="store_true", default=True)
         p.add_argument("--eager-closure", dest="lazy_closure",
                        action="store_false")
-        p.add_argument("--symmetry-break", action="store_true")
+        p.add_argument("--symmetry-break", action="store_true",
+                       help="also order the source slots of each class "
+                       "(target slots are always ordered)")
         p.add_argument("--dump-smt", metavar="DIR")
         p.add_argument("--parallel", type=int, default=1, metavar="N")
         p.add_argument("--budget", type=int, default=100_000,

@@ -1,10 +1,10 @@
 """Verification pipeline driver.
 
 For each property: fragment guards, attribute abstraction when domains are
-infinite, inheritance flattening, relevance and fragment selection, cutoff
-and per-class bounds, encode/solve, counterexample-guided fragment
-refinement, and concrete confirmation of every violation before it is
-reported.
+infinite, relevance and fragment selection, cutoff and per-class bounds,
+encode/solve, counterexample-guided fragment refinement, and concrete
+confirmation of every violation against the property as written before it
+is reported.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ class PropertyVerdict:
     per_class_max: int = 0
     fragment: tuple = ()
     cegar_rounds: int = 0
+    closure_rounds: int = 0
     dominant: tuple = ()
     wall_time: float = 0.0
     detail: str = ""
@@ -96,6 +97,7 @@ class PropertyVerdict:
             "dominant": list(self.dominant),
             "timeSec": round(self.wall_time, 3),
             "cegarRounds": self.cegar_rounds,
+            "closureRounds": self.closure_rounds,
             "detail": self.detail,
         }
 
@@ -118,7 +120,7 @@ def _uniform_bounds(spec, t, k):
 
 @dataclass
 class _Attempt:
-    """Outcome of solving one fragment of one variant."""
+    """Outcome of solving one fragment."""
     kind: str  # holds | sat | unknown
     reason: str = ""
     detail: str = ""
@@ -127,10 +129,9 @@ class _Attempt:
     per_class_max: int = 0
     fragment: tuple = ()
     dominant: tuple = ()
-    closure_rounds: int = 0
 
 
-class _VariantRun:
+class _PropertyRun:
     def __init__(self, spec, t, prop, config, deadline):
         self.spec = spec
         self.t = t
@@ -142,6 +143,7 @@ class _VariantRun:
         self.params = cutoff_params(spec, prop, self.relevance, self.closure, t)
         self.bounds = compute_cutoff(self.params)
         self.layer_of_rule = {r.name: li for li, r in t.all_rules()}
+        self.closure_rounds = 0   # lazy-closure rounds over all attempts
 
     def fragment_rules(self, fragment):
         return tuple(sorted(r for r in self.relevance.relevant_rules
@@ -182,7 +184,7 @@ class _VariantRun:
         verdict, rounds = lazy_closure_loop(
             problem, remaining, self.spec, self.t,
             self.config.solver_command)
-        common["closure_rounds"] = rounds
+        self.closure_rounds += rounds
         if verdict.status == "unsat":
             return _Attempt("holds", **common)
         if verdict.status == "timeout":
@@ -308,41 +310,29 @@ def verify_property(spec, prop, config=None):
         prop = working.property(prop.name)
 
     try:
-        variants = flatten_property(prop, working)
+        flatten_property(prop, working)  # rejects a vacuous abstract element
     except ValueError as exc:
         return finish(PropertyVerdict(UNKNOWN, reason="fragment",
                                       detail=str(exc)))
 
-    total_rounds = 0
-    best = None  # the variant attempt backing the final verdict
-    artifacts = {}
-    for variant in variants:
-        try:
-            run = _VariantRun(working, t, variant.variant, config, deadline)
-        except UnboundedClosureError as exc:
-            return finish(PropertyVerdict(UNKNOWN, reason="budget",
-                                          detail=str(exc),
-                                          cegar_rounds=total_rounds))
-        attempt, rounds, arts = run.run()
-        total_rounds += rounds
-        if attempt.kind == "sat":
-            return finish(PropertyVerdict(
-                VIOLATED, counterexample=attempt.counterexample,
-                k=attempt.k, per_class_max=attempt.per_class_max,
-                fragment=attempt.fragment, dominant=attempt.dominant,
-                cegar_rounds=total_rounds))
-        if attempt.kind == "unknown":
-            return finish(PropertyVerdict(
-                UNKNOWN, reason=attempt.reason, detail=attempt.detail,
-                k=attempt.k, per_class_max=attempt.per_class_max,
-                fragment=attempt.fragment, dominant=attempt.dominant,
-                cegar_rounds=total_rounds, artifacts=arts))
-        if best is None or attempt.per_class_max > best.per_class_max:
-            best = attempt
-    return finish(PropertyVerdict(
-        HOLDS, k=best.k, per_class_max=best.per_class_max,
-        fragment=best.fragment, dominant=best.dominant,
-        cegar_rounds=total_rounds))
+    try:
+        run = _PropertyRun(working, t, prop, config, deadline)
+    except UnboundedClosureError as exc:
+        return finish(PropertyVerdict(UNKNOWN, reason="budget",
+                                      detail=str(exc)))
+    attempt, cegar_rounds, artifacts = run.run()
+    common = dict(k=attempt.k, per_class_max=attempt.per_class_max,
+                  fragment=attempt.fragment, dominant=attempt.dominant,
+                  cegar_rounds=cegar_rounds,
+                  closure_rounds=run.closure_rounds)
+    if attempt.kind == "sat":
+        return finish(PropertyVerdict(
+            VIOLATED, counterexample=attempt.counterexample, **common))
+    if attempt.kind == "unknown":
+        return finish(PropertyVerdict(
+            UNKNOWN, reason=attempt.reason, detail=attempt.detail,
+            artifacts=artifacts, **common))
+    return finish(PropertyVerdict(HOLDS, **common))
 
 
 def verify_all(spec, config=None, parallelism=1):

@@ -8,6 +8,29 @@ elements get integer slot-choice variables with at-most-one-creator, and a
 target slot exists iff exactly one firing claims it.  Traces are implicit in
 the firing structure.  The query asserts some precondition binding holds and
 no postcondition witness exists for it; sat means counterexample.
+
+Every problem breaks the symmetry between target slots of one concrete
+class with two constraints:
+
+- value precedence: walking the creations (fresh apply elements of every
+  firing, in encoding order), a creation may claim the class-c slot j only
+  if j <= r_c, the number of earlier creations whose candidate slots
+  include a class-c slot.  A choice's declared range ends at its last
+  allowed value, which is all a choice among one class's slots needs; a
+  choice that also spans subclass slots excludes the values below that
+  one by one;
+- ordered existence: ex_t_c_{j+1} => ex_t_c_j.
+
+Both are sound.  Within one concrete class, target slots are
+interchangeable everywhere in the encoding: existence, attributes, links
+and their upper bounds, claims, backward cases, postcondition bindings and
+trace terms.  Every existing slot is claimed by exactly one firing
+creation, so renumbering each class's slots in the order in which firing
+creations claim them maps any model to one that meets both constraints; a
+creation that does not fire leaves its choice free, and slot 0 of each
+class is always allowed.  The constraints change the search, never the
+verdict.  ``EncodeOptions.symmetry_break`` (``--symmetry-break``, off by
+default) adds ordered existence on the source side only.
 """
 
 from __future__ import annotations
@@ -241,7 +264,9 @@ class Encoder:
                                 itertools.combinations(row, a.lower)])
                     target.append(
                         f"(assert (=> {world.ex(cs, i)} {need}))")
-        if self.options.symmetry_break:
+        # ordered existence: each class's slots exist as a prefix; always on
+        # the target side (see the module docstring)
+        if world is self.tgt or self.options.symmetry_break:
             for c in sorted(world.slots):
                 for i in range(world.slots[c] - 1):
                     self.asserts.append(
@@ -330,6 +355,7 @@ class Encoder:
         fires_name = {}
         choice_name = {}
         creations = []  # (li, rule, bidx, apply element, fires, choice var)
+        earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
                 fv = self.decl_bool(f"fr_{rule.name}_{bidx}",
@@ -339,8 +365,18 @@ class Encoder:
                 for ae in rule.fresh_apply_elements():
                     slots = self.tgt.all_slots(ae.klass)
                     cv = f"ch_{rule.name}_{bidx}_{ae.name}"
-                    self.decl_int(cv, 0, max(len(slots) - 1, 0),
+                    # value precedence: the class-c slot j only if j <= r_c;
+                    # the range ends at the last allowed value and the
+                    # disallowed values below it are excluded one by one
+                    allowed = [k for k, (c, j) in enumerate(slots)
+                               if j <= earlier[c]]
+                    hi = allowed[-1] if allowed else 0
+                    self.decl_int(cv, 0, hi,
                                   ("choice", rule.name, bidx, ae.name))
+                    for k in sorted(set(range(hi)) - set(allowed)):
+                        self.asserts.append(f"(assert (not (= {cv} {k})))")
+                    for c in {c for c, _ in slots}:
+                        earlier[c] += 1
                     choice_name[(rule.name, bidx, ae.name)] = (cv, slots)
                     creations.append((li, rule, bidx, ae, fv, cv, slots))
 

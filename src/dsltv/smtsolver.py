@@ -457,8 +457,8 @@ class SmtScript:
     # -- grounding ---------------------------------------------------------
 
     def derive_bounds(self):
-        """Scan assertions for (<= c x) / (<= x c) / (= x c) shapes to bound
-        every Int variable."""
+        """Scan assertions, and the conjuncts of asserted conjunctions, for
+        (<= c x) / (<= x c) / (= x c) shapes to bound every Int variable."""
         lo = {}
         hi = {}
 
@@ -472,15 +472,15 @@ class SmtScript:
             return isinstance(tok, str) and \
                 (tok.lstrip("-").isdigit() if tok else False)
 
-        def walk(e, positive):
+        todo = list(self.assertions)
+        while todo:
+            e = todo.pop()
             if not isinstance(e, list) or not e:
-                return
+                continue
             head = e[0]
-            if head == "and" and positive:
-                for sub in e[1:]:
-                    walk(sub, True)
-            elif head in ("<=", "<", ">=", ">", "=") and len(e) == 3 \
-                    and positive:
+            if head == "and":
+                todo.extend(e[1:])
+            elif head in ("<=", "<", ">=", ">", "=") and len(e) == 3:
                 a, b = e[1], e[2]
                 if is_int(a) and isinstance(b, str) and b in self.sorts:
                     v = int(a)
@@ -508,9 +508,6 @@ class SmtScript:
                     elif head == "=":
                         note_lo(a, v)
                         note_hi(a, v)
-
-        for a in self.assertions:
-            walk(a, True)
         return lo, hi
 
     def check(self, out):
@@ -544,134 +541,10 @@ class SmtScript:
                 for j in range(i + 1, len(vs)):
                     circuit.cnf.add([-vs[i], -vs[j]])
 
-        def int_operands(e):
-            """Collect (variable names, constant offset factor) for a linear
-            term; supports var, constant, +, -, * by constant."""
-            if isinstance(e, str):
-                if e.lstrip("-").isdigit():
-                    return [], int(e)
-                if self.sorts.get(e) == "Int":
-                    return [(e, 1)], 0
-                raise SmtError(f"not an Int term: {e!r}")
-            head = e[0]
-            if head == "+":
-                vs, c = [], 0
-                for sub in e[1:]:
-                    v2, c2 = int_operands(sub)
-                    vs += v2
-                    c += c2
-                return vs, c
-            if head == "-":
-                if len(e) == 2:
-                    vs, c = int_operands(e[1])
-                    return [(n, -k) for n, k in vs], -c
-                vs, c = int_operands(e[1])
-                for sub in e[2:]:
-                    v2, c2 = int_operands(sub)
-                    vs += [(n, -k) for n, k in v2]
-                    c -= c2
-                return vs, c
-            if head == "*" and len(e) == 3:
-                for a, b in ((e[1], e[2]), (e[2], e[1])):
-                    if isinstance(a, str) and a.lstrip("-").isdigit():
-                        vs, c = int_operands(b)
-                        k = int(a)
-                        return [(n, f * k) for n, f in vs], c * k
-            if head == "ite":
-                raise SmtError("ite over Int not supported")
-            raise SmtError(f"unsupported Int term {e!r}")
-
-        def atom_lit(op, left, right):
-            """Comparison atom over linear Int terms, compiled by enumerating
-            the involved variables' finite domains."""
-            lvs, lc = int_operands(left)
-            rvs, rc = int_operands(right)
-            terms = {}
-            for n, k in lvs:
-                terms[n] = terms.get(n, 0) + k
-            for n, k in rvs:
-                terms[n] = terms.get(n, 0) - k
-            const = lc - rc  # atom: sum(terms) + const OP 0
-            names = [n for n, k in terms.items() if k != 0]
-            if len(names) > 3:
-                raise SmtError("atom involves too many Int variables")
-
-            def test(total):
-                if op == "=":
-                    return total == 0
-                if op == "<=":
-                    return total <= 0
-                if op == "<":
-                    return total < 0
-                if op == ">=":
-                    return total >= 0
-                if op == ">":
-                    return total > 0
-                raise SmtError(f"unknown comparison {op!r}")
-
-            combos = [[]]
-            for n in names:
-                combos = [c + [(n, v)] for c in combos for v in self.domains[n]]
-            good = []
-            for combo in combos:
-                total = const + sum(terms[n] * v for n, v in combo)
-                if test(total):
-                    good.append(circuit.and_(
-                        [onehot[n][v] for n, v in combo]))
-            return circuit.or_(good)
-
-        def compile_bool(e):
-            if e == "true":
-                return circuit.lit_true()
-            if e == "false":
-                return circuit.lit_false()
-            if isinstance(e, str):
-                if e in bool_vars:
-                    return bool_vars[e]
-                raise SmtError(f"unknown Bool term {e!r}")
-            head = e[0]
-            if head == "and":
-                return circuit.and_([compile_bool(x) for x in e[1:]])
-            if head == "or":
-                return circuit.or_([compile_bool(x) for x in e[1:]])
-            if head == "not":
-                return -compile_bool(e[1])
-            if head == "=>":
-                lits = [compile_bool(x) for x in e[1:]]
-                out2 = lits[-1]
-                for l in reversed(lits[:-1]):
-                    out2 = circuit.or_([-l, out2])
-                return out2
-            if head == "xor":
-                out2 = compile_bool(e[1])
-                for x in e[2:]:
-                    out2 = -circuit.iff(out2, compile_bool(x))
-                return out2
-            if head == "ite":
-                return circuit.ite(compile_bool(e[1]), compile_bool(e[2]),
-                                   compile_bool(e[3]))
-            if head in ("<=", "<", ">=", ">"):
-                return atom_lit(head, e[1], e[2])
-            if head in ("=", "distinct"):
-                args = e[1:]
-                if self._is_bool_term(args[0]):
-                    lits = [compile_bool(x) for x in args]
-                    pairs = []
-                    for i in range(len(lits) - 1):
-                        for j in range(i + 1, len(lits)):
-                            eq = circuit.iff(lits[i], lits[j])
-                            pairs.append(eq if head == "=" else -eq)
-                    return circuit.and_(pairs)
-                pairs = []
-                for i in range(len(args) - 1):
-                    for j in range(i + 1, len(args)):
-                        eq = atom_lit("=", args[i], args[j])
-                        pairs.append(eq if head == "=" else -eq)
-                return circuit.and_(pairs)
-            raise SmtError(f"unsupported operator {head!r}")
-
+        grounding = _Grounding(circuit, self.sorts, bool_vars, onehot,
+                               self.domains)
         for a in self.assertions:
-            circuit.cnf.add([compile_bool(a)])
+            circuit.cnf.add([grounding.compile_bool(a)])
 
         solver = Solver(circuit.cnf)
         sat = solver.solve()
@@ -690,14 +563,6 @@ class SmtScript:
         print("unsat", file=out)
         return "unsat"
 
-    def _is_bool_term(self, e):
-        if e in ("true", "false"):
-            return True
-        if isinstance(e, str):
-            return self.sorts.get(e) == "Bool"
-        return e[0] in ("and", "or", "not", "=>", "xor", "ite", "=",
-                        "distinct", "<=", "<", ">=", ">")
-
     def print_model(self, out):
         if self._model is None:
             print("(error \"no model available\")", file=out)
@@ -714,6 +579,156 @@ class SmtScript:
             lines.append(f"  (define-fun {sym} () {sort} {sv})")
         lines.append(")")
         print("\n".join(lines), file=out)
+
+
+class _Grounding:
+    """Compiles the asserted Bool terms of one check-sat into literals of
+    ``circuit``.  Its recursion goes through methods rather than nested
+    closures: a closure that calls itself is a reference cycle, which would
+    keep the circuit and its CNF alive until the cyclic collector runs."""
+
+    def __init__(self, circuit, sorts, bool_vars, onehot, domains):
+        self.circuit = circuit
+        self.sorts = sorts
+        self.bool_vars = bool_vars
+        self.onehot = onehot          # int var -> {value: sat literal}
+        self.domains = domains        # int var -> list of values
+
+    def int_operands(self, e):
+        """Collect (variable names, constant offset factor) for a linear
+        term; supports var, constant, +, -, * by constant."""
+        if isinstance(e, str):
+            if e.lstrip("-").isdigit():
+                return [], int(e)
+            if self.sorts.get(e) == "Int":
+                return [(e, 1)], 0
+            raise SmtError(f"not an Int term: {e!r}")
+        head = e[0]
+        if head == "+":
+            vs, c = [], 0
+            for sub in e[1:]:
+                v2, c2 = self.int_operands(sub)
+                vs += v2
+                c += c2
+            return vs, c
+        if head == "-":
+            if len(e) == 2:
+                vs, c = self.int_operands(e[1])
+                return [(n, -k) for n, k in vs], -c
+            vs, c = self.int_operands(e[1])
+            for sub in e[2:]:
+                v2, c2 = self.int_operands(sub)
+                vs += [(n, -k) for n, k in v2]
+                c -= c2
+            return vs, c
+        if head == "*" and len(e) == 3:
+            for a, b in ((e[1], e[2]), (e[2], e[1])):
+                if isinstance(a, str) and a.lstrip("-").isdigit():
+                    vs, c = self.int_operands(b)
+                    k = int(a)
+                    return [(n, f * k) for n, f in vs], c * k
+        if head == "ite":
+            raise SmtError("ite over Int not supported")
+        raise SmtError(f"unsupported Int term {e!r}")
+
+    def atom_lit(self, op, left, right):
+        """Comparison atom over linear Int terms, compiled by enumerating
+        the involved variables' finite domains."""
+        lvs, lc = self.int_operands(left)
+        rvs, rc = self.int_operands(right)
+        terms = {}
+        for n, k in lvs:
+            terms[n] = terms.get(n, 0) + k
+        for n, k in rvs:
+            terms[n] = terms.get(n, 0) - k
+        const = lc - rc  # atom: sum(terms) + const OP 0
+        names = [n for n, k in terms.items() if k != 0]
+        if len(names) > 3:
+            raise SmtError("atom involves too many Int variables")
+
+        def test(total):
+            if op == "=":
+                return total == 0
+            if op == "<=":
+                return total <= 0
+            if op == "<":
+                return total < 0
+            if op == ">=":
+                return total >= 0
+            if op == ">":
+                return total > 0
+            raise SmtError(f"unknown comparison {op!r}")
+
+        combos = [[]]
+        for n in names:
+            combos = [c + [(n, v)] for c in combos for v in self.domains[n]]
+        circuit, onehot = self.circuit, self.onehot
+        good = []
+        for combo in combos:
+            total = const + sum(terms[n] * v for n, v in combo)
+            if test(total):
+                good.append(circuit.and_([onehot[n][v] for n, v in combo]))
+        return circuit.or_(good)
+
+    def compile_bool(self, e):
+        circuit = self.circuit
+        if e == "true":
+            return circuit.lit_true()
+        if e == "false":
+            return circuit.lit_false()
+        if isinstance(e, str):
+            if e in self.bool_vars:
+                return self.bool_vars[e]
+            raise SmtError(f"unknown Bool term {e!r}")
+        compile_bool = self.compile_bool
+        head = e[0]
+        if head == "and":
+            return circuit.and_([compile_bool(x) for x in e[1:]])
+        if head == "or":
+            return circuit.or_([compile_bool(x) for x in e[1:]])
+        if head == "not":
+            return -compile_bool(e[1])
+        if head == "=>":
+            lits = [compile_bool(x) for x in e[1:]]
+            out2 = lits[-1]
+            for l in reversed(lits[:-1]):
+                out2 = circuit.or_([-l, out2])
+            return out2
+        if head == "xor":
+            out2 = compile_bool(e[1])
+            for x in e[2:]:
+                out2 = -circuit.iff(out2, compile_bool(x))
+            return out2
+        if head == "ite":
+            return circuit.ite(compile_bool(e[1]), compile_bool(e[2]),
+                               compile_bool(e[3]))
+        if head in ("<=", "<", ">=", ">"):
+            return self.atom_lit(head, e[1], e[2])
+        if head in ("=", "distinct"):
+            args = e[1:]
+            if self.is_bool_term(args[0]):
+                lits = [compile_bool(x) for x in args]
+                pairs = []
+                for i in range(len(lits) - 1):
+                    for j in range(i + 1, len(lits)):
+                        eq = circuit.iff(lits[i], lits[j])
+                        pairs.append(eq if head == "=" else -eq)
+                return circuit.and_(pairs)
+            pairs = []
+            for i in range(len(args) - 1):
+                for j in range(i + 1, len(args)):
+                    eq = self.atom_lit("=", args[i], args[j])
+                    pairs.append(eq if head == "=" else -eq)
+            return circuit.and_(pairs)
+        raise SmtError(f"unsupported operator {head!r}")
+
+    def is_bool_term(self, e):
+        if e in ("true", "false"):
+            return True
+        if isinstance(e, str):
+            return self.sorts.get(e) == "Bool"
+        return e[0] in ("and", "or", "not", "=>", "xor", "ite", "=",
+                        "distinct", "<=", "<", ">=", ">")
 
 
 def solve_text(text, out=sys.stdout):

@@ -99,25 +99,39 @@ def test_finite_spec_needs_no_abstraction(uml2java):
     assert not amap.blocks
 
 
-def test_flatten_expands_abstract_pattern_classes(uml2java):
+def test_flatten_keeps_abstract_property_whole(uml2java):
     prop = uml2java.property("PackageHasPackageDeclaration")
-    variants = flatten_property(prop, uml2java)
-    assert [v.variant for v in variants] == [prop]
+    assert flatten_property(prop, uml2java) == [prop]
 
+    # an element over the abstract Classifier stays abstract: the encoder
+    # and the concrete check range it over the concrete subtypes
     abstract_prop = parse_spec_text_property(uml2java)
-    variants = flatten_property(abstract_prop, uml2java)
-    names = sorted(str(v.substitution) for v in variants)
-    assert len(variants) >= 2
-    assert len(names) == len(set(names))
-    for v in variants:
-        for el in v.variant.precondition.elements:
-            _, decl = uml2java.find_class(el.klass)
-            assert not decl.abstract
+    assert flatten_property(abstract_prop, uml2java) == [abstract_prop]
+    _, decl = uml2java.find_class("Classifier")
+    assert decl.abstract
+
+
+def test_flatten_rejects_abstract_class_without_subtypes():
+    spec = parse_spec("""
+metamodel M { abstract class Ghost { } class Real { } }
+metamodel N { class Out { } }
+transformation t : M -> N {
+    layer L { rule R { match { any r : Real } apply { o : Out } } }
+}
+property P "doc" {
+    precondition { any g : Ghost }
+    postcondition {
+        o : Out
+        o <--trace-- g
+    }
+}
+""", "inline")
+    with pytest.raises(AbstractionError, match="vacuous"):
+        flatten_property(spec.property("P"), spec)
 
 
 def parse_spec_text_property(uml2java):
-    # a property over the abstract Classifier class, to be expanded over
-    # its concrete subtypes
+    # a property over the abstract Classifier class
     from dsltv.spec_ast import (PatternElement, PatternGraph, PropertyDecl)
     base = uml2java.property("PackageHasPackageDeclaration")
     pre = PatternGraph(elements=(

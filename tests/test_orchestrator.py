@@ -1,3 +1,6 @@
+from conftest import load_spec
+from oracle import oracle_verdict
+
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import validate_conformance
 from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, VerificationConfig,
@@ -81,6 +84,19 @@ def test_verdict_events_are_json_ready(uml2java):
     assert event["property"] == prop.name
     assert event["status"] == HOLDS
     assert event["timeSec"] >= 0
+    assert event["closureRounds"] == 0
+
+
+def test_verdict_event_counts_closure_rounds():
+    spec = load_spec("corpus/c06_mandatory.dslt")
+    prop = spec.property("ChildHasPOut_ShouldFail")
+    verdict = verify_property(spec, prop, VerificationConfig())
+    assert verdict.status == VIOLATED
+    # the first model leaves a Child without its mandatory owner
+    assert verdict.event(prop.name)["closureRounds"] == 1
+    eager = verify_property(spec, prop,
+                            VerificationConfig(lazy_closure=False))
+    assert eager.event(prop.name)["closureRounds"] == 0
 
 
 def test_verify_all_order_and_summary(uml2java):
@@ -118,3 +134,51 @@ def test_budget_reports_unknown(uml2java):
     verdict = verify_property(uml2java, prop, config)
     assert verdict.status == UNKNOWN
     assert verdict.reason == "budget"
+
+
+ABSTRACT_POST = """
+metamodel Src { class Item { flag: Bool } }
+metamodel Tgt {
+    abstract class Out { }
+    class OutA extends Out { }
+    class OutB extends Out { }
+}
+transformation t : Src -> Tgt {
+    layer L {
+        rule ToA { match { any i : Item where flag == true } apply { a : OutA } }
+        rule ToB { match { any i : Item where flag == false } apply { b : OutB } }
+    }
+}
+property ItemHasOut "Every Item maps to some Out, of either subtype." {
+    precondition { any i : Item }
+    postcondition {
+        o : Out
+        o <--trace-- i
+    }
+}
+property ItemHasOutA_ShouldFail "Negative: unflagged Items map to OutB." {
+    precondition { any i : Item }
+    postcondition {
+        o : OutA
+        o <--trace-- i
+    }
+}
+"""
+
+
+def test_abstract_typed_postcondition_is_checked_as_written():
+    # an existential element of an abstract class is satisfied by any
+    # concrete subtype; it is not split into one demand per subtype
+    spec = parse_spec(ABSTRACT_POST, "inline")
+    t = spec.transformations[0]
+    holds = spec.property("ItemHasOut")
+    assert verify_property(spec, holds).status == HOLDS
+    assert oracle_verdict(spec, holds, {"Item": 2}) == HOLDS
+
+    fails = spec.property("ItemHasOutA_ShouldFail")
+    verdict = verify_property(spec, fails)
+    assert verdict.status == VIOLATED
+    assert oracle_verdict(spec, fails, {"Item": 2}) == VIOLATED
+    source = verdict.counterexample[0]
+    result = execute(t, source, spec)
+    assert not check_property_concrete(fails, source, result, spec).holds

@@ -1,6 +1,8 @@
+import gc
 import io
 import random
 import types
+import weakref
 
 from conftest import load_spec
 
@@ -184,8 +186,8 @@ def test_vsids_heap_stays_bounded(monkeypatch):
     src = flatten_inheritance_info(spec.metamodel(t.source))
     tgt = flatten_inheritance_info(spec.metamodel(t.target))
     bounds = PerClassBounds(
-        source={c: 3 for c in src if not src[c].abstract},
-        target={c: 3 for c in tgt if not tgt[c].abstract})
+        source={c: 4 for c in src if not src[c].abstract},
+        target={c: 4 for c in tgt if not tgt[c].abstract})
     problem = encode(spec, prop, bounds, transformation=t)
 
     solvers = []
@@ -211,6 +213,38 @@ def test_vsids_heap_stays_bounded(monkeypatch):
     # enough search for stale heap entries to pile up without the rebuild
     assert solver.conflicts > 300
     assert solver.max_heap <= 2 * solver.n
+
+
+def test_solve_leaves_no_reference_cycles(monkeypatch):
+    # with the cyclic collector off, the solve's CNF (and the circuit and
+    # clause lists around it) must be freed by reference counting alone
+    cnfs = []
+
+    class Tracked(Cnf):
+        def __init__(self):
+            super().__init__()
+            cnfs.append(weakref.ref(self))
+
+    monkeypatch.setattr(smtsolver, "Cnf", Tracked)
+    text = """
+(declare-const a Bool)
+(declare-const x Int)
+(declare-const y Int)
+(assert (and (<= 0 x) (<= x 3) (<= 0 y) (<= y 3)))
+(assert (or a (= (+ x y) 5)))
+(assert (=> a (< x (- y 1))))
+(check-sat)
+(get-model)
+"""
+    gc.collect()
+    gc.disable()
+    try:
+        script = smtsolver.SmtScript()
+        script.run(parse_sexprs(text), out=io.StringIO())
+        assert script.last == "sat"
+        assert len(cnfs) == 1 and cnfs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_default_solver_runs_from_plain_checkout(tmp_path, monkeypatch):
