@@ -327,6 +327,9 @@ def cmd_kboundary(args):
         fh.write(report)
     with open(args.out + ".json", "w") as fh:
         fh.write(results_json(results))
+    if any(e["sweep"].reasons or e["perturbation"].reasons
+           for e in results):
+        return EXIT_UNKNOWN
     ok = all(e["sweep"].matched and e["perturbation"].matched
              for e in results)
     return EXIT_OK if ok else EXIT_VIOLATED

@@ -20,7 +20,7 @@ from .inheritance import flatten_inheritance_info
 from .model import mandatory_closure, validate_conformance
 from .orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
     _transformation_for, verify_property
-from .smtencode import encode
+from .smtencode import EncodingCeilingError, encode
 from .smtrun import lazy_closure_loop
 
 OFFSETS = tuple(range(-3, 4))
@@ -34,6 +34,7 @@ class SweepResult:
     dominant: tuple
     expected_pattern: str  # negative | positive
     rows: list = field(default_factory=list)  # (offset, status, seconds)
+    reasons: dict = field(default_factory=dict)  # offset -> UNKNOWN reason
     matched: bool = False
 
     def to_json(self):
@@ -43,7 +44,8 @@ class SweepResult:
             "perClassMax": self.per_class_max,
             "dominant": list(self.dominant),
             "expectedPattern": self.expected_pattern,
-            "offsets": [{"delta": d, "status": s, "timeSec": round(t, 3)}
+            "offsets": [{"delta": d, "status": s, "timeSec": round(t, 3),
+                         "reason": self.reasons.get(d)}
                         for d, s, t in self.rows],
             "matched": self.matched,
         }
@@ -54,6 +56,7 @@ class PerturbationResult:
     property: str
     base_status: str
     runs: list = field(default_factory=list)  # (class, side, status|skipped)
+    reasons: dict = field(default_factory=dict)  # (class, side) -> reason
     binding_classes: list = field(default_factory=list)
     matched: bool = False
 
@@ -61,7 +64,8 @@ class PerturbationResult:
         return {
             "property": self.property,
             "baseStatus": self.base_status,
-            "runs": [{"class": c, "side": s, "status": st}
+            "runs": [{"class": c, "side": s, "status": st,
+                      "reason": self.reasons.get((c, s))}
                      for c, s, st in self.runs],
             "bindingClasses": list(self.binding_classes),
             "matched": self.matched,
@@ -147,15 +151,22 @@ class _BoundsLab:
         return PerClassBounds(source=source, target=target)
 
     def solve_at(self, bounds):
+        """(status, seconds, reason); reason is None unless UNKNOWN."""
         options = self.config.encode_options(self.fragment, self.rule_names)
         start = time.monotonic()
-        problem = encode(self.spec, self.prop, bounds, options, self.t)
+        try:
+            problem = encode(self.spec, self.prop, bounds, options, self.t)
+        except EncodingCeilingError as exc:
+            # e.g. an infinite attribute domain, which verify_property
+            # abstracts first but these fixed-bound runs do not
+            return UNKNOWN, time.monotonic() - start, f"ceiling: {exc}"
         verdict, _ = lazy_closure_loop(problem, self.config.timeout_seconds,
                                        self.spec, self.t,
                                        self.config.solver_command)
         elapsed = time.monotonic() - start
         status = {"unsat": HOLDS, "sat": VIOLATED}.get(verdict.status, UNKNOWN)
-        return status, elapsed
+        return status, elapsed, (verdict.status if status == UNKNOWN
+                                 else None)
 
 
 def _expected_at(pattern, delta):
@@ -173,8 +184,10 @@ def uniform_sweep(spec, prop, config=None, base_verdict=None):
     result = SweepResult(lab.prop.name, lab.cutoff.k,
                          lab.base.max_bound(), lab.cutoff.dominant, pattern)
     for delta in OFFSETS:
-        status, elapsed = lab.solve_at(lab.shifted(delta))
+        status, elapsed, reason = lab.solve_at(lab.shifted(delta))
         result.rows.append((delta, status, elapsed))
+        if reason:
+            result.reasons[delta] = reason
     result.matched = all(s == _expected_at(pattern, d)
                          for d, s, _ in result.rows)
     return result
@@ -193,11 +206,16 @@ def selective_minus_one(spec, prop, config=None, base_verdict=None):
             if bounds is None:
                 result.runs.append((klass, side, "skipped"))
                 continue
-            status, _ = lab.solve_at(bounds)
+            status, _, reason = lab.solve_at(bounds)
             result.runs.append((klass, side, status))
-            if status != base_verdict.status:
+            if reason:
+                # an undecided run shows nothing about the class
+                result.reasons[(klass, side)] = reason
+            elif status != base_verdict.status:
                 result.binding_classes.append(f"{side}:{klass}")
-    if base_verdict.status == VIOLATED:
+    if result.reasons:
+        result.matched = False
+    elif base_verdict.status == VIOLATED:
         result.matched = bool(result.binding_classes)
     else:
         result.matched = not result.binding_classes
@@ -239,6 +257,10 @@ def _tick(flag):
     return "yes" if flag else "NO"
 
 
+def _status_cell(status, reason):
+    return f"{status} ({reason})" if reason else status
+
+
 def emit_report(results, spec_name="spec"):
     """results: list of dicts with keys sweep, perturbation, witness (any of
     which may be None)."""
@@ -268,7 +290,8 @@ def emit_report(results, spec_name="spec"):
         lines += [f"### {sweep.property} ({sweep.expected_pattern})", "",
                   "| delta | verdict | time (s) |", "|---|---|---|"]
         for d, s, t in sweep.rows:
-            lines.append(f"| {d:+d} | {s} | {t:.3f} |")
+            lines.append(f"| {d:+d} | {_status_cell(s, sweep.reasons.get(d))}"
+                         f" | {t:.3f} |")
         lines.append("")
 
     lines += ["## Selective per-class decrement", ""]
@@ -281,7 +304,8 @@ def emit_report(results, spec_name="spec"):
                   f"Binding classes: {binding}", "",
                   "| class | side | verdict |", "|---|---|---|"]
         for c, side, status in pert.runs:
-            lines.append(f"| {c} | {side} | {status} |")
+            cell = _status_cell(status, pert.reasons.get((c, side)))
+            lines.append(f"| {c} | {side} | {cell} |")
         lines.append("")
 
     lines += ["## Concrete witnesses", ""]

@@ -76,6 +76,7 @@ class PropertyVerdict:
     fragment: tuple = ()
     cegar_rounds: int = 0
     closure_rounds: int = 0
+    firing_variables: int = 0
     dominant: tuple = ()
     wall_time: float = 0.0
     detail: str = ""
@@ -98,6 +99,7 @@ class PropertyVerdict:
             "timeSec": round(self.wall_time, 3),
             "cegarRounds": self.cegar_rounds,
             "closureRounds": self.closure_rounds,
+            "firingVariables": self.firing_variables,
             "detail": self.detail,
         }
 
@@ -144,6 +146,7 @@ class _PropertyRun:
         self.bounds = compute_cutoff(self.params)
         self.layer_of_rule = {r.name: li for li, r in t.all_rules()}
         self.closure_rounds = 0   # lazy-closure rounds over all attempts
+        self.firing_variables = 0  # rule firings encoded, over all attempts
 
     def fragment_rules(self, fragment):
         return tuple(sorted(r for r in self.relevance.relevant_rules
@@ -171,6 +174,7 @@ class _PropertyRun:
         except EncodingCeilingError as exc:
             return _Attempt("unknown", reason="ceiling", detail=str(exc),
                             **common)
+        self.firing_variables += problem.metadata["firingVariables"]
         if self.config.dump_dir:
             layers = "-".join(str(i) for i in fragment)
             path = os.path.join(self.config.dump_dir,
@@ -324,7 +328,8 @@ def verify_property(spec, prop, config=None):
     common = dict(k=attempt.k, per_class_max=attempt.per_class_max,
                   fragment=attempt.fragment, dominant=attempt.dominant,
                   cegar_rounds=cegar_rounds,
-                  closure_rounds=run.closure_rounds)
+                  closure_rounds=run.closure_rounds,
+                  firing_variables=run.firing_variables)
     if attempt.kind == "sat":
         return finish(PropertyVerdict(
             VIOLATED, counterexample=attempt.counterexample, **common))

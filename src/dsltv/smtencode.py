@@ -31,6 +31,22 @@ creation that does not fire leaves its choice free, and slot 0 of each
 class is always allowed.  The constraints change the search, never the
 verdict.  ``EncodeOptions.symmetry_break`` (``--symmetry-break``, off by
 default) adds ordered existence on the source side only.
+
+An association upper bound ``[..k]`` limits each link row x_0..x_{n-1} (the
+links out of one slot) with Sinz's sequential counter ("Towards an Optimal
+CNF Encoding of Boolean Cardinality Constraints", CP 2005): (n-1)*k
+auxiliary registers s_{i,j} and 2nk + n - 3k - 1 clauses, where the subset
+form took one clause per (k+1)-subset.  The clauses say x_i => s_{i,0},
+s_{i-1,j} => s_{i,j}, x_i & s_{i-1,j-1} => s_{i,j}, s_{0,j} false for
+j >= 1, and x_i => not s_{i-1,k-1}.  The counter is equisatisfiable with
+"at most k of the row": every assignment of the row with at most k true
+literals extends to the registers (set s_{i,j} iff at least j+1 of
+x_0..x_i hold), and in every model of the counter s_{i,j} holds whenever
+j+1 of x_0..x_i do, so a (k+1)-th true literal would falsify its last
+clause.  Every model of the subset form thus extends to one of the counter,
+and every model of the counter restricts to one of the subset form, so
+verdicts cannot change.  k = 0 becomes unit negations, and a row of at most
+k links needs no constraint.
 """
 
 from __future__ import annotations
@@ -250,9 +266,8 @@ class Encoder:
             if a.upper is not None:
                 for cs, i in rows:
                     row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
-                    for subset in itertools.combinations(row, a.upper + 1):
-                        self.asserts.append(
-                            "(assert " + _not(_and(list(subset))) + ")")
+                    self._at_most(row, a.upper,
+                                  f"up_{world.tag}_{a.name}_{cs}_{i}")
             # lower bounds: only meaningful on the source world, where the
             # model is free; target structure is fixed by the rules
             if a.lower >= 1 and world is self.src:
@@ -272,6 +287,32 @@ class Encoder:
                     self.asserts.append(
                         f"(assert (=> {world.ex(c, i + 1)} "
                         f"{world.ex(c, i)}))")
+
+    def _at_most(self, lits, k, prefix):
+        """Assert that at most k of ``lits`` hold: Sinz's sequential counter.
+        Register ``{prefix}_{i}_{j}`` is forced true when at least j+1 of
+        ``lits[0..i]`` hold; the registers get no varmap role, so decoding
+        never reads them (see the module docstring)."""
+        n = len(lits)
+        if n <= k:
+            return
+        if k == 0:
+            self.asserts.extend(f"(assert {_not(x)})" for x in lits)
+            return
+        s = [[self.decl_bool(f"{prefix}_{i}_{j}") for j in range(k)]
+             for i in range(n - 1)]
+        clauses = [[_not(lits[0]), s[0][0]]]
+        clauses += [[_not(s[0][j])] for j in range(1, k)]
+        for i in range(1, n - 1):
+            clauses.append([_not(lits[i]), s[i][0]])
+            clauses.append([_not(s[i - 1][0]), s[i][0]])
+            for j in range(1, k):
+                clauses.append([_not(lits[i]), _not(s[i - 1][j - 1]),
+                                s[i][j]])
+                clauses.append([_not(s[i - 1][j]), s[i][j]])
+            clauses.append([_not(lits[i]), _not(s[i - 1][k - 1])])
+        clauses.append([_not(lits[n - 1]), _not(s[n - 2][k - 1])])
+        self.asserts.extend(f"(assert {_or(c)})" for c in clauses)
 
     # -- pattern helpers -------------------------------------------------------
 

@@ -3,7 +3,9 @@
 The problem text is written to a temporary .smt2 file and the solver is
 invoked on it.  By default the bundled finite-domain solver is used, loaded
 from its file in this package's directory so that the child needs no
-installed package and no PYTHONPATH; any solver accepting a filename
+installed package and no PYTHONPATH.  The child interpreter starts isolated
+and without ``site`` (``-I -S``), so neither the environment's PYTHON*
+variables nor site-packages hooks reach it; any solver accepting a filename
 argument and printing sat/unsat plus a (model ...) block works (z3, cvc5,
 ...).
 """
@@ -34,13 +36,16 @@ class SolverVerdict:
 # The child puts this package's directory first on its path and imports the
 # stdlib-only smtsolver.py as a top-level module.  Importing it, rather than
 # running the file as a script, lets the child use its cached bytecode
-# instead of compiling the module on every solve.
+# instead of compiling the module on every solve.  It starts isolated (-I:
+# no PYTHON* variables, no user site-packages, no cwd on the path) and
+# without ``site`` (-S), whose .pth hooks may import third-party packages on
+# every start; the stdlib-only child needs neither.
 _SOLVER_LAUNCHER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
                     "import smtsolver; sys.exit(smtsolver.main())")
 
 
 def default_solver_command():
-    return [sys.executable, "-c", _SOLVER_LAUNCHER,
+    return [sys.executable, "-I", "-S", "-c", _SOLVER_LAUNCHER,
             os.path.dirname(os.path.abspath(__file__))]
 
 

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from dsltv.cli import main
 from dsltv.kboundary import (emit_report, results_json, selective_minus_one,
                              uniform_sweep, witness_validation)
 from dsltv.model import InstanceModel
-from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig
+from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig
+from dsltv.parser import parse_spec
 
 
 def _source(n):
@@ -85,3 +87,44 @@ def test_report_and_json(kboundary_spec):
     doc = json.loads(results_json(results))
     assert len(doc) == len(results)
     assert doc[0]["sweep"]["property"] == kboundary_spec.properties[0].name
+
+
+INT_SPEC = """
+metamodel M { class A { n: Int } }
+metamodel N { class B { } }
+transformation t : M -> N {
+    layer L { rule A2B { match { any a : A } apply { b : B } } }
+}
+property AHasB "Every A maps to a B." {
+    precondition { any a : A }
+    postcondition {
+        b : B
+        b <--trace-- a
+    }
+}
+"""
+
+
+def test_infinite_domain_gives_unknown_rows(tmp_path):
+    # verify abstracts the Int attribute first; the fixed-bound runs of the
+    # experiment encode the spec as written and cannot
+    spec = parse_spec(INT_SPEC, "inline")
+    prop = spec.property("AHasB")
+    sweep = uniform_sweep(spec, prop)
+    assert {st for _, st, _ in sweep.rows} == {UNKNOWN}
+    assert sweep.reasons[0].startswith("ceiling: infinite attribute domain")
+    assert not sweep.matched
+    pert = selective_minus_one(spec, prop)
+    assert pert.base_status == HOLDS
+    assert pert.binding_classes == []
+    assert pert.reasons[("B", "target")].startswith("ceiling:")
+    assert not pert.matched
+
+    path = tmp_path / "int.dslt"
+    path.write_text(INT_SPEC)
+    out = tmp_path / "report.md"
+    assert main(["kboundary", str(path), "--out", str(out)]) == 2
+    assert "| +0 | UNKNOWN (ceiling: infinite attribute domain" in \
+        out.read_text()
+    doc = json.loads((tmp_path / "report.md.json").read_text())
+    assert doc[0]["sweep"]["offsets"][3]["reason"].startswith("ceiling:")

@@ -85,6 +85,16 @@ def test_verdict_events_are_json_ready(uml2java):
     assert event["status"] == HOLDS
     assert event["timeSec"] >= 0
     assert event["closureRounds"] == 0
+    assert event["firingVariables"] == 1
+
+
+def test_verdict_event_sums_firing_variables(cegar_spec):
+    verdict = verify_property(cegar_spec,
+                              cegar_spec.property("SourceHasWidget"))
+    assert verdict.cegar_rounds == 1
+    # one Source slot: one firing in the minimal fragment, then two in the
+    # refined one, where both Widget rules are relevant
+    assert verdict.event("SourceHasWidget")["firingVariables"] == 3
 
 
 def test_verdict_event_counts_closure_rounds():

@@ -1,3 +1,7 @@
+import io
+import itertools
+import os
+
 import pytest
 
 from oracle import oracle_verdict
@@ -8,10 +12,11 @@ from dsltv.engine import check_property_concrete, execute
 from dsltv.model import mandatory_closure, validate_conformance
 from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
     verify_property
-from dsltv.parser import parse_spec
-from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
+from dsltv.parser import parse_spec, parse_spec_file
+from dsltv.smtencode import EncodeOptions, EncodingCeilingError, Encoder, \
     decode_counterexample, encode
 from dsltv.smtrun import lazy_closure_loop, run_solver
+from dsltv.smtsolver import solve_text
 
 
 def _bounds(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
@@ -295,3 +300,133 @@ def test_existing_target_slots_form_a_prefix():
     assert sum(len(p) for p in present.values()) == 8
     for c, p in present.items():
         assert p == list(range(len(p))), c
+
+
+# -- association upper bounds: the sequential counter ------------------------
+
+def _solver_answer(text):
+    out = io.StringIO()
+    solve_text(text, out=out)
+    return out.getvalue().split()[0]
+
+
+def test_at_most_counter_is_exact_on_small_rows():
+    spec = _slot_spec()
+    for n in range(6):
+        for k in range(n + 1):
+            enc = Encoder(spec, spec.property("AHasNode"), SLOT_BOUNDS,
+                          EncodeOptions())
+            row = [enc.decl_bool(f"x{i}") for i in range(n)]
+            enc._at_most(row, k, "c")
+            registers = [d for d in enc.decls if " c_" in d]
+            if k < n:
+                assert len(registers) == (n - 1) * k, (n, k)
+                clauses = 2 * n * k + n - 3 * k - 1 if k else n
+                assert len(enc.asserts) == clauses, (n, k)
+            else:
+                assert not enc.asserts and not registers, (n, k)
+            assert not enc.varmap
+            for values in itertools.product((False, True), repeat=n):
+                units = [f"(assert {x})" if v else f"(assert (not {x}))"
+                         for x, v in zip(row, values)]
+                text = "\n".join(enc.decls + enc.asserts + units
+                                 + ["(check-sat)"])
+                expected = "sat" if sum(values) <= k else "unsat"
+                assert _solver_answer(text) == expected, (n, k, values)
+
+
+# An Item's tags row is limited by the association's upper bound UPPER; with
+# UPPER = 2 no Item has three Tags, so both properties hold vacuously.
+TAG_SPEC = """
+metamodel TagSrc {
+    class Item { flag: Bool }
+    class Tag { }
+    assoc tags : Item -> Tag [0..UPPER]
+}
+metamodel TagTgt { class Mark { } }
+transformation marks : TagSrc -> TagTgt {
+    layer Only {
+        rule Flagged2Mark {
+            match { any i : Item where flag == true }
+            apply { m : Mark }
+        }
+    }
+}
+property ThreeTagsHaveMark "An Item linked to three distinct Tags has a Mark." {
+    precondition {
+        any i : Item
+        any a : Tag
+        any b : Tag
+        any c : Tag
+        direct ra : tags -- i.a
+        direct rb : tags -- i.b
+        direct rc : tags -- i.c
+    }
+    postcondition {
+        m : Mark
+        m <--trace-- i
+    }
+}
+property FlaggedThreeTagsHaveMark "A flagged such Item has a Mark." {
+    precondition {
+        any i : Item where flag == true
+        any a : Tag
+        any b : Tag
+        any c : Tag
+        direct ra : tags -- i.a
+        direct rb : tags -- i.b
+        direct rc : tags -- i.c
+    }
+    postcondition {
+        m : Mark
+        m <--trace-- i
+    }
+}
+"""
+
+# rows of five links, longer than either upper bound, so the counter is used
+TAG_BOUNDS = PerClassBounds(source={"Item": 2, "Tag": 5},
+                            target={"Mark": 2})
+
+
+@pytest.mark.parametrize("upper, expected", [
+    (2, {"ThreeTagsHaveMark": HOLDS, "FlaggedThreeTagsHaveMark": HOLDS}),
+    (3, {"ThreeTagsHaveMark": VIOLATED, "FlaggedThreeTagsHaveMark": HOLDS}),
+])
+def test_upper_bound_counter_agrees_with_oracle(upper, expected):
+    spec = parse_spec(TAG_SPEC.replace("UPPER", str(upper)), "inline")
+    assert not isinstance(spec, list), spec
+    t = spec.transformations[0]
+    mm = spec.metamodel(t.source)
+    for prop in spec.properties:
+        want = expected[prop.name]
+        assert oracle_verdict(spec, prop, {"Item": 1, "Tag": 4}) == want
+        verdict = verify_property(spec, prop)
+        assert verdict.status == want, (upper, prop.name)
+        problem = encode(spec, prop, TAG_BOUNDS)
+        solved, _ = lazy_closure_loop(problem, 60, spec)
+        assert solved.status == ("sat" if want == VIOLATED else "unsat")
+        sources = []
+        if verdict.counterexample:
+            sources.append(verdict.counterexample[0])
+        if solved.status == "sat":
+            sources.append(decode_counterexample(solved.model, problem,
+                                                 spec)[0])
+        for source in sources:
+            assert validate_conformance(source, mm).conformant
+            result = execute(t, source, spec)
+            assert not check_property_concrete(prop, source, result,
+                                               spec).holds
+
+
+def test_upper_bound_encoding_grows_polynomially():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "specs", "mult.dslt")
+    spec = parse_spec_file(path)
+    bounds = PerClassBounds(source={"Item": 16, "Tag": 16},
+                            target={"ItemOut": 16})
+    problem = encode(spec, spec.property("ItemHasOut"), bounds)
+    assertions = sum(1 for line in problem.text.splitlines()
+                     if line.startswith("(assert"))
+    # one clause per 4-subset of each 16-link row would be 16 * 1,820
+    assert assertions < 3000

@@ -260,3 +260,18 @@ def test_default_solver_runs_from_plain_checkout(tmp_path, monkeypatch):
     verdict = run_solver(problem, timeout_seconds=60)
     assert verdict.status == "sat", verdict.raw_output
     assert verdict.model == {"a": True, "b": False}
+
+
+def test_default_solver_ignores_python_environment(tmp_path, monkeypatch):
+    # a module on PYTHONPATH that shadows the stdlib must not reach the child
+    (tmp_path / "heapq.py").write_text("raise ImportError('shadowed')\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    problem = types.SimpleNamespace(text="""
+(declare-const a Bool)
+(assert a)
+(check-sat)
+(get-model)
+""")
+    verdict = run_solver(problem, timeout_seconds=60)
+    assert verdict.status == "sat", verdict.raw_output
+    assert verdict.model == {"a": True}
