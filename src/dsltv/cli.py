@@ -16,16 +16,13 @@ import os
 import sys
 
 from .abstraction import synthesize_abstraction, validate_abstraction
-from .cutoff import (
-    FragmentKind, RelevanceMode, compute_cutoff, cutoff_params,
-    cutoff_report, per_class_bounds, relevant_rules,
-)
+from .cutoff import FragmentKind, RelevanceMode, cutoff_report
 from .fragments import check_flnr, check_gbpp
 from .kboundary import emit_report, results_json, selective_minus_one, \
     uniform_sweep
-from .model import dump_model, load_model, mandatory_closure
-from .orchestrator import VerificationConfig, verify_all, verify_property, \
-    _transformation_for
+from .model import dump_model, load_model
+from .orchestrator import UNKNOWN, PlanRejected, VerificationConfig, \
+    plan_property, verify_all, verify_property
 from .parser import parse_spec_file
 from .printer import print_spec
 
@@ -88,7 +85,6 @@ def build_parser():
                        help="also order the source slots of each class "
                        "(target slots are always ordered)")
         p.add_argument("--dump-smt", metavar="DIR")
-        p.add_argument("--parallel", type=int, default=1, metavar="N")
         p.add_argument("--budget", type=int, default=100_000,
                        help="largest per-class bound accepted")
 
@@ -101,6 +97,7 @@ def build_parser():
 
     p = add("verify", "verify properties, streaming NDJSON verdicts")
     add_verify_flags(p)
+    p.add_argument("--parallel", type=int, default=1, metavar="N")
 
     p = add("run", "execute the transformation on a model")
     p.add_argument("--model", required=True, help="source model JSON")
@@ -239,18 +236,22 @@ def cmd_check(args):
 
 def cmd_cutoff(args):
     spec = _parse(args.spec)
-    mode = _MODES[args.dependency_mode]
+    config = VerificationConfig(relevance_mode=_MODES[args.dependency_mode])
     out = {}
+    code = EXIT_OK
     for prop in _selected_properties(spec, args.property):
-        t = _transformation_for(spec, prop)
-        relevance = relevant_rules(spec, prop, mode, t)
-        closure = mandatory_closure(spec.metamodel(t.source))
-        params = cutoff_params(spec, prop, relevance, closure, t)
-        bounds = compute_cutoff(params)
-        per_class = per_class_bounds(spec, prop, relevance, bounds.k, t)
-        out[prop.name] = cutoff_report(params, bounds, per_class)
+        try:
+            plan = plan_property(spec, prop, config)
+        except PlanRejected as exc:
+            out[prop.name] = {"status": UNKNOWN, "reason": exc.reason,
+                              "detail": exc.detail}
+            code = EXIT_UNKNOWN
+            continue
+        every_layer = tuple(range(len(plan.t.layers)))
+        out[prop.name] = cutoff_report(plan.params, plan.cutoff,
+                                       plan.bounds(every_layer))
     print(json.dumps(out, indent=2))
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(args):

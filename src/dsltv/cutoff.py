@@ -176,20 +176,48 @@ def relevant_rules(spec, prop, mode, transformation=None):
             out.append((li, rule))
         return out
 
+    post_map = prop.postcondition.element_map()
     unproducible = []
     retained = {}
+    worklist = []
+
+    def retain(li, rule):
+        if rule.name in retained:
+            return
+        retained[rule.name] = (li, rule)
+        if mode is not RelevanceMode.LEGACY:
+            # its backward links demand earlier-layer producers
+            match_map = rule.match.element_map()
+            apply_map = rule.apply.element_map()
+            for apply_name, match_name in rule.backward:
+                worklist.append((match_map[match_name].klass,
+                                 apply_map[apply_name].klass, None, li))
+
+    # a rule that links two backward-resolved apply elements with the
+    # association of a postcondition link may create no element, so no
+    # production demand finds it
+    for li, rule in all_rules:
+        apply_map = rule.apply.element_map()
+        backward = rule.backward_apply_names()
+        if any(link.source in backward and link.target in backward
+               and post.assoc == link.assoc
+               and types_overlap(tgt_info, apply_map[link.source].klass,
+                                 post_map[post.source].klass)
+               and types_overlap(tgt_info, apply_map[link.target].klass,
+                                 post_map[post.target].klass)
+               for link in rule.apply.links
+               for post in prop.postcondition.links):
+            retain(li, rule)
     if mode is RelevanceMode.LEGACY:
         for e in prop.postcondition.elements:
             found = producers(None, e.klass)
             if not found:
                 unproducible.append((None, e.klass))
             for li, rule in found:
-                retained[rule.name] = (li, rule)
+                retain(li, rule)
     else:
-        post_map = prop.postcondition.element_map()
         pre_map = prop.precondition.element_map()
         traced = {post_el for post_el, _ in prop.traces}
-        worklist = []
         for post_el, pre_el in prop.traces:
             worklist.append((pre_map[pre_el].klass, post_map[post_el].klass,
                              post_map[post_el], None))
@@ -207,14 +235,7 @@ def relevant_rules(spec, prop, mode, transformation=None):
             if not found and below is None:
                 unproducible.append((d_src, d_tgt))
             for li, rule in found:
-                if rule.name not in retained:
-                    retained[rule.name] = (li, rule)
-                    match_map = rule.match.element_map()
-                    apply_map = rule.apply.element_map()
-                    for apply_name, match_name in rule.backward:
-                        worklist.append((match_map[match_name].klass,
-                                         apply_map[apply_name].klass,
-                                         None, li))
+                retain(li, rule)
 
     # d: longest backward chain over retained rules (edges to earlier-layer
     # producers of the demanded trace pair)

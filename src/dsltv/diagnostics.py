@@ -16,10 +16,3 @@ class Diagnostic:
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
-
-class SpecError(Exception):
-    """Raised when an operation receives a spec that failed to parse/resolve."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))

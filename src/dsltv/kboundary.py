@@ -13,13 +13,12 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .cutoff import compute_cutoff, cutoff_params, per_class_bounds, \
-    relevant_rules, select_fragment, PerClassBounds
+from .cutoff import PerClassBounds
 from .engine import check_property_concrete, execute
 from .inheritance import flatten_inheritance_info
-from .model import mandatory_closure, validate_conformance
-from .orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
-    _transformation_for, verify_property
+from .model import validate_conformance
+from .orchestrator import HOLDS, UNKNOWN, VIOLATED, PlanRejected, \
+    VerificationConfig, plan_property, verify_property
 from .smtencode import EncodingCeilingError, encode
 from .smtrun import lazy_closure_loop
 
@@ -93,32 +92,29 @@ class WitnessResult:
 
 
 class _BoundsLab:
-    """Shared per-property machinery: base bounds, seed classes, and a
-    solve-at-bounds primitive that bypasses fragment refinement so every run
-    measures exactly the requested bounds."""
+    """Shared per-property machinery: the property's plan, base bounds and
+    seed classes, and a solve-at-bounds primitive that bypasses fragment
+    refinement so every run measures exactly the requested bounds.  A
+    property the plan rejects has no bounds to vary; every run of it is
+    UNKNOWN with the rejection's reason."""
 
     def __init__(self, spec, prop, config):
-        self.spec = spec
         self.config = config
         self.prop = spec.property(prop) if isinstance(prop, str) else prop
-        self.t = _transformation_for(spec, self.prop)
-        self.relevance = relevant_rules(spec, self.prop,
-                                        config.relevance_mode, self.t)
-        closure = mandatory_closure(spec.metamodel(self.t.source))
-        self.params = cutoff_params(spec, self.prop, self.relevance, closure,
-                                    self.t)
-        self.cutoff = compute_cutoff(self.params)
-        self.fragment = select_fragment(spec, self.prop, self.relevance,
-                                        config.fragment_kind, self.t)
-        layer_of = {r.name: li for li, r in self.t.all_rules()}
-        self.rule_names = tuple(sorted(
-            r for r in self.relevance.relevant_rules
-            if layer_of.get(r) in set(self.fragment)))
-        self.base = per_class_bounds(spec, self.prop, self.relevance,
-                                     self.cutoff.k, self.t,
-                                     rule_names=self.rule_names)
-        src_info = flatten_inheritance_info(spec.metamodel(self.t.source))
-        tgt_info = flatten_inheritance_info(spec.metamodel(self.t.target))
+        try:
+            self.plan = plan_property(spec, self.prop, config)
+        except PlanRejected as exc:
+            self.plan, self.rejection = None, f"{exc.reason}: {exc.detail}"
+            self.k, self.dominant = 0, ()
+            self.base = PerClassBounds(source={}, target={})
+            self.seed_source = self.seed_target = set()
+            return
+        self.rejection = None
+        self.k, self.dominant = self.plan.cutoff.k, self.plan.cutoff.dominant
+        self.base = self.plan.bounds(self.plan.fragment)
+        t = self.plan.t
+        src_info = flatten_inheritance_info(spec.metamodel(t.source))
+        tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
         self.seed_source = set()
         for e in self.prop.precondition.elements:
             self.seed_source |= src_info[e.klass].subtypes
@@ -152,16 +148,18 @@ class _BoundsLab:
 
     def solve_at(self, bounds):
         """(status, seconds, reason); reason is None unless UNKNOWN."""
-        options = self.config.encode_options(self.fragment, self.rule_names)
+        if self.rejection:
+            return UNKNOWN, 0.0, self.rejection
+        plan = self.plan
+        options = self.config.encode_options(plan.fragment,
+                                             plan.rule_names(plan.fragment))
         start = time.monotonic()
         try:
-            problem = encode(self.spec, self.prop, bounds, options, self.t)
+            problem = encode(plan.spec, plan.prop, bounds, options, plan.t)
         except EncodingCeilingError as exc:
-            # e.g. an infinite attribute domain, which verify_property
-            # abstracts first but these fixed-bound runs do not
             return UNKNOWN, time.monotonic() - start, f"ceiling: {exc}"
         verdict, _ = lazy_closure_loop(problem, self.config.timeout_seconds,
-                                       self.spec, self.t,
+                                       plan.spec, plan.t,
                                        self.config.solver_command)
         elapsed = time.monotonic() - start
         status = {"unsat": HOLDS, "sat": VIOLATED}.get(verdict.status, UNKNOWN)
@@ -181,8 +179,8 @@ def uniform_sweep(spec, prop, config=None, base_verdict=None):
     if base_verdict is None:
         base_verdict = verify_property(spec, lab.prop, config)
     pattern = "negative" if base_verdict.status == VIOLATED else "positive"
-    result = SweepResult(lab.prop.name, lab.cutoff.k,
-                         lab.base.max_bound(), lab.cutoff.dominant, pattern)
+    result = SweepResult(lab.prop.name, lab.k, lab.base.max_bound(),
+                         lab.dominant, pattern)
     for delta in OFFSETS:
         status, elapsed, reason = lab.solve_at(lab.shifted(delta))
         result.rows.append((delta, status, elapsed))
@@ -213,7 +211,8 @@ def selective_minus_one(spec, prop, config=None, base_verdict=None):
                 result.reasons[(klass, side)] = reason
             elif status != base_verdict.status:
                 result.binding_classes.append(f"{side}:{klass}")
-    if result.reasons:
+    if result.reasons or base_verdict.status == UNKNOWN:
+        # an undecided run or base shows nothing about binding classes
         result.matched = False
     elif base_verdict.status == VIOLATED:
         result.matched = bool(result.binding_classes)
@@ -224,24 +223,28 @@ def selective_minus_one(spec, prop, config=None, base_verdict=None):
 
 def witness_validation(spec, prop, family, config=None, base_verdict=None):
     """family maps a support level in {"base-1", "base", "base+1"} to an
-    iterable of conformant source models."""
+    iterable of conformant source models.  Raises PlanRejected for a
+    property outside the verifiable fragment."""
     config = config or VerificationConfig()
-    lab = _BoundsLab(spec, prop, config)
+    prop = spec.property(prop) if isinstance(prop, str) else prop
+    # abstraction rewrites attribute domains only, so the plan's
+    # transformation is the one the user's models run through
+    t = plan_property(spec, prop, config).t
     if base_verdict is None:
-        base_verdict = verify_property(spec, lab.prop, config)
+        base_verdict = verify_property(spec, prop, config)
     pattern = "negative" if base_verdict.status == VIOLATED else "positive"
     deltas = {"base-1": -1, "base": 0, "base+1": 1}
-    result = WitnessResult(lab.prop.name)
-    src_mm = spec.metamodel(lab.t.source)
+    result = WitnessResult(prop.name)
+    src_mm = spec.metamodel(t.source)
     for level in ("base-1", "base", "base+1"):
         for i, source in enumerate(family.get(level, ())):
             report = validate_conformance(source, src_mm)
             if not report.conformant:
                 raise ValueError(
-                    f"witness {level}[{i}] for {lab.prop.name} is not "
+                    f"witness {level}[{i}] for {prop.name} is not "
                     f"conformant: {report.violations[0].message}")
-            run = execute(lab.t, source, spec)
-            concrete = check_property_concrete(lab.prop, source, run, spec)
+            run = execute(t, source, spec)
+            concrete = check_property_concrete(prop, source, run, spec)
             actual = HOLDS if concrete.holds else VIOLATED
             predicted = _expected_at(pattern, deltas[level])
             result.rows.append((level, i, predicted, actual,

@@ -12,13 +12,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abstraction import synthesize_abstraction, validate_abstraction, \
     flatten_property
 from .cutoff import (
-    FragmentKind, PerClassBounds, RelevanceMode, compute_cutoff, cutoff_params,
-    per_class_bounds, relevant_rules, select_fragment,
+    CutoffBounds, CutoffParams, FragmentKind, PerClassBounds, RelevanceMode,
+    RelevanceResult, compute_cutoff, cutoff_params, per_class_bounds,
+    relevant_rules, select_fragment,
 )
 from .engine import check_property_concrete, enumerate_matches, execute
 from .fragments import check_flnr, check_gbpp
@@ -40,7 +41,6 @@ class VerificationConfig:
     relevance_mode: RelevanceMode = RelevanceMode.TRACE_ATTRIBUTE_AWARE
     per_class: bool = True
     fragment_kind: FragmentKind = FragmentKind.MINIMAL
-    cegar: bool = True
     factored: bool = True
     lazy_closure: bool = True
     symmetry_break: bool = False
@@ -111,164 +111,210 @@ def _transformation_for(spec, prop):
     return spec.transformations[0]
 
 
-def _uniform_bounds(spec, t, k):
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
-    return PerClassBounds(
-        source={c: k for c in src_info if not src_info[c].abstract},
-        target={c: k for c in tgt_info if not tgt_info[c].abstract},
-    )
+class PlanRejected(Exception):
+    """The property cannot be verified; `reason` and `detail` become those
+    of its UNKNOWN verdict."""
+
+    def __init__(self, reason, detail):
+        super().__init__(detail)
+        self.reason = reason  # fragment | budget
+        self.detail = detail
 
 
-@dataclass
-class _Attempt:
-    """Outcome of solving one fragment."""
-    kind: str  # holds | sat | unknown
-    reason: str = ""
-    detail: str = ""
-    counterexample: tuple = None
-    k: int = 0
-    per_class_max: int = 0
-    fragment: tuple = ()
-    dominant: tuple = ()
+@dataclass(frozen=True)
+class PropertyPlan:
+    """Every decision made once per property before anything is solved.
+
+    `spec`, `t` and `prop` are the proof specification's when attribute
+    abstraction applies, otherwise the user's own.
+    """
+    spec: object
+    t: object
+    prop: object
+    relevance: RelevanceResult
+    params: CutoffParams
+    cutoff: CutoffBounds
+    fragment: tuple  # the first fragment to solve
+    per_class: bool
+
+    def rule_names(self, fragment):
+        """Relevant rules of the layers in `fragment`, sorted."""
+        return tuple(sorted(r for r in self.relevance.relevant_rules
+                            if self.t.rule_layer(r) in fragment))
+
+    def bounds(self, fragment):
+        """Per-class slot bounds for `fragment`, or K for every concrete
+        class when per-class bounds are off."""
+        k = self.cutoff.k
+        if self.per_class:
+            return per_class_bounds(self.spec, self.prop, self.relevance, k,
+                                    self.t,
+                                    rule_names=self.rule_names(fragment))
+
+        def uniform(mm_name):
+            info = flatten_inheritance_info(self.spec.metamodel(mm_name))
+            return {c: k for c in info if not info[c].abstract}
+        return PerClassBounds(source=uniform(self.t.source),
+                              target=uniform(self.t.target))
+
+
+def plan_property(spec, prop, config):
+    """Fragment guards, attribute abstraction, relevance, cutoff and the
+    first fragment for one property.  Raises PlanRejected when the property
+    falls outside the verifiable fragment or its closure is unbounded."""
+    t = _transformation_for(spec, prop)
+    flnr = check_flnr(t, spec.metamodel(t.source), spec.metamodel(t.target))
+    violations = [v for v in flnr.violations if v.restriction != "R5"]
+    if not violations:
+        violations = check_gbpp(prop).violations
+    if violations:
+        raise PlanRejected("fragment", "; ".join(
+            f"{v.restriction} at {v.location}: {v.message}"
+            for v in violations))
+    if any(v.restriction == "R5" for v in flnr.violations):
+        proof, amap = synthesize_abstraction(spec)
+        report = validate_abstraction(spec, amap)
+        if not report.valid:
+            bad = [text for _, text, ok in report.predicate_outcomes
+                   if not ok]
+            raise PlanRejected("fragment",
+                               "abstraction not predicate-preserving: "
+                               + "; ".join(bad))
+        spec = proof
+        t = _transformation_for(spec, prop)
+        prop = spec.property(prop.name)
+    try:
+        flatten_property(prop, spec)  # rejects a vacuous abstract element
+    except ValueError as exc:
+        raise PlanRejected("fragment", str(exc)) from None
+    relevance = relevant_rules(spec, prop, config.relevance_mode, t)
+    try:
+        closure = mandatory_closure(spec.metamodel(t.source))
+    except UnboundedClosureError as exc:
+        raise PlanRejected("budget", str(exc)) from None
+    params = cutoff_params(spec, prop, relevance, closure, t)
+    return PropertyPlan(
+        spec, t, prop, relevance, params, compute_cutoff(params),
+        select_fragment(spec, prop, relevance, config.fragment_kind, t),
+        config.per_class)
 
 
 class _PropertyRun:
-    def __init__(self, spec, t, prop, config, deadline):
-        self.spec = spec
-        self.t = t
-        self.prop = prop
+    def __init__(self, plan, config, deadline):
+        self.plan = plan
         self.config = config
         self.deadline = deadline
-        self.relevance = relevant_rules(spec, prop, config.relevance_mode, t)
-        self.closure = mandatory_closure(spec.metamodel(t.source))
-        self.params = cutoff_params(spec, prop, self.relevance, self.closure, t)
-        self.bounds = compute_cutoff(self.params)
-        self.layer_of_rule = {r.name: li for li, r in t.all_rules()}
         self.closure_rounds = 0   # lazy-closure rounds over all attempts
         self.firing_variables = 0  # rule firings encoded, over all attempts
 
-    def fragment_rules(self, fragment):
-        return tuple(sorted(r for r in self.relevance.relevant_rules
-                            if self.layer_of_rule.get(r) in set(fragment)))
-
     def attempt(self, fragment):
-        k = self.bounds.k
-        rule_names = self.fragment_rules(fragment)
-        if self.config.per_class:
-            bounds = per_class_bounds(self.spec, self.prop, self.relevance, k,
-                                      self.t, rule_names=rule_names)
-            reported_k = bounds.max_bound()
-        else:
-            bounds = _uniform_bounds(self.spec, self.t, k)
-            reported_k = k
-        common = dict(k=k, per_class_max=reported_k, fragment=fragment,
-                      dominant=self.bounds.dominant)
-        if reported_k > self.config.cutoff_budget:
-            return _Attempt("unknown", reason="budget",
-                            detail=f"bound {reported_k} exceeds budget "
-                                   f"{self.config.cutoff_budget}", **common)
-        options = self.config.encode_options(fragment, rule_names)
+        plan = self.plan
+        bounds = plan.bounds(fragment)
+        per_class_max = bounds.max_bound()
+        common = dict(k=plan.cutoff.k, per_class_max=per_class_max,
+                      fragment=fragment, dominant=plan.cutoff.dominant)
+
+        def unknown(reason, detail):
+            return PropertyVerdict(UNKNOWN, reason=reason, detail=detail,
+                                   **common)
+
+        if per_class_max > self.config.cutoff_budget:
+            return unknown("budget", f"bound {per_class_max} exceeds budget "
+                                     f"{self.config.cutoff_budget}")
+        options = self.config.encode_options(fragment,
+                                             plan.rule_names(fragment))
         try:
-            problem = encode(self.spec, self.prop, bounds, options, self.t)
+            problem = encode(plan.spec, plan.prop, bounds, options, plan.t)
         except EncodingCeilingError as exc:
-            return _Attempt("unknown", reason="ceiling", detail=str(exc),
-                            **common)
+            return unknown("ceiling", str(exc))
         self.firing_variables += problem.metadata["firingVariables"]
         if self.config.dump_dir:
             layers = "-".join(str(i) for i in fragment)
             path = os.path.join(self.config.dump_dir,
-                                f"{self.prop.name}_L{layers}.smt2")
+                                f"{plan.prop.name}_L{layers}.smt2")
             with open(path, "w") as fh:
                 fh.write(problem.text)
         remaining = self.deadline - time.monotonic()
         if remaining <= 0:
-            return _Attempt("unknown", reason="timeout",
-                            detail="deadline reached before solving", **common)
+            return unknown("timeout", "deadline reached before solving")
         verdict, rounds = lazy_closure_loop(
-            problem, remaining, self.spec, self.t,
-            self.config.solver_command)
+            problem, remaining, plan.spec, plan.t, self.config.solver_command)
         self.closure_rounds += rounds
         if verdict.status == "unsat":
-            return _Attempt("holds", **common)
+            return PropertyVerdict(HOLDS, **common)
         if verdict.status == "timeout":
-            return _Attempt("unknown", reason="timeout",
-                            detail="solver exceeded the time budget", **common)
+            return unknown("timeout", "solver exceeded the time budget")
         if verdict.status != "sat":
-            return _Attempt("unknown", reason="solver-error",
-                            detail=verdict.raw_output[:500], **common)
-        cex = decode_counterexample(verdict.model, problem, self.spec, self.t)
-        return _Attempt("sat", counterexample=cex, **common)
+            return unknown("solver-error", verdict.raw_output[:500])
+        cex = decode_counterexample(verdict.model, problem, plan.spec, plan.t)
+        return PropertyVerdict(VIOLATED, counterexample=cex, **common)
 
-    def omitted_matching_layers(self, source):
-        """Layers of relevant rules outside the fragment whose match pattern
+    def omitted_matching_layers(self, source, fragment):
+        """Layers of relevant rules outside `fragment` whose match pattern
         has at least one occurrence in the counterexample source."""
-        src_info = flatten_inheritance_info(self.spec.metamodel(self.t.source))
+        plan = self.plan
+        src_info = flatten_inheritance_info(plan.spec.metamodel(plan.t.source))
         layers = set()
-        for name in self.relevance.relevant_rules:
-            li = self.layer_of_rule.get(name)
-            if li is None or li in self._fragment_set:
+        for name in plan.relevance.relevant_rules:
+            li = plan.t.rule_layer(name)
+            if li in fragment:
                 continue
-            rule = self.t.find_rule(name)
+            rule = plan.t.find_rule(name)
             if any(True for _ in enumerate_matches(rule.match, source,
                                                    src_info)):
                 layers.add(li)
         return layers
 
-    def confirm(self, attempt):
+    def confirm(self, verdict):
         """Execute the full transformation on the counterexample source and
-        re-check the property concretely."""
-        source, target, binding = attempt.counterexample
-        result = execute(self.t, source, self.spec)
-        concrete = check_property_concrete(self.prop, source, result,
-                                           self.spec)
-        if concrete.holds:
-            return _Attempt(
-                "unknown", reason="solver-error",
-                detail="solver counterexample not confirmed by concrete "
-                       "execution",
-                k=attempt.k, per_class_max=attempt.per_class_max,
-                fragment=attempt.fragment, dominant=attempt.dominant), {
-                "decoded_target": target,
-                "executed_target": result.target,
-                "decoded_binding": binding,
-            }
-        return attempt, {}
+        re-check the property concretely; an unconfirmed violation becomes
+        UNKNOWN with the decoded and executed targets as artifacts."""
+        plan = self.plan
+        source, target, binding = verdict.counterexample
+        result = execute(plan.t, source, plan.spec)
+        if not check_property_concrete(plan.prop, source, result,
+                                       plan.spec).holds:
+            return verdict
+        return replace(
+            verdict, status=UNKNOWN, reason="solver-error",
+            counterexample=None,
+            detail="solver counterexample not confirmed by concrete "
+                   "execution",
+            artifacts={"decoded_target": target,
+                       "executed_target": result.target,
+                       "decoded_binding": binding})
 
     def run(self):
-        fragment = select_fragment(self.spec, self.prop, self.relevance,
-                                   self.config.fragment_kind, self.t)
-        full = tuple(range(len(self.t.layers)))
+        fragment = self.plan.fragment
         cegar_rounds = 0
         tried = set()
         while True:
-            self._fragment_set = set(fragment)
             tried.add(fragment)
-            attempt = self.attempt(fragment)
-            if attempt.kind != "sat":
-                return attempt, cegar_rounds, {}
-            source = attempt.counterexample[0]
-            if not (self.config.cegar
-                    and self.config.fragment_kind is FragmentKind.MINIMAL):
-                confirmed, artifacts = self.confirm(attempt)
-                return confirmed, cegar_rounds, artifacts
-            matching = self.omitted_matching_layers(source)
+            verdict = self.attempt(fragment)
+            if verdict.status != VIOLATED:
+                break
+            matching = set()
+            if self.config.fragment_kind is FragmentKind.MINIMAL:
+                matching = self.omitted_matching_layers(
+                    verdict.counterexample[0], fragment)
             if not matching:
                 # no omitted rule fires on this source: the violation is real
-                confirmed, artifacts = self.confirm(attempt)
-                return confirmed, cegar_rounds, artifacts
+                verdict = self.confirm(verdict)
+                break
             cegar_rounds += 1
             enlarged = tuple(range(max(set(fragment) | matching) + 1))
             if enlarged in tried:
-                enlarged = full
+                enlarged = tuple(range(len(self.plan.t.layers)))
             if enlarged in tried:
-                return _Attempt(
-                    "unknown", reason="budget",
-                    detail="refinement exhausted the layer set",
-                    k=attempt.k, per_class_max=attempt.per_class_max,
-                    fragment=fragment,
-                    dominant=attempt.dominant), cegar_rounds, {}
+                verdict = replace(
+                    verdict, status=UNKNOWN, reason="budget",
+                    counterexample=None,
+                    detail="refinement exhausted the layer set")
+                break
             fragment = enlarged
+        return replace(verdict, cegar_rounds=cegar_rounds,
+                       closure_rounds=self.closure_rounds,
+                       firing_variables=self.firing_variables)
 
 
 def verify_property(spec, prop, config=None):
@@ -277,67 +323,16 @@ def verify_property(spec, prop, config=None):
     if isinstance(prop, str):
         prop = spec.property(prop)
     start = time.monotonic()
-    deadline = start + config.timeout_seconds
-
-    def finish(verdict):
-        verdict.wall_time = time.monotonic() - start
-        return verdict
-
-    t = _transformation_for(spec, prop)
-    working = spec
-
-    flnr = check_flnr(t, spec.metamodel(t.source), spec.metamodel(t.target))
-    hard = [v for v in flnr.violations if v.restriction != "R5"]
-    if hard:
-        msgs = "; ".join(f"{v.restriction} at {v.location}: {v.message}"
-                         for v in hard)
-        return finish(PropertyVerdict(UNKNOWN, reason="fragment",
-                                      detail=msgs))
-    gbpp = check_gbpp(prop)
-    if gbpp.violations:
-        msgs = "; ".join(f"{v.restriction} at {v.location}: {v.message}"
-                         for v in gbpp.violations)
-        return finish(PropertyVerdict(UNKNOWN, reason="fragment",
-                                      detail=msgs))
-    if any(v.restriction == "R5" for v in flnr.violations):
-        proof, amap = synthesize_abstraction(spec)
-        report = validate_abstraction(spec, amap)
-        if not report.valid:
-            bad = [text for _, text, ok in report.predicate_outcomes
-                   if not ok]
-            return finish(PropertyVerdict(
-                UNKNOWN, reason="fragment",
-                detail="abstraction not predicate-preserving: "
-                       + "; ".join(bad)))
-        working = proof
-        t = _transformation_for(working, prop)
-        prop = working.property(prop.name)
-
     try:
-        flatten_property(prop, working)  # rejects a vacuous abstract element
-    except ValueError as exc:
-        return finish(PropertyVerdict(UNKNOWN, reason="fragment",
-                                      detail=str(exc)))
-
-    try:
-        run = _PropertyRun(working, t, prop, config, deadline)
-    except UnboundedClosureError as exc:
-        return finish(PropertyVerdict(UNKNOWN, reason="budget",
-                                      detail=str(exc)))
-    attempt, cegar_rounds, artifacts = run.run()
-    common = dict(k=attempt.k, per_class_max=attempt.per_class_max,
-                  fragment=attempt.fragment, dominant=attempt.dominant,
-                  cegar_rounds=cegar_rounds,
-                  closure_rounds=run.closure_rounds,
-                  firing_variables=run.firing_variables)
-    if attempt.kind == "sat":
-        return finish(PropertyVerdict(
-            VIOLATED, counterexample=attempt.counterexample, **common))
-    if attempt.kind == "unknown":
-        return finish(PropertyVerdict(
-            UNKNOWN, reason=attempt.reason, detail=attempt.detail,
-            artifacts=artifacts, **common))
-    return finish(PropertyVerdict(HOLDS, **common))
+        plan = plan_property(spec, prop, config)
+    except PlanRejected as exc:
+        verdict = PropertyVerdict(UNKNOWN, reason=exc.reason,
+                                  detail=exc.detail)
+    else:
+        verdict = _PropertyRun(plan, config,
+                               start + config.timeout_seconds).run()
+    verdict.wall_time = time.monotonic() - start
+    return verdict
 
 
 def verify_all(spec, config=None, parallelism=1):

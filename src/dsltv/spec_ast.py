@@ -97,25 +97,6 @@ class EnumValue:
         return f"{self.enum}.{self.literal}"
 
 
-def domain_default(domain):
-    """Default attribute value: the first value of the domain."""
-    if isinstance(domain, BoolDomain):
-        return False
-    if isinstance(domain, IntRange):
-        return domain.lo
-    if isinstance(domain, IntSet):
-        return domain.members[0]
-    if isinstance(domain, IntUnbounded):
-        return 0
-    if isinstance(domain, StringVocab):
-        return domain.words[0]
-    if isinstance(domain, StringUnbounded):
-        return ""
-    if isinstance(domain, EnumRef):
-        return EnumValue(domain.enum, domain.literals[0])
-    raise TypeError(f"unknown domain {domain!r}")
-
-
 # ---------------------------------------------------------------------------
 # Metamodel
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ transformation t : M -> N {
     assert mapping
 
 
+def test_kboundary_has_no_parallel_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kboundary", KB, "--out", str(tmp_path / "r.md"),
+              "--parallel", "2"])
+    assert exc.value.code == 3
+
+
 def test_kboundary_writes_report(tmp_path, capsys):
     out = tmp_path / "report.md"
     rc = main(["kboundary", KB, "--out", str(out)])

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from conftest import fixture_path, load_spec
+
 from dsltv.cli import main
 from dsltv.kboundary import (emit_report, results_json, selective_minus_one,
                              uniform_sweep, witness_validation)
 from dsltv.model import InstanceModel
-from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig
+from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
+    verify_property
 from dsltv.parser import parse_spec
 
 
@@ -105,26 +108,110 @@ property AHasB "Every A maps to a B." {
 """
 
 
-def test_infinite_domain_gives_unknown_rows(tmp_path):
-    # verify abstracts the Int attribute first; the fixed-bound runs of the
-    # experiment encode the spec as written and cannot
+def test_infinite_domain_sweeps_the_proof_spec(tmp_path):
+    # the experiment plans like verify: the Int attribute is abstracted
+    # first, so every fixed-bound run encodes the finite proof spec
     spec = parse_spec(INT_SPEC, "inline")
     prop = spec.property("AHasB")
     sweep = uniform_sweep(spec, prop)
-    assert {st for _, st, _ in sweep.rows} == {UNKNOWN}
-    assert sweep.reasons[0].startswith("ceiling: infinite attribute domain")
-    assert not sweep.matched
+    assert sweep.expected_pattern == "positive"
+    assert sweep.base_k > 0
+    assert {st for _, st, _ in sweep.rows} == {HOLDS}
+    assert sweep.reasons == {}
+    assert sweep.matched
     pert = selective_minus_one(spec, prop)
     assert pert.base_status == HOLDS
-    assert pert.binding_classes == []
-    assert pert.reasons[("B", "target")].startswith("ceiling:")
-    assert not pert.matched
+    assert pert.reasons == {}
+    assert pert.matched
 
     path = tmp_path / "int.dslt"
     path.write_text(INT_SPEC)
     out = tmp_path / "report.md"
+    assert main(["kboundary", str(path), "--out", str(out)]) == 0
+    assert "| +0 | HOLDS |" in out.read_text()
+
+
+def test_binding_ceiling_gives_unknown_rows():
+    spec = parse_spec(INT_SPEC, "inline")
+    prop = spec.property("AHasB")
+    config = VerificationConfig(binding_ceiling=0)
+    sweep = uniform_sweep(spec, prop, config)
+    assert {st for _, st, _ in sweep.rows} == {UNKNOWN}
+    assert sweep.reasons[0].startswith("ceiling: ")
+    assert not sweep.matched
+    pert = selective_minus_one(spec, prop, config)
+    assert pert.base_status == UNKNOWN
+    assert pert.reasons[("B", "target")].startswith("ceiling: ")
+    assert not pert.matched
+    results = [{"sweep": sweep, "perturbation": pert}]
+    assert "| +0 | UNKNOWN (ceiling: " in emit_report(results, "int")
+    doc = json.loads(results_json(results))
+    assert doc[0]["sweep"]["offsets"][3]["reason"].startswith("ceiling: ")
+
+
+@pytest.mark.parametrize("name", ["kboundary_tight.dslt",
+                                  "corpus/c04_inherit.dslt", "uml2java.dslt"])
+def test_verify_kboundary_and_cutoff_agree(name, capsys):
+    assert main(["cutoff", fixture_path(name)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    spec = load_spec(name)
+    for prop in spec.properties:
+        verdict = verify_property(spec, prop)
+        sweep = uniform_sweep(spec, prop, base_verdict=verdict)
+        assert sweep.base_k == verdict.k == report[prop.name]["bounds"]["k"]
+        if verdict.cegar_rounds == 0:
+            assert sweep.per_class_max == verdict.per_class_max
+
+
+# a backward pair resolvable only in its own layer violates FLNR R3
+R3_SPEC = """
+metamodel M { class A { } }
+metamodel N {
+    class B { }
+    class C { }
+}
+transformation t : M -> N {
+    layer L {
+        rule A2B { match { any a : A } apply { b : B } }
+        rule A2C {
+            match { any a : A }
+            apply {
+                b : B
+                c : C
+            }
+            backward { b <--trace-- a }
+        }
+    }
+}
+property AHasC "Every A maps to a C." {
+    precondition { any a : A }
+    postcondition {
+        c : C
+        c <--trace-- a
+    }
+}
+"""
+
+
+def test_rejected_property_is_unknown_everywhere(tmp_path, capsys):
+    spec = parse_spec(R3_SPEC, "inline")
+    verdict = verify_property(spec, "AHasC")
+    assert verdict.status == UNKNOWN
+    assert verdict.reason == "fragment"
+    assert verdict.detail.startswith("R3 at rule A2C")
+
+    path = tmp_path / "r3.dslt"
+    path.write_text(R3_SPEC)
+    out = tmp_path / "report.md"
     assert main(["kboundary", str(path), "--out", str(out)]) == 2
-    assert "| +0 | UNKNOWN (ceiling: infinite attribute domain" in \
-        out.read_text()
     doc = json.loads((tmp_path / "report.md.json").read_text())
-    assert doc[0]["sweep"]["offsets"][3]["reason"].startswith("ceiling:")
+    offsets = doc[0]["sweep"]["offsets"]
+    assert {o["status"] for o in offsets} == {UNKNOWN}
+    assert {o["reason"] for o in offsets} == {f"fragment: {verdict.detail}"}
+    assert not doc[0]["perturbation"]["matched"]
+    capsys.readouterr()
+
+    assert main(["cutoff", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"AHasC": {"status": UNKNOWN, "reason": "fragment",
+                                "detail": verdict.detail}}

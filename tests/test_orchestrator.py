@@ -1,10 +1,14 @@
+import time
+
 from conftest import load_spec
 from oracle import oracle_verdict
 
+from dsltv.cutoff import RelevanceMode, relevant_rules
 from dsltv.engine import check_property_concrete, execute
-from dsltv.model import validate_conformance
-from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, VerificationConfig,
-                                verify_all, verify_property)
+from dsltv.model import InstanceModel, validate_conformance
+from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, PropertyVerdict,
+                                VerificationConfig, _PropertyRun,
+                                plan_property, verify_all, verify_property)
 from dsltv.parser import parse_spec
 
 
@@ -44,13 +48,34 @@ def test_cegar_refines_spurious_minimal_fragment(cegar_spec):
     assert violated.fragment == (0,)
 
 
-def test_cegar_disabled_still_confirms(cegar_spec):
-    config = VerificationConfig(cegar=False)
-    verdict = verify_property(cegar_spec,
-                              cegar_spec.property("SourceHasWidget"), config)
-    # without refinement the minimal-fragment counterexample must still be
-    # checked against the full transformation, so no false violation escapes
-    assert verdict.status != VIOLATED
+def test_unconfirmed_counterexample_is_unknown_with_artifacts(cegar_spec):
+    # a flag-false Source has no Widget after the first layer alone; the
+    # second layer maps it, so the full transformation repairs the claimed
+    # violation and confirmation must refuse it
+    config = VerificationConfig()
+    plan = plan_property(cegar_spec, cegar_spec.property("SourceHasWidget"),
+                         config)
+    run = _PropertyRun(plan, config, time.monotonic() + 60)
+    source = InstanceModel().with_element("s0", "Source", {"flag": False})
+    claimed = PropertyVerdict(VIOLATED, fragment=(0,), counterexample=(
+        source, InstanceModel(), {"s": "s0"}))
+    verdict = run.confirm(claimed)
+    assert verdict.status == UNKNOWN
+    assert verdict.reason == "solver-error"
+    assert verdict.counterexample is None
+    assert verdict.fragment == (0,)
+    assert verdict.artifacts["decoded_target"] == InstanceModel()
+    assert verdict.artifacts["decoded_binding"] == {"s": "s0"}
+    executed = verdict.artifacts["executed_target"]
+    assert {e.klass for e in executed.elements} == {"Widget"}
+
+    # a violation the full transformation does not repair stands
+    plan = plan_property(
+        cegar_spec, cegar_spec.property("SourceHasGadget_ShouldFail"), config)
+    claimed = PropertyVerdict(VIOLATED, counterexample=(
+        source, InstanceModel(), {"s": "s0"}))
+    assert _PropertyRun(plan, config, time.monotonic() + 60).confirm(
+        claimed) is claimed
 
 
 def test_fragment_violations_give_unknown():
@@ -192,3 +217,93 @@ def test_abstract_typed_postcondition_is_checked_as_written():
     source = verdict.counterexample[0]
     result = execute(t, source, spec)
     assert not check_property_concrete(fails, source, result, spec).holds
+
+
+PAIR_EDGE = """
+metamodel S {
+    class A { }
+    class B { }
+    assoc pairs : A -> B [0..*]
+}
+metamodel T {
+    class N { }
+    class L { }
+    assoc edge : N -> L [0..*]
+}
+transformation t : S -> T {
+    layer Nodes {
+        rule A2N { match { any a : A } apply { n : N } }
+        rule B2L { match { any b : B } apply { l : L } }
+    }
+    layer Edges {
+        rule Pair2Edge {
+            match {
+                any a : A
+                any b : B
+                direct p : pairs -- a.b
+            }
+            apply {
+                n : N
+                l : L
+                e : edge -- n.l
+            }
+            backward {
+                n <--trace-- a
+                l <--trace-- b
+            }
+        }
+    }
+}
+property PairedMapToLinked "Paired elements map to linked targets." {
+    precondition {
+        any a : A
+        any b : B
+        direct p : pairs -- a.b
+    }
+    postcondition {
+        n : N
+        l : L
+        e : edge -- n.l
+        n <--trace-- a
+        l <--trace-- b
+    }
+}
+property AnyMapToLinked_ShouldFail "Negative: unpaired elements map apart." {
+    precondition {
+        any a : A
+        any b : B
+    }
+    postcondition {
+        n : N
+        l : L
+        e : edge -- n.l
+        n <--trace-- a
+        l <--trace-- b
+    }
+}
+"""
+
+
+def test_link_only_rule_is_relevant_in_every_mode():
+    # Pair2Edge creates no element, only the link between two targets that
+    # earlier rules made; the property's link needs it all the same
+    spec = parse_spec(PAIR_EDGE, "inline")
+    t = spec.transformations[0]
+    expected = {"PairedMapToLinked": HOLDS,
+                "AnyMapToLinked_ShouldFail": VIOLATED}
+    for mode in RelevanceMode:
+        for prop in spec.properties:
+            relevance = relevant_rules(spec, prop, mode, t)
+            assert "Pair2Edge" in relevance.relevant_rules, (mode, prop.name)
+            verdict = verify_property(spec, prop,
+                                      VerificationConfig(relevance_mode=mode))
+            assert verdict.status == expected[prop.name], (mode, verdict)
+            assert oracle_verdict(spec, prop, {"A": 2, "B": 2}) \
+                == verdict.status
+            if verdict.status == VIOLATED:
+                source = verdict.counterexample[0]
+                assert validate_conformance(
+                    source, spec.metamodel("S")).conformant
+                result = execute(t, source, spec)
+                assert not check_property_concrete(prop, source, result,
+                                                   spec).holds
