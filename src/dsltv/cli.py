@@ -18,11 +18,10 @@ import sys
 from .abstraction import synthesize_abstraction, validate_abstraction
 from .cutoff import FragmentKind, RelevanceMode, cutoff_report
 from .fragments import check_flnr, check_gbpp
-from .kboundary import emit_report, results_json, selective_minus_one, \
-    uniform_sweep
+from .kboundary import BoundsLab, emit_report, results_json
 from .model import dump_model, load_model
 from .orchestrator import UNKNOWN, PlanRejected, VerificationConfig, \
-    plan_property, verify_all, verify_property
+    plan_property, verify_all
 from .parser import parse_spec_file
 from .printer import print_spec
 
@@ -31,12 +30,8 @@ EXIT_VIOLATED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
-_MODES = {"legacy": RelevanceMode.LEGACY,
-          "trace": RelevanceMode.TRACE_AWARE,
-          "trace-attr": RelevanceMode.TRACE_ATTRIBUTE_AWARE}
-_FRAGMENTS = {"minimal": FragmentKind.MINIMAL,
-              "baseline": FragmentKind.BASELINE,
-              "full": FragmentKind.FULL}
+_MODES = [m.value for m in RelevanceMode]
+_FRAGMENTS = [f.value for f in FragmentKind]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,24 +61,18 @@ def build_parser():
                        metavar="SECONDS")
         p.add_argument("--solver", default=None,
                        help="path to an SMT-LIB solver executable")
-        p.add_argument("--dependency-mode", choices=sorted(_MODES),
+        p.add_argument("--dependency-mode", choices=_MODES,
                        default="trace-attr")
-        p.add_argument("--fragment", choices=sorted(_FRAGMENTS),
+        p.add_argument("--fragment", choices=_FRAGMENTS,
                        default="minimal")
         p.add_argument("--per-class", dest="per_class", action="store_true",
                        default=True)
         p.add_argument("--no-per-class", dest="per_class",
                        action="store_false")
-        p.add_argument("--factored", dest="factored", action="store_true",
-                       default=True)
-        p.add_argument("--monolithic", dest="factored", action="store_false")
         p.add_argument("--lazy-closure", dest="lazy_closure",
                        action="store_true", default=True)
         p.add_argument("--eager-closure", dest="lazy_closure",
                        action="store_false")
-        p.add_argument("--symmetry-break", action="store_true",
-                       help="also order the source slots of each class "
-                       "(target slots are always ordered)")
         p.add_argument("--dump-smt", metavar="DIR")
         p.add_argument("--budget", type=int, default=100_000,
                        help="largest per-class bound accepted")
@@ -92,7 +81,7 @@ def build_parser():
 
     p = add("cutoff", "theorem bounds and per-class bounds")
     p.add_argument("--property", action="append", default=None)
-    p.add_argument("--dependency-mode", choices=sorted(_MODES),
+    p.add_argument("--dependency-mode", choices=_MODES,
                    default="trace-attr")
 
     p = add("verify", "verify properties, streaming NDJSON verdicts")
@@ -115,56 +104,58 @@ def build_parser():
     return top
 
 
-def _load_config_file(path):
-    """Flat key = value lines; '#' comments; bools, ints, floats, strings."""
-    data = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.strip()!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            value = value.strip("\"'")
-            if value in ("true", "false"):
-                data[key] = value == "true"
-            else:
-                try:
-                    data[key] = int(value)
-                except ValueError:
-                    try:
-                        data[key] = float(value)
-                    except ValueError:
-                        data[key] = value
-    return data
+# config-file keys: a switch is true or false and maps to its own flag or
+# to the flag that turns it off; a valued key passes its value to its flag
+_CONFIG_SWITCHES = {"per-class": "--no-per-class",
+                    "lazy-closure": "--eager-closure"}
+_CONFIG_VALUES = ("timeout", "solver", "dependency-mode", "fragment",
+                  "parallel", "budget", "format")
 
 
-def _apply_config_file(args):
-    """File values fill in only flags the user left at their defaults."""
-    if not getattr(args, "config", None):
-        return
-    data = _load_config_file(args.config)
-    mapping = {"timeout": "timeout", "solver": "solver",
-               "dependency-mode": "dependency_mode", "fragment": "fragment",
-               "per-class": "per_class", "factored": "factored",
-               "lazy-closure": "lazy_closure",
-               "symmetry-break": "symmetry_break", "parallel": "parallel",
-               "budget": "budget", "format": "format"}
-    defaults = build_parser().parse_args(
-        [args.command, args.spec] + _required_of(args))
-    for key, attr in mapping.items():
-        if key in data and hasattr(args, attr) and \
-                getattr(args, attr) == getattr(defaults, attr, None):
-            setattr(args, attr, data[key])
+def _config_tokens(parser, path, args):
+    """The config file's flat `key = value` lines ('#' comments) as flags,
+    for the keys the subcommand takes.  An unknown key, a switch that is not
+    true or false, or an unreadable file is a usage error."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        parser.error(f"config file {path}: {exc.strerror}")
+    tokens = []
+    for number, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        value = value.strip("\"'")
+        if not sep:
+            parser.error(f"config file {path}:{number}: expected key = value")
+        if key in _CONFIG_SWITCHES:
+            if value not in ("true", "false"):
+                parser.error(f"config file {path}:{number}: {key} must be "
+                             f"true or false, not {value!r}")
+            flag = f"--{key}" if value == "true" else _CONFIG_SWITCHES[key]
+        elif key in _CONFIG_VALUES:
+            flag = f"--{key}={value}"
+        else:
+            parser.error(f"config file {path}:{number}: unknown key {key!r}")
+        if hasattr(args, key.replace("-", "_")):
+            tokens.append(flag)
+    return tokens
 
 
-def _required_of(args):
-    extra = []
-    for name in ("model", "out"):
-        if getattr(args, name, None) is not None:
-            extra += [f"--{name}", str(getattr(args, name))]
-    return extra
+def parse_args(argv=None):
+    """Parse the command line.  A --config file is read as flags placed
+    before the user's own, so the parser validates its values and explicit
+    flags win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # the subcommand comes first: the top-level parser takes no options
+        tokens = _config_tokens(parser, args.config, args)
+        args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+    return args
 
 
 def _parse(path):
@@ -182,18 +173,20 @@ def _parse(path):
 
 
 def _make_config(args):
-    return VerificationConfig(
-        timeout_seconds=args.timeout,
-        relevance_mode=_MODES[args.dependency_mode],
-        per_class=args.per_class,
-        fragment_kind=_FRAGMENTS[args.fragment],
-        factored=args.factored,
-        lazy_closure=args.lazy_closure,
-        symmetry_break=args.symmetry_break,
-        cutoff_budget=args.budget,
-        solver_command=[args.solver] if args.solver else None,
-        dump_dir=args.dump_smt,
-    )
+    try:
+        return VerificationConfig(
+            timeout_seconds=args.timeout,
+            relevance_mode=RelevanceMode(args.dependency_mode),
+            per_class=args.per_class,
+            fragment_kind=FragmentKind(args.fragment),
+            lazy_closure=args.lazy_closure,
+            cutoff_budget=args.budget,
+            solver_command=[args.solver] if args.solver else None,
+            dump_dir=args.dump_smt,
+        )
+    except ValueError as exc:  # a timeout or budget out of range
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _selected_properties(spec, names):
@@ -236,7 +229,8 @@ def cmd_check(args):
 
 def cmd_cutoff(args):
     spec = _parse(args.spec)
-    config = VerificationConfig(relevance_mode=_MODES[args.dependency_mode])
+    config = VerificationConfig(
+        relevance_mode=RelevanceMode(args.dependency_mode))
     out = {}
     code = EXIT_OK
     for prop in _selected_properties(spec, args.property):
@@ -318,10 +312,9 @@ def cmd_kboundary(args):
     config = _make_config(args)
     results = []
     for prop in _selected_properties(spec, args.property):
-        base = verify_property(spec, prop, config)
-        sweep = uniform_sweep(spec, prop, config, base_verdict=base)
-        pert = selective_minus_one(spec, prop, config, base_verdict=base)
-        results.append({"sweep": sweep, "perturbation": pert,
+        lab = BoundsLab(spec, prop, config)  # one plan and one base verdict
+        results.append({"sweep": lab.uniform_sweep(),
+                        "perturbation": lab.selective_minus_one(),
                         "witness": None})
     report = emit_report(results, os.path.basename(args.spec))
     with open(args.out, "w") as fh:
@@ -337,8 +330,7 @@ def cmd_kboundary(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    _apply_config_file(args)
+    args = parse_args(argv)
     handler = {"check": cmd_check, "cutoff": cmd_cutoff,
                "verify": cmd_verify, "run": cmd_run,
                "abstract": cmd_abstract, "kboundary": cmd_kboundary}

@@ -91,25 +91,28 @@ class WitnessResult:
         }
 
 
-class _BoundsLab:
-    """Shared per-property machinery: the property's plan, base bounds and
-    seed classes, and a solve-at-bounds primitive that bypasses fragment
-    refinement so every run measures exactly the requested bounds.  A
-    property the plan rejects has no bounds to vary; every run of it is
-    UNKNOWN with the rejection's reason."""
+class BoundsLab:
+    """One property's plan, base verdict, base bounds and seed classes,
+    built once for every phase, and a solve-at-bounds primitive that
+    bypasses fragment refinement so every run measures exactly the requested
+    bounds.  A property the plan rejects has no bounds to vary; every run of
+    it is UNKNOWN with the rejection's reason."""
 
-    def __init__(self, spec, prop, config):
-        self.config = config
+    def __init__(self, spec, prop, config=None, base_verdict=None):
+        self.config = config = config or VerificationConfig()
         self.prop = spec.property(prop) if isinstance(prop, str) else prop
         try:
             self.plan = plan_property(spec, self.prop, config)
         except PlanRejected as exc:
-            self.plan, self.rejection = None, f"{exc.reason}: {exc.detail}"
+            self.plan, self.rejection = None, exc
+            self.base_verdict = base_verdict or exc.verdict()
             self.k, self.dominant = 0, ()
             self.base = PerClassBounds(source={}, target={})
             self.seed_source = self.seed_target = set()
             return
         self.rejection = None
+        self.base_verdict = base_verdict or verify_property(
+            spec, self.prop, config, self.plan)
         self.k, self.dominant = self.plan.cutoff.k, self.plan.cutoff.dominant
         self.base = self.plan.bounds(self.plan.fragment)
         t = self.plan.t
@@ -149,7 +152,8 @@ class _BoundsLab:
     def solve_at(self, bounds):
         """(status, seconds, reason); reason is None unless UNKNOWN."""
         if self.rejection:
-            return UNKNOWN, 0.0, self.rejection
+            return (UNKNOWN, 0.0,
+                    f"{self.rejection.reason}: {self.rejection.detail}")
         plan = self.plan
         options = self.config.encode_options(plan.fragment,
                                              plan.rule_names(plan.fragment))
@@ -166,6 +170,46 @@ class _BoundsLab:
         return status, elapsed, (verdict.status if status == UNKNOWN
                                  else None)
 
+    def uniform_sweep(self):
+        pattern = "negative" if self.base_verdict.status == VIOLATED \
+            else "positive"
+        result = SweepResult(self.prop.name, self.k, self.base.max_bound(),
+                             self.dominant, pattern)
+        for delta in OFFSETS:
+            status, elapsed, reason = self.solve_at(self.shifted(delta))
+            result.rows.append((delta, status, elapsed))
+            if reason:
+                result.reasons[delta] = reason
+        result.matched = all(s == _expected_at(pattern, d)
+                             for d, s, _ in result.rows)
+        return result
+
+    def selective_minus_one(self):
+        base_status = self.base_verdict.status
+        result = PerturbationResult(self.prop.name, base_status)
+        for side, table in (("source", self.base.source),
+                            ("target", self.base.target)):
+            for klass in sorted(table):
+                bounds = self.decremented(klass, side)
+                if bounds is None:
+                    result.runs.append((klass, side, "skipped"))
+                    continue
+                status, _, reason = self.solve_at(bounds)
+                result.runs.append((klass, side, status))
+                if reason:
+                    # an undecided run shows nothing about the class
+                    result.reasons[(klass, side)] = reason
+                elif base_status != UNKNOWN and status != base_status:
+                    result.binding_classes.append(f"{side}:{klass}")
+        if result.reasons or base_status == UNKNOWN:
+            # an undecided run or base shows nothing about binding classes
+            result.matched = False
+        elif base_status == VIOLATED:
+            result.matched = bool(result.binding_classes)
+        else:
+            result.matched = not result.binding_classes
+        return result
+
 
 def _expected_at(pattern, delta):
     if pattern == "positive":
@@ -174,65 +218,26 @@ def _expected_at(pattern, delta):
 
 
 def uniform_sweep(spec, prop, config=None, base_verdict=None):
-    config = config or VerificationConfig()
-    lab = _BoundsLab(spec, prop, config)
-    if base_verdict is None:
-        base_verdict = verify_property(spec, lab.prop, config)
-    pattern = "negative" if base_verdict.status == VIOLATED else "positive"
-    result = SweepResult(lab.prop.name, lab.k, lab.base.max_bound(),
-                         lab.dominant, pattern)
-    for delta in OFFSETS:
-        status, elapsed, reason = lab.solve_at(lab.shifted(delta))
-        result.rows.append((delta, status, elapsed))
-        if reason:
-            result.reasons[delta] = reason
-    result.matched = all(s == _expected_at(pattern, d)
-                         for d, s, _ in result.rows)
-    return result
+    return BoundsLab(spec, prop, config, base_verdict).uniform_sweep()
 
 
 def selective_minus_one(spec, prop, config=None, base_verdict=None):
-    config = config or VerificationConfig()
-    lab = _BoundsLab(spec, prop, config)
-    if base_verdict is None:
-        base_verdict = verify_property(spec, lab.prop, config)
-    result = PerturbationResult(lab.prop.name, base_verdict.status)
-    for side, table in (("source", lab.base.source),
-                        ("target", lab.base.target)):
-        for klass in sorted(table):
-            bounds = lab.decremented(klass, side)
-            if bounds is None:
-                result.runs.append((klass, side, "skipped"))
-                continue
-            status, _, reason = lab.solve_at(bounds)
-            result.runs.append((klass, side, status))
-            if reason:
-                # an undecided run shows nothing about the class
-                result.reasons[(klass, side)] = reason
-            elif status != base_verdict.status:
-                result.binding_classes.append(f"{side}:{klass}")
-    if result.reasons or base_verdict.status == UNKNOWN:
-        # an undecided run or base shows nothing about binding classes
-        result.matched = False
-    elif base_verdict.status == VIOLATED:
-        result.matched = bool(result.binding_classes)
-    else:
-        result.matched = not result.binding_classes
-    return result
+    return BoundsLab(spec, prop, config, base_verdict).selective_minus_one()
 
 
 def witness_validation(spec, prop, family, config=None, base_verdict=None):
     """family maps a support level in {"base-1", "base", "base+1"} to an
     iterable of conformant source models.  Raises PlanRejected for a
     property outside the verifiable fragment."""
-    config = config or VerificationConfig()
-    prop = spec.property(prop) if isinstance(prop, str) else prop
+    lab = BoundsLab(spec, prop, config, base_verdict)
+    if lab.rejection:
+        raise lab.rejection
+    prop = lab.prop
     # abstraction rewrites attribute domains only, so the plan's
     # transformation is the one the user's models run through
-    t = plan_property(spec, prop, config).t
-    if base_verdict is None:
-        base_verdict = verify_property(spec, prop, config)
-    pattern = "negative" if base_verdict.status == VIOLATED else "positive"
+    t = lab.plan.t
+    pattern = "negative" if lab.base_verdict.status == VIOLATED \
+        else "positive"
     deltas = {"base-1": -1, "base": 0, "base+1": 1}
     result = WitnessResult(prop.name)
     src_mm = spec.metamodel(t.source)

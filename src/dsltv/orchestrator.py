@@ -41,9 +41,7 @@ class VerificationConfig:
     relevance_mode: RelevanceMode = RelevanceMode.TRACE_ATTRIBUTE_AWARE
     per_class: bool = True
     fragment_kind: FragmentKind = FragmentKind.MINIMAL
-    factored: bool = True
     lazy_closure: bool = True
-    symmetry_break: bool = False
     binding_ceiling: int = 200_000
     cutoff_budget: int = 100_000
     solver_command: list | None = None
@@ -57,9 +55,7 @@ class VerificationConfig:
 
     def encode_options(self, fragment, rule_names):
         return EncodeOptions(
-            factored=self.factored,
             lazy_closure=self.lazy_closure,
-            symmetry_break=self.symmetry_break,
             binding_ceiling=self.binding_ceiling,
             layer_indices=fragment,
             rule_names=rule_names,
@@ -119,6 +115,10 @@ class PlanRejected(Exception):
         super().__init__(detail)
         self.reason = reason  # fragment | budget
         self.detail = detail
+
+    def verdict(self):
+        return PropertyVerdict(UNKNOWN, reason=self.reason,
+                               detail=self.detail)
 
 
 @dataclass(frozen=True)
@@ -317,17 +317,17 @@ class _PropertyRun:
                        firing_variables=self.firing_variables)
 
 
-def verify_property(spec, prop, config=None):
-    """Verify one property; all failure modes land in UNKNOWN verdicts."""
+def verify_property(spec, prop, config=None, plan=None):
+    """Verify one property; all failure modes land in UNKNOWN verdicts.
+    `plan`, when given, is the property's `plan_property` result."""
     config = config or VerificationConfig()
     if isinstance(prop, str):
         prop = spec.property(prop)
     start = time.monotonic()
     try:
-        plan = plan_property(spec, prop, config)
+        plan = plan or plan_property(spec, prop, config)
     except PlanRejected as exc:
-        verdict = PropertyVerdict(UNKNOWN, reason=exc.reason,
-                                  detail=exc.detail)
+        verdict = exc.verdict()
     else:
         verdict = _PropertyRun(plan, config,
                                start + config.timeout_seconds).run()

@@ -9,28 +9,35 @@ target slot exists iff exactly one firing claims it.  Traces are implicit in
 the firing structure.  The query asserts some precondition binding holds and
 no postcondition witness exists for it; sat means counterexample.
 
-Every problem breaks the symmetry between target slots of one concrete
-class with two constraints:
+Every problem breaks the symmetry between the slots of one concrete class
+with three constraints:
 
-- value precedence: walking the creations (fresh apply elements of every
-  firing, in encoding order), a creation may claim the class-c slot j only
-  if j <= r_c, the number of earlier creations whose candidate slots
+- ordered existence on both sides: ex_s_c_{i+1} => ex_s_c_i and
+  ex_t_c_{j+1} => ex_t_c_j;
+- target value precedence: walking the creations (fresh apply elements of
+  every firing, in encoding order), a creation may claim the class-c slot j
+  only if j <= r_c, the number of earlier creations whose candidate slots
   include a class-c slot.  A choice's declared range ends at its last
-  allowed value, which is all a choice among one class's slots needs; a
-  choice that also spans subclass slots excludes the values below that
-  one by one;
-- ordered existence: ex_t_c_{j+1} => ex_t_c_j.
+  allowed value; a choice that also spans subclass slots excludes the
+  values below that one by one.
 
-Both are sound.  Within one concrete class, target slots are
-interchangeable everywhere in the encoding: existence, attributes, links
-and their upper bounds, claims, backward cases, postcondition bindings and
-trace terms.  Every existing slot is claimed by exactly one firing
-creation, so renumbering each class's slots in the order in which firing
-creations claim them maps any model to one that meets both constraints; a
-creation that does not fire leaves its choice free, and slot 0 of each
-class is always allowed.  The constraints change the search, never the
-verdict.  ``EncodeOptions.symmetry_break`` (``--symmetry-break``, off by
-default) adds ordered existence on the source side only.
+They are sound together.  Take any model without them.  Within one class,
+source slots are interchangeable everywhere in the encoding (existence,
+attributes, links and their upper bounds as "at most k", the injective rule
+and precondition bindings, and through those every firing, choice,
+backward case and trace term), so renumbering them with the existing ones
+first yields a model with ordered source existence.  Target slots are
+interchangeable in the same way and each existing one is claimed by exactly
+one firing creation, so renumbering them in claim order then meets both
+target constraints (a creation that does not fire leaves its choice free,
+and slot 0 is always allowed) without touching a source variable.  Source
+goes first because its renumbering permutes the firings, and with them the
+creation order that value precedence reads.  ``tests/test_smtencode.py``
+checks verdicts against the brute-force oracle with all three on.
+
+A postcondition whose connected components have pairwise disjoint concrete
+class sets is refuted one component at a time: injectivity cannot couple
+them, so a witness of the whole exists iff each component has one.
 
 An association upper bound ``[..k]`` limits each link row x_0..x_{n-1} (the
 links out of one slot) with Sinz's sequential counter ("Towards an Optimal
@@ -68,9 +75,7 @@ class EncodingCeilingError(Exception):
 
 @dataclass
 class EncodeOptions:
-    factored: bool = True
     lazy_closure: bool = True
-    symmetry_break: bool = False
     binding_ceiling: int = 200_000
     layer_indices: tuple = None   # fragment; None = all layers
     rule_names: frozenset = None  # relevant subset; None = all rules
@@ -279,14 +284,12 @@ class Encoder:
                                 itertools.combinations(row, a.lower)])
                     target.append(
                         f"(assert (=> {world.ex(cs, i)} {need}))")
-        # ordered existence: each class's slots exist as a prefix; always on
-        # the target side (see the module docstring)
-        if world is self.tgt or self.options.symmetry_break:
-            for c in sorted(world.slots):
-                for i in range(world.slots[c] - 1):
-                    self.asserts.append(
-                        f"(assert (=> {world.ex(c, i + 1)} "
-                        f"{world.ex(c, i)}))")
+        # ordered existence: each class's slots exist as a prefix (see the
+        # module docstring)
+        for c in sorted(world.slots):
+            for i in range(world.slots[c] - 1):
+                self.asserts.append(
+                    f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
     def _at_most(self, lits, k, prefix):
         """Assert that at most k of ``lits`` hold: Sinz's sequential counter.
@@ -602,13 +605,10 @@ class Encoder:
         self.asserts.append("(assert " + _or(cases) + ")")
 
     def _post_components(self):
-        """Postcondition split into connected components when factoring is on
-        and the components' class sets are pairwise disjoint (so injectivity
-        cannot couple them)."""
+        """Postcondition split into connected components when their class
+        sets are pairwise disjoint (so injectivity cannot couple them)."""
         from .spec_ast import PatternGraph
         post = self.prop.postcondition
-        if not self.options.factored:
-            return [post]
         parent = {e.name: e.name for e in post.elements}
 
         def find(x):
@@ -661,10 +661,7 @@ class Encoder:
             "\n".join(lines), self.varmap, list(self.deferred),
             dict(self.src.slots), dict(self.tgt.slots),
             self.pre_bindings,
-            {"factored": self.options.factored,
-             "symmetryBreak": self.options.symmetry_break,
-             "lazyClosure": self.options.lazy_closure,
-             "firingVariables": self.n_firing_vars},
+            {"firingVariables": self.n_firing_vars},
         )
 
 

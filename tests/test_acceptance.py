@@ -21,8 +21,8 @@ from dsltv.kboundary import selective_minus_one, uniform_sweep
 from dsltv.model import induce_submodel, validate_conformance
 from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, VerificationConfig,
                                 verify_property)
+from dsltv.parser import parse_spec
 
-from conftest import load_spec
 from oracle import oracle_verdict, random_model, source_bounds_for
 
 
@@ -158,33 +158,44 @@ def test_execution_monotone_under_submodels(corpus):
 
 # -- 7: option composability ---------------------------------------------------
 
-def test_all_option_combinations_agree(corpus):
-    combos = list(itertools.product((True, False),
-                                    (FragmentKind.MINIMAL, FragmentKind.FULL),
-                                    (True, False), (True, False)))
-    assert len(combos) == 16
+_MIN, _BASE, _FULL = (FragmentKind.MINIMAL, FragmentKind.BASELINE,
+                      FragmentKind.FULL)
+_LEG, _TR, _TRA = (RelevanceMode.LEGACY, RelevanceMode.TRACE_AWARE,
+                   RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+
+# (per_class, fragment_kind, relevance_mode, lazy_closure): every pair of
+# values of any two options occurs in some row, and the defaults occur with
+# both closure modes
+OPTION_ROWS = [
+    (True, _MIN, _TRA, True), (True, _MIN, _TRA, False),
+    (False, _MIN, _LEG, False), (False, _MIN, _TR, True),
+    (True, _BASE, _LEG, True), (True, _BASE, _TR, False),
+    (False, _BASE, _TRA, False), (True, _FULL, _LEG, False),
+    (False, _FULL, _TR, True), (False, _FULL, _TRA, True),
+]
+
+
+def test_option_pairs_agree(corpus):
+    values = [(True, False), tuple(FragmentKind), tuple(RelevanceMode),
+              (True, False)]
+    for i, j in itertools.combinations(range(4), 2):
+        assert {(row[i], row[j]) for row in OPTION_ROWS} == \
+            set(itertools.product(values[i], values[j])), (i, j)
+    default = VerificationConfig()
+    defaults = (default.per_class, default.fragment_kind,
+                default.relevance_mode)
+    assert {row[3] for row in OPTION_ROWS if row[:3] == defaults} == \
+        {True, False}
     for name, spec in corpus:
         for prop in spec.properties:
-            expected = _expected(prop.name)
-            for per_class, fragment, factored, sym in combos:
+            for per_class, fragment, mode, lazy in OPTION_ROWS:
                 config = VerificationConfig(per_class=per_class,
                                             fragment_kind=fragment,
-                                            factored=factored,
-                                            symmetry_break=sym)
+                                            relevance_mode=mode,
+                                            lazy_closure=lazy)
                 verdict = verify_property(spec, prop, config)
-                assert verdict.status == expected, \
-                    (name, prop.name, per_class, fragment, factored, sym)
-
-
-def test_lazy_and_eager_closure_agree(corpus):
-    for name, spec in corpus:
-        for prop in spec.properties:
-            lazy = verify_property(spec, prop,
-                                   VerificationConfig(lazy_closure=True))
-            eager = verify_property(spec, prop,
-                                    VerificationConfig(lazy_closure=False))
-            assert lazy.status == eager.status == _expected(prop.name), \
-                (name, prop.name)
+                assert verdict.status == _expected(prop.name), \
+                    (name, prop.name, per_class, fragment, mode, lazy)
 
 
 # -- 8: refinement behavior -----------------------------------------------------
@@ -235,14 +246,77 @@ def _zombie_children():
     return out
 
 
+# The stress fixture's shape plus a first-layer rule that gives every Cls a
+# loose ClsDecl and PkgDecl.  The third relevant rule raises the uniform
+# bound K from 6 to 8, and the loose declarations compete for the same
+# slots: the unsatisfiability proof takes far longer than the 3 s timeout,
+# while the encoding stays under 1 s.
+DEEP_SPEC = """
+metamodel SDeep {
+    class Pkg { }
+    class Cls { }
+    assoc contains : Pkg -> Cls [0..*]
+}
+metamodel TDeep {
+    class PkgDecl { }
+    class ClsDecl { }
+    assoc declares : PkgDecl -> ClsDecl [0..*]
+}
+transformation deep : SDeep -> TDeep {
+    layer Containers {
+        rule Cls2Loose {
+            match { any c : Cls }
+            apply {
+                cd : ClsDecl
+                pd : PkgDecl
+            }
+        }
+        rule Pkg2PkgDecl {
+            match { any p : Pkg }
+            apply { pd : PkgDecl }
+        }
+    }
+    layer Members {
+        rule Cls2ClsDecl {
+            match {
+                any p : Pkg
+                any c : Cls
+                direct l : contains -- p.c
+            }
+            apply {
+                pd : PkgDecl
+                cd : ClsDecl
+                out : declares -- pd.cd
+            }
+            backward { pd <--trace-- p }
+        }
+    }
+}
+property ContainedClsHasDecl "A contained Cls gets a declared counterpart." {
+    precondition {
+        any p : Pkg
+        any c : Cls
+        direct l : contains -- p.c
+    }
+    postcondition {
+        pd : PkgDecl
+        cd : ClsDecl
+        out : declares -- pd.cd
+        pd <--trace-- p
+        cd <--trace-- c
+    }
+}
+"""
+
+
 def test_timeout_and_ceiling_are_clean():
     start = time.monotonic()
-    spec = load_spec("stress.dslt")
+    spec = parse_spec(DEEP_SPEC, "inline")
+    assert not isinstance(spec, list), spec
     prop = spec.property("ContainedClsHasDecl")
 
     config = VerificationConfig(timeout_seconds=3, per_class=False,
-                                fragment_kind=FragmentKind.FULL,
-                                factored=False)
+                                fragment_kind=FragmentKind.FULL)
     verdict = verify_property(spec, prop, config)
     assert verdict.status == UNKNOWN
     assert verdict.reason == "timeout"

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from dsltv.cli import main
+from dsltv.cli import main, parse_args
 from dsltv.model import dump_model, load_model
 from dsltv.parser import parse_spec_file
 
@@ -108,6 +108,34 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
     # an explicit flag overrides the config value
     assert main(["verify", UML, "--config", str(cfg), "--timeout", "60",
                  "--property", "PackageHasPackageDeclaration"]) == 0
+
+
+def test_explicit_flags_win_over_config_file(tmp_path):
+    cfg = tmp_path / "dsltv.cfg"
+    cfg.write_text("per-class = false\nlazy-closure = false\n"
+                   "timeout = 5  # seconds\n")
+    args = parse_args(["verify", UML, "--config", str(cfg)])
+    assert (args.per_class, args.lazy_closure, args.timeout) == \
+        (False, False, 5.0)
+    # flags equal to their defaults still win over the file
+    args = parse_args(["verify", UML, "--per-class", "--config", str(cfg),
+                       "--lazy-closure", "--timeout", "600"])
+    assert (args.per_class, args.lazy_closure, args.timeout) == \
+        (True, True, 600.0)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("timout = 5", "timout"),
+    ("dependency-mode = bogus", "--dependency-mode"),
+    ("per-class = maybe", "per-class"),
+])
+def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, line, key):
+    cfg = tmp_path / "dsltv.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", UML, "--config", str(cfg)])
+    assert exc.value.code == 3
+    assert key in capsys.readouterr().err
 
 
 def test_run_writes_target_and_log(tmp_path, capsys):

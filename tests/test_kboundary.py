@@ -4,12 +4,13 @@ import pytest
 
 from conftest import fixture_path, load_spec
 
+from dsltv import cli, kboundary, orchestrator
 from dsltv.cli import main
 from dsltv.kboundary import (emit_report, results_json, selective_minus_one,
                              uniform_sweep, witness_validation)
 from dsltv.model import InstanceModel
 from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
-    verify_property
+    plan_property, verify_property
 from dsltv.parser import parse_spec
 
 
@@ -142,6 +143,10 @@ def test_binding_ceiling_gives_unknown_rows():
     pert = selective_minus_one(spec, prop, config)
     assert pert.base_status == UNKNOWN
     assert pert.reasons[("B", "target")].startswith("ceiling: ")
+    # source:A at bound 0 needs no firing and HOLDS, but an undecided base
+    # makes no class binding
+    assert ("A", "source", HOLDS) in pert.runs
+    assert pert.binding_classes == []
     assert not pert.matched
     results = [{"sweep": sweep, "perturbation": pert}]
     assert "| +0 | UNKNOWN (ceiling: " in emit_report(results, "int")
@@ -161,6 +166,21 @@ def test_verify_kboundary_and_cutoff_agree(name, capsys):
         assert sweep.base_k == verdict.k == report[prop.name]["bounds"]["k"]
         if verdict.cegar_rounds == 0:
             assert sweep.per_class_max == verdict.per_class_max
+
+
+def test_kboundary_plans_each_property_once(tmp_path, monkeypatch, capsys):
+    planned = []
+
+    def counting(spec, prop, config):
+        planned.append(prop.name)
+        return plan_property(spec, prop, config)
+
+    for module in (orchestrator, kboundary, cli):
+        monkeypatch.setattr(module, "plan_property", counting)
+    spec = load_spec("kboundary_tight.dslt")
+    assert main(["kboundary", fixture_path("kboundary_tight.dslt"),
+                 "--out", str(tmp_path / "r.md")]) == 0
+    assert sorted(planned) == sorted(p.name for p in spec.properties)
 
 
 # a backward pair resolvable only in its own layer violates FLNR R3

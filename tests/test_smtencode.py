@@ -63,32 +63,80 @@ def test_binding_ceiling_raises(uml2java):
         encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1))
 
 
-def test_factored_and_monolithic_agree(uml2java):
-    for name in ("PackageHasPackageDeclaration",
-                 "ClassMappedToInterfaceDeclaration_ShouldFail"):
-        prop, bounds = _bounds(uml2java, name)
-        answers = []
-        for factored in (True, False):
-            problem = encode(uml2java, prop, bounds,
-                             EncodeOptions(factored=factored))
-            verdict, _ = lazy_closure_loop(problem, 60, uml2java)
-            answers.append(verdict.status)
-        assert answers[0] == answers[1], name
+# Every A maps to an X with its XPart; only a flagged A also maps to a Y.
+# The postconditions have two components, {x, p} and {y}, whose class sets
+# are disjoint, so the encoder refutes them one at a time.
+SPLIT_SPEC = """
+metamodel SplitSrc { class A { flag: Bool } }
+metamodel SplitTgt {
+    class X { }
+    class XPart { }
+    class Y { }
+    assoc has : X -> XPart [0..*]
+}
+transformation split : SplitSrc -> SplitTgt {
+    layer Only {
+        rule A2X {
+            match { any a : A }
+            apply {
+                x : X
+                p : XPart
+                h : has -- x.p
+            }
+        }
+        rule Flagged2Y {
+            match { any a : A where flag == true }
+            apply { y : Y }
+        }
+    }
+}
+property FlaggedAHasXAndY "A flagged A maps to a whole X and to a Y." {
+    precondition { any a : A where flag == true }
+    postcondition {
+        x : X
+        p : XPart
+        y : Y
+        h : has -- x.p
+        x <--trace-- a
+        y <--trace-- a
+    }
+}
+property AnyAHasXAndY_ShouldFail "Negative: an unflagged A has no Y." {
+    precondition { any a : A }
+    postcondition {
+        x : X
+        p : XPart
+        y : Y
+        h : has -- x.p
+        x <--trace-- a
+        y <--trace-- a
+    }
+}
+"""
 
 
-def test_symmetry_breaking_preserves_verdict(uml2java):
-    for name in ("PackageHasPackageDeclaration",
-                 "ClassMappedToInterfaceDeclaration_ShouldFail"):
-        prop, bounds = _bounds(uml2java, name)
-        plain = encode(uml2java, prop, bounds)
-        broken = encode(uml2java, prop, bounds,
-                        EncodeOptions(symmetry_break=True))
-        if any(v >= 2 for v in bounds.source.values()):
-            # prefix ordering constraints only exist with multiple slots
-            assert len(broken.text) > len(plain.text)
-        a, _ = lazy_closure_loop(plain, 60, uml2java)
-        b, _ = lazy_closure_loop(broken, 60, uml2java)
-        assert a.status == b.status, name
+def test_class_disjoint_postcondition_is_split():
+    spec = parse_spec(SPLIT_SPEC, "inline")
+    assert not isinstance(spec, list), spec
+    t = spec.transformations[0]
+    for prop in spec.properties:
+        problem = encode(spec, prop, PerClassBounds(
+            source={"A": 2}, target={"X": 2, "XPart": 2, "Y": 2}))
+        groups = problem.metadata["encoder"]._post_components()
+        assert [sorted(e.name for e in g.elements) for g in groups] == \
+            [["p", "x"], ["y"]], prop.name
+        expected = oracle_verdict(spec, prop, {"A": 2})
+        assert expected == (VIOLATED if prop.name.endswith("_ShouldFail")
+                            else HOLDS), prop.name
+        verdict = verify_property(spec, prop)
+        assert verdict.status == expected, prop.name
+        if verdict.status == VIOLATED:
+            source, _, _ = verdict.counterexample
+            assert validate_conformance(source, spec.metamodel(t.source)) \
+                .conformant
+            result = execute(t, source, spec)
+            assert not check_property_concrete(prop, source, result,
+                                               spec).holds
 
 
 def test_lazy_closure_defers_lower_bounds(uml2java):
@@ -109,7 +157,7 @@ def test_run_solver_timeout_kills_child(uml2java):
     assert verdict.status in ("timeout", "sat", "unsat")
 
 
-# -- target-slot symmetry breaking -------------------------------------------
+# -- slot symmetry breaking --------------------------------------------------
 
 # Two rules create a Node, a concrete class with the concrete subclass Leaf,
 # so their slot choices range over two classes; a third creates a Leaf.
@@ -246,13 +294,8 @@ def test_slot_symmetry_constraints_are_emitted():
         in lines
     assert "(assert (=> ex_t_Node_1 ex_t_Node_0))" in lines
     assert "(assert (=> ex_t_Leaf_5 ex_t_Leaf_4))" in lines
-    # source-side ordering is left to --symmetry-break
-    assert "(assert (=> ex_s_A_1 ex_s_A_0))" not in lines
-    ordered = encode(spec, spec.property("PairHasEdge"), SLOT_BOUNDS,
-                     EncodeOptions(symmetry_break=True))
-    assert "(assert (=> ex_s_A_1 ex_s_A_0))" in ordered.text.splitlines()
-    assert len(set(ordered.text.splitlines())) == \
-        len(ordered.text.splitlines())
+    assert "(assert (=> ex_s_A_1 ex_s_A_0))" in lines
+    assert len(set(lines)) == len(lines)
 
 
 def test_slot_symmetry_breaking_agrees_with_oracle():

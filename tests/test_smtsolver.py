@@ -186,8 +186,8 @@ def test_vsids_heap_stays_bounded(monkeypatch):
     src = flatten_inheritance_info(spec.metamodel(t.source))
     tgt = flatten_inheritance_info(spec.metamodel(t.target))
     bounds = PerClassBounds(
-        source={c: 4 for c in src if not src[c].abstract},
-        target={c: 4 for c in tgt if not tgt[c].abstract})
+        source={c: 5 for c in src if not src[c].abstract},
+        target={c: 5 for c in tgt if not tgt[c].abstract})
     problem = encode(spec, prop, bounds, transformation=t)
 
     solvers = []
