@@ -198,6 +198,31 @@ def test_option_pairs_agree(corpus):
                     (name, prop.name, per_class, fragment, mode, lazy)
 
 
+def test_all_option_combinations_agree(corpus):
+    combos = list(itertools.product((True, False), tuple(FragmentKind)))
+    assert len(combos) == 6
+    for name, spec in corpus:
+        for prop in spec.properties:
+            expected = _expected(prop.name)
+            for per_class, fragment in combos:
+                config = VerificationConfig(per_class=per_class,
+                                            fragment_kind=fragment)
+                verdict = verify_property(spec, prop, config)
+                assert verdict.status == expected, \
+                    (name, prop.name, per_class, fragment)
+
+
+def test_lazy_and_eager_closure_agree(corpus):
+    for name, spec in corpus:
+        for prop in spec.properties:
+            lazy = verify_property(spec, prop,
+                                   VerificationConfig(lazy_closure=True))
+            eager = verify_property(spec, prop,
+                                    VerificationConfig(lazy_closure=False))
+            assert lazy.status == eager.status == _expected(prop.name), \
+                (name, prop.name)
+
+
 # -- 8: refinement behavior -----------------------------------------------------
 
 def test_refinement_round_counts(cegar_spec):
