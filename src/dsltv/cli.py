@@ -50,7 +50,6 @@ def build_parser():
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="specification file (.dslt)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", help="key=value config file; flags win")
         return p
 
@@ -77,7 +76,8 @@ def build_parser():
         p.add_argument("--budget", type=int, default=100_000,
                        help="largest per-class bound accepted")
 
-    add("check", "fragment membership reports")
+    p = add("check", "fragment membership reports")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("cutoff", "theorem bounds and per-class bounds")
     p.add_argument("--property", action="append", default=None)
@@ -174,6 +174,8 @@ def _parse(path):
 
 def _make_config(args):
     try:
+        if args.dump_smt:
+            os.makedirs(args.dump_smt, exist_ok=True)
         return VerificationConfig(
             timeout_seconds=args.timeout,
             relevance_mode=RelevanceMode(args.dependency_mode),
@@ -184,7 +186,9 @@ def _make_config(args):
             solver_command=[args.solver] if args.solver else None,
             dump_dir=args.dump_smt,
         )
-    except ValueError as exc:  # a timeout or budget out of range
+    except (OSError, ValueError) as exc:
+        # a dump directory that cannot be made, or a timeout or budget out
+        # of range
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
@@ -252,8 +256,6 @@ def cmd_verify(args):
     spec = _parse(args.spec)
     config = _make_config(args)
     props = _selected_properties(spec, args.property)
-    if args.dump_smt:
-        os.makedirs(args.dump_smt, exist_ok=True)
     wanted = {p.name for p in props}
     sub = spec if not args.property else \
         type(spec)(spec.metamodels, spec.transformations,

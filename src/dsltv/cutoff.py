@@ -5,6 +5,16 @@ Given a property over a layered monotone transformation, compute:
   - the three global cutoff formulas and their minimum K,
   - per-class slot bounds as a least fixed point,
   - the layer fragment to verify (Minimal / Baseline / Full).
+
+Relevance, the depth d, the Baseline closure and Minimal rest on one
+producer relation, `fragments.trace_producers` (the R3 check uses it too):
+the rules of the layers below a cut-off that record a trace from a source
+type to a fresh element of a target type.  The property's demands, one per
+trace constraint and one per untraced postcondition element, seed the
+relevance worklist; each retained rule's backward pairs add demands on
+earlier layers.  d is the longest path over retained producers.  Minimal
+is the first producer per demand: the layer prefix up to the latest layer
+that holds the first relevant producer of some demand.
 """
 
 from __future__ import annotations
@@ -12,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .fragments import trace_producers
 from .inheritance import flatten_inheritance_info, is_subtype, types_overlap
-from .model import ClosureInfo
-from .parser import property_metamodels
 from .spec_ast import CopyBinding
 
 
@@ -102,12 +111,6 @@ def compute_cutoff(params):
 # Relevance
 # ---------------------------------------------------------------------------
 
-def _literal_bindings(rule, apply_name):
-    el = rule.apply.element_map()[apply_name]
-    return {b.attr: b.value for b in el.bindings
-            if not isinstance(b.value, CopyBinding)}
-
-
 def _constraint_satisfiable(op, constraint_value, literal):
     if op == "==":
         return literal == constraint_value
@@ -127,14 +130,32 @@ def _constraint_satisfiable(op, constraint_value, literal):
     return True
 
 
-def _rule_can_satisfy(rule, apply_el, post_element):
-    """False only when a literal apply binding contradicts a property guard."""
-    literals = _literal_bindings(rule, apply_el.name)
-    for c in post_element.constraints:
-        if c.attr in literals and not _constraint_satisfiable(
-                c.op, c.value, literals[c.attr]):
-            return False
-    return True
+def _rule_can_satisfy(rule, tgt_info, post_element):
+    """False only when every fresh apply element that can play post_element
+    has a literal binding contradicting one of its guards."""
+    for e in rule.fresh_apply_elements():
+        if not types_overlap(tgt_info, e.klass, post_element.klass):
+            continue
+        literals = {b.attr: b.value for b in e.bindings
+                    if not isinstance(b.value, CopyBinding)}
+        if all(c.attr not in literals or _constraint_satisfiable(
+                c.op, c.value, literals[c.attr])
+               for c in post_element.constraints):
+            return True
+    return False
+
+
+def _property_demands(prop):
+    """(source class or None, target class, postcondition element) for each
+    trace constraint and each untraced postcondition element."""
+    post_map = prop.postcondition.element_map()
+    pre_map = prop.precondition.element_map()
+    demands = [(pre_map[pre_el].klass, post_map[post_el].klass,
+                post_map[post_el]) for post_el, pre_el in prop.traces]
+    traced = {post_el for post_el, _ in prop.traces}
+    demands += [(None, e.klass, e) for e in prop.postcondition.elements
+                if e.name not in traced]
+    return demands
 
 
 def relevant_rules(spec, prop, mode, transformation=None):
@@ -149,35 +170,7 @@ def relevant_rules(spec, prop, mode, transformation=None):
     t = transformation or spec.transformations[0]
     src_info = flatten_inheritance_info(spec.metamodel(t.source))
     tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
-    all_rules = [(li, rule) for li, layer in enumerate(t.layers)
-                 for rule in layer.rules]
-
-    def producers(demand_src, demand_tgt, attr_element=None, below=None):
-        """Rules with a fresh apply element of type demand_tgt (and, when
-        demand_src is set, a match element of type demand_src)."""
-        out = []
-        for li, rule in all_rules:
-            if below is not None and li >= below:
-                continue
-            fresh = [e for e in rule.fresh_apply_elements()
-                     if types_overlap(tgt_info, e.klass, demand_tgt)]
-            if not fresh:
-                continue
-            if demand_src is not None and not any(
-                    types_overlap(src_info, e.klass, demand_src)
-                    for e in rule.match.elements):
-                continue
-            if mode is RelevanceMode.TRACE_ATTRIBUTE_AWARE and attr_element \
-                    is not None:
-                fresh = [e for e in fresh
-                         if _rule_can_satisfy(rule, e, attr_element)]
-                if not fresh:
-                    continue
-            out.append((li, rule))
-        return out
-
     post_map = prop.postcondition.element_map()
-    unproducible = []
     retained = {}
     worklist = []
 
@@ -187,16 +180,13 @@ def relevant_rules(spec, prop, mode, transformation=None):
         retained[rule.name] = (li, rule)
         if mode is not RelevanceMode.LEGACY:
             # its backward links demand earlier-layer producers
-            match_map = rule.match.element_map()
-            apply_map = rule.apply.element_map()
-            for apply_name, match_name in rule.backward:
-                worklist.append((match_map[match_name].klass,
-                                 apply_map[apply_name].klass, None, li))
+            worklist.extend((s_cls, t_cls, None, li)
+                            for s_cls, t_cls in rule.backward_classes())
 
     # a rule that links two backward-resolved apply elements with the
     # association of a postcondition link may create no element, so no
     # production demand finds it
-    for li, rule in all_rules:
+    for li, rule in t.all_rules():
         apply_map = rule.apply.element_map()
         backward = rule.backward_apply_names()
         if any(link.source in backward and link.target in backward
@@ -209,58 +199,42 @@ def relevant_rules(spec, prop, mode, transformation=None):
                for post in prop.postcondition.links):
             retain(li, rule)
     if mode is RelevanceMode.LEGACY:
-        for e in prop.postcondition.elements:
-            found = producers(None, e.klass)
-            if not found:
-                unproducible.append((None, e.klass))
-            for li, rule in found:
-                retain(li, rule)
+        demands = [(None, e.klass, e) for e in prop.postcondition.elements]
     else:
-        pre_map = prop.precondition.element_map()
-        traced = {post_el for post_el, _ in prop.traces}
-        for post_el, pre_el in prop.traces:
-            worklist.append((pre_map[pre_el].klass, post_map[post_el].klass,
-                             post_map[post_el], None))
-        for e in prop.postcondition.elements:
-            if e.name not in traced:
-                worklist.append((None, e.klass, e, None))
-        seen_demands = set()
-        while worklist:
-            d_src, d_tgt, attr_el, below = worklist.pop()
-            key = (d_src, d_tgt, id(attr_el), below)
-            if key in seen_demands:
-                continue
-            seen_demands.add(key)
-            found = producers(d_src, d_tgt, attr_el, below)
-            if not found and below is None:
-                unproducible.append((d_src, d_tgt))
-            for li, rule in found:
-                retain(li, rule)
+        demands = _property_demands(prop)
+    worklist.extend((s_cls, t_cls, post_el, None)
+                    for s_cls, t_cls, post_el in demands)
+    unproducible = []
+    seen_demands = set()
+    while worklist:
+        d_src, d_tgt, post_el, before = worklist.pop()
+        key = (d_src, d_tgt, id(post_el), before)
+        if key in seen_demands:
+            continue
+        seen_demands.add(key)
+        found = trace_producers(t, src_info, tgt_info, d_src, d_tgt, before)
+        if mode is RelevanceMode.TRACE_ATTRIBUTE_AWARE and post_el is not None:
+            found = [(li, rule) for li, rule in found
+                     if _rule_can_satisfy(rule, tgt_info, post_el)]
+        if not found and before is None:
+            unproducible.append((d_src, d_tgt))
+        for li, rule in found:
+            retain(li, rule)
 
     # d: longest backward chain over retained rules (edges to earlier-layer
     # producers of the demanded trace pair)
     depth_memo = {}
 
     def depth_of(name):
-        if name in depth_memo:
-            return depth_memo[name]
-        li, rule = retained[name]
-        match_map = rule.match.element_map()
-        apply_map = rule.apply.element_map()
-        best = 0
-        for apply_name, match_name in rule.backward:
-            s_cls = match_map[match_name].klass
-            t_cls = apply_map[apply_name].klass
-            for lj, other in all_rules:
-                if lj >= li or other.name not in retained:
-                    continue
-                if any(types_overlap(tgt_info, e.klass, t_cls)
-                       for e in other.fresh_apply_elements()) and any(
-                        types_overlap(src_info, e.klass, s_cls)
-                        for e in other.match.elements):
-                    best = max(best, 1 + depth_of(other.name))
-        depth_memo[name] = best
-        return best
+        if name not in depth_memo:
+            li, rule = retained[name]
+            depth_memo[name] = max(
+                (1 + depth_of(other.name)
+                 for s_cls, t_cls in rule.backward_classes()
+                 for _, other in trace_producers(t, src_info, tgt_info,
+                                                 s_cls, t_cls, li)
+                 if other.name in retained), default=0)
+        return depth_memo[name]
 
     d = max((depth_of(n) for n in retained), default=0)
 
@@ -382,96 +356,46 @@ def per_class_bounds(spec, prop, relevance, k, transformation=None,
 def select_fragment(spec, prop, relevance, kind, transformation=None):
     """Ordered layer-index subset to verify.
 
-    Minimal is the shortest layer prefix containing, for every demanded
-    postcondition type / trace pair, at least one relevant producer rule.
-    Baseline is the layers of all relevant rules plus their backward-closure
-    layers.  Full is every layer.
+    Minimal is the shortest layer prefix that holds, for every demanded
+    postcondition type / trace pair, its first relevant producer.  Baseline
+    is the layers of all relevant rules plus their backward-closure layers.
+    Full is every layer.
     """
     t = transformation or spec.transformations[0]
     n = len(t.layers)
     if kind is FragmentKind.FULL:
         return tuple(range(n))
-
-    layer_of_rule = {}
-    for li, layer in enumerate(t.layers):
-        for rule in layer.rules:
-            layer_of_rule[rule.name] = li
-    relevant_layers = sorted({layer_of_rule[r] for r in relevance.relevant_rules
-                              if r in layer_of_rule})
+    src_info = flatten_inheritance_info(spec.metamodel(t.source))
+    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+    relevant = relevance.relevant_rules
     if kind is FragmentKind.BASELINE:
-        # backward closure: a relevant rule in the set may demand producers in
+        # backward closure: a rule in the fragment may demand producers in
         # earlier layers; those layers join the fragment
-        layers = set(relevant_layers)
-        src_info = flatten_inheritance_info(spec.metamodel(t.source))
-        tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
-        work = [(li, rule) for li, layer in enumerate(t.layers)
-                for rule in layer.rules
-                if rule.name in relevance.relevant_rules]
-        seen = set()
+        work = [(li, rule) for li, rule in t.all_rules()
+                if rule.name in relevant]
+        layers, seen = set(), set()
         while work:
             li, rule = work.pop()
+            layers.add(li)
             if rule.name in seen:
                 continue
             seen.add(rule.name)
-            match_map = rule.match.element_map()
-            apply_map = rule.apply.element_map()
-            for apply_name, match_name in rule.backward:
-                s_cls = match_map[match_name].klass
-                t_cls = apply_map[apply_name].klass
-                for lj, layer in enumerate(t.layers[:li]):
-                    for other in layer.rules:
-                        if any(types_overlap(tgt_info, e.klass, t_cls)
-                               for e in other.fresh_apply_elements()) and any(
-                                types_overlap(src_info, e.klass, s_cls)
-                                for e in other.match.elements):
-                            layers.add(lj)
-                            work.append((lj, other))
+            for s_cls, t_cls in rule.backward_classes():
+                work.extend(trace_producers(t, src_info, tgt_info, s_cls,
+                                            t_cls, li))
         return tuple(sorted(layers))
 
-    # Minimal: shortest prefix covering every demanded production
-    if not relevant_layers:
+    if not relevant:
         return (0,) if n else ()
-    demands = _property_demands(spec, prop, t)
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
-    for j in range(n):
-        if _prefix_covers(spec, prop, t, relevance, j, demands,
-                          src_info, tgt_info):
-            return tuple(range(j + 1))
-    return tuple(range(n))
-
-
-def _property_demands(spec, prop, t):
-    post_map = prop.postcondition.element_map()
-    pre_map = prop.precondition.element_map()
-    traced = {post_el for post_el, _ in prop.traces}
-    demands = []
-    for post_el, pre_el in prop.traces:
-        demands.append((pre_map[pre_el].klass, post_map[post_el].klass))
-    for e in prop.postcondition.elements:
-        if e.name not in traced:
-            demands.append((None, e.klass))
-    return demands
-
-
-def _prefix_covers(spec, prop, t, relevance, j, demands, src_info, tgt_info):
-    for d_src, d_tgt in demands:
-        hit = False
-        for li, layer in enumerate(t.layers[:j + 1]):
-            for rule in layer.rules:
-                if rule.name not in relevance.relevant_rules:
-                    continue
-                if not any(types_overlap(tgt_info, e.klass, d_tgt)
-                           for e in rule.fresh_apply_elements()):
-                    continue
-                if d_src is not None and not any(
-                        types_overlap(src_info, e.klass, d_src)
-                        for e in rule.match.elements):
-                    continue
-                hit = True
-        if not hit:
-            return False
-    return True
+    last = 0
+    for d_src, d_tgt, _ in _property_demands(prop):
+        found = [li for li, rule in trace_producers(t, src_info, tgt_info,
+                                                    d_src, d_tgt)
+                 if rule.name in relevant]
+        if not found:
+            return tuple(range(n))
+        last = max(last, found[0])  # the demand's first relevant producer
+    return tuple(range(last + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -42,19 +42,23 @@ class FragmentReport:
         }
 
 
-def _producers_of(transformation, src_info, tgt_info, match_class, apply_class):
-    """(layer index, rule) pairs whose firing records a trace from an element
-    type-compatible with match_class to a fresh element compatible with
-    apply_class."""
+def trace_producers(t, src_info, tgt_info, match_class, apply_class,
+                    before=None):
+    """(layer index, rule) pairs, in layer order, of the layers below
+    `before` (every layer when None) whose firing records a trace from a
+    match element type-compatible with match_class (any element when None)
+    to a fresh apply element compatible with apply_class."""
     out = []
-    for li, layer in enumerate(transformation.layers):
-        for rule in layer.rules:
-            src_ok = any(types_overlap(src_info, e.klass, match_class)
-                         for e in rule.match.elements)
-            tgt_ok = any(types_overlap(tgt_info, e.klass, apply_class)
-                         for e in rule.fresh_apply_elements())
-            if src_ok and tgt_ok:
-                out.append((li, rule))
+    for li, rule in t.all_rules():
+        if before is not None and li >= before:
+            break
+        if not any(types_overlap(tgt_info, e.klass, apply_class)
+                   for e in rule.fresh_apply_elements()):
+            continue
+        if match_class is None or any(
+                types_overlap(src_info, e.klass, match_class)
+                for e in rule.match.elements):
+            out.append((li, rule))
     return out
 
 
@@ -75,33 +79,20 @@ def check_flnr(transformation, source_mm, target_mm):
 
     # R3: backward pairs must be resolvable by a strictly earlier layer.
     r3_clean = True
-    for li, layer in enumerate(transformation.layers):
-        for rule in layer.rules:
-            match_map = rule.match.element_map()
-            apply_map = rule.apply.element_map()
-            for apply_name, match_name in rule.backward:
-                me = match_map.get(match_name)
-                ae = apply_map.get(apply_name)
-                if me is None or ae is None:
-                    continue  # resolver already rejected this
-                producers = _producers_of(transformation, src_info, tgt_info,
-                                          me.klass, ae.klass)
-                earlier = [p for p in producers if p[0] < li]
-                if earlier:
-                    continue
-                r3_clean = False
-                if producers:
-                    report.violations.append(Violation(
-                        "R3", f"rule {rule.name}",
-                        f"backward pair {apply_name} <--trace-- {match_name} "
-                        f"is only producible by layer "
-                        f"{min(p[0] for p in producers) + 1} or later, not an "
-                        f"earlier layer"))
-                else:
-                    report.violations.append(Violation(
-                        "R3", f"rule {rule.name}",
-                        f"backward pair {apply_name} <--trace-- {match_name} "
-                        f"has no producing rule in any layer"))
+    for li, rule in transformation.all_rules():
+        for (apply_name, match_name), (match_class, apply_class) in zip(
+                rule.backward, rule.backward_classes()):
+            producers = trace_producers(transformation, src_info, tgt_info,
+                                        match_class, apply_class)
+            if producers and producers[0][0] < li:
+                continue
+            r3_clean = False
+            why = (f"is only producible by layer {producers[0][0] + 1} or "
+                   f"later, not an earlier layer" if producers else
+                   "has no producing rule in any layer")
+            report.violations.append(Violation(
+                "R3", f"rule {rule.name}",
+                f"backward pair {apply_name} <--trace-- {match_name} {why}"))
     if r3_clean:
         report.satisfied.append("R3")
 

@@ -27,7 +27,7 @@ from .inheritance import flatten_inheritance_info
 from .model import UnboundedClosureError, mandatory_closure
 from .parser import property_metamodels
 from .smtencode import EncodeOptions, EncodingCeilingError, \
-    decode_counterexample, encode
+    EncodingDeadlineError, decode_counterexample, encode
 from .smtrun import lazy_closure_loop
 
 HOLDS = "HOLDS"
@@ -224,9 +224,12 @@ class _PropertyRun:
         options = self.config.encode_options(fragment,
                                              plan.rule_names(fragment))
         try:
-            problem = encode(plan.spec, plan.prop, bounds, options, plan.t)
+            problem = encode(plan.spec, plan.prop, bounds, options, plan.t,
+                             self.deadline)
         except EncodingCeilingError as exc:
             return unknown("ceiling", str(exc))
+        except EncodingDeadlineError as exc:
+            return unknown("timeout", str(exc))
         self.firing_variables += problem.metadata["firingVariables"]
         if self.config.dump_dir:
             layers = "-".join(str(i) for i in fragment)

@@ -59,6 +59,7 @@ k links needs no constraint.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from .inheritance import flatten_inheritance_info, is_subtype
@@ -70,7 +71,12 @@ from .spec_ast import (
 
 
 class EncodingCeilingError(Exception):
-    """Raised when binding enumeration exceeds the configured ceiling."""
+    """Raised when the rule firings or the emitted assertions exceed the
+    configured ceiling."""
+
+
+class EncodingDeadlineError(Exception):
+    """Raised when encoding runs past the deadline it was given."""
 
 
 @dataclass
@@ -198,10 +204,12 @@ def _cmp_atom(op, var, value):
 
 
 class Encoder:
-    def __init__(self, spec, prop, bounds, options, transformation=None):
+    def __init__(self, spec, prop, bounds, options, transformation=None,
+                 deadline=None):
         self.spec = spec
         self.prop = prop
         self.options = options
+        self.deadline = deadline  # time.monotonic() value, or None
         self.t = transformation or spec.transformations[0]
         self.src_mm = spec.metamodel(self.t.source)
         self.tgt_mm = spec.metamodel(self.t.target)
@@ -317,6 +325,18 @@ class Encoder:
         clauses.append([_not(lits[n - 1]), _not(s[n - 2][k - 1])])
         self.asserts.extend(f"(assert {_or(c)})" for c in clauses)
 
+    def checkpoint(self):
+        """Stop the encoding once its firings or its emitted assertions pass
+        the binding ceiling, or once its deadline has passed."""
+        emitted = len(self.asserts) + len(self.deferred)
+        ceiling = self.options.binding_ceiling
+        if self.n_firing_vars > ceiling or emitted > ceiling:
+            raise EncodingCeilingError(
+                f"encoding exceeded ceiling {ceiling} ({self.n_firing_vars} "
+                f"firings, {emitted} assertions)")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise EncodingDeadlineError("deadline reached while encoding")
+
     # -- pattern helpers -------------------------------------------------------
 
     def guard_term(self, world, c, i, constraints):
@@ -390,15 +410,12 @@ class Encoder:
         for li, rule in self.active_rules():
             bindings = self.enumerate_bindings(rule.match, self.src)
             self.n_firing_vars += len(bindings)
-            if self.n_firing_vars > self.options.binding_ceiling:
-                raise EncodingCeilingError(
-                    f"binding enumeration exceeded ceiling "
-                    f"{self.options.binding_ceiling}")
+            self.checkpoint()
             firing_data.append((li, rule, bindings))
 
         fires_name = {}
         choice_name = {}
-        creations = []  # (li, rule, bidx, apply element, fires, choice var)
+        creations = []  # (li, binding, apply element, fires, choice, slots)
         earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
@@ -422,41 +439,34 @@ class Encoder:
                     for c in {c for c, _ in slots}:
                         earlier[c] += 1
                     choice_name[(rule.name, bidx, ae.name)] = (cv, slots)
-                    creations.append((li, rule, bidx, ae, fv, cv, slots))
+                    creations.append((li, binding, ae, fv, cv, slots))
 
         # backward resolution candidates: creations of earlier layers whose
         # binding maps some match element to the demanded source slot
-        def backward_term(li, rule, bidx, binding):
+        def backward_term(li, rule, binding):
             terms = []
             resolved = {}
             for apply_name, match_name in rule.backward:
                 apply_el = rule.apply.element_map()[apply_name]
                 src_slot = binding[match_name]
-                cands = []
-                for lj, r2, b2, ae2, fv2, cv2, slots2 in creations:
-                    if lj >= li:
-                        continue
-                    if not is_subtype(self.tgt_info, ae2.klass,
-                                      apply_el.klass):
-                        continue
-                    cands.append((r2, b2, ae2, fv2, cv2, slots2))
-                # keep only candidates whose binding touches src_slot
-                cands = [c for c in cands
-                         if src_slot in self._binding_of(c[0].name, c[1],
-                                                         firing_data).values()]
+                cands = [(fv2, cv2, slots2)
+                         for lj, b2, ae2, fv2, cv2, slots2 in creations
+                         if lj < li and is_subtype(self.tgt_info, ae2.klass,
+                                                   apply_el.klass)
+                         and src_slot in b2.values()]
                 resolved[apply_name] = cands
-                terms.append(_exactly_one([fires_name[(c[0].name, c[1])]
-                                           for c in cands]))
+                terms.append(_exactly_one([c[0] for c in cands]))
             return _and(terms), resolved
 
         # second pass: define each firing and wire up claims and links
         claims_by_slot = {}  # (class, slot idx) -> list of claim terms
-        self.creation_index = []
+        self.creation_index = []  # (binding, claim, slot, fires, choice, k)
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
+                self.checkpoint()
                 fv = fires_name[(rule.name, bidx)]
                 match_term = self.binding_term(rule.match, self.src, binding)
-                bw_term, bw_cands = backward_term(li, rule, bidx, binding)
+                bw_term, bw_cands = backward_term(li, rule, binding)
                 self.asserts.append(
                     f"(assert (= {fv} {_and([match_term, bw_term])}))")
 
@@ -470,8 +480,7 @@ class Encoder:
                         return [(f"(= {cv} {k})", slots[k])
                                 for k in range(len(slots))]
                     cases = []
-                    for (r2, b2, ae2, fv2, cv2, slots2) in bw_cands.get(
-                            name, ()):
+                    for fv2, cv2, slots2 in bw_cands.get(name, ()):
                         for k in range(len(slots2)):
                             cases.append((_and([fv2, f"(= {cv2} {k})"]),
                                           slots2[k]))
@@ -488,7 +497,7 @@ class Encoder:
                         claim = _and([fv, f"(= {cv} {k})"])
                         claims_by_slot.setdefault((c, j), []).append(claim)
                         self.creation_index.append(
-                            (rule.name, bidx, ae.name, binding, claim, (c, j)))
+                            (binding, claim, (c, j), fv, cv, k))
                         bind_terms = [self.tgt.ex(c, j)]
                         for b in ae.bindings:
                             bind_terms.append(self._binding_assignment(
@@ -531,12 +540,6 @@ class Encoder:
                     f"(assert (= {self.tgt.ex(c, j)} "
                     f"{_exactly_one(claims)}))")
 
-    def _binding_of(self, rule_name, bidx, firing_data):
-        for li, rule, bindings in firing_data:
-            if rule.name == rule_name:
-                return bindings[bidx]
-        raise KeyError(rule_name)
-
     def _binding_assignment(self, b, c, j, binding):
         dom = self.tgt_info[c].attributes[b.attr]
         enc, dec, lo, hi, sparse = _domain_codec(dom)
@@ -564,13 +567,9 @@ class Encoder:
     def trace_term(self, src_slot, tgt_slot):
         """Disjunction over creations recording trace src_slot -> tgt_slot."""
         terms = []
-        for rule_name, bidx, ae_name, binding, claim, placed in \
-                self.creation_index:
-            if placed != tgt_slot:
-                continue
-            if src_slot not in binding.values():
-                continue
-            terms.append(claim)
+        for binding, claim, placed, _, _, _ in self.creation_index:
+            if placed == tgt_slot and src_slot in binding.values():
+                terms.append(claim)
         return _or(terms)
 
     # -- property -------------------------------------------------------------------
@@ -583,6 +582,7 @@ class Encoder:
 
         cases = []
         for pidx, pre in enumerate(pre_bindings):
+            self.checkpoint()
             sel = self.decl_bool(f"sel_{pidx}", ("select", pidx))
             pre_term = self.binding_term(self.prop.precondition, self.src,
                                          pre)
@@ -665,9 +665,12 @@ class Encoder:
         )
 
 
-def encode(spec, prop, bounds, options=None, transformation=None):
+def encode(spec, prop, bounds, options=None, transformation=None,
+           deadline=None):
+    """The problem text and decoding data; raises EncodingCeilingError or
+    EncodingDeadlineError when the encoding outgrows its limits."""
     options = options or EncodeOptions()
-    enc = Encoder(spec, prop, bounds, options, transformation)
+    enc = Encoder(spec, prop, bounds, options, transformation, deadline)
     problem = enc.encode()
     problem.metadata["encoder"] = enc
     return problem
@@ -717,18 +720,10 @@ def decode_counterexample(model, problem, spec, transformation=None):
     target = decode_world(enc.tgt)
 
     traces = set()
-    for rule_name, bidx, ae_name, binding, claim, (c, j) in \
-            enc.creation_index:
-        if not truthy(f"fr_{rule_name}_{bidx}"):
-            continue
-        cv = f"ch_{rule_name}_{bidx}_{ae_name}"
-        slots = enc.tgt.all_slots(
-            _apply_class(enc, rule_name, ae_name))
-        k = model.get(cv, 0)
-        if k >= len(slots) or slots[k] != (c, j):
-            continue
-        for cs, i in binding.values():
-            traces.add(TraceLink(f"s_{cs}_{i}", f"t_{c}_{j}"))
+    for binding, claim, (c, j), fv, cv, k in enc.creation_index:
+        if truthy(fv) and model.get(cv, 0) == k:
+            traces.update(TraceLink(f"s_{cs}_{i}", f"t_{c}_{j}")
+                          for cs, i in binding.values())
     target = model_from_parts(target.elements, target.links, traces)
 
     violated = None
@@ -737,10 +732,3 @@ def decode_counterexample(model, problem, spec, transformation=None):
             violated = {name: f"s_{c}_{i}" for name, (c, i) in pre.items()}
             break
     return source, target, violated
-
-
-def _apply_class(enc, rule_name, ae_name):
-    for _, rule in enc.t.all_rules():
-        if rule.name == rule_name:
-            return rule.apply.element_map()[ae_name].klass
-    raise KeyError(rule_name)

@@ -228,6 +228,13 @@ class Rule:
     def backward_apply_names(self):
         return {a for a, _ in self.backward}
 
+    def backward_classes(self):
+        """(match class, apply class) of each backward pair, in order."""
+        match_map = self.match.element_map()
+        apply_map = self.apply.element_map()
+        return tuple((match_map[m].klass, apply_map[a].klass)
+                     for a, m in self.backward)
+
     def fresh_apply_elements(self):
         bw = self.backward_apply_names()
         return tuple(e for e in self.apply.elements if e.name not in bw)

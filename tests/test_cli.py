@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
+from dsltv import cli
 from dsltv.cli import main, parse_args
 from dsltv.model import dump_model, load_model
 from dsltv.parser import parse_spec_file
@@ -42,9 +44,14 @@ transformation t : M -> N {
     assert main(["check", str(spec)]) == 1
 
 
+def test_format_is_a_check_flag_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", UML, "--format", "json"])
+    assert exc.value.code == 3
+
+
 def test_cutoff_reports_reference_bounds(capsys):
-    assert main(["cutoff", B4, "--format", "json",
-                 "--dependency-mode", "trace"]) == 0
+    assert main(["cutoff", B4, "--dependency-mode", "trace"]) == 0
     doc = json.loads(capsys.readouterr().out)
     row = doc["PropertyHasField"]
     assert row["params"] == {"c": 5, "m": 3, "p": 1, "d": 1, "a": 5, "r": 8,
@@ -191,3 +198,57 @@ def test_kboundary_writes_report(tmp_path, capsys):
     assert "SourceSharesTypeDecl_ShouldFail" in text
     doc = json.loads((tmp_path / "report.md.json").read_text())
     assert len(doc) == 2
+
+
+def test_kboundary_dump_smt_makes_the_directory(tmp_path, capsys):
+    dump = tmp_path / "fresh" / "smt"
+    rc = main(["kboundary", fixture_path("corpus/c01_copy.dslt"),
+               "--out", str(tmp_path / "r.md"), "--dump-smt", str(dump)])
+    assert rc in (0, 1, 2)
+    assert list(dump.glob("*.smt2"))
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that adds the name of every attribute read to `reads`."""
+
+    def __init__(self, reads, **values):
+        super().__init__(**values)
+        object.__setattr__(self, "_reads", reads)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_flag_is_read(tmp_path, monkeypatch, capsys):
+    """Each subcommand reads every option it offers: no flag is a no-op."""
+    model = tmp_path / "in.json"
+    model.write_text(json.dumps({"elements": [
+        {"id": "s1", "type": "Source", "attrs": {"name": "a"}}],
+        "links": [], "traces": []}))
+    out = str(tmp_path / "out")
+    one = ["--property", "SourceHasTypeDecl"]
+    argvs = {
+        "check": ["check", KB],
+        "cutoff": ["cutoff", KB, *one],
+        "verify": ["verify", KB, *one],
+        "run": ["run", KB, "--model", str(model), "--out", out],
+        "abstract": ["abstract", KB, "--out", out],
+        "kboundary": ["kboundary", KB, *one, "--out", out],
+    }
+    build = cli.build_parser
+    for command, argv in argvs.items():
+        reads = set()
+
+        def recording_parser():
+            parser = build()
+            parse = parser.parse_args
+            parser.parse_args = lambda args: _ReadRecorder(
+                reads, **vars(parse(args)))
+            return parser
+
+        dests = set(vars(build().parse_args(argv))) - {"command"}
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        main(argv)
+        assert dests <= reads, (command, sorted(dests - reads))

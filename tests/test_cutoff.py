@@ -1,10 +1,14 @@
+import glob
 import itertools
+import os
 import random
 
 from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
                           compute_cutoff, cutoff_params, cutoff_report,
                           per_class_bounds, relevant_rules, select_fragment)
 from dsltv.model import mandatory_closure
+
+from conftest import FIXTURES, load_spec
 
 
 def test_reference_parameters_give_reference_bounds():
@@ -76,19 +80,32 @@ def test_per_class_bounds_cap_and_seed(uml2java):
     assert bounds.source["Package"] >= 1
 
 
-def test_fragment_kinds_are_nested(uml2java):
-    for prop in uml2java.properties:
-        rel = relevant_rules(uml2java, prop,
-                             RelevanceMode.TRACE_ATTRIBUTE_AWARE)
-        minimal = select_fragment(uml2java, prop, rel, FragmentKind.MINIMAL)
-        baseline = select_fragment(uml2java, prop, rel, FragmentKind.BASELINE)
-        full = select_fragment(uml2java, prop, rel, FragmentKind.FULL)
-        assert set(minimal) <= set(full), prop.name
-        assert set(baseline) <= set(full), prop.name
-        if rel.relevant_rules:
-            assert set(minimal) <= set(baseline), prop.name
-        n_layers = len(uml2java.transformations[0].layers)
-        assert tuple(full) == tuple(range(n_layers))
+def test_fragment_kinds_are_nested():
+    # every fixture, every dependency mode; in the trace modes relevance
+    # already closes over backward demands, so Baseline adds no layer
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
+                                 recursive=True)):
+        spec = load_spec(os.path.relpath(path, FIXTURES))
+        n_layers = len(spec.transformations[0].layers)
+        for prop, mode in itertools.product(spec.properties, RelevanceMode):
+            where = (path, prop.name, mode)
+            rel = relevant_rules(spec, prop, mode)
+            minimal = select_fragment(spec, prop, rel, FragmentKind.MINIMAL)
+            baseline = select_fragment(spec, prop, rel,
+                                       FragmentKind.BASELINE)
+            full = select_fragment(spec, prop, rel, FragmentKind.FULL)
+            assert set(minimal) <= set(full), where
+            assert set(baseline) <= set(full), where
+            if rel.relevant_rules:
+                # legacy relevance ignores trace sources, so a trace demand
+                # can lack a relevant producer; Minimal is then every layer
+                assert set(minimal) <= set(baseline) or (
+                    mode is RelevanceMode.LEGACY and minimal == full), where
+            assert tuple(full) == tuple(range(n_layers))
+            if mode is not RelevanceMode.LEGACY:
+                t = spec.transformations[0]
+                assert baseline == tuple(sorted(
+                    {t.rule_layer(r) for r in rel.relevant_rules})), where
 
 
 def test_cutoff_report_shape(uml2java):

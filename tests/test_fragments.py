@@ -1,4 +1,5 @@
-from dsltv.fragments import check_flnr, check_gbpp
+from dsltv.fragments import check_flnr, check_gbpp, trace_producers
+from dsltv.inheritance import flatten_inheritance_info
 from dsltv.parser import parse_spec
 
 
@@ -77,3 +78,57 @@ def test_gbpp_pattern_sizes(uml2java):
              for p in uml2java.properties}
     assert sizes["PackageHasPackageDeclaration"] == 1
     assert sizes["OwnedPropertyHasOwnedField"] == 2
+
+
+# Abstract superclasses on both sides; the layer-2 rule Relink creates no
+# element, so it records no trace of its own.
+PRODUCER_SPEC = """
+metamodel S {
+    abstract class Base { }
+    class LeafA extends Base { }
+    class LeafB extends Base { }
+    class Other { }
+}
+metamodel T {
+    abstract class Decl { }
+    class ADecl extends Decl { }
+    class BDecl extends Decl { }
+}
+transformation t : S -> T {
+    layer L1 {
+        rule A2ADecl { match { any a : LeafA } apply { d : ADecl } }
+        rule Other2BDecl { match { any o : Other } apply { d : BDecl } }
+    }
+    layer L2 {
+        rule Base2BDecl { match { any b : Base } apply { d : BDecl } }
+        rule Relink {
+            match { any a : LeafA }
+            apply { d : ADecl }
+            backward { d <--trace-- a }
+        }
+    }
+}
+"""
+
+
+def test_trace_producers_overlap_types_and_respect_the_cut_off():
+    spec = parse_spec(PRODUCER_SPEC, "inline")
+    assert not isinstance(spec, list), spec
+    t = spec.transformations[0]
+    src = flatten_inheritance_info(spec.metamodel(t.source))
+    tgt = flatten_inheritance_info(spec.metamodel(t.target))
+
+    def producers(match_class, apply_class, before=None):
+        return [(li, rule.name) for li, rule in trace_producers(
+            t, src, tgt, match_class, apply_class, before)]
+
+    assert producers("Base", "Decl") == [(0, "A2ADecl"), (1, "Base2BDecl")]
+    assert producers("LeafB", "Decl") == [(1, "Base2BDecl")]
+    assert producers("LeafB", "ADecl") == []
+    assert producers("LeafA", "ADecl") == [(0, "A2ADecl")]
+    assert producers("Base", "Decl", before=1) == [(0, "A2ADecl")]
+    assert producers("Base", "Decl", before=0) == []
+    assert producers(None, "BDecl") == [(0, "Other2BDecl"),
+                                        (1, "Base2BDecl")]
+    assert producers(None, "Decl", before=1) == [(0, "A2ADecl"),
+                                                 (0, "Other2BDecl")]

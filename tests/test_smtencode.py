@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import time
 
 import pytest
 
@@ -13,8 +14,8 @@ from dsltv.model import mandatory_closure, validate_conformance
 from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
     verify_property
 from dsltv.parser import parse_spec, parse_spec_file
-from dsltv.smtencode import EncodeOptions, EncodingCeilingError, Encoder, \
-    decode_counterexample, encode
+from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
+    EncodingDeadlineError, Encoder, decode_counterexample, encode
 from dsltv.smtrun import lazy_closure_loop, run_solver
 from dsltv.smtsolver import solve_text
 
@@ -61,6 +62,37 @@ def test_binding_ceiling_raises(uml2java):
     prop, bounds = _bounds(uml2java, "OwnedPropertyHasOwnedField")
     with pytest.raises(EncodingCeilingError):
         encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1))
+
+
+# Few firings, many assertions: every link matrix entry of both worlds
+# is an assertion of its own.
+WIDE_SPEC = """
+metamodel WS { class A { } assoc next : A -> A [0..*] }
+metamodel WT { class B { } assoc to : B -> B [0..*] }
+transformation wide : WS -> WT {
+    layer L { rule A2B { match { any a : A } apply { b : B } } }
+}
+property AHasB "Every A gets a B." {
+    precondition { any a : A }
+    postcondition {
+        b : B
+        b <--trace-- a
+    }
+}
+"""
+WIDE_BOUNDS = PerClassBounds(source={"A": 4}, target={"B": 4})
+
+
+def test_assertion_count_hits_the_ceiling():
+    spec = parse_spec(WIDE_SPEC, "inline")
+    assert not isinstance(spec, list), spec
+    prop = spec.property("AHasB")
+    assert encode(spec, prop, WIDE_BOUNDS,
+                  EncodeOptions(binding_ceiling=1000)).text
+    with pytest.raises(EncodingCeilingError, match=r"\(4 firings, \d+ "):
+        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(binding_ceiling=20))
+    with pytest.raises(EncodingDeadlineError):
+        encode(spec, prop, WIDE_BOUNDS, deadline=time.monotonic())
 
 
 # Every A maps to an X with its XPart; only a flagged A also maps to a Y.
