@@ -44,8 +44,6 @@ class RelevanceResult:
     relevant_rules: frozenset  # rule names
     depth: int                 # d: longest backward-dependency chain
     source_classes: frozenset  # classes behind c
-    unproducible: tuple = ()   # demanded (source type or None, target type)
-                               # pairs no rule can produce
 
     @property
     def r(self):
@@ -204,7 +202,6 @@ def relevant_rules(spec, prop, mode, transformation=None):
         demands = _property_demands(prop)
     worklist.extend((s_cls, t_cls, post_el, None)
                     for s_cls, t_cls, post_el in demands)
-    unproducible = []
     seen_demands = set()
     while worklist:
         d_src, d_tgt, post_el, before = worklist.pop()
@@ -216,8 +213,6 @@ def relevant_rules(spec, prop, mode, transformation=None):
         if mode is RelevanceMode.TRACE_ATTRIBUTE_AWARE and post_el is not None:
             found = [(li, rule) for li, rule in found
                      if _rule_can_satisfy(rule, tgt_info, post_el)]
-        if not found and before is None:
-            unproducible.append((d_src, d_tgt))
         for li, rule in found:
             retain(li, rule)
 
@@ -242,8 +237,7 @@ def relevant_rules(spec, prop, mode, transformation=None):
                for e in rule.match.elements}
     classes |= {e.klass for e in prop.precondition.elements}
     closure = _mandatory_reachable(spec.metamodel(t.source), classes)
-    return RelevanceResult(frozenset(retained), d, frozenset(closure),
-                           tuple(unproducible))
+    return RelevanceResult(frozenset(retained), d, frozenset(closure))
 
 
 def _mandatory_reachable(mm, classes):

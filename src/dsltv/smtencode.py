@@ -223,7 +223,6 @@ class Encoder:
         self.varmap = {}
         self.bool_vars = set()
         self.int_vars = {}
-        self.firings = []   # (layer, rule, binding dict, fires var)
         self.n_firing_vars = 0
 
     # -- declarations --------------------------------------------------------
@@ -422,7 +421,6 @@ class Encoder:
                 fv = self.decl_bool(f"fr_{rule.name}_{bidx}",
                                     ("fires", rule.name, bidx))
                 fires_name[(rule.name, bidx)] = fv
-                self.firings.append((li, rule, binding, fv))
                 for ae in rule.fresh_apply_elements():
                     slots = self.tgt.all_slots(ae.klass)
                     cv = f"ch_{rule.name}_{bidx}_{ae.name}"
@@ -459,8 +457,9 @@ class Encoder:
             return _and(terms), resolved
 
         # second pass: define each firing and wire up claims and links
-        claims_by_slot = {}  # (class, slot idx) -> list of claim terms
-        self.creation_index = []  # (binding, claim, slot, fires, choice, k)
+        # (class, slot idx) -> [(source slots of the binding, claim term)]
+        self.claims_by_slot = {}
+        self.creation_index = []  # (binding, slot, fires, choice, k)
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
                 self.checkpoint()
@@ -488,6 +487,7 @@ class Encoder:
 
                 # claims: firing picks a distinct existing slot per fresh
                 # element and binds its attributes
+                src_slots = frozenset(binding.values())
                 for ae in rule.fresh_apply_elements():
                     cv, slots = choice_name[(rule.name, bidx, ae.name)]
                     if not slots:
@@ -495,9 +495,9 @@ class Encoder:
                         continue
                     for k, (c, j) in enumerate(slots):
                         claim = _and([fv, f"(= {cv} {k})"])
-                        claims_by_slot.setdefault((c, j), []).append(claim)
-                        self.creation_index.append(
-                            (binding, claim, (c, j), fv, cv, k))
+                        self.claims_by_slot.setdefault((c, j), []).append(
+                            (src_slots, claim))
+                        self.creation_index.append((binding, (c, j), fv, cv, k))
                         bind_terms = [self.tgt.ex(c, j)]
                         for b in ae.bindings:
                             bind_terms.append(self._binding_assignment(
@@ -535,7 +535,8 @@ class Encoder:
         # target existence iff claimed by exactly one creator
         for c in sorted(self.tgt.slots):
             for j in range(self.tgt.slots[c]):
-                claims = claims_by_slot.get((c, j), [])
+                claims = [claim for _, claim
+                          in self.claims_by_slot.get((c, j), ())]
                 self.asserts.append(
                     f"(assert (= {self.tgt.ex(c, j)} "
                     f"{_exactly_one(claims)}))")
@@ -566,11 +567,9 @@ class Encoder:
 
     def trace_term(self, src_slot, tgt_slot):
         """Disjunction over creations recording trace src_slot -> tgt_slot."""
-        terms = []
-        for binding, claim, placed, _, _, _ in self.creation_index:
-            if placed == tgt_slot and src_slot in binding.values():
-                terms.append(claim)
-        return _or(terms)
+        return _or([claim for src_slots, claim
+                    in self.claims_by_slot.get(tgt_slot, ())
+                    if src_slot in src_slots])
 
     # -- property -------------------------------------------------------------------
 
@@ -720,7 +719,7 @@ def decode_counterexample(model, problem, spec, transformation=None):
     target = decode_world(enc.tgt)
 
     traces = set()
-    for binding, claim, (c, j), fv, cv, k in enc.creation_index:
+    for binding, (c, j), fv, cv, k in enc.creation_index:
         if truthy(fv) and model.get(cv, 0) == k:
             traces.update(TraceLink(f"s_{cs}_{i}", f"t_{c}_{j}")
                           for cs, i in binding.values())

@@ -17,10 +17,7 @@ Usage: dsltv-solve [file]   (reads stdin when no file is given)
 Prints "sat" plus a (model ...) block, or "unsat".
 """
 
-from __future__ import annotations
-
 import heapq
-import re
 import sys
 
 
@@ -32,38 +29,62 @@ class SmtSyntaxError(ValueError):
     pass
 
 
-# One alternative per token kind; findall skips only the whitespace between
-# tokens.
-_TOKEN = re.compile(r'''
-    [()]
-  | [^ \t\r\n();|"][^ \t\r\n();]*    # symbol or numeral
-  | \|[^|]*\|                        # quoted symbol
-  | "(?:[^"]|"")*"                   # string; "" stands for one quote
-  | ;[^\n]*                          # comment
-  | [|"]                             # unterminated quoted symbol or string
-''', re.VERBOSE)
-
-
 def tokenize_sexprs(text):
     """Split SMT-LIB text into tokens: "(", ")", symbols and numerals, quoted
     symbols without their bars, and strings with their quotes and "" undone.
-    Equal tokens are one shared string object."""
+    Equal tokens are one shared string object.
+
+    Only space, tab, CR and LF separate tokens.  A symbol runs up to
+    whitespace, a parenthesis or ";", so a bar or quote inside it (``a|b``)
+    belongs to it; elsewhere "|" opens a quoted symbol, '"' a string and ";"
+    a comment up to the next LF.  The plain stretches between those three
+    are split with str methods, and only quoted symbols, strings and comments
+    are scanned here.  The reader imports nothing: ``re`` would pull enum,
+    functools and collections into every solver child.
+    """
     toks = []
-    known = {}
-    for tok in _TOKEN.findall(text):
-        ch = tok[0]
-        if ch == ";":
+    intern = {}.setdefault
+    find = text.find
+    n = len(text)
+    start = pos = 0       # text[start:pos] is plain and pos is not in a token
+    bar = quote = semi = -1
+    while True:
+        # the next "|", '"' and ";" at or after pos, n when there is none
+        if bar < pos:
+            bar = find("|", pos) % (n + 1)
+        if quote < pos:
+            quote = find('"', pos) % (n + 1)
+        if semi < pos:
+            semi = find(";", pos) % (n + 1)
+        k = min(bar, quote, semi)
+        if k < n and k > start and semi != k and \
+                text[k - 1] not in " \t\r\n()":
+            pos = k + 1                 # a bar or quote inside a symbol
             continue
-        if ch == "|":
-            if len(tok) == 1:
+        toks += [intern(t, t) for t in text[start:k]
+                 .replace("\t", " ").replace("\r", " ").replace("\n", " ")
+                 .replace("(", " ( ").replace(")", " ) ").split(" ") if t]
+        if k == n:
+            return toks
+        if k == semi:
+            end = find("\n", k) % (n + 1)
+        elif k == bar:
+            end = find("|", k + 1) + 1
+            if not end:
                 raise SmtSyntaxError("unterminated quoted symbol")
-            tok = tok[1:-1]
-        elif ch == '"':
-            if len(tok) == 1:
-                raise SmtSyntaxError("unterminated string")
-            tok = '"' + tok[1:-1].replace('""', '"') + '"'
-        toks.append(known.setdefault(tok, tok))
-    return toks
+            tok = text[k + 1:end - 1]
+            toks.append(intern(tok, tok))
+        else:
+            end = k                     # skip "" pairs up to a lone quote
+            while True:
+                end = find('"', end + 1) + 1
+                if not end:
+                    raise SmtSyntaxError("unterminated string")
+                if text[end:end + 1] != '"':
+                    break
+            tok = '"' + text[k + 1:end - 1].replace('""', '"') + '"'
+            toks.append(intern(tok, tok))
+        start = pos = end
 
 
 def parse_sexprs(text):

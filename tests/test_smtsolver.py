@@ -1,19 +1,26 @@
 import gc
+import glob
 import io
+import os
 import random
+import re
+import subprocess
 import types
 import weakref
 
-from conftest import load_spec
+from conftest import FIXTURES, load_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsltv import smtsolver
+from dsltv.cli import main as cli_main
 from dsltv.cutoff import PerClassBounds
 from dsltv.inheritance import flatten_inheritance_info
 from dsltv.smtencode import encode
-from dsltv.smtrun import run_solver
-from dsltv.smtsolver import Cnf, Solver, parse_sexprs
+from dsltv.smtrun import default_solver_command, run_solver
+from dsltv.smtsolver import Cnf, Solver, SmtSyntaxError, parse_sexprs
 from dsltv.smtsolver import main as solver_main
-from dsltv.smtsolver import solve_text
+from dsltv.smtsolver import solve_text, tokenize_sexprs
 
 
 def _solve(text):
@@ -119,6 +126,108 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = solver_main([str(bad)])
     assert rc == 1
     assert "(error" in capsys.readouterr().out
+
+
+# The regular expression the reader was first written with, kept as the
+# reference that the str-method reader must match token for token.
+_REFERENCE_TOKEN = re.compile(r"""
+    [()]
+  | [^ \t\r\n();|"][^ \t\r\n();]*    # symbol or numeral
+  | \|[^|]*\|                        # quoted symbol
+  | "(?:[^"]|"")*"                   # string; "" stands for one quote
+  | ;[^\n]*                          # comment
+  | [|"]                             # unterminated quoted symbol or string
+""", re.VERBOSE)
+
+
+def _reference_tokens(text):
+    toks = []
+    for tok in _REFERENCE_TOKEN.findall(text):
+        ch = tok[0]
+        if ch == ";":
+            continue
+        if ch == "|":
+            if len(tok) == 1:
+                raise SmtSyntaxError("unterminated quoted symbol")
+            tok = tok[1:-1]
+        elif ch == '"':
+            if len(tok) == 1:
+                raise SmtSyntaxError("unterminated string")
+            tok = '"' + tok[1:-1].replace('""', '"') + '"'
+        toks.append(tok)
+    return toks
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except SmtSyntaxError as exc:
+        return f"error: {exc}"
+
+
+# Besides the reader's own characters: str.split() would also break on
+# \x0b, \x0c, \x1c and \xa0, which are symbol characters in SMT-LIB text.
+@settings(derandomize=True, database=None, max_examples=1500,
+          deadline=None)
+@given(st.text(alphabet='()|";ab1-x \t\r\n\x0b\x0c\x1c\xa0', max_size=40))
+def test_reader_matches_the_regex_reader(text):
+    got = _tokens_or_error(tokenize_sexprs, text)
+    assert got == _tokens_or_error(_reference_tokens, text)
+    if isinstance(got, list):
+        # equal tokens are one shared string object
+        assert len({id(t) for t in got}) == len(set(got))
+
+
+def test_reader_edge_cases():
+    cases = {
+        "a|b c|d": ["a|b", "c|d"],
+        '(x"y)': ["(", 'x"y', ")"],
+        "|a b|c": ["a b", "c"],
+        '"a""b"c': ['"a"b"', "c"],
+        '"a"""': ['"a""'],
+        "a;b|\nc": ["a", "c"],
+        "a;b\rc": ["a"],
+        "\x0ba\xa0b": ["\x0ba\xa0b"],
+        '"a""': "error: unterminated string",
+        "(|a)": "error: unterminated quoted symbol",
+    }
+    for text, expected in cases.items():
+        assert _tokens_or_error(tokenize_sexprs, text) == expected, text
+        assert _tokens_or_error(_reference_tokens, text) == expected, text
+
+
+def _print_sexpr(form):
+    if isinstance(form, list):
+        return "(" + " ".join(map(_print_sexpr, form)) + ")"
+    return form
+
+
+def test_every_fixture_problem_round_trips(tmp_path):
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
+                                 recursive=True)):
+        # one directory per spec: property names repeat across specs
+        cli_main(["verify", path, "--dump-smt",
+                  str(tmp_path / os.path.relpath(path, FIXTURES))])
+    dumps = sorted(tmp_path.rglob("*.smt2"))
+    assert len(dumps) >= 40
+    for dump in dumps:
+        text = dump.read_text()
+        assert tokenize_sexprs(text) == _reference_tokens(text), dump.name
+        printed = "\n".join(map(_print_sexpr, parse_sexprs(text)))
+        assert printed == text.rstrip("\n"), dump.name
+
+
+def test_solver_child_starts_without_re():
+    # re pulls in enum, functools and collections: about 15 ms of every
+    # solver child's start-up
+    cmd = default_solver_command()
+    probe = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+             "import smtsolver; print(*sys.modules, sep='\\n')")
+    out = subprocess.run([*cmd[:-2], probe, cmd[-1]], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    loaded = set(out.split())
+    assert "smtsolver" in loaded
+    assert not loaded & {"re", "enum", "functools", "collections"}
 
 
 def _random_clause(rng, nvars):
