@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .inheritance import flatten_inheritance_info
 from .spec_ast import (
     AttributeDecl, ClassDecl, CopyBinding, IntSet, IntUnbounded, Metamodel,
-    Specification, StringUnbounded, StringVocab,
+    Specification, StringUnbounded, StringVocab, compare,
 )
 
 _BIG = 10 ** 9
@@ -286,11 +286,6 @@ def synthesize_abstraction(spec):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _eval_pred(op, x, c):
-    return {"==": x == c, "!=": x != c, "<": x < c, "<=": x <= c,
-            ">": x > c, ">=": x >= c}[op]
-
-
 def validate_abstraction(spec, amap):
     """Every predicate over an abstracted attribute must be constant on each
     abstraction block."""
@@ -308,7 +303,7 @@ def validate_abstraction(spec, amap):
                     lo = b.lo if b.lo is not None else -_BIG
                     hi = b.hi if b.hi is not None else _BIG
                     probes = {lo, hi, min(hi, lo + 1), b.rep}
-                    vals = {_eval_pred(op, x, c) for x in probes}
+                    vals = {compare(op, x, c) for x in probes}
                     if len(vals) > 1:
                         ok = False
                 else:

@@ -24,7 +24,8 @@ from enum import Enum
 
 from .fragments import trace_producers
 from .inheritance import flatten_inheritance_info, is_subtype, types_overlap
-from .spec_ast import CopyBinding
+from .model import _mandatory_edges
+from .spec_ast import CopyBinding, compare
 
 
 class RelevanceMode(Enum):
@@ -109,25 +110,6 @@ def compute_cutoff(params):
 # Relevance
 # ---------------------------------------------------------------------------
 
-def _constraint_satisfiable(op, constraint_value, literal):
-    if op == "==":
-        return literal == constraint_value
-    if op == "!=":
-        return literal != constraint_value
-    try:
-        if op == "<":
-            return literal < constraint_value
-        if op == "<=":
-            return literal <= constraint_value
-        if op == ">":
-            return literal > constraint_value
-        if op == ">=":
-            return literal >= constraint_value
-    except TypeError:
-        return True
-    return True
-
-
 def _rule_can_satisfy(rule, tgt_info, post_element):
     """False only when every fresh apply element that can play post_element
     has a literal binding contradicting one of its guards."""
@@ -136,8 +118,8 @@ def _rule_can_satisfy(rule, tgt_info, post_element):
             continue
         literals = {b.attr: b.value for b in e.bindings
                     if not isinstance(b.value, CopyBinding)}
-        if all(c.attr not in literals or _constraint_satisfiable(
-                c.op, c.value, literals[c.attr])
+        if all(c.attr not in literals
+               or compare(c.op, literals[c.attr], c.value)
                for c in post_element.constraints):
             return True
     return False
@@ -241,17 +223,16 @@ def relevant_rules(spec, prop, mode, transformation=None):
 
 
 def _mandatory_reachable(mm, classes):
+    """`classes` and every class reachable from them over mandatory
+    associations."""
+    edges = _mandatory_edges(mm, flatten_inheritance_info(mm))
     out = set(classes)
-    info = flatten_inheritance_info(mm)
-    changed = True
-    while changed:
-        changed = False
-        for a in mm.associations:
-            if a.lower >= 1:
-                if any(is_subtype(info, c, a.source) for c in out) \
-                        and a.target not in out:
-                    out.add(a.target)
-                    changed = True
+    work = list(out)
+    while work:
+        for _, target in edges[work.pop()]:
+            if target not in out:
+                out.add(target)
+                work.append(target)
     return out
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .inheritance import flatten_inheritance_info, is_subtype
 from .model import InstanceModel, model_from_parts, Element, Link, TraceLink
-from .spec_ast import CopyBinding, EnumValue
+from .parser import property_metamodels
+from .spec_ast import CopyBinding, compare
 
 
 @dataclass(frozen=True)
@@ -57,30 +58,12 @@ class ConcreteVerdict:
         assert self.holds == (not self.violating_bindings)
 
 
-def _compare(op, left, right):
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if not isinstance(left, int) or isinstance(left, bool):
-        return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def _guards_hold(element, constraints):
     attrs = element.attr_map()
     for c in constraints:
         if c.attr not in attrs:
             return False
-        if not _compare(c.op, attrs[c.attr], c.value):
+        if not compare(c.op, attrs[c.attr], c.value):
             return False
     return True
 
@@ -140,12 +123,10 @@ def _eval_binding(value, binding, source_elems):
     return value
 
 
-def execute(transformation, source, spec, layer_indices=None,
-            rule_names=None):
+def execute(transformation, source, spec, layer_indices=None):
     """Run the transformation on a source model.
 
-    layer_indices limits execution to a layer subset (fragment execution);
-    rule_names further restricts which rules may fire.
+    layer_indices limits execution to a layer subset (fragment execution).
     """
     src_info = flatten_inheritance_info(spec.metamodel(transformation.source))
     tgt_info = flatten_inheritance_info(spec.metamodel(transformation.target))
@@ -163,8 +144,6 @@ def execute(transformation, source, spec, layer_indices=None,
         visible_traces = set(traces)
         visible_elements = dict(tgt_elements)
         for rule in layer.rules:
-            if rule_names is not None and rule.name not in rule_names:
-                continue
             backward_of = dict(rule.backward)
             for binding in enumerate_matches(rule.match, source, src_info):
                 bkey = tuple(sorted(binding.items()))
@@ -231,9 +210,10 @@ def check_property_concrete(prop, source, result, spec):
     postcondition match whose links hold and whose trace constraints are
     recorded.  Reports all witnessless precondition bindings.
     """
-    src_mm, tgt_mm = _property_mms(spec, prop)
-    src_info = flatten_inheritance_info(src_mm)
-    tgt_info = flatten_inheritance_info(tgt_mm)
+    src_mm, tgt_mm = property_metamodels(spec, prop)
+    # an empty pattern has one match, whatever the classes
+    src_info = flatten_inheritance_info(src_mm) if src_mm else {}
+    tgt_info = flatten_inheritance_info(tgt_mm) if tgt_mm else {}
     trace_set = {(t.src, t.tgt) for t in result.target.traces}
 
     violating = []
@@ -249,10 +229,3 @@ def check_property_concrete(prop, source, result, spec):
             violating.append(tuple(sorted(pre_binding.items())))
     return ConcreteVerdict(not violating, violating)
 
-
-def _property_mms(spec, prop):
-    from .parser import property_metamodels
-    src_mm, tgt_mm = property_metamodels(spec, prop)
-    t = spec.transformations[0]
-    return (src_mm or spec.metamodel(t.source),
-            tgt_mm or spec.metamodel(t.target))

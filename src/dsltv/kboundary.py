@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cutoff import PerClassBounds
 from .engine import check_property_concrete, execute
 from .inheritance import flatten_inheritance_info
 from .model import validate_conformance
 from .orchestrator import HOLDS, UNKNOWN, VIOLATED, PlanRejected, \
-    VerificationConfig, plan_property, verify_property
-from .smtencode import EncodingCeilingError, encode
-from .smtrun import lazy_closure_loop
+    VerificationConfig, _PropertyRun, plan_property, verify_property
 
 OFFSETS = tuple(range(-3, 4))
 
@@ -150,25 +148,18 @@ class BoundsLab:
         return PerClassBounds(source=source, target=target)
 
     def solve_at(self, bounds):
-        """(status, seconds, reason); reason is None unless UNKNOWN."""
-        if self.rejection:
-            return (UNKNOWN, 0.0,
-                    f"{self.rejection.reason}: {self.rejection.detail}")
-        plan = self.plan
-        options = self.config.encode_options(plan.fragment,
-                                             plan.rule_names(plan.fragment))
+        """(status, seconds, reason) of one unrefined, unconfirmed attempt
+        at the plan's first fragment; reason is "<reason>: <detail>" when
+        UNKNOWN, otherwise None.  These runs write no --dump-smt files."""
         start = time.monotonic()
-        try:
-            problem = encode(plan.spec, plan.prop, bounds, options, plan.t)
-        except EncodingCeilingError as exc:
-            return UNKNOWN, time.monotonic() - start, f"ceiling: {exc}"
-        verdict, _ = lazy_closure_loop(problem, self.config.timeout_seconds,
-                                       plan.spec, plan.t,
-                                       self.config.solver_command)
-        elapsed = time.monotonic() - start
-        status = {"unsat": HOLDS, "sat": VIOLATED}.get(verdict.status, UNKNOWN)
-        return status, elapsed, (verdict.status if status == UNKNOWN
-                                 else None)
+        if self.rejection:
+            verdict = self.rejection.verdict()
+        else:
+            run = _PropertyRun(self.plan, replace(self.config, dump_dir=None),
+                               start + self.config.timeout_seconds)
+            verdict = run.attempt(self.plan.fragment, bounds)
+        reason = verdict.reason and f"{verdict.reason}: {verdict.detail}"
+        return verdict.status, time.monotonic() - start, reason
 
     def uniform_sweep(self):
         pattern = "negative" if self.base_verdict.status == VIOLATED \

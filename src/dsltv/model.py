@@ -96,11 +96,11 @@ class ConformanceReport:
 @dataclass(frozen=True)
 class ClosureInfo:
     per_class_forced_bound: dict
-    effective_arity: int  # the symbol a
 
-    def __post_init__(self):
-        expected = max(self.per_class_forced_bound.values(), default=0)
-        assert self.effective_arity == expected
+    @property
+    def effective_arity(self):
+        """The symbol a: the largest per-class forced bound."""
+        return max(self.per_class_forced_bound.values(), default=0)
 
 
 class UnboundedClosureError(ValueError):
@@ -322,8 +322,7 @@ def mandatory_closure(mm):
         memo[c] = total
         return total
 
-    bounds = {c: forced(c) for c in sorted(info)}
-    return ClosureInfo(bounds, max(bounds.values(), default=0))
+    return ClosureInfo({c: forced(c) for c in sorted(info)})
 
 
 def induce_submodel(model, keep, mm):

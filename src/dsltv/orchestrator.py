@@ -53,14 +53,6 @@ class VerificationConfig:
         if self.cutoff_budget < 1:
             raise ValueError("cutoff budget must be at least 1")
 
-    def encode_options(self, fragment, rule_names):
-        return EncodeOptions(
-            lazy_closure=self.lazy_closure,
-            binding_ceiling=self.binding_ceiling,
-            layer_indices=fragment,
-            rule_names=rule_names,
-        )
-
 
 @dataclass
 class PropertyVerdict:
@@ -100,13 +92,6 @@ class PropertyVerdict:
         }
 
 
-def _transformation_for(spec, prop):
-    src_mm, tgt_mm = property_metamodels(spec, prop)
-    if src_mm is not None and tgt_mm is not None:
-        return spec.transformation_for(src_mm.name, tgt_mm.name)
-    return spec.transformations[0]
-
-
 class PlanRejected(Exception):
     """The property cannot be verified; `reason` and `detail` become those
     of its UNKNOWN verdict."""
@@ -119,6 +104,20 @@ class PlanRejected(Exception):
     def verdict(self):
         return PropertyVerdict(UNKNOWN, reason=self.reason,
                                detail=self.detail)
+
+
+def _transformation_for(spec, prop):
+    """The one transformation whose source and target metamodels are those
+    of the property's non-empty patterns; PlanRejected if none or several
+    are."""
+    src_mm, tgt_mm = property_metamodels(spec, prop)
+    found = [t for t in spec.transformations
+             if (src_mm is None or t.source == src_mm.name)
+             and (tgt_mm is None or t.target == tgt_mm.name)]
+    if len(found) != 1:
+        raise PlanRejected("fragment", f"{len(found)} transformations match "
+                                       f"the metamodels of {prop.name}")
+    return found[0]
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,11 @@ class _PropertyRun:
         self.closure_rounds = 0   # lazy-closure rounds over all attempts
         self.firing_variables = 0  # rule firings encoded, over all attempts
 
-    def attempt(self, fragment):
+    def attempt(self, fragment, bounds=None):
+        """Encode and solve `fragment` at `bounds`, by default the plan's
+        bounds for it; a violation is decoded but not yet confirmed."""
         plan = self.plan
-        bounds = plan.bounds(fragment)
+        bounds = plan.bounds(fragment) if bounds is None else bounds
         per_class_max = bounds.max_bound()
         common = dict(k=plan.cutoff.k, per_class_max=per_class_max,
                       fragment=fragment, dominant=plan.cutoff.dominant)
@@ -221,8 +222,12 @@ class _PropertyRun:
         if per_class_max > self.config.cutoff_budget:
             return unknown("budget", f"bound {per_class_max} exceeds budget "
                                      f"{self.config.cutoff_budget}")
-        options = self.config.encode_options(fragment,
-                                             plan.rule_names(fragment))
+        options = EncodeOptions(
+            lazy_closure=self.config.lazy_closure,
+            binding_ceiling=self.config.binding_ceiling,
+            layer_indices=fragment,
+            rule_names=plan.rule_names(fragment),
+        )
         try:
             problem = encode(plan.spec, plan.prop, bounds, options, plan.t,
                              self.deadline)
@@ -237,11 +242,9 @@ class _PropertyRun:
                                 f"{plan.prop.name}_L{layers}.smt2")
             with open(path, "w") as fh:
                 fh.write(problem.text)
-        remaining = self.deadline - time.monotonic()
-        if remaining <= 0:
-            return unknown("timeout", "deadline reached before solving")
         verdict, rounds = lazy_closure_loop(
-            problem, remaining, plan.spec, plan.t, self.config.solver_command)
+            problem, self.deadline - time.monotonic(), plan.spec, plan.t,
+            self.config.solver_command)
         self.closure_rounds += rounds
         if verdict.status == "unsat":
             return PropertyVerdict(HOLDS, **common)

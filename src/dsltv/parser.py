@@ -467,21 +467,31 @@ class _Parser:
 # Resolution
 # ---------------------------------------------------------------------------
 
+def _duplicates(names):
+    """The names that occur more than once, in the order of their first
+    repetition."""
+    seen, repeated = set(), {}
+    for n in names:
+        if n in seen:
+            repeated[n] = None
+        seen.add(n)
+    return list(repeated)
+
+
 class _Resolver:
     def __init__(self, spec, diags, file):
         self.spec = spec
         self.diags = diags
         self.file = file
         self.info = {}  # metamodel name -> class info map
+        self.resolved_mms = []
 
     def err(self, message):
         self.diags.append(Diagnostic(0, 0, "error", message, self.file))
 
     def run(self):
-        names = [mm.name for mm in self.spec.metamodels]
-        for n in set(names):
-            if names.count(n) > 1:
-                self.err(f"duplicate metamodel '{n}'")
+        for n in _duplicates(mm.name for mm in self.spec.metamodels):
+            self.err(f"duplicate metamodel '{n}'")
         for mm in self.spec.metamodels:
             self.resolve_metamodel(mm)
         spec = Specification(
@@ -491,39 +501,26 @@ class _Resolver:
             self.spec.properties,
         )
         self.spec = spec
-        pairs = [(t.source, t.target) for t in spec.transformations]
-        for pr in set(pairs):
-            if pairs.count(pr) > 1:
-                self.err(f"more than one transformation for metamodel pair {pr[0]} -> {pr[1]}")
+        for pr in _duplicates((t.source, t.target)
+                              for t in spec.transformations):
+            self.err(f"more than one transformation for metamodel pair {pr[0]} -> {pr[1]}")
         for t in spec.transformations:
             self.resolve_transformation(t)
-        prop_names = [p.name for p in spec.properties]
-        for n in set(prop_names):
-            if prop_names.count(n) > 1:
-                self.err(f"duplicate property '{n}'")
+        for n in _duplicates(p.name for p in spec.properties):
+            self.err(f"duplicate property '{n}'")
         for p in spec.properties:
             self.resolve_property(p)
         return spec
 
     # -- metamodel checks, enum-ref fill-in ------------------------------------
 
-    resolved_mms: list
-
     def resolve_metamodel(self, mm):
-        if not hasattr(self, "resolved_mms"):
-            self.resolved_mms = []
-        cnames = [c.name for c in mm.classes]
-        for n in set(cnames):
-            if cnames.count(n) > 1:
-                self.err(f"duplicate class '{n}' in metamodel '{mm.name}'")
-        enames = [e.name for e in mm.enums]
-        for n in set(enames):
-            if enames.count(n) > 1:
-                self.err(f"duplicate enum '{n}' in metamodel '{mm.name}'")
-        anames = [a.name for a in mm.associations]
-        for n in set(anames):
-            if anames.count(n) > 1:
-                self.err(f"duplicate association '{n}' in metamodel '{mm.name}'")
+        for n in _duplicates(c.name for c in mm.classes):
+            self.err(f"duplicate class '{n}' in metamodel '{mm.name}'")
+        for n in _duplicates(e.name for e in mm.enums):
+            self.err(f"duplicate enum '{n}' in metamodel '{mm.name}'")
+        for n in _duplicates(a.name for a in mm.associations):
+            self.err(f"duplicate association '{n}' in metamodel '{mm.name}'")
         enums = mm.enum_map()
         classes = []
         for c in mm.classes:
@@ -585,10 +582,8 @@ class _Resolver:
     def check_pattern(self, pattern, mm, info, where):
         if mm is None or info is None:
             return
-        names = [e.name for e in pattern.elements]
-        for n in set(names):
-            if names.count(n) > 1:
-                self.err(f"{where}: duplicate element name '{n}'")
+        for n in _duplicates(e.name for e in pattern.elements):
+            self.err(f"{where}: duplicate element name '{n}'")
         elems = pattern.element_map()
         for e in pattern.elements:
             if e.klass not in info:
@@ -663,10 +658,8 @@ class _Resolver:
     def resolve_transformation(self, t):
         src_mm, src_info = self.lookup_mm(t.source, f"transformation '{t.name}'")
         tgt_mm, tgt_info = self.lookup_mm(t.target, f"transformation '{t.name}'")
-        rule_names = [r.name for _, r in t.all_rules()]
-        for n in set(rule_names):
-            if rule_names.count(n) > 1:
-                self.err(f"duplicate rule '{n}' in transformation '{t.name}'")
+        for n in _duplicates(r.name for _, r in t.all_rules()):
+            self.err(f"duplicate rule '{n}' in transformation '{t.name}'")
         for _, rule in t.all_rules():
             where = f"rule '{rule.name}'"
             self.check_pattern(rule.match, src_mm, src_info, where + " match")
@@ -684,10 +677,8 @@ class _Resolver:
     def check_apply(self, rule, src_info, tgt_mm, tgt_info, where):
         if tgt_mm is None or tgt_info is None:
             return
-        names = [e.name for e in rule.apply.elements]
-        for n in set(names):
-            if names.count(n) > 1:
-                self.err(f"{where}: duplicate apply element '{n}'")
+        for n in _duplicates(e.name for e in rule.apply.elements):
+            self.err(f"{where}: duplicate apply element '{n}'")
         match_elems = rule.match.element_map()
         for e in rule.apply.elements:
             if e.klass not in tgt_info:

@@ -66,7 +66,7 @@ from .inheritance import flatten_inheritance_info, is_subtype
 from .model import Element, Link, TraceLink, model_from_parts
 from .spec_ast import (
     BoolDomain, CopyBinding, EnumRef, EnumValue, IntRange, IntSet,
-    StringVocab,
+    PatternGraph, StringVocab,
 )
 
 
@@ -90,7 +90,6 @@ class EncodeOptions:
 @dataclass
 class EncodedProblem:
     text: str
-    varmap: dict
     deferred: list            # withheld lower-bound assertions (lazy closure)
     source_slots: dict        # class -> slot count (concrete classes)
     target_slots: dict
@@ -101,7 +100,7 @@ class EncodedProblem:
         lines = self.text.splitlines()
         tail_at = lines.index("(check-sat)")
         new = lines[:tail_at] + list(assertions) + lines[tail_at:]
-        return EncodedProblem("\n".join(new), self.varmap, self.deferred,
+        return EncodedProblem("\n".join(new), self.deferred,
                               self.source_slots, self.target_slots,
                               self.pre_bindings, self.metadata)
 
@@ -220,32 +219,27 @@ class Encoder:
         self.decls = []
         self.asserts = []
         self.deferred = []
-        self.varmap = {}
         self.bool_vars = set()
-        self.int_vars = {}
+        self.int_vars = set()
         self.n_firing_vars = 0
 
     # -- declarations --------------------------------------------------------
 
-    def decl_bool(self, name, role=None):
+    def decl_bool(self, name):
         if name not in self.bool_vars:
             self.bool_vars.add(name)
             self.decls.append(f"(declare-const {name} Bool)")
-            if role:
-                self.varmap[name] = role
         return name
 
-    def decl_int(self, name, lo, hi, role=None, sparse=None):
+    def decl_int(self, name, lo, hi, sparse=None):
         if name not in self.int_vars:
-            self.int_vars[name] = (lo, hi)
+            self.int_vars.add(name)
             self.decls.append(f"(declare-const {name} Int)")
             self.asserts.append(f"(assert (and (<= {lo} {name}) "
                                 f"(<= {name} {hi})))")
             if sparse is not None and list(sparse) != list(range(lo, hi + 1)):
                 self.asserts.append("(assert " + _or(
                     [f"(= {name} {v})" for v in sparse]) + ")")
-            if role:
-                self.varmap[name] = role
         return name
 
     # -- world ---------------------------------------------------------------
@@ -253,12 +247,11 @@ class Encoder:
     def encode_world(self, world):
         for c in sorted(world.slots):
             for i in range(world.slots[c]):
-                self.decl_bool(world.ex(c, i), ("exists", world.tag, c, i))
+                self.decl_bool(world.ex(c, i))
                 for attr, dom in sorted(world.info[c].attributes.items()):
                     enc, dec, lo, hi, sparse = _domain_codec(dom)
                     name = world.at(c, i, attr)
-                    self.decl_int(name, lo, hi,
-                                  ("attr", world.tag, c, i, attr), sparse)
+                    self.decl_int(name, lo, hi, sparse)
                     # nonexistent slots pin attributes to the default
                     self.asserts.append(
                         f"(assert (=> (not {world.ex(c, i)}) "
@@ -268,9 +261,7 @@ class Encoder:
             cols = world.all_slots(a.target)
             for cs, i in rows:
                 for ct, j in cols:
-                    v = self.decl_bool(world.ln(a.name, cs, i, ct, j),
-                                       ("link", world.tag, a.name,
-                                        cs, i, ct, j))
+                    v = self.decl_bool(world.ln(a.name, cs, i, ct, j))
                     self.asserts.append(
                         f"(assert (=> {v} (and {world.ex(cs, i)} "
                         f"{world.ex(ct, j)})))")
@@ -301,8 +292,8 @@ class Encoder:
     def _at_most(self, lits, k, prefix):
         """Assert that at most k of ``lits`` hold: Sinz's sequential counter.
         Register ``{prefix}_{i}_{j}`` is forced true when at least j+1 of
-        ``lits[0..i]`` hold; the registers get no varmap role, so decoding
-        never reads them (see the module docstring)."""
+        ``lits[0..i]`` hold; decoding never reads them (see the module
+        docstring)."""
         n = len(lits)
         if n <= k:
             return
@@ -418,8 +409,7 @@ class Encoder:
         earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
-                fv = self.decl_bool(f"fr_{rule.name}_{bidx}",
-                                    ("fires", rule.name, bidx))
+                fv = self.decl_bool(f"fr_{rule.name}_{bidx}")
                 fires_name[(rule.name, bidx)] = fv
                 for ae in rule.fresh_apply_elements():
                     slots = self.tgt.all_slots(ae.klass)
@@ -430,8 +420,7 @@ class Encoder:
                     allowed = [k for k, (c, j) in enumerate(slots)
                                if j <= earlier[c]]
                     hi = allowed[-1] if allowed else 0
-                    self.decl_int(cv, 0, hi,
-                                  ("choice", rule.name, bidx, ae.name))
+                    self.decl_int(cv, 0, hi)
                     for k in sorted(set(range(hi)) - set(allowed)):
                         self.asserts.append(f"(assert (not (= {cv} {k})))")
                     for c in {c for c, _ in slots}:
@@ -582,7 +571,7 @@ class Encoder:
         cases = []
         for pidx, pre in enumerate(pre_bindings):
             self.checkpoint()
-            sel = self.decl_bool(f"sel_{pidx}", ("select", pidx))
+            sel = self.decl_bool(f"sel_{pidx}")
             pre_term = self.binding_term(self.prop.precondition, self.src,
                                          pre)
             comp_refuted = []
@@ -606,7 +595,6 @@ class Encoder:
     def _post_components(self):
         """Postcondition split into connected components when their class
         sets are pairwise disjoint (so injectivity cannot couple them)."""
-        from .spec_ast import PatternGraph
         post = self.prop.postcondition
         parent = {e.name: e.name for e in post.elements}
 
@@ -657,7 +645,7 @@ class Encoder:
         lines += self.asserts
         lines += ["(check-sat)", "(get-model)", "(exit)"]
         return EncodedProblem(
-            "\n".join(lines), self.varmap, list(self.deferred),
+            "\n".join(lines), list(self.deferred),
             dict(self.src.slots), dict(self.tgt.slots),
             self.pre_bindings,
             {"firingVariables": self.n_firing_vars},
@@ -683,7 +671,6 @@ def decode_counterexample(model, problem, spec, transformation=None):
     """Rebuild (source model, target model, violated precondition binding)
     from a sat assignment."""
     enc = problem.metadata["encoder"]
-    t = transformation or spec.transformations[0]
 
     def truthy(name):
         return bool(model.get(name, False))

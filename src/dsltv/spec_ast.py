@@ -8,6 +8,7 @@ handed out.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -159,6 +160,22 @@ class AttrConstraint:
     attr: str
     op: str  # ==  !=  <  <=  >  >=
     value: object  # bool | int | str | EnumValue
+
+
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge}
+
+
+def compare(op, value, constant):
+    """Whether `value op constant` holds.  An ordered operator holds only
+    between ints (not bools); the parser allows it only on Int attributes."""
+    if op == "==":
+        return value == constant
+    if op == "!=":
+        return value != constant
+    if type(value) is not int or type(constant) is not int:
+        return False
+    return _ORDERED[op](value, constant)
 
 
 @dataclass(frozen=True)

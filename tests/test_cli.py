@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +99,27 @@ def test_parse_error_exits_three(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", str(bad)])
     assert exc.value.code == 3
+
+
+def test_duplicate_names_are_reported_in_declaration_order(tmp_path):
+    # set iteration order follows the hash seed; diagnostics must not
+    spec = tmp_path / "dup.dslt"
+    spec.write_text("metamodel M { class Alpha { } class Beta { } "
+                    "class Gamma { } class Alpha { } class Beta { } "
+                    "class Gamma { } }")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-m", "dsltv.cli", "check",
+                              str(spec)], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 3
+        outputs.append(run.stderr)
+    assert outputs[0] == outputs[1]
+    names = [line.split("duplicate class ")[1].split("'")[1]
+             for line in outputs[0].splitlines()]
+    assert names == ["Alpha", "Beta", "Gamma"]
 
 
 def test_usage_error_exits_three(capsys):

@@ -154,6 +154,17 @@ def test_binding_ceiling_gives_unknown_rows():
     assert doc[0]["sweep"]["offsets"][3]["reason"].startswith("ceiling: ")
 
 
+def test_sweep_rows_stop_at_the_deadline_while_encoding(kboundary_spec):
+    # the deadline passes long before the encoder's first checkpoint, so
+    # every row stops inside the encoding instead of after it
+    config = VerificationConfig(timeout_seconds=1e-6)
+    for prop in kboundary_spec.properties:
+        sweep = uniform_sweep(kboundary_spec, prop, config)
+        assert [st for _, st, _ in sweep.rows] == [UNKNOWN] * 7, prop.name
+        assert set(sweep.reasons.values()) == {
+            "timeout: deadline reached while encoding"}, prop.name
+
+
 @pytest.mark.parametrize("name", ["kboundary_tight.dslt",
                                   "corpus/c04_inherit.dslt", "uml2java.dslt"])
 def test_verify_kboundary_and_cutoff_agree(name, capsys):

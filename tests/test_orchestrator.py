@@ -1,8 +1,10 @@
+import json
 import time
 
 from conftest import load_spec
-from oracle import oracle_verdict
+from oracle import oracle_verdict, source_bounds_for
 
+from dsltv import cli
 from dsltv.cutoff import RelevanceMode, relevant_rules
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import InstanceModel, validate_conformance
@@ -307,3 +309,51 @@ def test_link_only_rule_is_relevant_in_every_mode():
                 result = execute(t, source, spec)
                 assert not check_property_concrete(prop, source, result,
                                                    spec).holds
+
+
+
+THREE_METAMODELS = """
+metamodel A { class X { } }
+metamodel B { class Y { } }
+metamodel C { class Z { } }
+"""
+AB = """
+transformation ab : A -> B {
+    layer L { rule X2Y { match { x : X } apply { y : Y } } }
+}
+"""
+AC = """
+transformation ac : A -> C {
+    layer L { rule X2Z { match { x : X } apply { z : Z } } }
+}
+"""
+
+
+def test_transformation_is_the_one_matching_the_property(tmp_path, capsys):
+    # the empty precondition leaves only the target side to choose by
+    spec = parse_spec(THREE_METAMODELS + AB + AC + """
+property SomeZ_ShouldFail {
+    precondition { }
+    postcondition { any z : Z }
+}
+""", "inline")
+    prop = spec.property("SomeZ_ShouldFail")
+    assert plan_property(spec, prop, VerificationConfig()).t.name == "ac"
+    assert verify_property(spec, prop).status == VIOLATED
+    bounds, t = source_bounds_for(spec, prop,
+                                  RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+    assert oracle_verdict(spec, prop, bounds, t) == VIOLATED
+
+    # no transformation serves A -> B: UNKNOWN, not a traceback
+    text = THREE_METAMODELS + AC + """
+property XHasY { precondition { x : X } postcondition { any y : Y } }
+"""
+    spec = parse_spec(text, "inline")
+    verdict = verify_property(spec, spec.property("XHasY"))
+    assert (verdict.status, verdict.reason) == (UNKNOWN, "fragment")
+    assert "0 transformations" in verdict.detail
+    path = tmp_path / "no_ab.dslt"
+    path.write_text(text)
+    assert cli.main(["cutoff", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["XHasY"]["reason"] == "fragment"

@@ -1,9 +1,9 @@
 import glob
 import os
 
-from dsltv.parser import parse_spec, parse_spec_file
+from dsltv.parser import COMPARISON_OPS, parse_spec, parse_spec_file
 from dsltv.printer import print_spec
-from dsltv.spec_ast import AttrBinding, EnumValue
+from dsltv.spec_ast import AttrBinding, EnumValue, compare
 
 from conftest import FIXTURES
 
@@ -160,3 +160,22 @@ transformation t : M -> N {
 }
 """)
     assert "trace" in msg.lower()
+
+
+def test_compare_orders_only_ints():
+    t, f = True, False
+    a, b = EnumValue("K", "A"), EnumValue("K", "B")
+    # value, constant, results for ==  !=  <  <=  >  >=
+    table = [(2, 3, (f, t, t, t, f, f)),
+             (3, 3, (t, f, f, t, f, t)),
+             (4, 3, (f, t, f, f, t, t)),
+             (False, True, (f, t, f, f, f, f)),
+             (True, True, (t, f, f, f, f, f)),
+             ("a", "b", (f, t, f, f, f, f)),
+             ("b", "b", (t, f, f, f, f, f)),
+             (a, b, (f, t, f, f, f, f)),
+             (b, b, (t, f, f, f, f, f))]
+    assert COMPARISON_OPS == ("==", "!=", "<", "<=", ">", ">=")
+    for value, constant, expected in table:
+        assert tuple(compare(op, value, constant)
+                     for op in COMPARISON_OPS) == expected, (value, constant)
