@@ -19,7 +19,7 @@ from .abstraction import synthesize_abstraction, validate_abstraction
 from .cutoff import FragmentKind, RelevanceMode, cutoff_report
 from .fragments import check_flnr, check_gbpp
 from .kboundary import BoundsLab, emit_report, results_json
-from .model import dump_model, load_model
+from .model import dump_model, load_model, validate_conformance
 from .orchestrator import UNKNOWN, PlanRejected, VerificationConfig, \
     plan_property, verify_all
 from .parser import parse_spec_file
@@ -92,6 +92,9 @@ def build_parser():
     p.add_argument("--model", required=True, help="source model JSON")
     p.add_argument("--out", required=True, help="target model JSON path")
     p.add_argument("--log", help="write the firing log (NDJSON) here")
+    p.add_argument("--transformation", metavar="NAME",
+                   help="the transformation to execute; required when the "
+                        "spec declares more than one")
 
     p = add("abstract", "synthesize a finite-domain proof specification")
     p.add_argument("--out", required=True, help="proof spec path (.dslt); "
@@ -206,6 +209,20 @@ def _selected_properties(spec, names):
     return out
 
 
+def _chosen_transformation(spec, name):
+    """The transformation named, or the spec's only one when none is."""
+    if name is None and len(spec.transformations) == 1:
+        return spec.transformations[0]
+    for t in spec.transformations:
+        if t.name == name:
+            return t
+    names = ", ".join(t.name for t in spec.transformations) or "none"
+    problem = "give --transformation" if name is None else \
+        f"no transformation named {name!r}"
+    print(f"error: {problem}; the spec declares {names}", file=sys.stderr)
+    sys.exit(EXIT_USAGE)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -283,7 +300,16 @@ def cmd_run(args):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t = spec.transformations[0]
+    t = _chosen_transformation(spec, args.transformation)
+    try:
+        problems = [v.message for v in validate_conformance(
+            source, spec.metamodel(t.source)).violations]
+    except KeyError as exc:  # a class or association the metamodel lacks
+        problems = [exc.args[0]]
+    if problems:
+        print(f"error: the model does not conform to {t.source}:",
+              *problems[:5], sep="\n  ", file=sys.stderr)
+        return EXIT_USAGE
     result = execute(t, source, spec)
     with open(args.out, "w") as fh:
         fh.write(dump_model(result.target))

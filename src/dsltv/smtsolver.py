@@ -5,7 +5,11 @@ variable must have derivable lower and upper bounds from the asserted
 constraints (the encoder always asserts them).  Integers are grounded with a
 one-hot boolean encoding, formulas are Tseitin-transformed to CNF, and a
 small CDCL search (watched literals, first-UIP learning, VSIDS, restarts)
-decides satisfiability.  Literal values and watch lists are lists indexed
+decides satisfiability.  Grounding compiles each distinct comparison atom
+over two tokens once and reuses its literal; gates are shared by their
+sorted inputs, and binary clauses are ordered without the set and sort of
+the general clause path.  None of this changes the CNF: a repeated atom would
+only find its gates again.  Literal values and watch lists are lists indexed
 directly by the signed literal, and VSIDS picks its decision variable from a
 lazy binary heap that is rebuilt whenever it holds more than 2n entries; see
 ``Solver``.
@@ -122,6 +126,14 @@ class Cnf:
         return self.nvars
 
     def add(self, clause):
+        """Append ``clause`` without repeated literals, ordered by variable;
+        drop it if it is a tautology."""
+        if len(clause) == 2:          # the common case, without set and sort
+            a, b = clause
+            if a != -b:
+                self.clauses.append([a] if a == b else
+                                    [a, b] if abs(a) < abs(b) else [b, a])
+            return
         lits = set(clause)
         for lit in lits:
             if -lit in lits:
@@ -384,40 +396,32 @@ class Solver:
 # ---------------------------------------------------------------------------
 
 class Circuit:
-    TRUE = "true"
-    FALSE = "false"
-
     def __init__(self):
         self.cnf = Cnf()
         self.const_true = self.cnf.new_var()
         self.cnf.add([self.const_true])
         self.cache = {}
 
-    def lit_true(self):
-        return self.const_true
-
-    def lit_false(self):
-        return -self.const_true
-
     def var(self):
         return self.cnf.new_var()
 
     def and_(self, lits):
-        lits = [l for l in lits if l != self.const_true]
-        if any(l == -self.const_true for l in lits):
-            return self.lit_false()
-        if not lits:
-            return self.lit_true()
-        if len(lits) == 1:
-            return lits[0]
-        key = ("and", tuple(sorted(lits)))
-        if key in self.cache:
-            return self.cache[key]
-        out = self.var()
-        for l in lits:
-            self.cnf.add([-out, l])
-        self.cnf.add([out] + [-l for l in lits])
-        self.cache[key] = out
+        """Literal of the conjunction of ``lits``: one gate variable per
+        distinct sorted tuple of its inputs, shared through ``cache``."""
+        true = self.const_true
+        if true in lits:
+            lits = [l for l in lits if l != true]
+        if -true in lits:
+            return -true
+        if len(lits) < 2:
+            return lits[0] if lits else true
+        key = tuple(sorted(lits))
+        out = self.cache.get(key)
+        if out is None:
+            out = self.cache[key] = self.var()
+            # out is newer than every input, so [l, -out] is already sorted
+            self.cnf.clauses += [[l, -out] for l in lits]
+            self.cnf.add([out] + [-l for l in lits])
         return out
 
     def or_(self, lits):
@@ -442,8 +446,10 @@ class SmtScript:
     def __init__(self):
         self.sorts = {}        # name -> "Bool" | "Int"
         self.assertions = []
-        self.stack = []        # for push/pop: saved assertion lengths
-        self.produce_models = False
+        # one [assertion count, levels] per (push n): the n levels it opens
+        # all start from that count
+        self.stack = []
+        self._model = None
 
     def run(self, forms, out=sys.stdout):
         for form in forms:
@@ -453,6 +459,9 @@ class SmtScript:
             if head in ("set-logic", "set-info", "set-option"):
                 continue
             if head in ("declare-const", "declare-fun"):
+                arity = 3 if head == "declare-const" else 4
+                if len(form) != arity or form[1].__class__ is not str:
+                    raise SmtError(f"malformed {head}: {form!r}")
                 name = form[1]
                 sort = form[-1]
                 if head == "declare-fun" and form[2] != []:
@@ -461,11 +470,26 @@ class SmtScript:
                     raise SmtError(f"unsupported sort {sort!r}")
                 self.sorts[name] = sort
             elif head == "assert":
+                if len(form) != 2:
+                    raise SmtError(f"assert takes one term: {form!r}")
                 self.assertions.append(form[1])
             elif head == "push":
-                self.stack.append(len(self.assertions))
+                n = _levels(form)
+                if n:
+                    self.stack.append([len(self.assertions), n])
             elif head == "pop":
-                self.assertions = self.assertions[:self.stack.pop()]
+                n = _levels(form)
+                depth = sum(levels for _, levels in self.stack)
+                if n > depth:
+                    raise SmtError(f"cannot pop {n} of {depth} levels")
+                while n:
+                    top = self.stack[-1]
+                    k = min(n, top[1])
+                    n -= k
+                    top[1] -= k
+                    del self.assertions[top[0]:]
+                    if not top[1]:
+                        self.stack.pop()
             elif head == "check-sat":
                 self.last = self.check(out)
             elif head == "get-model":
@@ -489,10 +513,6 @@ class SmtScript:
         def note_hi(name, v):
             hi[name] = min(hi.get(name, v), v) if name in hi else v
 
-        def is_int(tok):
-            return isinstance(tok, str) and \
-                (tok.lstrip("-").isdigit() if tok else False)
-
         todo = list(self.assertions)
         while todo:
             e = todo.pop()
@@ -503,8 +523,9 @@ class SmtScript:
                 todo.extend(e[1:])
             elif head in ("<=", "<", ">=", ">", "=") and len(e) == 3:
                 a, b = e[1], e[2]
-                if is_int(a) and isinstance(b, str) and b in self.sorts:
-                    v = int(a)
+                va, vb = _numeral(a), _numeral(b)
+                if va is not None and isinstance(b, str) and b in self.sorts:
+                    v = va
                     if head in ("<=",):
                         note_lo(b, v)
                     elif head == "<":
@@ -516,8 +537,8 @@ class SmtScript:
                     elif head == "=":
                         note_lo(b, v)
                         note_hi(b, v)
-                elif is_int(b) and isinstance(a, str) and a in self.sorts:
-                    v = int(b)
+                elif vb is not None and isinstance(a, str) and a in self.sorts:
+                    v = vb
                     if head == "<=":
                         note_hi(a, v)
                     elif head == "<":
@@ -556,11 +577,12 @@ class SmtScript:
             self.domains[name] = list(values)
             lits = {v: circuit.var() for v in values}
             onehot[name] = lits
-            circuit.cnf.add(list(lits.values()))
             vs = list(lits.values())
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    circuit.cnf.add([-vs[i], -vs[j]])
+            circuit.cnf.add(vs)
+            # vs ascends, so each pair is already ordered by variable
+            circuit.cnf.clauses += [[-vs[i], -vs[j]]
+                                    for i in range(len(vs))
+                                    for j in range(i + 1, len(vs))]
 
         grounding = _Grounding(circuit, self.sorts, bool_vars, onehot,
                                self.domains)
@@ -614,16 +636,20 @@ class _Grounding:
         self.bool_vars = bool_vars
         self.onehot = onehot          # int var -> {value: sat literal}
         self.domains = domains        # int var -> list of values
+        self.atoms = {}               # (op, token, token) -> literal
 
     def int_operands(self, e):
         """Collect (variable names, constant offset factor) for a linear
         term; supports var, constant, +, -, * by constant."""
         if isinstance(e, str):
-            if e.lstrip("-").isdigit():
-                return [], int(e)
+            value = _numeral(e)
+            if value is not None:
+                return [], value
             if self.sorts.get(e) == "Int":
                 return [(e, 1)], 0
             raise SmtError(f"not an Int term: {e!r}")
+        if not e:
+            raise SmtError("empty Int term ()")
         head = e[0]
         if head == "+":
             vs, c = [], 0
@@ -633,6 +659,8 @@ class _Grounding:
                 c += c2
             return vs, c
         if head == "-":
+            if len(e) < 2:
+                raise _arity_error(e, "at least 1 operand")
             if len(e) == 2:
                 vs, c = self.int_operands(e[1])
                 return [(n, -k) for n, k in vs], -c
@@ -644,9 +672,9 @@ class _Grounding:
             return vs, c
         if head == "*" and len(e) == 3:
             for a, b in ((e[1], e[2]), (e[2], e[1])):
-                if isinstance(a, str) and a.lstrip("-").isdigit():
+                k = _numeral(a)
+                if k is not None:
                     vs, c = self.int_operands(b)
-                    k = int(a)
                     return [(n, f * k) for n, f in vs], c * k
         if head == "ite":
             raise SmtError("ite over Int not supported")
@@ -654,7 +682,20 @@ class _Grounding:
 
     def atom_lit(self, op, left, right):
         """Comparison atom over linear Int terms, compiled by enumerating
-        the involved variables' finite domains."""
+        the involved variables' finite domains.
+
+        An atom over two tokens is compiled once and its literal kept in
+        ``atoms``.  Compiling it again would only find every gate in
+        ``circuit.cache``, so the memo leaves the CNF as it was."""
+        if left.__class__ is str and right.__class__ is str:
+            key = (op, left, right)
+            lit = self.atoms.get(key)
+            if lit is None:
+                lit = self.atoms[key] = self._compile_atom(op, left, right)
+            return lit
+        return self._compile_atom(op, left, right)
+
+    def _compile_atom(self, op, left, right):
         lvs, lc = self.int_operands(left)
         rvs, rc = self.int_operands(right)
         terms = {}
@@ -693,39 +734,30 @@ class _Grounding:
 
     def compile_bool(self, e):
         circuit = self.circuit
-        if e == "true":
-            return circuit.lit_true()
-        if e == "false":
-            return circuit.lit_false()
-        if isinstance(e, str):
-            if e in self.bool_vars:
-                return self.bool_vars[e]
-            raise SmtError(f"unknown Bool term {e!r}")
+        if e.__class__ is str:
+            if e == "true":
+                return circuit.const_true
+            if e == "false":
+                return -circuit.const_true
+            lit = self.bool_vars.get(e)
+            if lit is None:
+                raise SmtError(f"unknown Bool term {e!r}")
+            return lit
+        if not e:
+            raise SmtError("empty term ()")
         compile_bool = self.compile_bool
         head = e[0]
         if head == "and":
             return circuit.and_([compile_bool(x) for x in e[1:]])
-        if head == "or":
-            return circuit.or_([compile_bool(x) for x in e[1:]])
-        if head == "not":
-            return -compile_bool(e[1])
-        if head == "=>":
-            lits = [compile_bool(x) for x in e[1:]]
-            out2 = lits[-1]
-            for l in reversed(lits[:-1]):
-                out2 = circuit.or_([-l, out2])
-            return out2
-        if head == "xor":
-            out2 = compile_bool(e[1])
-            for x in e[2:]:
-                out2 = -circuit.iff(out2, compile_bool(x))
-            return out2
-        if head == "ite":
-            return circuit.ite(compile_bool(e[1]), compile_bool(e[2]),
-                               compile_bool(e[3]))
-        if head in ("<=", "<", ">=", ">"):
-            return self.atom_lit(head, e[1], e[2])
-        if head in ("=", "distinct"):
+        if head == "=" or head == "distinct":
+            if len(e) < 3:
+                raise _arity_error(e, "at least 2 operands")
+            if len(e) == 3 and e[1].__class__ is str and \
+                    e[2].__class__ is str:
+                # an Int atom seen before needs no sort test
+                eq = self.atoms.get(("=", e[1], e[2]))
+                if eq is not None:
+                    return eq if head == "=" else -eq
             args = e[1:]
             if self.is_bool_term(args[0]):
                 lits = [compile_bool(x) for x in args]
@@ -735,12 +767,45 @@ class _Grounding:
                         eq = circuit.iff(lits[i], lits[j])
                         pairs.append(eq if head == "=" else -eq)
                 return circuit.and_(pairs)
+            if len(args) == 2:            # and_ of one literal is itself
+                eq = self.atom_lit("=", args[0], args[1])
+                return eq if head == "=" else -eq
             pairs = []
             for i in range(len(args) - 1):
                 for j in range(i + 1, len(args)):
                     eq = self.atom_lit("=", args[i], args[j])
                     pairs.append(eq if head == "=" else -eq)
             return circuit.and_(pairs)
+        if head == "not":
+            if len(e) != 2:
+                raise _arity_error(e, "1 operand")
+            return -compile_bool(e[1])
+        if head == "or":
+            return -circuit.and_([-compile_bool(x) for x in e[1:]])
+        if head == "=>":
+            if len(e) < 3:
+                raise _arity_error(e, "at least 2 operands")
+            lits = [compile_bool(x) for x in e[1:]]
+            out2 = lits[-1]
+            for l in reversed(lits[:-1]):
+                out2 = circuit.or_([-l, out2])
+            return out2
+        if head == "xor":
+            if len(e) < 3:
+                raise _arity_error(e, "at least 2 operands")
+            out2 = compile_bool(e[1])
+            for x in e[2:]:
+                out2 = -circuit.iff(out2, compile_bool(x))
+            return out2
+        if head == "ite":
+            if len(e) != 4:
+                raise _arity_error(e, "3 operands")
+            return circuit.ite(compile_bool(e[1]), compile_bool(e[2]),
+                               compile_bool(e[3]))
+        if head in ("<=", "<", ">=", ">"):
+            if len(e) != 3:
+                raise _arity_error(e, "2 operands")
+            return self.atom_lit(head, e[1], e[2])
         raise SmtError(f"unsupported operator {head!r}")
 
     def is_bool_term(self, e):
@@ -748,8 +813,30 @@ class _Grounding:
             return True
         if isinstance(e, str):
             return self.sorts.get(e) == "Bool"
-        return e[0] in ("and", "or", "not", "=>", "xor", "ite", "=",
-                        "distinct", "<=", "<", ">=", ">")
+        return bool(e) and e[0] in ("and", "or", "not", "=>", "xor", "ite",
+                                    "=", "distinct", "<=", "<", ">=", ">")
+
+
+def _levels(form):
+    """The level count n of (push n) or (pop n); 1 when n is left out."""
+    if len(form) == 1:
+        return 1
+    n = _numeral(form[1]) if len(form) == 2 else None
+    if n is not None and n >= 0:
+        return n
+    raise SmtError(f"{form[0]} takes one numeral: {form!r}")
+
+
+def _numeral(tok):
+    """The value of an integer token such as "3" or "-3", else None."""
+    if tok.__class__ is not str:
+        return None
+    digits = tok[1:] if tok[:1] == "-" else tok
+    return int(tok) if digits.isascii() and digits.isdigit() else None
+
+
+def _arity_error(e, expected):
+    return SmtError(f"{e[0]} takes {expected}: {e!r}")
 
 
 def solve_text(text, out=sys.stdout):

@@ -185,6 +185,43 @@ def test_run_writes_target_and_log(tmp_path, capsys):
     assert log and log[0]["rule"] == "Source2TypeDecl"
 
 
+TWO_TRANSFORMATIONS = """
+metamodel MA { class A { } }
+metamodel MB { class B { } }
+metamodel MC { class C { } }
+transformation ab : MA -> MB {
+    layer L { rule R { match { any a : A } apply { b : B } } }
+}
+transformation ac : MA -> MC {
+    layer L { rule R { match { any a : A } apply { c : C } } }
+}
+"""
+
+
+def test_run_executes_the_named_transformation(tmp_path, capsys):
+    spec = tmp_path / "two.dslt"
+    spec.write_text(TWO_TRANSFORMATIONS)
+    model = tmp_path / "in.json"
+    model.write_text(json.dumps({"elements": [{"id": "a1", "type": "A"}],
+                                 "links": [], "traces": []}))
+    out = tmp_path / "out.json"
+    argv = ["run", str(spec), "--model", str(model), "--out", str(out)]
+    assert main([*argv, "--transformation", "ac"]) == 0
+    assert [e.klass for e in load_model(out.read_text()).elements] == ["C"]
+    for extra in ([], ["--transformation", "ad"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == 3
+        assert "ab, ac" in capsys.readouterr().err
+    # a model outside the source metamodel is refused, not executed
+    model.write_text(json.dumps({"elements": [{"id": "b1", "type": "B"}],
+                                 "links": [], "traces": []}))
+    out.unlink()
+    assert main([*argv, "--transformation", "ab"]) == 3
+    assert "unknown class 'B'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_abstract_writes_proof_spec(tmp_path, capsys):
     spec = tmp_path / "inf.dslt"
     spec.write_text("""
@@ -256,7 +293,8 @@ def test_every_flag_is_read(tmp_path, monkeypatch, capsys):
         "check": ["check", KB],
         "cutoff": ["cutoff", KB, *one],
         "verify": ["verify", KB, *one],
-        "run": ["run", KB, "--model", str(model), "--out", out],
+        "run": ["run", KB, "--model", str(model), "--out", out,
+                "--transformation", "srck2tgtk"],
         "abstract": ["abstract", KB, "--out", out],
         "kboundary": ["kboundary", KB, *one, "--out", out],
     }

@@ -104,6 +104,64 @@ def test_push_pop_scoping():
     assert out.split() == ["unsat", "sat"]
 
 
+def test_push_and_pop_move_n_levels():
+    out = _solve("""
+(declare-const x Bool)
+(assert x)
+(push 1)
+(assert (not x))
+(push 1)
+(pop 2)
+(check-sat)
+(push 3)
+(assert (not x))
+(pop 1)
+(check-sat)
+(push 0)
+(pop 0)
+(check-sat)
+""")
+    assert out.split() == ["sat", "sat", "sat"]
+
+
+def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
+    scripts = [
+        "(pop 1)",
+        "(push 1) (pop 2)",
+        "(push -1)",
+        "(push x)",
+        "(assert)",
+        "(assert true true)",
+        "(declare-const)",
+        "(declare-fun f)",
+        "(declare-const (a) Bool)",
+        "(declare-const a Bool) (assert (ite a)) (check-sat)",
+        "(declare-const a Bool) (assert (not)) (check-sat)",
+        "(declare-const a Bool) (assert (=> a)) (check-sat)",
+        "(declare-const a Bool) (assert (xor)) (check-sat)",
+        "(declare-const a Bool) (assert (=)) (check-sat)",
+        "(assert ()) (check-sat)",
+        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
+        " (assert (<= x)) (check-sat)",
+        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
+        " (assert (= x (-))) (check-sat)",
+        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
+        " (assert (= x ())) (check-sat)",
+        "(declare-const x Int) (assert (<= --1 x)) (assert (<= x 2))"
+        " (check-sat)",
+    ]
+    for n, text in enumerate(scripts):
+        path = tmp_path / f"bad{n}.smt2"
+        path.write_text(text)
+        assert solver_main([str(path)]) == 1, text
+        assert capsys.readouterr().out.startswith("(error "), text
+
+
+def test_get_model_before_check_sat_is_an_error_line():
+    assert _solve("(declare-const a Bool)\n(get-model)\n").strip() == \
+        '(error "no model available")'
+
+
 def test_distinct_forces_order():
     out = _solve("""
 (declare-const x Int)
@@ -288,17 +346,224 @@ def test_solver_agrees_with_brute_force():
     assert 50 < sum(answers) < 350   # both answers are well represented
 
 
-def test_vsids_heap_stays_bounded(monkeypatch):
+class _RandomProblem:
+    """A random script over at most 3 Bools and 2 Ints with domains inside
+    [-2..3], using every operator the grounder accepts.  ``atoms`` keeps the
+    comparisons made so far, so later ones can repeat them."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bools = [f"b{i}" for i in range(rng.randint(0, 3))]
+        self.ints = {}
+        for i in range(rng.randint(0, 2)):
+            lo = rng.randint(-2, 3)
+            self.ints[f"x{i}"] = (lo, rng.randint(lo, 3))
+        self.atoms = []
+
+    def const(self):
+        n = self.rng.randint(-2, 3)
+        return str(n) if n >= 0 or self.rng.random() < 0.5 else ["-", str(-n)]
+
+    def int_term(self, depth):
+        rng = self.rng
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            if self.ints and rng.random() < 0.7:
+                return rng.choice(list(self.ints))
+            return self.const()
+        sub = [self.int_term(depth - 1) for _ in range(rng.randint(1, 3))]
+        if roll < 0.6:
+            return ["+", *sub]
+        if roll < 0.8:
+            return ["-", *sub[:2]]
+        k = str(rng.randint(-2, 3))
+        return ["*", k, sub[0]] if rng.random() < 0.5 else ["*", sub[0], k]
+
+    def atom(self, depth):
+        rng = self.rng
+        if self.atoms and rng.random() < 0.4:
+            op, *args = rng.choice(self.atoms)
+            return [op, *(args[::-1] if rng.random() < 0.5 else args)]
+        op = rng.choice(("=", "distinct", "<=", "<", ">=", ">"))
+        width = rng.choice((2, 2, 3)) if op in ("=", "distinct") else 2
+        # plain tokens are the atoms the grounder compiles only once
+        args = [self.int_term(0 if rng.random() < 0.6 else depth)
+                for _ in range(width)]
+        self.atoms.append([op, *args])
+        return [op, *args]
+
+    def bool_term(self, depth):
+        rng = self.rng
+        roll = rng.random()
+        if depth == 0 or roll < 0.25:
+            if self.bools and rng.random() < 0.6:
+                return rng.choice(self.bools)
+            if self.ints and rng.random() < 0.8:
+                return self.atom(1)
+            return rng.choice(("true", "false"))
+        if roll < 0.35 and (self.ints or not self.bools):
+            return self.atom(2)
+        op = rng.choice(("and", "or", "not", "=>", "xor", "ite", "=",
+                         "distinct"))
+        width = {"not": 1, "ite": 3}.get(op) or rng.randint(
+            1 if op in ("and", "or") else 2, 3)
+        return [op, *(self.bool_term(depth - 1) for _ in range(width))]
+
+    def bounds(self, x, lo, hi):
+        lo_s, hi_s = str(lo), str(hi)
+        shapes = [[["<=", lo_s, x], ["<=", x, hi_s]],
+                  [[">=", x, lo_s], [">=", hi_s, x]],
+                  [["<", str(lo - 1), x], [">", str(hi + 1), x]],
+                  [["and", ["<=", lo_s, x], ["<", x, str(hi + 1)]]]]
+        if lo == hi:
+            shapes.append([["=", x, lo_s]])
+        return self.rng.choice(shapes)
+
+    def assertions(self):
+        out = [b for x, (lo, hi) in self.ints.items()
+               for b in self.bounds(x, lo, hi)]
+        return out + [self.bool_term(3)
+                      for _ in range(self.rng.randint(1, 4))]
+
+    def assignments(self):
+        envs = [{}]
+        for b in self.bools:
+            envs = [{**env, b: v} for env in envs for v in (False, True)]
+        for x, (lo, hi) in self.ints.items():
+            envs = [{**env, x: v} for env in envs for v in range(lo, hi + 1)]
+        return envs
+
+    def script(self, assertions):
+        decls = [f"(declare-const {b} Bool)" for b in self.bools] + \
+            [f"(declare-const {x} Int)" for x in self.ints]
+        return "\n".join(decls + [f"(assert {_print_sexpr(a)})"
+                                  for a in assertions] +
+                         ["(check-sat)", "(get-model)"])
+
+
+def _int_value(e, env):
+    if isinstance(e, str):
+        return env[e] if e in env else int(e)
+    args = [_int_value(x, env) for x in e[1:]]
+    if e[0] == "+":
+        return sum(args)
+    if e[0] == "-":
+        return -args[0] if len(args) == 1 else args[0] - sum(args[1:])
+    assert e[0] == "*"
+    return args[0] * args[1]
+
+
+_COMPARE = {"<=": int.__le__, "<": int.__lt__, ">=": int.__ge__,
+            ">": int.__gt__}
+
+
+def _bool_value(e, env):
+    if isinstance(e, str):
+        return {"true": True, "false": False}.get(e, env.get(e))
+    op, args = e[0], e[1:]
+    if op in _COMPARE:
+        return _COMPARE[op](_int_value(args[0], env), _int_value(args[1], env))
+    if op in ("=", "distinct"):
+        first = args[0]
+        if isinstance(first, str):
+            is_bool = first in ("true", "false") or \
+                isinstance(env.get(first), bool)
+        else:
+            is_bool = first[0] not in ("+", "-", "*")
+        value = _bool_value if is_bool else _int_value
+        vals = [value(x, env) for x in args]
+        if op == "=":
+            return all(v == vals[0] for v in vals)
+        return len(set(vals)) == len(vals)
+    vals = [_bool_value(x, env) for x in args]
+    if op == "and":
+        return all(vals)
+    if op == "or":
+        return any(vals)
+    if op == "not":
+        return not vals[0]
+    if op == "=>":
+        out = vals[-1]
+        for v in reversed(vals[:-1]):
+            out = not v or out
+        return out
+    if op == "xor":
+        return sum(vals) % 2 == 1
+    assert op == "ite"
+    return vals[1] if vals[0] else vals[2]
+
+
+def test_grounding_agrees_with_brute_force():
+    rng = random.Random(20261018)
+    answers = []
+    for _ in range(300):
+        problem = _RandomProblem(rng)
+        assertions = problem.assertions()
+        text = problem.script(assertions)
+        expected = any(all(_bool_value(a, env) for a in assertions)
+                       for env in problem.assignments())
+        forms = parse_sexprs(_solve(text))
+        assert forms[0] == ("sat" if expected else "unsat"), text
+        if expected:
+            model = {}
+            for _, name, _, sort, value in forms[1][1:]:
+                if sort == "Bool":
+                    model[name] = value == "true"
+                else:           # a negative value is printed as (- n)
+                    model[name] = int(value) if isinstance(value, str) \
+                        else -int(value[1])
+            assert set(model) == set(problem.bools) | set(problem.ints)
+            assert all(_bool_value(a, model) for a in assertions), text
+        answers.append(expected)
+    assert 50 < sum(answers) < 250   # both answers are well represented
+
+
+def _stress_problem(k):
+    """stress.dslt / ContainedClsHasDecl encoded at uniform bound k."""
     spec = load_spec("stress.dslt")
     prop = spec.property("ContainedClsHasDecl")
     t = spec.transformations[0]
     src = flatten_inheritance_info(spec.metamodel(t.source))
     tgt = flatten_inheritance_info(spec.metamodel(t.target))
     bounds = PerClassBounds(
-        source={c: 5 for c in src if not src[c].abstract},
-        target={c: 5 for c in tgt if not tgt[c].abstract})
-    problem = encode(spec, prop, bounds, transformation=t)
+        source={c: k for c in src if not src[c].abstract},
+        target={c: k for c in tgt if not tgt[c].abstract})
+    return encode(spec, prop, bounds, transformation=t)
 
+
+# (CNF variables, CNF clauses, conflicts) of the stress ladder.  Grounding
+# that produces another CNF, or a search that takes another path, shows here
+# first: update these deliberately, with the reason, when either changes.
+STRESS_LADDER = {2: (194, 590, 21), 3: (580, 1999, 94), 4: (1485, 5548, 243)}
+
+
+def test_stress_ladder_cnf_and_search_are_pinned(monkeypatch):
+    seen = []
+
+    class Counting(Solver):
+        def __init__(self, cnf):
+            self.size = (cnf.nvars, len(cnf.clauses))
+            self.conflicts = 0
+            super().__init__(cnf)
+            seen.append(self)
+
+        def analyze(self, conflict):
+            self.conflicts += 1
+            return super().analyze(conflict)
+
+    monkeypatch.setattr(smtsolver, "Solver", Counting)
+    got = {}
+    for k in STRESS_LADDER:
+        seen.clear()
+        smtsolver.SmtScript().run(parse_sexprs(_stress_problem(k).text),
+                                  out=io.StringIO())
+        solver, = seen
+        got[k] = (*solver.size, solver.conflicts)
+    assert got == STRESS_LADDER
+
+
+def test_vsids_heap_stays_bounded(monkeypatch):
+    problem = _stress_problem(5)
     solvers = []
 
     class Recording(Solver):
