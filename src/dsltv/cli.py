@@ -68,10 +68,6 @@ def build_parser():
                        default=True)
         p.add_argument("--no-per-class", dest="per_class",
                        action="store_false")
-        p.add_argument("--lazy-closure", dest="lazy_closure",
-                       action="store_true", default=True)
-        p.add_argument("--eager-closure", dest="lazy_closure",
-                       action="store_false")
         p.add_argument("--dump-smt", metavar="DIR")
         p.add_argument("--budget", type=int, default=100_000,
                        help="largest per-class bound accepted")
@@ -109,8 +105,7 @@ def build_parser():
 
 # config-file keys: a switch is true or false and maps to its own flag or
 # to the flag that turns it off; a valued key passes its value to its flag
-_CONFIG_SWITCHES = {"per-class": "--no-per-class",
-                    "lazy-closure": "--eager-closure"}
+_CONFIG_SWITCHES = {"per-class": "--no-per-class"}
 _CONFIG_VALUES = ("timeout", "solver", "dependency-mode", "fragment",
                   "parallel", "budget", "format")
 
@@ -184,7 +179,6 @@ def _make_config(args):
             relevance_mode=RelevanceMode(args.dependency_mode),
             per_class=args.per_class,
             fragment_kind=FragmentKind(args.fragment),
-            lazy_closure=args.lazy_closure,
             cutoff_budget=args.budget,
             solver_command=[args.solver] if args.solver else None,
             dump_dir=args.dump_smt,

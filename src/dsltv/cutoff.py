@@ -138,7 +138,7 @@ def _property_demands(prop):
     return demands
 
 
-def relevant_rules(spec, prop, mode, transformation=None):
+def relevant_rules(spec, prop, mode, t):
     """Select the rules that can contribute to the property's postcondition.
 
     Legacy keeps every rule producing any postcondition target type.  The
@@ -147,7 +147,6 @@ def relevant_rules(spec, prop, mode, transformation=None):
     attribute-aware mode additionally drops producers whose literal apply
     bindings contradict the property's guards on the produced element.
     """
-    t = transformation or spec.transformations[0]
     src_info = flatten_inheritance_info(spec.metamodel(t.source))
     tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
     post_map = prop.postcondition.element_map()
@@ -236,9 +235,8 @@ def _mandatory_reachable(mm, classes):
     return out
 
 
-def cutoff_params(spec, prop, relevance, closure, transformation=None):
+def cutoff_params(spec, prop, relevance, closure, t):
     """Assemble the six theorem parameters for one property."""
-    t = transformation or spec.transformations[0]
     arities = [rule.arity() for _, rule in t.all_rules()
                if rule.name in relevance.relevant_rules]
     p = max(len(prop.precondition.elements), len(prop.postcondition.elements))
@@ -256,7 +254,7 @@ def cutoff_params(spec, prop, relevance, closure, transformation=None):
 # Per-class bounds (least fixed point)
 # ---------------------------------------------------------------------------
 
-def per_class_bounds(spec, prop, relevance, k, transformation=None,
+def per_class_bounds(spec, prop, relevance, k, t,
                      rule_names=None):
     """Least fixed point of per-class slot obligations, capped at k.
 
@@ -266,7 +264,6 @@ def per_class_bounds(spec, prop, relevance, k, transformation=None,
     bounded rule-firing counts.  `rule_names` restricts the producing rules
     (defaults to the relevant set).
     """
-    t = transformation or spec.transformations[0]
     src_mm = spec.metamodel(t.source)
     tgt_mm = spec.metamodel(t.target)
     src_info = flatten_inheritance_info(src_mm)
@@ -328,7 +325,7 @@ def per_class_bounds(spec, prop, relevance, k, transformation=None,
 # Fragment selection
 # ---------------------------------------------------------------------------
 
-def select_fragment(spec, prop, relevance, kind, transformation=None):
+def select_fragment(spec, prop, relevance, kind, t):
     """Ordered layer-index subset to verify.
 
     Minimal is the shortest layer prefix that holds, for every demanded
@@ -336,7 +333,6 @@ def select_fragment(spec, prop, relevance, kind, transformation=None):
     is the layers of all relevant rules plus their backward-closure layers.
     Full is every layer.
     """
-    t = transformation or spec.transformations[0]
     n = len(t.layers)
     if kind is FragmentKind.FULL:
         return tuple(range(n))

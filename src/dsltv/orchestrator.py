@@ -41,7 +41,6 @@ class VerificationConfig:
     relevance_mode: RelevanceMode = RelevanceMode.TRACE_ATTRIBUTE_AWARE
     per_class: bool = True
     fragment_kind: FragmentKind = FragmentKind.MINIMAL
-    lazy_closure: bool = True
     binding_ceiling: int = 200_000
     cutoff_budget: int = 100_000
     solver_command: list | None = None
@@ -222,18 +221,16 @@ class _PropertyRun:
         if per_class_max > self.config.cutoff_budget:
             return unknown("budget", f"bound {per_class_max} exceeds budget "
                                      f"{self.config.cutoff_budget}")
-        options = EncodeOptions(
-            lazy_closure=self.config.lazy_closure,
-            binding_ceiling=self.config.binding_ceiling,
-            layer_indices=fragment,
-            rule_names=plan.rule_names(fragment),
-        )
+        options = EncodeOptions(binding_ceiling=self.config.binding_ceiling,
+                                rule_names=plan.rule_names(fragment))
         try:
             problem = encode(plan.spec, plan.prop, bounds, options, plan.t,
                              self.deadline)
         except EncodingCeilingError as exc:
+            self.firing_variables += exc.firing_variables
             return unknown("ceiling", str(exc))
         except EncodingDeadlineError as exc:
+            self.firing_variables += exc.firing_variables
             return unknown("timeout", str(exc))
         self.firing_variables += problem.metadata["firingVariables"]
         if self.config.dump_dir:

@@ -70,27 +70,34 @@ from .spec_ast import (
 )
 
 
-class EncodingCeilingError(Exception):
+class _EncodingStopped(Exception):
+    """An encoding given up before it was finished; `firing_variables` is
+    the number of rule firings it had counted by then."""
+
+    def __init__(self, message, firing_variables=0):
+        super().__init__(message)
+        self.firing_variables = firing_variables
+
+
+class EncodingCeilingError(_EncodingStopped):
     """Raised when the rule firings or the emitted assertions exceed the
     configured ceiling."""
 
 
-class EncodingDeadlineError(Exception):
+class EncodingDeadlineError(_EncodingStopped):
     """Raised when encoding runs past the deadline it was given."""
 
 
 @dataclass
 class EncodeOptions:
-    lazy_closure: bool = True
     binding_ceiling: int = 200_000
-    layer_indices: tuple = None   # fragment; None = all layers
     rule_names: frozenset = None  # relevant subset; None = all rules
 
 
 @dataclass
 class EncodedProblem:
     text: str
-    deferred: list            # withheld lower-bound assertions (lazy closure)
+    deferred: list            # withheld source lower-bound assertions
     source_slots: dict        # class -> slot count (concrete classes)
     target_slots: dict
     pre_bindings: list        # the enumerated precondition bindings
@@ -203,13 +210,13 @@ def _cmp_atom(op, var, value):
 
 
 class Encoder:
-    def __init__(self, spec, prop, bounds, options, transformation=None,
+    def __init__(self, spec, prop, bounds, options, transformation,
                  deadline=None):
         self.spec = spec
         self.prop = prop
         self.options = options
         self.deadline = deadline  # time.monotonic() value, or None
-        self.t = transformation or spec.transformations[0]
+        self.t = transformation
         self.src_mm = spec.metamodel(self.t.source)
         self.tgt_mm = spec.metamodel(self.t.target)
         self.src_info = flatten_inheritance_info(self.src_mm)
@@ -272,15 +279,14 @@ class Encoder:
                     self._at_most(row, a.upper,
                                   f"up_{world.tag}_{a.name}_{cs}_{i}")
             # lower bounds: only meaningful on the source world, where the
-            # model is free; target structure is fixed by the rules
+            # model is free; target structure is fixed by the rules.  They
+            # are deferred: the solver adds them only when a model breaks one
             if a.lower >= 1 and world is self.src:
                 for cs, i in rows:
-                    target = self.deferred if self.options.lazy_closure \
-                        else self.asserts
                     row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
                     need = _or([_and(list(sub)) for sub in
                                 itertools.combinations(row, a.lower)])
-                    target.append(
+                    self.deferred.append(
                         f"(assert (=> {world.ex(cs, i)} {need}))")
         # ordered existence: each class's slots exist as a prefix (see the
         # module docstring)
@@ -323,9 +329,10 @@ class Encoder:
         if self.n_firing_vars > ceiling or emitted > ceiling:
             raise EncodingCeilingError(
                 f"encoding exceeded ceiling {ceiling} ({self.n_firing_vars} "
-                f"firings, {emitted} assertions)")
+                f"firings, {emitted} assertions)", self.n_firing_vars)
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise EncodingDeadlineError("deadline reached while encoding")
+            raise EncodingDeadlineError("deadline reached while encoding",
+                                        self.n_firing_vars)
 
     # -- pattern helpers -------------------------------------------------------
 
@@ -382,9 +389,6 @@ class Encoder:
     def active_rules(self):
         out = []
         for li, layer in enumerate(self.t.layers):
-            if self.options.layer_indices is not None \
-                    and li not in self.options.layer_indices:
-                continue
             for rule in layer.rules:
                 if self.options.rule_names is not None \
                         and rule.name not in self.options.rule_names:
@@ -652,11 +656,9 @@ class Encoder:
         )
 
 
-def encode(spec, prop, bounds, options=None, transformation=None,
-           deadline=None):
+def encode(spec, prop, bounds, options, transformation, deadline=None):
     """The problem text and decoding data; raises EncodingCeilingError or
     EncodingDeadlineError when the encoding outgrows its limits."""
-    options = options or EncodeOptions()
     enc = Encoder(spec, prop, bounds, options, transformation, deadline)
     problem = enc.encode()
     problem.metadata["encoder"] = enc

@@ -158,28 +158,25 @@ def _violated_deferred(problem, model, spec, transformation=None):
 
 def lazy_closure_loop(problem, timeout_seconds, spec, transformation=None,
                       solver_command=None):
-    """Solve with source lower-bound constraints deferred.
+    """Solve with the source lower-bound assertions deferred.
 
-    Whenever a sat model violates a mandatory lower bound, the withheld
-    assertions are added and the problem is re-solved.  Terminates on unsat,
-    a closure-clean model, or timeout.  Adding all deferred assertions at
-    once after the first violation keeps the loop to at most two rounds
-    while preserving the eager verdict.
+    When a sat model breaks a deferred lower bound, all of them are added
+    and the problem is solved once more, which gives the verdict of solving
+    with them from the start.  Returns the verdict and the number of such
+    rounds (0 or 1).
     """
     deadline = time.monotonic() + timeout_seconds
-    current = problem
-    rounds = 0
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return SolverVerdict("timeout"), rounds
-        verdict = run_solver(current, remaining, solver_command)
-        if verdict.status != "sat" or not current.deferred:
-            return verdict, rounds
-        violations = _violated_deferred(current, verdict.model, spec,
-                                        transformation)
-        if not violations:
-            return verdict, rounds
-        current = current.with_extra_assertions(current.deferred)
-        current.deferred = []
-        rounds += 1
+    verdict = _solve_by(problem, deadline, solver_command)
+    if verdict.status != "sat" or not problem.deferred \
+            or not _violated_deferred(problem, verdict.model, spec,
+                                      transformation):
+        return verdict, 0
+    closed = problem.with_extra_assertions(problem.deferred)
+    return _solve_by(closed, deadline, solver_command), 1
+
+
+def _solve_by(problem, deadline, solver_command):
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return SolverVerdict("timeout")
+    return run_solver(problem, remaining, solver_command)

@@ -446,8 +446,8 @@ class SmtScript:
     def __init__(self):
         self.sorts = {}        # name -> "Bool" | "Int"
         self.assertions = []
-        # one [assertion count, levels] per (push n): the n levels it opens
-        # all start from that count
+        # one [assertion count, declaration count, levels] per (push n):
+        # the n levels it opens all start from those counts
         self.stack = []
         self._model = None
 
@@ -468,6 +468,10 @@ class SmtScript:
                     raise SmtError("only zero-arity functions supported")
                 if sort not in ("Bool", "Int"):
                     raise SmtError(f"unsupported sort {sort!r}")
+                if name in self.sorts:
+                    # SMT-LIB forbids it, and pop could not restore the
+                    # shadowed sort
+                    raise SmtError(f"{name!r} is already declared")
                 self.sorts[name] = sort
             elif head == "assert":
                 if len(form) != 2:
@@ -476,19 +480,22 @@ class SmtScript:
             elif head == "push":
                 n = _levels(form)
                 if n:
-                    self.stack.append([len(self.assertions), n])
+                    self.stack.append([len(self.assertions), len(self.sorts),
+                                       n])
             elif head == "pop":
                 n = _levels(form)
-                depth = sum(levels for _, levels in self.stack)
+                depth = sum(levels for _, _, levels in self.stack)
                 if n > depth:
                     raise SmtError(f"cannot pop {n} of {depth} levels")
                 while n:
                     top = self.stack[-1]
-                    k = min(n, top[1])
+                    k = min(n, top[2])
                     n -= k
-                    top[1] -= k
+                    top[2] -= k
                     del self.assertions[top[0]:]
-                    if not top[1]:
+                    for name in list(self.sorts)[top[1]:]:
+                        del self.sorts[name]
+                    if not top[2]:
                         self.stack.pop()
             elif head == "check-sat":
                 self.last = self.check(out)
@@ -855,6 +862,9 @@ def main(argv=None):
         solve_text(text)
     except (SmtError, SmtSyntaxError) as e:
         print(f"(error \"{e}\")")
+        return 1
+    except RecursionError:
+        print("(error \"term nested too deeply\")")
         return 1
     return 0
 

@@ -43,9 +43,10 @@ def test_cutoff_exactness_reference_point(uml2java_b4):
     from dsltv.model import mandatory_closure
     prop = uml2java_b4.property("PropertyHasField")
     t = uml2java_b4.transformations[0]
-    rel = relevant_rules(uml2java_b4, prop, RelevanceMode.TRACE_AWARE)
+    rel = relevant_rules(uml2java_b4, prop, RelevanceMode.TRACE_AWARE, t)
     params = cutoff_params(uml2java_b4, prop, rel,
-                           mandatory_closure(uml2java_b4.metamodel(t.source)))
+                           mandatory_closure(uml2java_b4.metamodel(t.source)),
+                           t)
     assert params == CutoffParams(c=5, m=3, p=1, d=1, a=5, r=8)
     assert compute_cutoff(params).k == 102
 
@@ -163,64 +164,34 @@ _MIN, _BASE, _FULL = (FragmentKind.MINIMAL, FragmentKind.BASELINE,
 _LEG, _TR, _TRA = (RelevanceMode.LEGACY, RelevanceMode.TRACE_AWARE,
                    RelevanceMode.TRACE_ATTRIBUTE_AWARE)
 
-# (per_class, fragment_kind, relevance_mode, lazy_closure): every pair of
-# values of any two options occurs in some row, and the defaults occur with
-# both closure modes
+# (per_class, fragment_kind, relevance_mode): every per_class x fragment
+# combination at the default relevance, then each fragment with the two
+# other relevance modes, alternating per_class
 OPTION_ROWS = [
-    (True, _MIN, _TRA, True), (True, _MIN, _TRA, False),
-    (False, _MIN, _LEG, False), (False, _MIN, _TR, True),
-    (True, _BASE, _LEG, True), (True, _BASE, _TR, False),
-    (False, _BASE, _TRA, False), (True, _FULL, _LEG, False),
-    (False, _FULL, _TR, True), (False, _FULL, _TRA, True),
+    (True, _MIN, _TRA), (False, _MIN, _TRA), (True, _BASE, _TRA),
+    (False, _BASE, _TRA), (True, _FULL, _TRA), (False, _FULL, _TRA),
+    (True, _MIN, _LEG), (False, _MIN, _TR), (False, _BASE, _LEG),
+    (True, _BASE, _TR), (True, _FULL, _LEG), (False, _FULL, _TR),
 ]
 
 
 def test_option_pairs_agree(corpus):
-    values = [(True, False), tuple(FragmentKind), tuple(RelevanceMode),
-              (True, False)]
-    for i, j in itertools.combinations(range(4), 2):
+    values = [(True, False), tuple(FragmentKind), tuple(RelevanceMode)]
+    for i, j in itertools.combinations(range(3), 2):
         assert {(row[i], row[j]) for row in OPTION_ROWS} == \
             set(itertools.product(values[i], values[j])), (i, j)
-    default = VerificationConfig()
-    defaults = (default.per_class, default.fragment_kind,
-                default.relevance_mode)
-    assert {row[3] for row in OPTION_ROWS if row[:3] == defaults} == \
-        {True, False}
+    default = VerificationConfig().relevance_mode
+    assert {row[:2] for row in OPTION_ROWS if row[2] is default} == \
+        set(itertools.product(values[0], values[1]))
     for name, spec in corpus:
         for prop in spec.properties:
-            for per_class, fragment, mode, lazy in OPTION_ROWS:
+            for per_class, fragment, mode in OPTION_ROWS:
                 config = VerificationConfig(per_class=per_class,
                                             fragment_kind=fragment,
-                                            relevance_mode=mode,
-                                            lazy_closure=lazy)
+                                            relevance_mode=mode)
                 verdict = verify_property(spec, prop, config)
                 assert verdict.status == _expected(prop.name), \
-                    (name, prop.name, per_class, fragment, mode, lazy)
-
-
-def test_all_option_combinations_agree(corpus):
-    combos = list(itertools.product((True, False), tuple(FragmentKind)))
-    assert len(combos) == 6
-    for name, spec in corpus:
-        for prop in spec.properties:
-            expected = _expected(prop.name)
-            for per_class, fragment in combos:
-                config = VerificationConfig(per_class=per_class,
-                                            fragment_kind=fragment)
-                verdict = verify_property(spec, prop, config)
-                assert verdict.status == expected, \
-                    (name, prop.name, per_class, fragment)
-
-
-def test_lazy_and_eager_closure_agree(corpus):
-    for name, spec in corpus:
-        for prop in spec.properties:
-            lazy = verify_property(spec, prop,
-                                   VerificationConfig(lazy_closure=True))
-            eager = verify_property(spec, prop,
-                                    VerificationConfig(lazy_closure=False))
-            assert lazy.status == eager.status == _expected(prop.name), \
-                (name, prop.name)
+                    (name, prop.name, per_class, fragment, mode)
 
 
 # -- 8: refinement behavior -----------------------------------------------------

@@ -123,9 +123,10 @@ def test_duplicate_names_are_reported_in_declaration_order(tmp_path):
 
 
 def test_usage_error_exits_three(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", UML, "--fragment", "bogus"])
-    assert exc.value.code == 3
+    for bad in (["--fragment", "bogus"], ["--eager-closure"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", UML, *bad])
+        assert exc.value.code == 3, bad
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
@@ -142,22 +143,23 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
 
 def test_explicit_flags_win_over_config_file(tmp_path):
     cfg = tmp_path / "dsltv.cfg"
-    cfg.write_text("per-class = false\nlazy-closure = false\n"
+    cfg.write_text("per-class = false\nfragment = full\n"
                    "timeout = 5  # seconds\n")
     args = parse_args(["verify", UML, "--config", str(cfg)])
-    assert (args.per_class, args.lazy_closure, args.timeout) == \
-        (False, False, 5.0)
+    assert (args.per_class, args.fragment, args.timeout) == \
+        (False, "full", 5.0)
     # flags equal to their defaults still win over the file
     args = parse_args(["verify", UML, "--per-class", "--config", str(cfg),
-                       "--lazy-closure", "--timeout", "600"])
-    assert (args.per_class, args.lazy_closure, args.timeout) == \
-        (True, True, 600.0)
+                       "--fragment", "minimal", "--timeout", "600"])
+    assert (args.per_class, args.fragment, args.timeout) == \
+        (True, "minimal", 600.0)
 
 
 @pytest.mark.parametrize("line, key", [
     ("timout = 5", "timout"),
     ("dependency-mode = bogus", "--dependency-mode"),
     ("per-class = maybe", "per-class"),
+    ("lazy-closure = true", "lazy-closure"),
 ])
 def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, line, key):
     cfg = tmp_path / "dsltv.cfg"

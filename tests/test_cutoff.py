@@ -50,30 +50,32 @@ def _pipeline(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
     prop = spec.property(prop_name)
     t = spec.transformations[0]
     closure = mandatory_closure(spec.metamodel(t.source))
-    rel = relevant_rules(spec, prop, mode)
-    params = cutoff_params(spec, prop, rel, closure)
-    return prop, rel, params
+    rel = relevant_rules(spec, prop, mode, t)
+    params = cutoff_params(spec, prop, rel, closure, t)
+    return prop, rel, params, t
 
 
 def test_attribute_awareness_only_prunes(uml2java):
+    t = uml2java.transformations[0]
     for prop in uml2java.properties:
-        trace = relevant_rules(uml2java, prop, RelevanceMode.TRACE_AWARE)
+        trace = relevant_rules(uml2java, prop, RelevanceMode.TRACE_AWARE, t)
         attr = relevant_rules(uml2java, prop,
-                              RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+                              RelevanceMode.TRACE_ATTRIBUTE_AWARE, t)
         assert attr.relevant_rules <= trace.relevant_rules, prop.name
 
 
 def test_b4_pipeline_reproduces_reference_cutoff(uml2java_b4):
-    _, _, params = _pipeline(uml2java_b4, "PropertyHasField",
+    _, _, params, _ = _pipeline(uml2java_b4, "PropertyHasField",
                              RelevanceMode.TRACE_AWARE)
     assert params == CutoffParams(c=5, m=3, p=1, d=1, a=5, r=8)
     assert compute_cutoff(params).k == 102
 
 
 def test_per_class_bounds_cap_and_seed(uml2java):
-    prop, rel, params = _pipeline(uml2java, "PackageHasPackageDeclaration")
+    prop, rel, params, t = _pipeline(uml2java,
+                                     "PackageHasPackageDeclaration")
     k = compute_cutoff(params).k
-    bounds = per_class_bounds(uml2java, prop, rel, k)
+    bounds = per_class_bounds(uml2java, prop, rel, k, t)
     assert bounds.max_bound() == 2
     assert all(0 <= v <= k for v in bounds.source.values())
     assert all(0 <= v <= k for v in bounds.target.values())
@@ -86,14 +88,16 @@ def test_fragment_kinds_are_nested():
     for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
                                  recursive=True)):
         spec = load_spec(os.path.relpath(path, FIXTURES))
-        n_layers = len(spec.transformations[0].layers)
+        t = spec.transformations[0]
+        n_layers = len(t.layers)
         for prop, mode in itertools.product(spec.properties, RelevanceMode):
             where = (path, prop.name, mode)
-            rel = relevant_rules(spec, prop, mode)
-            minimal = select_fragment(spec, prop, rel, FragmentKind.MINIMAL)
+            rel = relevant_rules(spec, prop, mode, t)
+            minimal = select_fragment(spec, prop, rel, FragmentKind.MINIMAL,
+                                      t)
             baseline = select_fragment(spec, prop, rel,
-                                       FragmentKind.BASELINE)
-            full = select_fragment(spec, prop, rel, FragmentKind.FULL)
+                                       FragmentKind.BASELINE, t)
+            full = select_fragment(spec, prop, rel, FragmentKind.FULL, t)
             assert set(minimal) <= set(full), where
             assert set(baseline) <= set(full), where
             if rel.relevant_rules:
@@ -103,15 +107,15 @@ def test_fragment_kinds_are_nested():
                     mode is RelevanceMode.LEGACY and minimal == full), where
             assert tuple(full) == tuple(range(n_layers))
             if mode is not RelevanceMode.LEGACY:
-                t = spec.transformations[0]
                 assert baseline == tuple(sorted(
                     {t.rule_layer(r) for r in rel.relevant_rules})), where
 
 
 def test_cutoff_report_shape(uml2java):
-    prop, rel, params = _pipeline(uml2java, "PackageHasPackageDeclaration")
+    prop, rel, params, t = _pipeline(uml2java,
+                                     "PackageHasPackageDeclaration")
     k = compute_cutoff(params).k
-    per_class = per_class_bounds(uml2java, prop, rel, k)
+    per_class = per_class_bounds(uml2java, prop, rel, k, t)
     report = cutoff_report(params, compute_cutoff(params), per_class)
     assert report["params"] == {"c": params.c, "m": params.m, "p": params.p,
                                 "d": params.d, "a": params.a, "r": params.r,

@@ -124,6 +124,17 @@ def test_verdict_event_sums_firing_variables(cegar_spec):
     assert verdict.event("SourceHasWidget")["firingVariables"] == 3
 
 
+def test_ceiling_verdict_counts_its_firing_variables(uml2java):
+    prop = uml2java.property("OwnedPropertyHasOwnedField")
+    # uniform K=28: the world alone passes the ceiling at the first check
+    verdict = verify_property(uml2java, prop, VerificationConfig(
+        per_class=False, binding_ceiling=2000))
+    event = verdict.event(prop.name)
+    assert (event["status"], event["reason"]) == (UNKNOWN, "ceiling")
+    firings = int(event["detail"].split("(")[1].split(" firings")[0])
+    assert event["firingVariables"] == firings > 0
+
+
 def test_verdict_event_counts_closure_rounds():
     spec = load_spec("corpus/c06_mandatory.dslt")
     prop = spec.property("ChildHasPOut_ShouldFail")
@@ -131,9 +142,6 @@ def test_verdict_event_counts_closure_rounds():
     assert verdict.status == VIOLATED
     # the first model leaves a Child without its mandatory owner
     assert verdict.event(prop.name)["closureRounds"] == 1
-    eager = verify_property(spec, prop,
-                            VerificationConfig(lazy_closure=False))
-    assert eager.event(prop.name)["closureRounds"] == 0
 
 
 def test_verify_all_order_and_summary(uml2java):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import load_spec
 from oracle import oracle_verdict
 
 from dsltv.cutoff import PerClassBounds, RelevanceMode, compute_cutoff, \
@@ -12,7 +13,7 @@ from dsltv.cutoff import PerClassBounds, RelevanceMode, compute_cutoff, \
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import mandatory_closure, validate_conformance
 from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
-    verify_property
+    plan_property, verify_property
 from dsltv.parser import parse_spec, parse_spec_file
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
@@ -24,44 +25,44 @@ def _bounds(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
     prop = spec.property(prop_name)
     t = spec.transformations[0]
     closure = mandatory_closure(spec.metamodel(t.source))
-    rel = relevant_rules(spec, prop, mode)
-    k = compute_cutoff(cutoff_params(spec, prop, rel, closure)).k
-    return prop, per_class_bounds(spec, prop, rel, k)
+    rel = relevant_rules(spec, prop, mode, t)
+    k = compute_cutoff(cutoff_params(spec, prop, rel, closure, t)).k
+    return prop, per_class_bounds(spec, prop, rel, k, t), t
 
 
 def test_encoded_text_is_wellformed_smtlib(uml2java):
-    prop, bounds = _bounds(uml2java, "PackageHasPackageDeclaration")
-    problem = encode(uml2java, prop, bounds)
+    prop, bounds, t = _bounds(uml2java, "PackageHasPackageDeclaration")
+    problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
     assert problem.text.count("(check-sat)") == 1
     assert "(get-model)" in problem.text
     assert problem.source_slots["Package"] == bounds.source["Package"]
 
 
 def test_holding_property_is_unsat(uml2java):
-    prop, bounds = _bounds(uml2java, "PackageHasPackageDeclaration")
-    problem = encode(uml2java, prop, bounds)
+    prop, bounds, t = _bounds(uml2java, "PackageHasPackageDeclaration")
+    problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
     verdict, _ = lazy_closure_loop(problem, 60, uml2java)
     assert verdict.status == "unsat"
 
 
 def test_violated_property_decodes_to_confirmed_counterexample(uml2java):
-    prop, bounds = _bounds(uml2java,
-                           "ClassMappedToInterfaceDeclaration_ShouldFail")
-    problem = encode(uml2java, prop, bounds)
+    prop, bounds, t = _bounds(uml2java,
+                              "ClassMappedToInterfaceDeclaration_ShouldFail")
+    problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
     verdict, _ = lazy_closure_loop(problem, 60, uml2java)
     assert verdict.status == "sat"
     source, target, binding = decode_counterexample(verdict.model, problem,
                                                     uml2java)
     mm = uml2java.metamodel("UMLConcrete")
     assert validate_conformance(source, mm).conformant
-    result = execute(uml2java.transformations[0], source, uml2java)
+    result = execute(t, source, uml2java)
     assert not check_property_concrete(prop, source, result, uml2java).holds
 
 
 def test_binding_ceiling_raises(uml2java):
-    prop, bounds = _bounds(uml2java, "OwnedPropertyHasOwnedField")
+    prop, bounds, t = _bounds(uml2java, "OwnedPropertyHasOwnedField")
     with pytest.raises(EncodingCeilingError):
-        encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1))
+        encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1), t)
 
 
 # Few firings, many assertions: every link matrix entry of both worlds
@@ -87,12 +88,14 @@ def test_assertion_count_hits_the_ceiling():
     spec = parse_spec(WIDE_SPEC, "inline")
     assert not isinstance(spec, list), spec
     prop = spec.property("AHasB")
+    t = spec.transformations[0]
     assert encode(spec, prop, WIDE_BOUNDS,
-                  EncodeOptions(binding_ceiling=1000)).text
+                  EncodeOptions(binding_ceiling=1000), t).text
     with pytest.raises(EncodingCeilingError, match=r"\(4 firings, \d+ "):
-        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(binding_ceiling=20))
+        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(binding_ceiling=20), t)
     with pytest.raises(EncodingDeadlineError):
-        encode(spec, prop, WIDE_BOUNDS, deadline=time.monotonic())
+        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(), t,
+               deadline=time.monotonic())
 
 
 # Every A maps to an X with its XPart; only a flagged A also maps to a Y.
@@ -153,7 +156,8 @@ def test_class_disjoint_postcondition_is_split():
     t = spec.transformations[0]
     for prop in spec.properties:
         problem = encode(spec, prop, PerClassBounds(
-            source={"A": 2}, target={"X": 2, "XPart": 2, "Y": 2}))
+            source={"A": 2}, target={"X": 2, "XPart": 2, "Y": 2}),
+            EncodeOptions(), t)
         groups = problem.metadata["encoder"]._post_components()
         assert [sorted(e.name for e in g.elements) for g in groups] == \
             [["p", "x"], ["y"]], prop.name
@@ -172,19 +176,31 @@ def test_class_disjoint_postcondition_is_split():
 
 
 def test_lazy_closure_defers_lower_bounds(uml2java):
-    prop, bounds = _bounds(uml2java, "PackageHasPackageDeclaration")
-    lazy = encode(uml2java, prop, bounds, EncodeOptions(lazy_closure=True))
-    eager = encode(uml2java, prop, bounds, EncodeOptions(lazy_closure=False))
-    assert lazy.deferred and not eager.deferred
-    a, _ = lazy_closure_loop(lazy, 60, uml2java)
-    b, _ = lazy_closure_loop(eager, 60, uml2java)
-    assert a.status == b.status
+    # in its first fragment, the first model of the mandatory-owner
+    # property leaves a Child without its owner, so the loop adds the
+    # deferred lower bounds
+    c06 = load_spec("corpus/c06_mandatory.dslt")
+    cases = [(uml2java, "PackageHasPackageDeclaration", 0),
+             (c06, "ChildHasPOut_ShouldFail", 1)]
+    for spec, name, rounds in cases:
+        plan = plan_property(spec, spec.property(name), VerificationConfig())
+        problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+                         EncodeOptions(rule_names=plan.rule_names(
+                             plan.fragment)), plan.t)
+        deferred = list(problem.deferred)
+        assert deferred
+        assert not any(a in problem.text for a in deferred)
+        verdict, taken = lazy_closure_loop(problem, 60, spec, plan.t)
+        assert (verdict.status, taken) == (run_solver(
+            problem.with_extra_assertions(deferred), 60).status, rounds)
+        assert problem.deferred == deferred
 
 
 def test_run_solver_timeout_kills_child(uml2java):
-    prop, bounds = _bounds(uml2java, "OwnedPropertyHasOwnedField",
-                           RelevanceMode.LEGACY)
-    problem = encode(uml2java, prop, bounds, EncodeOptions(lazy_closure=False))
+    prop, bounds, t = _bounds(uml2java, "OwnedPropertyHasOwnedField",
+                              RelevanceMode.LEGACY)
+    problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
+    problem = problem.with_extra_assertions(problem.deferred)
     verdict = run_solver(problem, timeout_seconds=0.05)
     assert verdict.status in ("timeout", "sat", "unsat")
 
@@ -307,7 +323,8 @@ def _existing_slots(problem, model):
 
 def test_slot_symmetry_constraints_are_emitted():
     spec = _slot_spec()
-    problem = encode(spec, spec.property("PairHasEdge"), SLOT_BOUNDS)
+    problem = encode(spec, spec.property("PairHasEdge"), SLOT_BOUNDS,
+                     EncodeOptions(), spec.transformations[0])
     lines = problem.text.splitlines()
     # A2Node's choices span Leaf and Node slots (Leaf_0..5, Node_0..5):
     # the first creation may take only Leaf_0 (0) or Node_0 (6), so its
@@ -343,7 +360,7 @@ def test_slot_symmetry_breaking_agrees_with_oracle():
 
         # the same at explicit bounds with enough target slots for every
         # firing, where several creations compete for Node slots
-        problem = encode(spec, prop, SLOT_BOUNDS)
+        problem = encode(spec, prop, SLOT_BOUNDS, EncodeOptions(), t)
         verdict, _ = lazy_closure_loop(problem, 60, spec)
         assert verdict.status == ("sat" if expected == VIOLATED
                                   else "unsat"), prop.name
@@ -363,7 +380,8 @@ def test_slot_symmetry_breaking_agrees_with_oracle():
 def test_existing_target_slots_form_a_prefix():
     spec = _slot_spec()
     prop = spec.property("AHasLeaf_ShouldFail")
-    problem = encode(spec, prop, SLOT_BOUNDS)
+    problem = encode(spec, prop, SLOT_BOUNDS, EncodeOptions(),
+                     spec.transformations[0])
     # every source slot exists and every A is paired with every B, so all
     # eight creations fire and fill Node and Leaf slots
     declared = [line.split()[1] for line in problem.text.splitlines()
@@ -392,7 +410,7 @@ def test_at_most_counter_is_exact_on_small_rows():
     for n in range(6):
         for k in range(n + 1):
             enc = Encoder(spec, spec.property("AHasNode"), SLOT_BOUNDS,
-                          EncodeOptions())
+                          EncodeOptions(), spec.transformations[0])
             row = [enc.decl_bool(f"x{i}") for i in range(n)]
             enc._at_most(row, k, "c")
             registers = [d for d in enc.decls if " c_" in d]
@@ -479,7 +497,7 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
         assert oracle_verdict(spec, prop, {"Item": 1, "Tag": 4}) == want
         verdict = verify_property(spec, prop)
         assert verdict.status == want, (upper, prop.name)
-        problem = encode(spec, prop, TAG_BOUNDS)
+        problem = encode(spec, prop, TAG_BOUNDS, EncodeOptions(), t)
         solved, _ = lazy_closure_loop(problem, 60, spec)
         assert solved.status == ("sat" if want == VIOLATED else "unsat")
         sources = []
@@ -501,7 +519,8 @@ def test_upper_bound_encoding_grows_polynomially():
     spec = parse_spec_file(path)
     bounds = PerClassBounds(source={"Item": 16, "Tag": 16},
                             target={"ItemOut": 16})
-    problem = encode(spec, spec.property("ItemHasOut"), bounds)
+    problem = encode(spec, spec.property("ItemHasOut"), bounds,
+                     EncodeOptions(), spec.transformations[0])
     assertions = sum(1 for line in problem.text.splitlines()
                      if line.startswith("(assert"))
     # one clause per 4-subset of each 16-link row would be 16 * 1,820

@@ -16,7 +16,7 @@ from dsltv import smtsolver
 from dsltv.cli import main as cli_main
 from dsltv.cutoff import PerClassBounds
 from dsltv.inheritance import flatten_inheritance_info
-from dsltv.smtencode import encode
+from dsltv.smtencode import EncodeOptions, encode
 from dsltv.smtrun import default_solver_command, run_solver
 from dsltv.smtsolver import Cnf, Solver, SmtSyntaxError, parse_sexprs
 from dsltv.smtsolver import main as solver_main
@@ -124,6 +124,26 @@ def test_push_and_pop_move_n_levels():
     assert out.split() == ["sat", "sat", "sat"]
 
 
+def test_pop_drops_the_declarations_of_its_levels(tmp_path, capsys):
+    gone = tmp_path / "gone.smt2"
+    gone.write_text("(push 1)(declare-const a Bool)(pop 1)(assert a)"
+                    "(check-sat)")
+    assert solver_main([str(gone)]) == 1
+    assert capsys.readouterr().out.startswith("(error ")
+    out = _solve("(declare-const a Bool)(push 2)(declare-const b Bool)"
+                 "(pop 1)(declare-const c Bool)(pop 1)(assert a)"
+                 "(check-sat)")
+    assert out.split() == ["sat"]
+
+
+def test_deep_nesting_is_an_error_line(tmp_path, capsys):
+    deep = tmp_path / "deep.smt2"
+    deep.write_text("(declare-const a Bool)(assert " + "(not " * 1500 + "a"
+                    + ")" * 1501 + "(check-sat)")
+    assert solver_main([str(deep)]) == 1
+    assert capsys.readouterr().out == '(error "term nested too deeply")\n'
+
+
 def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
     scripts = [
         "(pop 1)",
@@ -135,6 +155,7 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         "(declare-const)",
         "(declare-fun f)",
         "(declare-const (a) Bool)",
+        "(declare-const a Bool) (push 1) (declare-const a Int)",
         "(declare-const a Bool) (assert (ite a)) (check-sat)",
         "(declare-const a Bool) (assert (not)) (check-sat)",
         "(declare-const a Bool) (assert (=> a)) (check-sat)",
@@ -528,7 +549,7 @@ def _stress_problem(k):
     bounds = PerClassBounds(
         source={c: k for c in src if not src[c].abstract},
         target={c: k for c in tgt if not tgt[c].abstract})
-    return encode(spec, prop, bounds, transformation=t)
+    return encode(spec, prop, bounds, EncodeOptions(), t)
 
 
 # (CNF variables, CNF clauses, conflicts) of the stress ladder.  Grounding
