@@ -165,7 +165,8 @@ _LEG, _TR, _TRA = (RelevanceMode.LEGACY, RelevanceMode.TRACE_AWARE,
                    RelevanceMode.TRACE_ATTRIBUTE_AWARE)
 
 # (per_class, fragment_kind, relevance_mode): every per_class x fragment
-# combination at the default relevance, then each fragment with the two
+# combination at the default relevance (run by
+# test_all_option_combinations_agree), then each fragment with the two
 # other relevance modes, alternating per_class
 OPTION_ROWS = [
     (True, _MIN, _TRA), (False, _MIN, _TRA), (True, _BASE, _TRA),
@@ -186,12 +187,28 @@ def test_option_pairs_agree(corpus):
     for name, spec in corpus:
         for prop in spec.properties:
             for per_class, fragment, mode in OPTION_ROWS:
+                if mode is default:
+                    continue
                 config = VerificationConfig(per_class=per_class,
                                             fragment_kind=fragment,
                                             relevance_mode=mode)
                 verdict = verify_property(spec, prop, config)
                 assert verdict.status == _expected(prop.name), \
                     (name, prop.name, per_class, fragment, mode)
+
+
+def test_all_option_combinations_agree(corpus):
+    combos = list(itertools.product((True, False), tuple(FragmentKind)))
+    assert len(combos) == 6
+    for name, spec in corpus:
+        for prop in spec.properties:
+            expected = _expected(prop.name)
+            for per_class, fragment in combos:
+                config = VerificationConfig(per_class=per_class,
+                                            fragment_kind=fragment)
+                verdict = verify_property(spec, prop, config)
+                assert verdict.status == expected, \
+                    (name, prop.name, per_class, fragment)
 
 
 # -- 8: refinement behavior -----------------------------------------------------
