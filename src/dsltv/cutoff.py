@@ -141,7 +141,8 @@ def _property_demands(prop):
 def relevant_rules(spec, prop, mode, t):
     """Select the rules that can contribute to the property's postcondition.
 
-    Legacy keeps every rule producing any postcondition target type.  The
+    Legacy keeps every rule producing any postcondition target type, and
+    the producers of every target type its backward links demand.  The
     trace-aware modes start from the property's demanded (source, target)
     trace pairs and close recursively through backward-link demands; the
     attribute-aware mode additionally drops producers whose literal apply
@@ -157,10 +158,11 @@ def relevant_rules(spec, prop, mode, t):
         if rule.name in retained:
             return
         retained[rule.name] = (li, rule)
-        if mode is not RelevanceMode.LEGACY:
-            # its backward links demand earlier-layer producers
-            worklist.extend((s_cls, t_cls, None, li)
-                            for s_cls, t_cls in rule.backward_classes())
+        # its backward links demand earlier-layer producers; legacy ignores
+        # the trace source of a demand
+        worklist.extend((None if mode is RelevanceMode.LEGACY else s_cls,
+                         t_cls, None, li)
+                        for s_cls, t_cls in rule.backward_classes())
 
     # a rule that links two backward-resolved apply elements with the
     # association of a postcondition link may create no element, so no

@@ -35,6 +35,19 @@ goes first because its renumbering permutes the firings, and with them the
 creation order that value precedence reads.  ``tests/test_smtencode.py``
 checks verdicts against the brute-force oracle with all three on.
 
+Each claim ``(and fr (= ch k))``, trace term and binding term is written
+once, as ``(define-fun d_n () Bool <body>)``, and every use refers to the
+name (Kodkod's subformula sharing, Torlak & Jackson, TACAS 2007).  The claim
+a backward case reads is the text of its creation's claim, so both get one
+name.  The definitions follow the declarations, and a body only refers to
+names made before it.  A defined name means its body, so verdicts cannot
+change; the text no longer repeats a claim in every ``exactly_one`` pair,
+trace term, backward case and apply link.  The bundled solver compiles a
+body at the name's first reference and reuses the literal.  Compiling the
+body again in place of a later reference would only find the gates made the
+first time, so the CNF is the one of the inlined text, clause for clause,
+and the search is unchanged.
+
 A postcondition whose connected components have pairwise disjoint concrete
 class sets is refuted one component at a time: injectivity cannot couple
 them, so a witness of the whole exists iff each component has one.
@@ -224,6 +237,8 @@ class Encoder:
         self.src = _World("s", self.src_mm, self.src_info, bounds.source)
         self.tgt = _World("t", self.tgt_mm, self.tgt_info, bounds.target)
         self.decls = []
+        self.defs = []
+        self.shared = {}          # Bool term text -> its defined name
         self.asserts = []
         self.deferred = []
         self.bool_vars = set()
@@ -247,6 +262,19 @@ class Encoder:
             if sparse is not None and list(sparse) != list(range(lo, hi + 1)):
                 self.asserts.append("(assert " + _or(
                     [f"(= {name} {v})" for v in sparse]) + ")")
+        return name
+
+    def share(self, term):
+        """A name for the Bool term ``term``: the first call with a compound
+        term defines a fresh name for it, and every later call with the same
+        text returns that name.  Names and constants come back as they
+        are."""
+        if not term.startswith("("):
+            return term
+        name = self.shared.get(term)
+        if name is None:
+            name = self.shared[term] = f"d_{len(self.shared)}"
+            self.defs.append(f"(define-fun {name} () Bool {term})")
         return name
 
     # -- world ---------------------------------------------------------------
@@ -382,7 +410,7 @@ class Encoder:
                     and is_subtype(world.info, ct, a.target)):
                 return "false"
             terms.append(world.ln(l.assoc, cs, i, ct, j))
-        return _and(terms)
+        return self.share(_and(terms))
 
     # -- rules ------------------------------------------------------------------
 
@@ -474,8 +502,8 @@ class Encoder:
                     cases = []
                     for fv2, cv2, slots2 in bw_cands.get(name, ()):
                         for k in range(len(slots2)):
-                            cases.append((_and([fv2, f"(= {cv2} {k})"]),
-                                          slots2[k]))
+                            cases.append((self.share(
+                                _and([fv2, f"(= {cv2} {k})"])), slots2[k]))
                     return cases
 
                 # claims: firing picks a distinct existing slot per fresh
@@ -487,7 +515,7 @@ class Encoder:
                         self.asserts.append(f"(assert (not {fv}))")
                         continue
                     for k, (c, j) in enumerate(slots):
-                        claim = _and([fv, f"(= {cv} {k})"])
+                        claim = self.share(_and([fv, f"(= {cv} {k})"]))
                         self.claims_by_slot.setdefault((c, j), []).append(
                             (src_slots, claim))
                         self.creation_index.append((binding, (c, j), fv, cv, k))
@@ -560,9 +588,9 @@ class Encoder:
 
     def trace_term(self, src_slot, tgt_slot):
         """Disjunction over creations recording trace src_slot -> tgt_slot."""
-        return _or([claim for src_slots, claim
-                    in self.claims_by_slot.get(tgt_slot, ())
-                    if src_slot in src_slots])
+        return self.share(_or([claim for src_slots, claim
+                               in self.claims_by_slot.get(tgt_slot, ())
+                               if src_slot in src_slots]))
 
     # -- property -------------------------------------------------------------------
 
@@ -646,6 +674,7 @@ class Encoder:
         self.encode_property()
         lines = ["(set-logic QF_LIA)", "(set-option :produce-models true)"]
         lines += self.decls
+        lines += self.defs
         lines += self.asserts
         lines += ["(check-sat)", "(get-model)", "(exit)"]
         return EncodedProblem(

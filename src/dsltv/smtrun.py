@@ -11,6 +11,15 @@ reader avoids ``re``: importing ``re`` (with enum, functools and collections)
 would add about 15 ms to every solve.  Any solver accepting a filename
 argument and printing sat/unsat plus a (model ...) block works (z3, cvc5,
 ...).
+
+Problem texts name shared Bool terms with zero-arity ``define-fun``
+commands, so a solver must accept those too.  The bundled one takes exactly
+that subset: ``(define-fun name () Bool body)``, scoped by push and pop,
+each name defined once and before its first use.  It compiles a body at the
+name's first reference and reuses the literal, and leaves defined names out
+of ``(get-model)``.  It asserts a top-level ``and`` one conjunct at a time,
+and a top-level ``or`` or ``=>`` as one clause over the literals of its
+operands; any other assertion becomes a Tseitin gate and a unit clause.
 """
 
 from __future__ import annotations

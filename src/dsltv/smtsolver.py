@@ -5,11 +5,16 @@ variable must have derivable lower and upper bounds from the asserted
 constraints (the encoder always asserts them).  Integers are grounded with a
 one-hot boolean encoding, formulas are Tseitin-transformed to CNF, and a
 small CDCL search (watched literals, first-UIP learning, VSIDS, restarts)
-decides satisfiability.  Grounding compiles each distinct comparison atom
-over two tokens once and reuses its literal; gates are shared by their
-sorted inputs, and binary clauses are ordered without the set and sort of
-the general clause path.  None of this changes the CNF: a repeated atom would
-only find its gates again.  Literal values and watch lists are lists indexed
+decides satisfiability.  Zero-arity Bool ``define-fun`` names a term; its
+body is compiled at the first reference and the literal reused.  A top-level
+``and`` is asserted conjunct by conjunct, and a top-level ``or`` or ``=>``
+becomes one clause over its operands' literals, without a gate (the
+top-level half of Plaisted & Greenbaum's transform, 1986).  Grounding
+compiles each distinct comparison atom over two tokens once and reuses its
+literal; gates are shared by their sorted inputs, and binary clauses are
+ordered without the set and sort of the general clause path.  None of the
+memos changes the CNF: a repeated atom or defined name would only find its
+gates again.  Literal values and watch lists are lists indexed
 directly by the signed literal, and VSIDS picks its decision variable from a
 lazy binary heap that is rebuilt whenever it holds more than 2n entries; see
 ``Solver``.
@@ -445,9 +450,11 @@ class SmtError(ValueError):
 class SmtScript:
     def __init__(self):
         self.sorts = {}        # name -> "Bool" | "Int"
+        self.defs = {}         # defined name -> (body, index in defs)
         self.assertions = []
-        # one [assertion count, declaration count, levels] per (push n):
-        # the n levels it opens all start from those counts
+        self.visible = []      # per assertion: the definitions made before it
+        # one [assertion count, declaration count, definition count, levels]
+        # per (push n): the n levels it opens all start from those counts
         self.stack = []
         self._model = None
 
@@ -468,34 +475,44 @@ class SmtScript:
                     raise SmtError("only zero-arity functions supported")
                 if sort not in ("Bool", "Int"):
                     raise SmtError(f"unsupported sort {sort!r}")
-                if name in self.sorts:
-                    # SMT-LIB forbids it, and pop could not restore the
-                    # shadowed sort
-                    raise SmtError(f"{name!r} is already declared")
+                self._check_fresh(name)
                 self.sorts[name] = sort
+            elif head == "define-fun":
+                if len(form) != 5 or form[1].__class__ is not str:
+                    raise SmtError(f"malformed define-fun: {form!r}")
+                name = form[1]
+                if form[2] != [] or form[3] != "Bool":
+                    raise SmtError("only zero-arity Bool definitions "
+                                   "supported")
+                self._check_fresh(name)
+                self.defs[name] = (form[4], len(self.defs))
             elif head == "assert":
                 if len(form) != 2:
                     raise SmtError(f"assert takes one term: {form!r}")
                 self.assertions.append(form[1])
+                self.visible.append(len(self.defs))
             elif head == "push":
                 n = _levels(form)
                 if n:
                     self.stack.append([len(self.assertions), len(self.sorts),
-                                       n])
+                                       len(self.defs), n])
             elif head == "pop":
                 n = _levels(form)
-                depth = sum(levels for _, _, levels in self.stack)
+                depth = sum(top[3] for top in self.stack)
                 if n > depth:
                     raise SmtError(f"cannot pop {n} of {depth} levels")
                 while n:
                     top = self.stack[-1]
-                    k = min(n, top[2])
+                    k = min(n, top[3])
                     n -= k
-                    top[2] -= k
+                    top[3] -= k
                     del self.assertions[top[0]:]
+                    del self.visible[top[0]:]
                     for name in list(self.sorts)[top[1]:]:
                         del self.sorts[name]
-                    if not top[2]:
+                    for name in list(self.defs)[top[2]:]:
+                        del self.defs[name]
+                    if not top[3]:
                         self.stack.pop()
             elif head == "check-sat":
                 self.last = self.check(out)
@@ -505,6 +522,12 @@ class SmtScript:
                 break
             else:
                 raise SmtError(f"unsupported command {head!r}")
+
+    def _check_fresh(self, name):
+        # SMT-LIB forbids a second declaration or definition of a name, and
+        # pop could not restore the shadowed one
+        if name in self.sorts or name in self.defs:
+            raise SmtError(f"{name!r} is already declared")
 
     # -- grounding ---------------------------------------------------------
 
@@ -591,10 +614,11 @@ class SmtScript:
                                     for i in range(len(vs))
                                     for j in range(i + 1, len(vs))]
 
-        grounding = _Grounding(circuit, self.sorts, bool_vars, onehot,
-                               self.domains)
-        for a in self.assertions:
-            circuit.cnf.add([grounding.compile_bool(a)])
+        grounding = _Grounding(circuit, self.sorts, self.defs, bool_vars,
+                               onehot, self.domains)
+        for a, visible in zip(self.assertions, self.visible):
+            grounding.visible = visible
+            grounding.assert_term(a)
 
         solver = Solver(circuit.cnf)
         sat = solver.solve()
@@ -632,18 +656,61 @@ class SmtScript:
 
 
 class _Grounding:
-    """Compiles the asserted Bool terms of one check-sat into literals of
-    ``circuit``.  Its recursion goes through methods rather than nested
-    closures: a closure that calls itself is a reference cycle, which would
-    keep the circuit and its CNF alive until the cyclic collector runs."""
+    """Compiles the asserted Bool terms of one check-sat into clauses and
+    literals of ``circuit``.  Its recursion goes through methods rather than
+    nested closures: a closure that calls itself is a reference cycle, which
+    would keep the circuit and its CNF alive until the cyclic collector
+    runs."""
 
-    def __init__(self, circuit, sorts, bool_vars, onehot, domains):
+    def __init__(self, circuit, sorts, defs, bool_vars, onehot, domains):
         self.circuit = circuit
         self.sorts = sorts
+        self.defs = defs              # defined name -> (body, index)
         self.bool_vars = bool_vars
         self.onehot = onehot          # int var -> {value: sat literal}
         self.domains = domains        # int var -> list of values
         self.atoms = {}               # (op, token, token) -> literal
+        self.defined = {}             # defined name -> literal
+        self.visible = 0              # definitions the current term may use
+
+    def assert_term(self, e):
+        """Add clauses that make ``e`` hold.  A conjunction is asserted one
+        conjunct at a time, and a disjunction or an implication becomes one
+        clause over the literals of its operands; any other term is
+        compiled to a literal and asserted as a unit clause."""
+        head = e[0] if e.__class__ is list and e else None
+        if head == "and":
+            for x in e[1:]:
+                self.assert_term(x)
+        elif head == "or":
+            self.circuit.cnf.add([self.compile_bool(x) for x in e[1:]])
+        elif head == "=>":
+            if len(e) < 3:
+                raise _arity_error(e, "at least 2 operands")
+            lits = [-self.compile_bool(x) for x in e[1:-1]]
+            lits.append(self.compile_bool(e[-1]))
+            self.circuit.cnf.add(lits)
+        else:
+            self.circuit.cnf.add([self.compile_bool(e)])
+
+    def defined_lit(self, name):
+        """Literal of a defined name.  Its body is compiled at the first
+        reference and the literal kept in ``defined``: compiling the body
+        again in place of a later reference would only find every gate in
+        ``circuit.cache``, so the names leave the CNF as inlined bodies
+        would give it."""
+        entry = self.defs.get(name)
+        if entry is None:
+            raise SmtError(f"unknown Bool term {name!r}")
+        body, index = entry
+        if index >= self.visible:
+            raise SmtError(f"{name!r} is used before its definition")
+        lit = self.defined.get(name)
+        if lit is None:
+            outer, self.visible = self.visible, index
+            lit = self.defined[name] = self.compile_bool(body)
+            self.visible = outer
+        return lit
 
     def int_operands(self, e):
         """Collect (variable names, constant offset factor) for a linear
@@ -747,9 +814,7 @@ class _Grounding:
             if e == "false":
                 return -circuit.const_true
             lit = self.bool_vars.get(e)
-            if lit is None:
-                raise SmtError(f"unknown Bool term {e!r}")
-            return lit
+            return self.defined_lit(e) if lit is None else lit
         if not e:
             raise SmtError("empty term ()")
         compile_bool = self.compile_bool
@@ -819,7 +884,7 @@ class _Grounding:
         if e in ("true", "false"):
             return True
         if isinstance(e, str):
-            return self.sorts.get(e) == "Bool"
+            return self.sorts.get(e) == "Bool" or e in self.defs
         return bool(e) and e[0] in ("and", "or", "not", "=>", "xor", "ite",
                                     "=", "distinct", "<=", "<", ">=", ">")
 

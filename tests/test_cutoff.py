@@ -7,6 +7,7 @@ from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
                           compute_cutoff, cutoff_params, cutoff_report,
                           per_class_bounds, relevant_rules, select_fragment)
 from dsltv.model import mandatory_closure
+from dsltv.orchestrator import HOLDS, VerificationConfig, verify_property
 
 from conftest import FIXTURES, load_spec
 
@@ -69,6 +70,21 @@ def test_b4_pipeline_reproduces_reference_cutoff(uml2java_b4):
                              RelevanceMode.TRACE_AWARE)
     assert params == CutoffParams(c=5, m=3, p=1, d=1, a=5, r=8)
     assert compute_cutoff(params).k == 102
+
+
+def test_legacy_relevance_keeps_the_producers_of_backward_links(
+        uml2java_b4):
+    # the layer-1 *2Field rules link back to the ClassDeclaration that
+    # Class2ClassDeclaration creates: without it no field rule can fire, and
+    # the encoding's counterexample is spurious
+    prop = uml2java_b4.property("PropertyHasField")
+    t = uml2java_b4.transformations[0]
+    legacy = relevant_rules(uml2java_b4, prop, RelevanceMode.LEGACY, t)
+    assert "Class2ClassDeclaration" in legacy.relevant_rules
+    for mode in RelevanceMode:
+        verdict = verify_property(uml2java_b4, prop,
+                                  VerificationConfig(relevance_mode=mode))
+        assert verdict.status == HOLDS, (mode, verdict.detail)
 
 
 def test_per_class_bounds_cap_and_seed(uml2java):

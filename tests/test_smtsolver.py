@@ -8,6 +8,7 @@ import subprocess
 import types
 import weakref
 
+import pytest
 from conftest import FIXTURES, load_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from dsltv.cutoff import PerClassBounds
 from dsltv.inheritance import flatten_inheritance_info
 from dsltv.smtencode import EncodeOptions, encode
 from dsltv.smtrun import default_solver_command, run_solver
-from dsltv.smtsolver import Cnf, Solver, SmtSyntaxError, parse_sexprs
+from dsltv.parser import parse_spec_file
+from dsltv.smtsolver import Cnf, SmtScript, Solver, SmtSyntaxError
+from dsltv.smtsolver import parse_sexprs
 from dsltv.smtsolver import main as solver_main
 from dsltv.smtsolver import solve_text, tokenize_sexprs
 
@@ -178,6 +181,51 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("(error "), text
 
 
+def test_definitions_are_scoped_and_checked(tmp_path, capsys):
+    out = _solve("""
+(declare-const a Bool)
+(push 1)
+(define-fun d () Bool (and a (not a)))
+(assert d)
+(check-sat)
+(pop 1)
+(define-fun d () Bool (or a (not a)))
+(define-fun e () Bool (and d a))
+(assert (=> d e))
+(check-sat)
+(get-model)
+""")
+    assert out.split() == ["unsat", "sat", "(model", "(define-fun", "a",
+                           "()", "Bool", "true)", ")"]
+    errors = {
+        "(declare-const a Bool) (push 1) (define-fun d () Bool a) (pop 1)"
+        " (assert d) (check-sat)": "unknown Bool term 'd'",
+        "(declare-const a Bool) (define-fun d () Bool a)"
+        " (define-fun d () Bool a)": "'d' is already declared",
+        "(declare-const a Bool) (define-fun a () Bool true)":
+            "'a' is already declared",
+        "(define-fun d () Bool true) (declare-const d Bool)":
+            "'d' is already declared",
+        "(define-fun f ((x Bool)) Bool x)":
+            "only zero-arity Bool definitions supported",
+        "(define-fun n () Int 3)":
+            "only zero-arity Bool definitions supported",
+        "(define-fun d () Bool)": "malformed define-fun",
+        "(declare-const a Bool) (assert d) (define-fun d () Bool a)"
+        " (check-sat)": "'d' is used before its definition",
+        "(declare-const a Bool) (define-fun d () Bool (not e))"
+        " (define-fun e () Bool a) (assert d) (check-sat)":
+            "'e' is used before its definition",
+        "(define-fun d () Bool (not d)) (assert d) (check-sat)":
+            "'d' is used before its definition",
+    }
+    for n, (text, message) in enumerate(errors.items()):
+        path = tmp_path / f"bad{n}.smt2"
+        path.write_text(text)
+        assert solver_main([str(path)]) == 1, text
+        assert capsys.readouterr().out.startswith(f'(error "{message}'), text
+
+
 def test_get_model_before_check_sat_is_an_error_line():
     assert _solve("(declare-const a Bool)\n(get-model)\n").strip() == \
         '(error "no model available")'
@@ -281,19 +329,73 @@ def _print_sexpr(form):
     return form
 
 
-def test_every_fixture_problem_round_trips(tmp_path):
+@pytest.fixture(scope="module")
+def fixture_dumps(tmp_path_factory):
+    """(file name, text) of every problem ``verify --dump-smt`` writes for
+    the fixture specs."""
+    root = tmp_path_factory.mktemp("dumps")
     for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
                                  recursive=True)):
         # one directory per spec: property names repeat across specs
         cli_main(["verify", path, "--dump-smt",
-                  str(tmp_path / os.path.relpath(path, FIXTURES))])
-    dumps = sorted(tmp_path.rglob("*.smt2"))
+                  str(root / os.path.relpath(path, FIXTURES))])
+    dumps = sorted(root.rglob("*.smt2"))
     assert len(dumps) >= 40
-    for dump in dumps:
-        text = dump.read_text()
-        assert tokenize_sexprs(text) == _reference_tokens(text), dump.name
+    return [(dump.name, dump.read_text()) for dump in dumps]
+
+
+def test_every_fixture_problem_round_trips(fixture_dumps):
+    for name, text in fixture_dumps:
+        assert tokenize_sexprs(text) == _reference_tokens(text), name
         printed = "\n".join(map(_print_sexpr, parse_sexprs(text)))
-        assert printed == text.rstrip("\n"), dump.name
+        assert printed == text.rstrip("\n"), name
+
+
+def _expand_definitions(forms):
+    """``forms`` without its define-fun commands, each defined name
+    replaced by its body."""
+    bodies = {}
+
+    def expand(e):
+        if e.__class__ is str:
+            return bodies.get(e, e)
+        return [expand(x) for x in e]
+
+    out = []
+    for form in forms:
+        if form[0] == "define-fun":
+            bodies[form[1]] = expand(form[4])
+        else:
+            out.append(expand(form))
+    return out
+
+
+def test_shared_terms_ground_like_their_bodies(fixture_dumps, monkeypatch):
+    # a defined name is compiled at its first reference and its literal
+    # reused, so naming a term leaves the CNF clause for clause as it was
+    cnfs = []
+
+    class Capture(Solver):
+        def __init__(self, cnf):
+            cnfs.append((cnf.nvars, [list(c) for c in cnf.clauses]))
+
+        def solve(self):
+            return False
+
+    monkeypatch.setattr(smtsolver, "Solver", Capture)
+    ladder = [_stress_problem(k).text for k in (2, 3, 4)] + \
+        [_mult_problem(k).text for k in (4, 8, 12)]
+    for text in [text for _, text in fixture_dumps] + ladder:
+        forms = parse_sexprs(text)
+        bodies = [_print_sexpr(form[4]) for form in forms
+                  if form[0] == "define-fun"]
+        assert len(set(bodies)) == len(bodies), "a body is defined twice"
+        assert bodies or text not in ladder
+        cnfs.clear()
+        SmtScript().run(forms, out=io.StringIO())
+        SmtScript().run(_expand_definitions(forms), out=io.StringIO())
+        shared, expanded = cnfs
+        assert shared == expanded
 
 
 def test_solver_child_starts_without_re():
@@ -369,8 +471,11 @@ def test_solver_agrees_with_brute_force():
 
 class _RandomProblem:
     """A random script over at most 3 Bools and 2 Ints with domains inside
-    [-2..3], using every operator the grounder accepts.  ``atoms`` keeps the
-    comparisons made so far, so later ones can repeat them."""
+    [-2..3] and at most 3 zero-arity Bool definitions, using every operator
+    the grounder accepts.  ``atoms`` keeps the comparisons made so far, so
+    later ones can repeat them.  A definition's body may use the earlier
+    ones, and the assertions nest conjunctions, disjunctions and
+    implications at the top, where the grounder asserts them as clauses."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -380,6 +485,9 @@ class _RandomProblem:
             lo = rng.randint(-2, 3)
             self.ints[f"x{i}"] = (lo, rng.randint(lo, 3))
         self.atoms = []
+        self.defs = []
+        for i in range(rng.randint(0, 3)):
+            self.defs.append((f"d{i}", self.bool_term(2)))
 
     def const(self):
         n = self.rng.randint(-2, 3)
@@ -417,8 +525,9 @@ class _RandomProblem:
         rng = self.rng
         roll = rng.random()
         if depth == 0 or roll < 0.25:
-            if self.bools and rng.random() < 0.6:
-                return rng.choice(self.bools)
+            names = self.bools + [name for name, _ in self.defs]
+            if names and rng.random() < 0.6:
+                return rng.choice(names)
             if self.ints and rng.random() < 0.8:
                 return self.atom(1)
             return rng.choice(("true", "false"))
@@ -440,10 +549,19 @@ class _RandomProblem:
             shapes.append([["=", x, lo_s]])
         return self.rng.choice(shapes)
 
+    def top_term(self, depth):
+        rng = self.rng
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return self.bool_term(3)
+        op = "and" if roll < 0.6 else "or" if roll < 0.8 else "=>"
+        width = rng.randint(1 if op != "=>" else 2, 3)
+        return [op, *(self.top_term(depth - 1) for _ in range(width))]
+
     def assertions(self):
         out = [b for x, (lo, hi) in self.ints.items()
                for b in self.bounds(x, lo, hi)]
-        return out + [self.bool_term(3)
+        return out + [self.top_term(2)
                       for _ in range(self.rng.randint(1, 4))]
 
     def assignments(self):
@@ -452,11 +570,16 @@ class _RandomProblem:
             envs = [{**env, b: v} for env in envs for v in (False, True)]
         for x, (lo, hi) in self.ints.items():
             envs = [{**env, x: v} for env in envs for v in range(lo, hi + 1)]
+        for env in envs:
+            for name, body in self.defs:
+                env[name] = _bool_value(body, env)
         return envs
 
     def script(self, assertions):
         decls = [f"(declare-const {b} Bool)" for b in self.bools] + \
-            [f"(declare-const {x} Int)" for x in self.ints]
+            [f"(declare-const {x} Int)" for x in self.ints] + \
+            [f"(define-fun {name} () Bool {_print_sexpr(body)})"
+             for name, body in self.defs]
         return "\n".join(decls + [f"(assert {_print_sexpr(a)})"
                                   for a in assertions] +
                          ["(check-sat)", "(get-model)"])
@@ -533,16 +656,18 @@ def test_grounding_agrees_with_brute_force():
                 else:           # a negative value is printed as (- n)
                     model[name] = int(value) if isinstance(value, str) \
                         else -int(value[1])
+            # the model names no definition; the bodies give their values
             assert set(model) == set(problem.bools) | set(problem.ints)
+            for name, body in problem.defs:
+                model[name] = _bool_value(body, model)
             assert all(_bool_value(a, model) for a in assertions), text
         answers.append(expected)
     assert 50 < sum(answers) < 250   # both answers are well represented
 
 
-def _stress_problem(k):
-    """stress.dslt / ContainedClsHasDecl encoded at uniform bound k."""
-    spec = load_spec("stress.dslt")
-    prop = spec.property("ContainedClsHasDecl")
+def _uniform_problem(spec, prop_name, k):
+    """``prop_name`` of ``spec`` encoded at uniform bound k."""
+    prop = spec.property(prop_name)
     t = spec.transformations[0]
     src = flatten_inheritance_info(spec.metamodel(t.source))
     tgt = flatten_inheritance_info(spec.metamodel(t.target))
@@ -552,10 +677,21 @@ def _stress_problem(k):
     return encode(spec, prop, bounds, EncodeOptions(), t)
 
 
+def _stress_problem(k):
+    return _uniform_problem(load_spec("stress.dslt"), "ContainedClsHasDecl",
+                            k)
+
+
+def _mult_problem(k):
+    spec = parse_spec_file(os.path.join(FIXTURES, os.pardir, os.pardir,
+                                        "perfbench", "specs", "mult.dslt"))
+    return _uniform_problem(spec, "ItemHasOut", k)
+
+
 # (CNF variables, CNF clauses, conflicts) of the stress ladder.  Grounding
 # that produces another CNF, or a search that takes another path, shows here
 # first: update these deliberately, with the reason, when either changes.
-STRESS_LADDER = {2: (194, 590, 21), 3: (580, 1999, 94), 4: (1485, 5548, 243)}
+STRESS_LADDER = {2: (151, 465, 21), 3: (452, 1620, 94), 4: (1183, 4648, 243)}
 
 
 def test_stress_ladder_cnf_and_search_are_pinned(monkeypatch):
