@@ -6,11 +6,12 @@ Rules: one firing boolean per injective source binding, defined as the
 conjunction of existence, links, guards, and backward resolution; fresh apply
 elements get integer slot-choice variables with at-most-one-creator, and a
 target slot exists iff exactly one firing claims it.  Traces are implicit in
-the firing structure.  The query asserts some precondition binding holds and
-no postcondition witness exists for it; sat means counterexample.
+the firing structure.  The query asserts that some canonical precondition
+binding holds and no postcondition witness exists for it; sat means
+counterexample.
 
 Every problem breaks the symmetry between the slots of one concrete class
-with three constraints:
+with four constraints:
 
 - ordered existence on both sides: ex_s_c_{i+1} => ex_s_c_i and
   ex_t_c_{j+1} => ex_t_c_j;
@@ -19,21 +20,33 @@ with three constraints:
   only if j <= r_c, the number of earlier creations whose candidate slots
   include a class-c slot.  A choice's declared range ends at its last
   allowed value; a choice that also spans subclass slots excludes the
-  values below that one by one.
+  values below that one by one;
+- canonical precondition bindings: the query selects only bindings in which
+  the pattern elements bound to concrete class c take slots 0, 1, ..., m-1
+  of c in pattern-element order, one binding per assignment of elements to
+  compatible classes (Crawford et al., KR 1996, pick one representative per
+  orbit of a symmetry group; Kodkod does the same, Torlak & Jackson, TACAS
+  2007).  Rule matches still enumerate every injective binding, since every
+  firing is needed.
 
-They are sound together.  Take any model without them.  Within one class,
-source slots are interchangeable everywhere in the encoding (existence,
-attributes, links and their upper bounds as "at most k", the injective rule
-and precondition bindings, and through those every firing, choice,
-backward case and trace term), so renumbering them with the existing ones
-first yields a model with ordered source existence.  Target slots are
-interchangeable in the same way and each existing one is claimed by exactly
-one firing creation, so renumbering them in claim order then meets both
-target constraints (a creation that does not fire leaves its choice free,
-and slot 0 is always allowed) without touching a source variable.  Source
-goes first because its renumbering permutes the firings, and with them the
-creation order that value precedence reads.  ``tests/test_smtencode.py``
-checks verdicts against the brute-force oracle with all three on.
+They are sound together.  Take any model without them, and the injective
+precondition binding b that it selects.  Within one class, source slots are
+interchangeable everywhere in the encoding (existence, attributes, links
+and their upper bounds as "at most k", the injective rule and precondition
+bindings, and through those every firing, choice, backward case and trace
+term), so renumbering each class with b's slots first, in pattern order,
+then its other existing slots, then the absent ones, yields a model again.
+b's slots exist (its binding term holds their existence), so source
+existence is ordered, and b has become the canonical binding of its class
+assignment.  Target slots are interchangeable in the same way and each
+existing one is claimed by exactly one firing creation, so renumbering them
+in claim order then meets both target constraints (a creation that does not
+fire leaves its choice free, and slot 0 is always allowed) without touching
+a source variable.  Source goes first because its renumbering permutes the
+firings, and with them the creation order that value precedence reads.  So
+a counterexample exists iff one exists whose violated binding is canonical.
+``tests/test_smtencode.py`` checks verdicts against the brute-force oracle
+with all four on.
 
 Each claim ``(and fr (= ch k))``, trace term and binding term is written
 once, as ``(define-fun d_n () Bool <body>)``, and every use refers to the
@@ -113,7 +126,7 @@ class EncodedProblem:
     deferred: list            # withheld source lower-bound assertions
     source_slots: dict        # class -> slot count (concrete classes)
     target_slots: dict
-    pre_bindings: list        # the enumerated precondition bindings
+    pre_bindings: list        # canonical precondition bindings, by sel_ index
     metadata: dict = field(default_factory=dict)
 
     def with_extra_assertions(self, assertions):
@@ -177,25 +190,23 @@ class _World:
 
 
 def _and(terms):
-    terms = [t for t in terms if t != "true"]
-    if any(t == "false" for t in terms):
+    if "false" in terms:
         return "false"
-    if not terms:
-        return "true"
-    if len(terms) == 1:
-        return terms[0]
-    return "(and " + " ".join(terms) + ")"
+    if "true" in terms:
+        terms = [t for t in terms if t != "true"]
+    if len(terms) > 1:
+        return "(and " + " ".join(terms) + ")"
+    return terms[0] if terms else "true"
 
 
 def _or(terms):
-    terms = [t for t in terms if t != "false"]
-    if any(t == "true" for t in terms):
+    if "true" in terms:
         return "true"
-    if not terms:
-        return "false"
-    if len(terms) == 1:
-        return terms[0]
-    return "(or " + " ".join(terms) + ")"
+    if "false" in terms:
+        terms = [t for t in terms if t != "false"]
+    if len(terms) > 1:
+        return "(or " + " ".join(terms) + ")"
+    return terms[0] if terms else "false"
 
 
 def _not(t):
@@ -207,11 +218,13 @@ def _not(t):
 
 
 def _exactly_one(terms):
-    if not terms:
-        return "false"
-    at_least = _or(terms)
-    pairs = [_not(_and([a, b])) for a, b in itertools.combinations(terms, 2)]
-    return _and([at_least] + pairs)
+    """Exactly one of ``terms`` holds.  They are names or compound terms,
+    never the constants true and false."""
+    if len(terms) <= 1:
+        return terms[0] if terms else "false"
+    pairs = " ".join(f"(not (and {a} {b}))"
+                     for a, b in itertools.combinations(terms, 2))
+    return f"(and (or {' '.join(terms)}) {pairs})"
 
 
 def _cmp_atom(op, var, value):
@@ -394,6 +407,28 @@ class Encoder:
             bindings.append(dict(zip(names, combo)))
         return bindings
 
+    def canonical_bindings(self, pattern, world):
+        """One injective binding per assignment of pattern elements to
+        compatible concrete classes: the elements bound to class c take
+        slots 0, 1, ... of c in pattern order, and an assignment that puts
+        more elements on c than c has slots has no binding.  Every injective
+        binding is a renumbering of one of these within each class (see the
+        module docstring)."""
+        names = [e.name for e in pattern.elements]
+        options = [[c for c in sorted(world.slots)
+                    if is_subtype(world.info, c, e.klass)]
+                   for e in pattern.elements]
+        bindings = []
+        for combo in itertools.product(*options):
+            taken = dict.fromkeys(combo, 0)
+            binding = {}
+            for n, c in zip(names, combo):
+                binding[n] = (c, taken[c])
+                taken[c] += 1
+            if all(taken[c] <= world.slots[c] for c in taken):
+                bindings.append(binding)
+        return bindings
+
     def binding_term(self, pattern, world, binding):
         """existence + links + guards conjunction for one binding."""
         by_name = pattern.element_map()
@@ -437,7 +472,9 @@ class Encoder:
 
         fires_name = {}
         choice_name = {}
-        creations = []  # (li, binding, apply element, fires, choice, slots)
+        # source slot -> [(li, apply element, fires, choice, slots)] of the
+        # creations whose binding holds it, in creation order
+        creations_of = {}
         earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
@@ -458,7 +495,9 @@ class Encoder:
                     for c in {c for c, _ in slots}:
                         earlier[c] += 1
                     choice_name[(rule.name, bidx, ae.name)] = (cv, slots)
-                    creations.append((li, binding, ae, fv, cv, slots))
+                    for src_slot in binding.values():
+                        creations_of.setdefault(src_slot, []).append(
+                            (li, ae, fv, cv, slots))
 
         # backward resolution candidates: creations of earlier layers whose
         # binding maps some match element to the demanded source slot
@@ -468,11 +507,10 @@ class Encoder:
             for apply_name, match_name in rule.backward:
                 apply_el = rule.apply.element_map()[apply_name]
                 src_slot = binding[match_name]
-                cands = [(fv2, cv2, slots2)
-                         for lj, b2, ae2, fv2, cv2, slots2 in creations
+                cands = [(fv2, cv2, slots2) for lj, ae2, fv2, cv2, slots2
+                         in creations_of.get(src_slot, ())
                          if lj < li and is_subtype(self.tgt_info, ae2.klass,
-                                                   apply_el.klass)
-                         and src_slot in b2.values()]
+                                                   apply_el.klass)]
                 resolved[apply_name] = cands
                 terms.append(_exactly_one([c[0] for c in cands]))
             return _and(terms), resolved
@@ -595,7 +633,7 @@ class Encoder:
     # -- property -------------------------------------------------------------------
 
     def encode_property(self):
-        pre_bindings = self.enumerate_bindings(self.prop.precondition,
+        pre_bindings = self.canonical_bindings(self.prop.precondition,
                                                self.src)
         self.pre_bindings = pre_bindings
         post_groups = self._post_components()

@@ -11,16 +11,17 @@ import itertools
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
-                          compute_cutoff)
+from dsltv.cutoff import (CutoffBounds, CutoffParams, FragmentKind,
+                          RelevanceMode, compute_cutoff)
 from dsltv.engine import check_property_concrete, execute
 from dsltv.kboundary import selective_minus_one, uniform_sweep
 from dsltv.model import induce_submodel, validate_conformance
 from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, VerificationConfig,
-                                verify_property)
+                                plan_property, verify_property)
 from dsltv.parser import parse_spec
 
 from oracle import oracle_verdict, random_model, source_bounds_for
@@ -262,8 +263,10 @@ def _zombie_children():
 # The stress fixture's shape plus a first-layer rule that gives every Cls a
 # loose ClsDecl and PkgDecl.  The third relevant rule raises the uniform
 # bound K from 6 to 8, and the loose declarations compete for the same
-# slots: the unsatisfiability proof takes far longer than the 3 s timeout,
-# while the encoding stays under 1 s.
+# slots.  The timeout run raises every bound to 12: encoding takes about
+# 0.4 s (23.6k assertions) and the solver child far longer than the 3 s
+# timeout (13 s untimed on a 2-vCPU VM), so the deadline lands in the
+# child.
 DEEP_SPEC = """
 metamodel SDeep {
     class Pkg { }
@@ -330,9 +333,13 @@ def test_timeout_and_ceiling_are_clean():
 
     config = VerificationConfig(timeout_seconds=3, per_class=False,
                                 fragment_kind=FragmentKind.FULL)
-    verdict = verify_property(spec, prop, config)
+    plan = plan_property(spec, prop, config)
+    assert plan.cutoff.k == 8
+    wide = replace(plan, cutoff=CutoffBounds(12, 12, 12))
+    verdict = verify_property(spec, prop, config, plan=wide)
     assert verdict.status == UNKNOWN
     assert verdict.reason == "timeout"
+    assert verdict.detail == "solver exceeded the time budget"
     assert verdict.wall_time <= 8
     assert _zombie_children() == []
 

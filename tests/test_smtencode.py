@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import load_spec
-from oracle import oracle_verdict
+from oracle import oracle_verdict, source_bounds_for
 
 from dsltv.cutoff import PerClassBounds, RelevanceMode, compute_cutoff, \
     cutoff_params, per_class_bounds, relevant_rules
@@ -395,6 +395,112 @@ def test_existing_target_slots_form_a_prefix():
     assert sum(len(p) for p in present.values()) == 8
     for c, p in present.items():
         assert p == list(range(len(p))), c
+
+
+# -- canonical precondition bindings -----------------------------------------
+
+def _class_signature(binding, pattern):
+    return tuple(binding[e.name][0] for e in pattern.elements)
+
+
+@pytest.mark.parametrize("name, prop_name, source, expected, injective", [
+    ("stress.dslt", "ContainedClsHasDecl", {"Pkg": 4, "Cls": 4},
+     [{"p": ("Pkg", 0), "c": ("Cls", 0)}], 16),
+    ("kboundary_tight.dslt", "SourceSharesTypeDecl_ShouldFail",
+     {"Source": 3}, [{"a": ("Source", 0), "b": ("Source", 1)}], 6),
+    ("corpus/c04_inherit.dslt", "BaseHasOut", {"LeafA": 3, "LeafB": 2},
+     [{"b": ("LeafA", 0)}, {"b": ("LeafB", 0)}], 5),
+])
+def test_precondition_bindings_are_canonical(name, prop_name, source,
+                                             expected, injective):
+    spec = load_spec(name)
+    prop = spec.property(prop_name)
+    problem = encode(spec, prop, PerClassBounds(source=source, target={}),
+                     EncodeOptions(), spec.transformations[0])
+    assert problem.pre_bindings == expected
+    # one binding per orbit: every injective binding renumbers the slots
+    # of exactly one canonical binding within each class
+    enc = problem.metadata["encoder"]
+    every = enc.enumerate_bindings(prop.precondition, enc.src)
+    assert len(every) == injective
+    signatures = [_class_signature(b, prop.precondition) for b in expected]
+    assert sorted(signatures) == sorted(
+        {_class_signature(b, prop.precondition) for b in every})
+    lines = problem.text.splitlines()
+    assert f"(declare-const sel_{len(expected) - 1} Bool)" in lines
+    assert f"(declare-const sel_{len(expected)} Bool)" not in lines
+
+
+# Base and Leaf share the concrete class Leaf, so a precondition binding
+# puts x and y on two Leaf slots or x on Other and y on a Leaf.  A Pair
+# needs two Leafs: the negative property's violation has one Leaf, which
+# only a binding on the first Leaf slot can show.
+ORBIT_SPEC = """
+metamodel SOrbit {
+    abstract class Base { }
+    class Leaf extends Base { }
+    class Other extends Base { }
+}
+metamodel TOrbit {
+    class Node { }
+    class Pair { }
+}
+transformation orbit : SOrbit -> TOrbit {
+    layer Only {
+        rule Base2Node {
+            match { any b : Base }
+            apply { n : Node }
+        }
+        rule Leaves2Pair {
+            match {
+                any l1 : Leaf
+                any l2 : Leaf
+            }
+            apply { p : Pair }
+        }
+    }
+}
+property BaseAndLeafHaveNodes "A Base and a Leaf map to their Nodes." {
+    precondition {
+        any x : Base
+        any y : Leaf
+    }
+    postcondition {
+        n : Node
+        m : Node
+        n <--trace-- x
+        m <--trace-- y
+    }
+}
+property BaseAndLeafMakeAPair_ShouldFail "Negative: one Leaf, no Pair." {
+    precondition {
+        any x : Base
+        any y : Leaf
+    }
+    postcondition { p : Pair }
+}
+"""
+
+
+def test_canonical_bindings_agree_with_oracle():
+    spec = parse_spec(ORBIT_SPEC, "inline")
+    assert not isinstance(spec, list), spec
+    config = VerificationConfig()
+    for prop in spec.properties:
+        bounds, t = source_bounds_for(spec, prop,
+                                      RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+        assert (bounds["Leaf"], bounds["Other"]) == (2, 1), prop.name
+        expected = oracle_verdict(spec, prop, bounds, t)
+        assert expected == (VIOLATED if prop.name.endswith("_ShouldFail")
+                            else HOLDS), prop.name
+        assert verify_property(spec, prop, config).status == expected, \
+            prop.name
+    for prop in spec.properties:
+        problem = encode(spec, prop, plan_property(spec, prop, config)
+                         .bounds((0,)), EncodeOptions(), t)
+        assert problem.pre_bindings == [
+            {"x": ("Leaf", 0), "y": ("Leaf", 1)},
+            {"x": ("Other", 0), "y": ("Leaf", 0)}], prop.name
 
 
 # -- association upper bounds: the sequential counter ------------------------
