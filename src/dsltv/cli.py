@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 
 from .abstraction import synthesize_abstraction, validate_abstraction
@@ -58,8 +59,10 @@ def build_parser():
                        help="verify only this property (repeatable)")
         p.add_argument("--timeout", type=float, default=600.0,
                        metavar="SECONDS")
-        p.add_argument("--solver", default=None,
-                       help="path to an SMT-LIB solver executable")
+        p.add_argument("--solver", default=None, metavar="CMD",
+                       help="SMT-LIB solver command line, split like a "
+                            "shell would (e.g. \"z3 -in\"); it reads each "
+                            "problem on stdin")
         p.add_argument("--dependency-mode", choices=_MODES,
                        default="trace-attr")
         p.add_argument("--fragment", choices=_FRAGMENTS,
@@ -125,7 +128,8 @@ def _config_tokens(parser, path, args):
         if not line:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
-        value = value.strip("\"'")
+        if len(value) > 1 and value[0] == value[-1] and value[0] in "\"'":
+            value = value[1:-1]   # one pair of quotes around the value
         if not sep:
             parser.error(f"config file {path}:{number}: expected key = value")
         if key in _CONFIG_SWITCHES:
@@ -180,12 +184,13 @@ def _make_config(args):
             per_class=args.per_class,
             fragment_kind=FragmentKind(args.fragment),
             cutoff_budget=args.budget,
-            solver_command=[args.solver] if args.solver else None,
+            solver_command=shlex.split(args.solver) if args.solver
+            else None,
             dump_dir=args.dump_smt,
         )
     except (OSError, ValueError) as exc:
-        # a dump directory that cannot be made, or a timeout or budget out
-        # of range
+        # a dump directory that cannot be made, a timeout or budget out of
+        # range, or a solver command with an unclosed quote
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 

@@ -73,8 +73,14 @@ class InstanceModel:
                 and self.traces <= other.traces)
 
 
+# every empty part of a model built here is this one object
+_EMPTY = frozenset()
+
+
 def model_from_parts(elements=(), links=(), traces=()):
-    return InstanceModel(frozenset(elements), frozenset(links), frozenset(traces))
+    return InstanceModel(frozenset(elements) or _EMPTY,
+                         frozenset(links) or _EMPTY,
+                         frozenset(traces) or _EMPTY)
 
 
 @dataclass(frozen=True)

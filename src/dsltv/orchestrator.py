@@ -233,15 +233,13 @@ class _PropertyRun:
             self.firing_variables += exc.firing_variables
             return unknown("timeout", str(exc))
         self.firing_variables += problem.metadata["firingVariables"]
-        if self.config.dump_dir:
-            layers = "-".join(str(i) for i in fragment)
-            path = os.path.join(self.config.dump_dir,
-                                f"{plan.prop.name}_L{layers}.smt2")
-            with open(path, "w") as fh:
-                fh.write(problem.text)
+        self._dump(problem, fragment)
         verdict, rounds = lazy_closure_loop(
             problem, self.deadline - time.monotonic(), plan.spec, plan.t,
             self.config.solver_command)
+        if rounds and self.config.dump_dir:
+            self._dump(problem.with_extra_assertions(problem.deferred),
+                       fragment, "_closed")
         self.closure_rounds += rounds
         if verdict.status == "unsat":
             return PropertyVerdict(HOLDS, **common)
@@ -251,6 +249,16 @@ class _PropertyRun:
             return unknown("solver-error", verdict.raw_output[:500])
         cex = decode_counterexample(verdict.model, problem, plan.spec, plan.t)
         return PropertyVerdict(VIOLATED, counterexample=cex, **common)
+
+    def _dump(self, problem, fragment, suffix=""):
+        """Write a solved problem's text to the dump directory, if any."""
+        if self.config.dump_dir:
+            layers = "-".join(str(i) for i in fragment)
+            path = os.path.join(self.config.dump_dir,
+                                f"{self.plan.prop.name}_L{layers}{suffix}"
+                                f".smt2")
+            with open(path, "w") as fh:
+                fh.write(problem.text)
 
     def omitted_matching_layers(self, source, fragment):
         """Layers of relevant rules outside `fragment` whose match pattern

@@ -922,7 +922,7 @@ def main(argv=None):
         with open(argv[0], "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8")
     try:
         solve_text(text)
     except (SmtError, SmtSyntaxError) as e:

@@ -1,15 +1,19 @@
 import argparse
 import json
 import os
+import shlex
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from dsltv import cli
+from dsltv import cli, smtrun
 from dsltv.cli import main, parse_args
 from dsltv.model import dump_model, load_model
+from dsltv.orchestrator import VerificationConfig, plan_property
 from dsltv.parser import parse_spec_file
+from dsltv.smtencode import EncodeOptions, encode
 
 from conftest import fixture_path
 
@@ -268,6 +272,77 @@ def test_kboundary_dump_smt_makes_the_directory(tmp_path, capsys):
                "--out", str(tmp_path / "r.md"), "--dump-smt", str(dump)])
     assert rc in (0, 1, 2)
     assert list(dump.glob("*.smt2"))
+
+
+def _verify_events(capsys, argv):
+    """Exit code and verdict events, without their timeSec, of `verify`."""
+    rc = main(["verify", *argv])
+    events = [json.loads(line)
+              for line in capsys.readouterr().out.splitlines()]
+    for e in events:
+        e.pop("timeSec", None)
+    return rc, events
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("not executable", "Permission denied"),
+    ("directory", "Permission denied"),
+    ("not a program", "Exec format error"),
+])
+def test_solver_that_cannot_start_is_unknown(tmp_path, capsys, kind,
+                                              message):
+    solver = tmp_path / "solver"
+    if kind == "directory":
+        solver.mkdir()
+    else:
+        solver.write_text("not a program\n")
+        if kind == "not a program":
+            solver.chmod(solver.stat().st_mode | stat.S_IXUSR)
+    rc, events = _verify_events(capsys, [fixture_path("corpus/c01_copy.dslt"),
+                                         "--solver", str(solver)])
+    assert rc == 2
+    verdicts = [e for e in events if e["event"] == "verdict"]
+    assert verdicts
+    for v in verdicts:
+        assert (v["status"], v["reason"]) == ("UNKNOWN", "solver-error")
+        assert v["detail"] == f"cannot start solver {solver}: {message}"
+
+
+def test_solver_is_a_command_line(tmp_path, capsys):
+    spec = fixture_path("corpus/c06_mandatory.dslt")
+    script = os.path.join(os.path.dirname(smtrun.__file__), "smtsolver.py")
+    solver = shlex.join([sys.executable, "-I", "-S", script])
+    default = _verify_events(capsys, [spec])
+    assert default[0] == 1
+    assert _verify_events(capsys, [spec, "--solver", solver]) == default
+    config = tmp_path / "dsltv.cfg"
+    for value in (f'"{solver}"',
+                  f"'{sys.executable}' -I -S {shlex.quote(script)}"):
+        config.write_text(f"solver = {value}\n")
+        assert _verify_events(capsys, [spec, "--config", str(config)]) == \
+            default
+
+
+def test_dump_smt_writes_the_closed_problem(tmp_path, capsys):
+    path = fixture_path("corpus/c06_mandatory.dslt")
+    name = "ChildHasPOut_ShouldFail"
+    rc, events = _verify_events(capsys, [path, "--property", name,
+                                         "--dump-smt", str(tmp_path)])
+    assert rc == 1
+    assert events[0]["closureRounds"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"{name}_L0.smt2", f"{name}_L0_closed.smt2"]
+    spec = parse_spec_file(path)
+    config = VerificationConfig()
+    plan = plan_property(spec, spec.property(name), config)
+    assert plan.fragment == (0,)
+    problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+                     EncodeOptions(binding_ceiling=config.binding_ceiling,
+                                   rule_names=plan.rule_names(plan.fragment)),
+                     plan.t)
+    assert (tmp_path / f"{name}_L0.smt2").read_text() == problem.text
+    assert (tmp_path / f"{name}_L0_closed.smt2").read_text() == \
+        problem.with_extra_assertions(problem.deferred).text
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -6,6 +6,7 @@ from dsltv.model import (InstanceModel, ModelFormatError, UnboundedClosureError,
                          dump_model, induce_submodel, load_model,
                          mandatory_closure, model_from_parts,
                          validate_conformance)
+from dsltv.orchestrator import VIOLATED, VerificationConfig, verify_property
 from dsltv.parser import parse_spec
 from dsltv.spec_ast import EnumValue
 
@@ -21,6 +22,28 @@ def _mini_model():
     m = m.with_link("owningModel", "p1", "m1")
     m = m.with_link("packagedElement", "p1", "c1")
     return m
+
+
+def test_empty_parts_of_a_counterexample_share_one_frozenset(corpus):
+    spec = dict(corpus)["c06_mandatory.dslt"]
+    verdict = verify_property(spec, "ChildHasPOut_ShouldFail",
+                              VerificationConfig())
+    assert verdict.status == VIOLATED
+    empty = model_from_parts().elements
+    assert model_from_parts().links is empty
+    assert model_from_parts().traces is empty
+    source, target, _ = verdict.counterexample
+    parts = [getattr(m, part) for m in (source, target)
+             for part in ("elements", "links", "traces")]
+    assert any(not p for p in parts) and any(parts)
+    for p in parts:
+        assert p or p is empty
+    # equal to the same model built from distinct frozensets
+    for m in (source, target):
+        fresh = InstanceModel(frozenset(list(m.elements)),
+                              frozenset(list(m.links)),
+                              frozenset(list(m.traces)))
+        assert m == fresh and hash(m) == hash(fresh)
 
 
 def test_json_round_trip(uml2java):

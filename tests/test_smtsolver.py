@@ -19,7 +19,7 @@ from dsltv.cli import main as cli_main
 from dsltv.cutoff import PerClassBounds
 from dsltv.inheritance import flatten_inheritance_info
 from dsltv.smtencode import EncodeOptions, encode
-from dsltv.smtrun import default_solver_command, run_solver
+from dsltv.smtrun import default_solver_command, discard_spare, run_solver
 from dsltv.parser import parse_spec_file
 from dsltv.smtsolver import Cnf, SmtScript, Solver, SmtSyntaxError
 from dsltv.smtsolver import parse_sexprs
@@ -788,6 +788,7 @@ def test_solve_leaves_no_reference_cycles(monkeypatch):
 
 
 def test_default_solver_runs_from_plain_checkout(tmp_path, monkeypatch):
+    discard_spare()  # so that the child starts in this environment
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.chdir(tmp_path)
     problem = types.SimpleNamespace(text="""
@@ -804,6 +805,7 @@ def test_default_solver_runs_from_plain_checkout(tmp_path, monkeypatch):
 
 def test_default_solver_ignores_python_environment(tmp_path, monkeypatch):
     # a module on PYTHONPATH that shadows the stdlib must not reach the child
+    discard_spare()  # so that the child starts in this environment
     (tmp_path / "heapq.py").write_text("raise ImportError('shadowed')\n")
     monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     problem = types.SimpleNamespace(text="""
