@@ -6,15 +6,17 @@ Given a property over a layered monotone transformation, compute:
   - per-class slot bounds as a least fixed point,
   - the layer fragment to verify (Minimal / Baseline / Full).
 
-Relevance, the depth d, the Baseline closure and Minimal rest on one
-producer relation, `fragments.trace_producers` (the R3 check uses it too):
-the rules of the layers below a cut-off that record a trace from a source
-type to a fresh element of a target type.  The property's demands, one per
-trace constraint and one per untraced postcondition element, seed the
-relevance worklist; each retained rule's backward pairs add demands on
-earlier layers.  d is the longest path over retained producers.  Minimal
-is the first producer per demand: the layer prefix up to the latest layer
-that holds the first relevant producer of some demand.
+Relevance, the depth d and Minimal rest on one producer relation,
+`fragments.trace_producers` (the R3 check uses it too): the rules of the
+layers below a cut-off that record a trace from a source type to a fresh
+element of a target type.  The property's demands, one per trace
+constraint and one per untraced postcondition element, seed the relevance
+worklist; each retained rule's backward pairs add demands on earlier
+layers.  d is the longest path over retained producers.  Baseline is the
+layers of the relevant rules, which that worklist has already closed
+under backward demands.  Minimal is the first producer per demand: the
+layer prefix up to the latest layer that holds the first relevant producer
+of some demand.
 """
 
 from __future__ import annotations
@@ -332,32 +334,18 @@ def select_fragment(spec, prop, relevance, kind, t):
 
     Minimal is the shortest layer prefix that holds, for every demanded
     postcondition type / trace pair, its first relevant producer.  Baseline
-    is the layers of all relevant rules plus their backward-closure layers.
-    Full is every layer.
+    is the layers of all relevant rules.  Full is every layer.
     """
     n = len(t.layers)
     if kind is FragmentKind.FULL:
         return tuple(range(n))
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
     relevant = relevance.relevant_rules
     if kind is FragmentKind.BASELINE:
-        # backward closure: a rule in the fragment may demand producers in
-        # earlier layers; those layers join the fragment
-        work = [(li, rule) for li, rule in t.all_rules()
-                if rule.name in relevant]
-        layers, seen = set(), set()
-        while work:
-            li, rule = work.pop()
-            layers.add(li)
-            if rule.name in seen:
-                continue
-            seen.add(rule.name)
-            for s_cls, t_cls in rule.backward_classes():
-                work.extend(trace_producers(t, src_info, tgt_info, s_cls,
-                                            t_cls, li))
-        return tuple(sorted(layers))
-
+        # relevance retained the producers of every retained rule's backward
+        # pairs, so these layers are closed under backward demands
+        return tuple(sorted({t.rule_layer(r) for r in relevant}))
+    src_info = flatten_inheritance_info(spec.metamodel(t.source))
+    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
     if not relevant:
         return (0,) if n else ()
     last = 0

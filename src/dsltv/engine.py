@@ -1,9 +1,13 @@
 """Concrete layer-by-layer execution of a transformation.
 
-Each layer enumerates all injective, type-compatible, guard-satisfying
-matches of its rules against the source model.  Backward pairs must resolve
-to a unique trace-consistent target element created by an earlier layer;
-otherwise the firing is skipped and logged.  Fresh target element ids are
+Execution always runs every layer.  Each layer enumerates all injective,
+type-compatible, guard-satisfying matches of its rules against the source
+model.  Backward pairs must resolve to a unique trace-consistent target
+element created by an earlier layer; otherwise the firing is skipped and
+logged.  Every match thus ends in `firings` or `skipped`, so together they
+name exactly the rules that have a match on the source: the orchestrator
+reads one execution per counterexample both to refine a fragment and to
+confirm the violation.  Fresh target element ids are
 deterministic: "<ruleName>#<sorted source binding ids>#<applyElementName>".
 Trace links are recorded from every matched source element to every freshly
 created target element of the firing.
@@ -123,11 +127,8 @@ def _eval_binding(value, binding, source_elems):
     return value
 
 
-def execute(transformation, source, spec, layer_indices=None):
-    """Run the transformation on a source model.
-
-    layer_indices limits execution to a layer subset (fragment execution).
-    """
+def execute(transformation, source, spec):
+    """Run every layer of the transformation on a source model."""
     src_info = flatten_inheritance_info(spec.metamodel(transformation.source))
     tgt_info = flatten_inheritance_info(spec.metamodel(transformation.target))
     source_elems = source.element_map()
@@ -138,8 +139,6 @@ def execute(transformation, source, spec, layer_indices=None):
     result = ExecutionResult(target=model_from_parts())
 
     for li, layer in enumerate(transformation.layers):
-        if layer_indices is not None and li not in layer_indices:
-            continue
         # snapshot: same-layer outputs are invisible to backward resolution
         visible_traces = set(traces)
         visible_elements = dict(tgt_elements)

@@ -21,7 +21,7 @@ from .cutoff import (
     RelevanceResult, compute_cutoff, cutoff_params, per_class_bounds,
     relevant_rules, select_fragment,
 )
-from .engine import check_property_concrete, enumerate_matches, execute
+from .engine import check_property_concrete, execute
 from .fragments import check_flnr, check_gbpp
 from .inheritance import flatten_inheritance_info
 from .model import UnboundedClosureError, mandatory_closure
@@ -123,8 +123,9 @@ def _transformation_for(spec, prop):
 class PropertyPlan:
     """Every decision made once per property before anything is solved.
 
-    `spec`, `t` and `prop` are the proof specification's when attribute
-    abstraction applies, otherwise the user's own.
+    `spec` is the proof specification when attribute abstraction applies,
+    otherwise the user's own; `t` and `prop` are the user's in both cases,
+    since the proof specification shares them.
     """
     spec: object
     t: object
@@ -178,9 +179,7 @@ def plan_property(spec, prop, config):
             raise PlanRejected("fragment",
                                "abstraction not predicate-preserving: "
                                + "; ".join(bad))
-        spec = proof
-        t = _transformation_for(spec, prop)
-        prop = spec.property(prop.name)
+        spec = proof  # it shares the user's transformations and properties
     try:
         flatten_property(prop, spec)  # rejects a vacuous abstract element
     except ValueError as exc:
@@ -260,31 +259,14 @@ class _PropertyRun:
             with open(path, "w") as fh:
                 fh.write(problem.text)
 
-    def omitted_matching_layers(self, source, fragment):
-        """Layers of relevant rules outside `fragment` whose match pattern
-        has at least one occurrence in the counterexample source."""
-        plan = self.plan
-        src_info = flatten_inheritance_info(plan.spec.metamodel(plan.t.source))
-        layers = set()
-        for name in plan.relevance.relevant_rules:
-            li = plan.t.rule_layer(name)
-            if li in fragment:
-                continue
-            rule = plan.t.find_rule(name)
-            if any(True for _ in enumerate_matches(rule.match, source,
-                                                   src_info)):
-                layers.add(li)
-        return layers
-
-    def confirm(self, verdict):
-        """Execute the full transformation on the counterexample source and
-        re-check the property concretely; an unconfirmed violation becomes
-        UNKNOWN with the decoded and executed targets as artifacts."""
-        plan = self.plan
+    def confirm(self, verdict, result):
+        """Re-check the property concretely on `result`, the full
+        transformation's execution on the counterexample source; an
+        unconfirmed violation becomes UNKNOWN with the decoded and executed
+        targets as artifacts."""
         source, target, binding = verdict.counterexample
-        result = execute(plan.t, source, plan.spec)
-        if not check_property_concrete(plan.prop, source, result,
-                                       plan.spec).holds:
+        if not check_property_concrete(self.plan.prop, source, result,
+                                       self.plan.spec).holds:
             return verdict
         return replace(
             verdict, status=UNKNOWN, reason="solver-error",
@@ -296,33 +278,33 @@ class _PropertyRun:
                        "decoded_binding": binding})
 
     def run(self):
-        fragment = self.plan.fragment
+        plan = self.plan
+        fragment = plan.fragment
         cegar_rounds = 0
-        tried = set()
         while True:
-            tried.add(fragment)
             verdict = self.attempt(fragment)
             if verdict.status != VIOLATED:
                 break
+            result = execute(plan.t, verdict.counterexample[0], plan.spec)
             matching = set()
             if self.config.fragment_kind is FragmentKind.MINIMAL:
-                matching = self.omitted_matching_layers(
-                    verdict.counterexample[0], fragment)
+                # a rule has a match on the source exactly when its
+                # execution fired or skipped it
+                matched = {f.rule for f in result.firings} | \
+                    {rule for rule, _, _ in result.skipped}
+                matching = {plan.t.rule_layer(r) for r in
+                            matched & plan.relevance.relevant_rules} \
+                    - set(fragment)
             if not matching:
-                # no omitted rule fires on this source: the violation is real
-                verdict = self.confirm(verdict)
+                # no omitted relevant rule matches this source: the
+                # violation is real
+                verdict = self.confirm(verdict, result)
                 break
+            # a Minimal fragment is a layer prefix range(p), so every
+            # matching layer is at least p and the refined prefix is
+            # strictly longer: refinement ends within len(t.layers) rounds
             cegar_rounds += 1
-            enlarged = tuple(range(max(set(fragment) | matching) + 1))
-            if enlarged in tried:
-                enlarged = tuple(range(len(self.plan.t.layers)))
-            if enlarged in tried:
-                verdict = replace(
-                    verdict, status=UNKNOWN, reason="budget",
-                    counterexample=None,
-                    detail="refinement exhausted the layer set")
-                break
-            fragment = enlarged
+            fragment = tuple(range(max(matching) + 1))
         return replace(verdict, cegar_rounds=cegar_rounds,
                        closure_rounds=self.closure_rounds,
                        firing_variables=self.firing_variables)
@@ -347,19 +329,25 @@ def verify_property(spec, prop, config=None, plan=None):
 
 
 def verify_all(spec, config=None, parallelism=1):
-    """Yield (property name, verdict) in declaration order, then a summary
-    dict.  Worker-pool completion order never affects results."""
+    """Yield (property name, verdict) in declaration order, each as soon as
+    it and every earlier one are decided, then a summary dict.  Worker-pool
+    completion order never affects results."""
     config = config or VerificationConfig()
     names = [p.name for p in spec.properties]
-    if parallelism <= 1:
-        results = {n: verify_property(spec, n, config) for n in names}
-    else:
+
+    def verdicts():
+        if parallelism <= 1:
+            for n in names:
+                yield n, verify_property(spec, n, config)
+            return
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             futures = {n: pool.submit(verify_property, spec, n, config)
                        for n in names}
-            results = {n: f.result() for n, f in futures.items()}
+            for n in names:
+                yield n, futures[n].result()
+
     counts = {"holds": 0, "violated": 0, "unknown": 0}
-    for n in names:
-        counts[results[n].status.lower()] += 1
-        yield n, results[n]
+    for n, verdict in verdicts():
+        counts[verdict.status.lower()] += 1
+        yield n, verdict
     yield None, {"event": "summary", **counts}

@@ -478,6 +478,25 @@ def _duplicates(names):
     return list(repeated)
 
 
+def _domain_kind(domain):
+    """Bool, Int, String or the enum's name: a copy binding keeps its value,
+    so its source and target attributes must share this."""
+    if isinstance(domain, BoolDomain):
+        return "Bool"
+    if isinstance(domain, (IntRange, IntSet, IntUnbounded)):
+        return "Int"
+    if isinstance(domain, (StringVocab, StringUnbounded)):
+        return "String"
+    return domain.enum
+
+
+def _literal_kind(value):
+    """The `_domain_kind` a literal belongs to."""
+    if isinstance(value, EnumValue):
+        return value.enum
+    return {bool: "Bool", int: "Int", str: "String"}.get(type(value))
+
+
 class _Resolver:
     def __init__(self, spec, diags, file):
         self.spec = spec
@@ -566,18 +585,11 @@ class _Resolver:
         return mm, self.info.get(name)
 
     def check_literal_against(self, domain, value, where):
-        if isinstance(domain, BoolDomain) and not isinstance(value, bool):
-            self.err(f"{where}: expected Bool literal")
-        elif isinstance(domain, (IntRange, IntSet, IntUnbounded)) and \
-                (isinstance(value, bool) or not isinstance(value, int)):
-            self.err(f"{where}: expected Int literal")
-        elif isinstance(domain, (StringVocab, StringUnbounded)) and not isinstance(value, str):
-            self.err(f"{where}: expected String literal")
-        elif isinstance(domain, EnumRef):
-            if not isinstance(value, EnumValue) or value.enum != domain.enum:
-                self.err(f"{where}: expected {domain.enum} literal")
-            elif value.literal not in domain.literals:
-                self.err(f"{where}: '{value.literal}' is not a literal of {domain.enum}")
+        kind = _domain_kind(domain)
+        if _literal_kind(value) != kind:
+            self.err(f"{where}: expected {kind} literal")
+        elif isinstance(domain, EnumRef) and value.literal not in domain.literals:
+            self.err(f"{where}: '{value.literal}' is not a literal of {domain.enum}")
 
     def check_pattern(self, pattern, mm, info, where):
         if mm is None or info is None:
@@ -702,6 +714,11 @@ class _Resolver:
                         if src_dom is None:
                             self.err(f"{where}: match element '{b.value.element}' has "
                                      f"no attribute '{b.value.attr}'")
+                        elif _domain_kind(src_dom) != _domain_kind(dom):
+                            self.err(f"{where}: binding '{e.name}.{b.attr}' copies "
+                                     f"'{b.value.element}.{b.value.attr}' "
+                                     f"({_domain_kind(src_dom)}) into a "
+                                     f"{_domain_kind(dom)} attribute")
                 else:
                     self.check_literal_against(
                         dom, b.value, f"{where}: binding '{e.name}.{b.attr}'")

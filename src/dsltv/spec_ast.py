@@ -280,13 +280,6 @@ class Transformation:
                     return i
         raise KeyError(rule_name)
 
-    def find_rule(self, rule_name: str) -> Rule:
-        for layer in self.layers:
-            for r in layer.rules:
-                if r.name == rule_name:
-                    return r
-        raise KeyError(rule_name)
-
 
 @dataclass(frozen=True)
 class PropertyDecl:

@@ -105,6 +105,18 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert exc.value.code == 3
 
 
+def test_copy_across_attribute_kinds_exits_three(tmp_path, capsys):
+    # rejected while parsing, before the abstraction could fail on it
+    from test_parser import KIND_MISMATCH
+    spec = tmp_path / "kind.dslt"
+    spec.write_text(KIND_MISMATCH)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(spec)])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "copies 'a.v' (Int) into a String attribute" in err
+
+
 def test_duplicate_names_are_reported_in_declaration_order(tmp_path):
     # set iteration order follows the hash seed; diagnostics must not
     spec = tmp_path / "dup.dslt"

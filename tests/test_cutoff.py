@@ -6,6 +6,8 @@ import random
 from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
                           compute_cutoff, cutoff_params, cutoff_report,
                           per_class_bounds, relevant_rules, select_fragment)
+from dsltv.fragments import trace_producers
+from dsltv.inheritance import flatten_inheritance_info
 from dsltv.model import mandatory_closure
 from dsltv.orchestrator import HOLDS, VerificationConfig, verify_property
 
@@ -125,6 +127,31 @@ def test_fragment_kinds_are_nested():
             if mode is not RelevanceMode.LEGACY:
                 assert baseline == tuple(sorted(
                     {t.rule_layer(r) for r in rel.relevant_rules})), where
+
+
+def test_relevance_keeps_the_producers_of_backward_pairs():
+    # Baseline is the layers of the relevant rules; that set is closed
+    # under backward demands only because every earlier-layer producer of a
+    # relevant rule's backward pair is itself relevant, in every mode
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
+                                 recursive=True)):
+        spec = load_spec(os.path.relpath(path, FIXTURES))
+        t = spec.transformations[0]
+        src_info = flatten_inheritance_info(spec.metamodel(t.source))
+        tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+        for prop, mode in itertools.product(spec.properties, RelevanceMode):
+            relevant = relevant_rules(spec, prop, mode, t).relevant_rules
+            for li, rule in t.all_rules():
+                if rule.name not in relevant:
+                    continue
+                for s_cls, t_cls in rule.backward_classes():
+                    for _, producer in trace_producers(
+                            t, src_info, tgt_info, s_cls, t_cls, li):
+                        assert producer.name in relevant, \
+                            (path, prop.name, mode, rule.name)
+                        checked += 1
+    assert checked
 
 
 def test_cutoff_report_shape(uml2java):

@@ -142,12 +142,3 @@ def test_check_property_concrete_verdicts(uml2java):
     verdict = check_property_concrete(bad, source, result, uml2java)
     assert not verdict.holds
     assert verdict.violating_bindings
-
-
-def test_partial_execution_respects_layer_subset(uml2java):
-    source = _uml_source(uml2java)
-    first = execute(uml2java.transformations[0], source, uml2java,
-                    layer_indices=(0,))
-    full = execute(uml2java.transformations[0], source, uml2java)
-    assert first.target.is_subgraph_of(full.target)
-    assert len(first.target.elements) < len(full.target.elements)

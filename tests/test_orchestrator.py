@@ -1,10 +1,11 @@
 import json
+import threading
 import time
 
 from conftest import load_spec
 from oracle import oracle_verdict, source_bounds_for
 
-from dsltv import cli
+from dsltv import cli, orchestrator
 from dsltv.cutoff import RelevanceMode, relevant_rules
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import InstanceModel, validate_conformance
@@ -50,6 +51,35 @@ def test_cegar_refines_spurious_minimal_fragment(cegar_spec):
     assert violated.fragment == (0,)
 
 
+def test_each_counterexample_is_executed_once(cegar_spec, monkeypatch):
+    # the same execution decides refinement and confirms the violation
+    executions, violated = [], []
+    real_execute, real_attempt = orchestrator.execute, _PropertyRun.attempt
+
+    def counting_execute(*args):
+        executions.append(args)
+        return real_execute(*args)
+
+    def counting_attempt(self, fragment, bounds=None):
+        verdict = real_attempt(self, fragment, bounds)
+        if verdict.status == VIOLATED:
+            violated.append(fragment)
+        return verdict
+
+    monkeypatch.setattr(orchestrator, "execute", counting_execute)
+    monkeypatch.setattr(_PropertyRun, "attempt", counting_attempt)
+    pins = {"SourceHasWidget": (HOLDS, (0, 1), 1),
+            "SourceHasGadget_ShouldFail": (VIOLATED, (0,), 0)}
+    for name, pin in pins.items():
+        executions.clear()
+        violated.clear()
+        verdict = verify_property(cegar_spec, name, VerificationConfig())
+        assert (verdict.status, verdict.fragment, verdict.cegar_rounds) \
+            == pin, name
+        assert violated == [(0,)], name
+        assert len(executions) == len(violated), name
+
+
 def test_unconfirmed_counterexample_is_unknown_with_artifacts(cegar_spec):
     # a flag-false Source has no Widget after the first layer alone; the
     # second layer maps it, so the full transformation repairs the claimed
@@ -61,7 +91,7 @@ def test_unconfirmed_counterexample_is_unknown_with_artifacts(cegar_spec):
     source = InstanceModel().with_element("s0", "Source", {"flag": False})
     claimed = PropertyVerdict(VIOLATED, fragment=(0,), counterexample=(
         source, InstanceModel(), {"s": "s0"}))
-    verdict = run.confirm(claimed)
+    verdict = run.confirm(claimed, execute(plan.t, source, plan.spec))
     assert verdict.status == UNKNOWN
     assert verdict.reason == "solver-error"
     assert verdict.counterexample is None
@@ -77,7 +107,7 @@ def test_unconfirmed_counterexample_is_unknown_with_artifacts(cegar_spec):
     claimed = PropertyVerdict(VIOLATED, counterexample=(
         source, InstanceModel(), {"s": "s0"}))
     assert _PropertyRun(plan, config, time.monotonic() + 60).confirm(
-        claimed) is claimed
+        claimed, execute(plan.t, source, plan.spec)) is claimed
 
 
 def test_fragment_violations_give_unknown():
@@ -154,6 +184,46 @@ def test_verify_all_order_and_summary(uml2java):
     assert summary["event"] == "summary"
     assert summary["holds"] + summary["violated"] + summary["unknown"] \
         == len(names)
+
+
+def test_verify_all_yields_each_verdict_once_decided(uml2java, monkeypatch):
+    calls = []
+
+    def fake_verify(spec, name, config):
+        calls.append(name)
+        return PropertyVerdict(HOLDS)
+
+    monkeypatch.setattr(orchestrator, "verify_property", fake_verify)
+    stream = verify_all(uml2java)
+    name, _ = next(stream)
+    assert name == uml2java.properties[0].name
+    assert calls == [name]
+    stream.close()
+
+
+def test_parallel_verify_all_yields_while_later_properties_run(
+        uml2java, monkeypatch):
+    names = [p.name for p in uml2java.properties]
+    release = threading.Event()
+    finished = []
+
+    def fake_verify(spec, name, config):
+        if name != names[0]:
+            release.wait(10)
+        finished.append(name)
+        return PropertyVerdict(HOLDS)
+
+    monkeypatch.setattr(orchestrator, "verify_property", fake_verify)
+    stream = verify_all(uml2java, parallelism=2)
+    try:
+        name, _ = next(stream)
+        assert name == names[0]
+        assert finished == [names[0]]
+    finally:
+        release.set()
+    rows = list(stream)
+    assert [n for n, _ in rows] == names[1:] + [None]
+    assert rows[-1][1]["holds"] == len(names)
 
 
 def test_parallel_matches_sequential(uml2java):

@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 
 from dsltv.parser import COMPARISON_OPS, parse_spec, parse_spec_file
@@ -141,6 +142,52 @@ transformation t : M -> N {
 }
 """)
     assert "unknown literal" in msg
+
+
+KIND_MISMATCH = """
+metamodel M { class A { v: Int } }
+metamodel N { class B { w: String } }
+transformation t : M -> N {
+    layer L {
+        rule R {
+            match { any a : A }
+            apply { b : B { w = a.v } }
+        }
+    }
+}
+property P {
+    precondition { any a : A }
+    postcondition {
+        b : B where w == "x"
+        b <--trace-- a
+    }
+}
+"""
+
+
+def test_copy_across_attribute_kinds_is_reported():
+    msg = _errors(KIND_MISMATCH)
+    assert "binding 'b.w' copies 'a.v' (Int) into a String attribute" in msg
+    template = """
+metamodel M {{
+    enum K {{ X, Y }}
+    class A {{ v: {src} }}
+}}
+metamodel N {{
+    enum K {{ X, Y }}
+    enum J {{ X, Y }}
+    class B {{ w: {tgt} }}
+}}
+transformation t : M -> N {{
+    layer L {{ rule R {{ match {{ any a : A }} apply {{ b : B {{ w = a.v }} }} }} }}
+}}
+"""
+    kinds = {"Bool": "Bool", "Int[0..3]": "Int", "Int": "Int",
+             "String": "String", "K": "K", "J": "J"}
+    for src, tgt in itertools.product(kinds.keys() - {"J"}, kinds):
+        result = parse_spec(template.format(src=src, tgt=tgt), "inline")
+        assert isinstance(result, list) == (kinds[src] != kinds[tgt]), \
+            (src, tgt, result)
 
 
 def test_trace_constraint_rejected_in_match():
