@@ -63,15 +63,6 @@ class InstanceModel:
         return InstanceModel(self.elements, self.links,
                              self.traces | {TraceLink(src, tgt)})
 
-    def merge(self, other):
-        return InstanceModel(self.elements | other.elements,
-                             self.links | other.links,
-                             self.traces | other.traces)
-
-    def is_subgraph_of(self, other):
-        return (self.elements <= other.elements and self.links <= other.links
-                and self.traces <= other.traces)
-
 
 # every empty part of a model built here is this one object
 _EMPTY = frozenset()

@@ -25,6 +25,7 @@ parse_spec returns a fully resolved Specification or a list of Diagnostic.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from .diagnostics import Diagnostic
 from .inheritance import InheritanceCycleError, flatten_inheritance_info, types_overlap
@@ -138,6 +139,12 @@ class _Parser:
             return self.next()
         return None
 
+    def pos(self):
+        """(line, column) of the next token: the ``pos`` of a node named
+        there."""
+        tok = self.peek()
+        return tok.line, tok.col
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
         self.diags.append(Diagnostic(tok.line, tok.col, "error", message, self.file))
@@ -208,6 +215,7 @@ class _Parser:
 
     def metamodel(self):
         self.expect("metamodel")
+        pos = self.pos()
         name = self.ident("metamodel name")
         self.expect("{")
         classes, enums, assocs = [], [], []
@@ -222,21 +230,24 @@ class _Parser:
                 self.error("unterminated metamodel block")
             else:
                 self.error(f"expected class/enum/assoc, found {self.peek().text!r}")
-        return Metamodel(name, tuple(classes), tuple(enums), tuple(assocs))
+        return Metamodel(name, tuple(classes), tuple(enums), tuple(assocs),
+                         pos)
 
     def enum_decl(self):
         self.expect("enum")
+        pos = self.pos()
         name = self.ident("enum name")
         self.expect("{")
         literals = [self.ident("enum literal")]
         while self.accept(","):
             literals.append(self.ident("enum literal"))
         self.expect("}")
-        return EnumDecl(name, tuple(literals))
+        return EnumDecl(name, tuple(literals), pos)
 
     def class_decl(self):
         abstract = self.accept("abstract") is not None
         self.expect("class")
+        pos = self.pos()
         name = self.ident("class name")
         parent = self.ident("parent class") if self.accept("extends") else None
         self.expect("{")
@@ -244,10 +255,11 @@ class _Parser:
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated class block")
+            attr_pos = self.pos()
             attr_name = self.ident("attribute name")
             self.expect(":")
-            attrs.append(AttributeDecl(attr_name, self.domain()))
-        return ClassDecl(name, abstract, parent, tuple(attrs))
+            attrs.append(AttributeDecl(attr_name, self.domain(), attr_pos))
+        return ClassDecl(name, abstract, parent, tuple(attrs), pos)
 
     def domain(self):
         tok = self.peek()
@@ -283,6 +295,7 @@ class _Parser:
 
     def assoc_decl(self):
         self.expect("assoc")
+        pos = self.pos()
         name = self.ident("association name")
         self.expect(":")
         source = self.ident("source class")
@@ -299,7 +312,7 @@ class _Parser:
             self.expect("]")
             if lower < 0 or (upper is not None and lower > upper):
                 self.error(f"bad multiplicity [{lower}..{upper}]")
-        return AssociationDecl(name, source, target, lower, upper)
+        return AssociationDecl(name, source, target, lower, upper, pos)
 
     # -- patterns ------------------------------------------------------------
 
@@ -325,12 +338,14 @@ class _Parser:
         constraints = []
         while self.accept("where"):
             while True:
+                pos = self.pos()
                 attr = self.ident("attribute name")
                 op_tok = self.peek()
                 if op_tok.text not in COMPARISON_OPS:
                     self.error(f"expected comparison operator, found {op_tok.text!r}")
                 self.next()
-                constraints.append(AttrConstraint(attr, op_tok.text, self.literal()))
+                constraints.append(AttrConstraint(attr, op_tok.text,
+                                                  self.literal(), pos))
                 if not self.accept("and"):
                     break
         return tuple(constraints)
@@ -346,6 +361,7 @@ class _Parser:
             direct = False
             if not any_flag:
                 direct = self.accept("direct") is not None
+            pos = self.pos()
             name = self.ident("element or link name")
             if not any_flag and not direct and self.at("<--trace--"):
                 self.next()
@@ -360,18 +376,20 @@ class _Parser:
                 src = self.ident("link source element")
                 self.expect(".")
                 tgt = self.ident("link target element")
-                links.append(PatternLink(name, type_name, src, tgt, direct))
+                links.append(PatternLink(name, type_name, src, tgt, direct,
+                                         pos))
             else:
                 if direct:
                     self.error("'direct' marks links, not elements")
                 elements.append(PatternElement(name, type_name, any_flag,
-                                               self.where_clauses()))
+                                               self.where_clauses(), pos))
         return PatternGraph(tuple(elements), tuple(links)), tuple(traces)
 
     # -- transformations -------------------------------------------------------
 
     def transformation(self):
         self.expect("transformation")
+        pos = self.pos()
         name = self.ident("transformation name")
         self.expect(":")
         source = self.ident("source metamodel")
@@ -391,10 +409,11 @@ class _Parser:
                     self.error("unterminated layer block")
                 rules.append(self.rule())
             layers.append(Layer(lname, tuple(rules)))
-        return Transformation(name, source, target, tuple(layers))
+        return Transformation(name, source, target, tuple(layers), pos)
 
     def rule(self):
         self.expect("rule")
+        pos = self.pos()
         name = self.ident("rule name")
         self.expect("{")
         self.expect("match")
@@ -411,7 +430,7 @@ class _Parser:
                 self.expect("<--trace--")
                 backward.append((apply_el, self.ident("match element")))
         self.expect("}")
-        return Rule(name, match, apply_graph, tuple(backward))
+        return Rule(name, match, apply_graph, tuple(backward), pos)
 
     def apply_graph(self):
         elements, links = [], []
@@ -419,6 +438,7 @@ class _Parser:
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated apply block")
+            pos = self.pos()
             name = self.ident("apply element or link name")
             self.expect(":")
             type_name = self.ident("class or association name")
@@ -426,13 +446,15 @@ class _Parser:
                 src = self.ident("link source element")
                 self.expect(".")
                 tgt = self.ident("link target element")
-                links.append(PatternLink(name, type_name, src, tgt, False))
+                links.append(PatternLink(name, type_name, src, tgt, False,
+                                         pos))
                 continue
             bindings = []
             if self.accept("{"):
                 while not self.accept("}"):
                     if self.peek().kind == "eof":
                         self.error("unterminated binding block")
+                    attr_pos = self.pos()
                     attr = self.ident("attribute name")
                     self.expect("=")
                     tok = self.peek()
@@ -441,17 +463,21 @@ class _Parser:
                         # resolver decides: copy-from-match-element vs enum literal
                         first = self.ident()
                         self.expect(".")
-                        bindings.append(AttrBinding(attr, CopyBinding(first, self.ident())))
+                        bindings.append(AttrBinding(
+                            attr, CopyBinding(first, self.ident()), attr_pos))
                     else:
-                        bindings.append(AttrBinding(attr, self.literal()))
+                        bindings.append(AttrBinding(attr, self.literal(),
+                                                    attr_pos))
                     self.accept(",")
-            elements.append(ApplyElement(name, type_name, tuple(bindings)))
+            elements.append(ApplyElement(name, type_name, tuple(bindings),
+                                         pos))
         return ApplyGraph(tuple(elements), tuple(links))
 
     # -- properties --------------------------------------------------------------
 
     def property_decl(self):
         self.expect("property")
+        pos = self.pos()
         name = self.ident("property name")
         doc = self.string() if self.peek().kind == "string" else ""
         self.expect("{")
@@ -460,22 +486,23 @@ class _Parser:
         self.expect("postcondition")
         post, traces = self.pattern_graph(allow_traces=True)
         self.expect("}")
-        return PropertyDecl(name, doc, pre, post, traces)
+        return PropertyDecl(name, doc, pre, post, traces, pos)
 
 
 # ---------------------------------------------------------------------------
 # Resolution
 # ---------------------------------------------------------------------------
 
-def _duplicates(names):
-    """The names that occur more than once, in the order of their first
-    repetition."""
+def _duplicates(nodes, key=lambda node: node.name):
+    """(key, node) for each key that more than one of `nodes` has, with the
+    node that first repeats it, in the order of those repetitions."""
     seen, repeated = set(), {}
-    for n in names:
-        if n in seen:
-            repeated[n] = None
-        seen.add(n)
-    return list(repeated)
+    for node in nodes:
+        k = key(node)
+        if k in seen:
+            repeated.setdefault(k, node)
+        seen.add(k)
+    return list(repeated.items())
 
 
 def _domain_kind(domain):
@@ -505,12 +532,14 @@ class _Resolver:
         self.info = {}  # metamodel name -> class info map
         self.resolved_mms = []
 
-    def err(self, message):
-        self.diags.append(Diagnostic(0, 0, "error", message, self.file))
+    def err(self, message, node):
+        """Report `message` at the position of `node`."""
+        line, col = node.pos or (0, 0)
+        self.diags.append(Diagnostic(line, col, "error", message, self.file))
 
     def run(self):
-        for n in _duplicates(mm.name for mm in self.spec.metamodels):
-            self.err(f"duplicate metamodel '{n}'")
+        for n, mm in _duplicates(self.spec.metamodels):
+            self.err(f"duplicate metamodel '{n}'", mm)
         for mm in self.spec.metamodels:
             self.resolve_metamodel(mm)
         spec = Specification(
@@ -520,13 +549,14 @@ class _Resolver:
             self.spec.properties,
         )
         self.spec = spec
-        for pr in _duplicates((t.source, t.target)
-                              for t in spec.transformations):
-            self.err(f"more than one transformation for metamodel pair {pr[0]} -> {pr[1]}")
+        for pr, t in _duplicates(spec.transformations,
+                                 lambda t: (t.source, t.target)):
+            self.err(f"more than one transformation for metamodel pair "
+                     f"{pr[0]} -> {pr[1]}", t)
         for t in spec.transformations:
             self.resolve_transformation(t)
-        for n in _duplicates(p.name for p in spec.properties):
-            self.err(f"duplicate property '{n}'")
+        for n, p in _duplicates(spec.properties):
+            self.err(f"duplicate property '{n}'", p)
         for p in spec.properties:
             self.resolve_property(p)
         return spec
@@ -534,12 +564,13 @@ class _Resolver:
     # -- metamodel checks, enum-ref fill-in ------------------------------------
 
     def resolve_metamodel(self, mm):
-        for n in _duplicates(c.name for c in mm.classes):
-            self.err(f"duplicate class '{n}' in metamodel '{mm.name}'")
-        for n in _duplicates(e.name for e in mm.enums):
-            self.err(f"duplicate enum '{n}' in metamodel '{mm.name}'")
-        for n in _duplicates(a.name for a in mm.associations):
-            self.err(f"duplicate association '{n}' in metamodel '{mm.name}'")
+        for n, c in _duplicates(mm.classes):
+            self.err(f"duplicate class '{n}' in metamodel '{mm.name}'", c)
+        for n, e in _duplicates(mm.enums):
+            self.err(f"duplicate enum '{n}' in metamodel '{mm.name}'", e)
+        for n, a in _duplicates(mm.associations):
+            self.err(f"duplicate association '{n}' in metamodel "
+                     f"'{mm.name}'", a)
         enums = mm.enum_map()
         classes = []
         for c in mm.classes:
@@ -550,84 +581,88 @@ class _Resolver:
                     decl = enums.get(dom.enum)
                     if decl is None:
                         self.err(f"unknown enum '{dom.enum}' for attribute "
-                                 f"'{c.name}.{a.name}' in metamodel '{mm.name}'")
+                                 f"'{c.name}.{a.name}' in metamodel "
+                                 f"'{mm.name}'", a)
                         continue
                     dom = EnumRef(dom.enum, decl.literals)
-                attrs.append(AttributeDecl(a.name, dom))
-            if c.parent is not None and c.parent not in mm.class_map():
-                self.err(f"unknown parent class '{c.parent}' of '{c.name}' "
-                         f"in metamodel '{mm.name}'")
-                classes.append(ClassDecl(c.name, c.abstract, None, tuple(attrs)))
-            else:
-                classes.append(ClassDecl(c.name, c.abstract, c.parent, tuple(attrs)))
+                attrs.append(replace(a, domain=dom))
+            parent = c.parent
+            if parent is not None and parent not in mm.class_map():
+                self.err(f"unknown parent class '{parent}' of '{c.name}' "
+                         f"in metamodel '{mm.name}'", c)
+                parent = None
+            classes.append(replace(c, parent=parent, attributes=tuple(attrs)))
         for a in mm.associations:
             for end in (a.source, a.target):
                 if end not in mm.class_map():
                     self.err(f"unknown class '{end}' in association '{a.name}' "
-                             f"of metamodel '{mm.name}'")
-        resolved = Metamodel(mm.name, tuple(classes), mm.enums, mm.associations)
+                             f"of metamodel '{mm.name}'", a)
+        resolved = replace(mm, classes=tuple(classes))
         try:
             self.info[mm.name] = flatten_inheritance_info(resolved)
         except InheritanceCycleError as e:
-            self.err(str(e))
+            self.err(str(e), mm)
         except (KeyError, ValueError) as e:
-            self.err(f"in metamodel '{mm.name}': {e}")
+            self.err(f"in metamodel '{mm.name}': {e}", mm)
         self.resolved_mms.append(resolved)
 
     # -- shared pattern checks --------------------------------------------------
 
-    def lookup_mm(self, name, where):
+    def lookup_mm(self, name, where, node):
         try:
             mm = self.spec.metamodel(name)
         except KeyError:
-            self.err(f"unknown metamodel '{name}' in {where}")
+            self.err(f"unknown metamodel '{name}' in {where}", node)
             return None, None
         return mm, self.info.get(name)
 
-    def check_literal_against(self, domain, value, where):
+    def check_literal_against(self, domain, value, where, node):
         kind = _domain_kind(domain)
         if _literal_kind(value) != kind:
-            self.err(f"{where}: expected {kind} literal")
+            self.err(f"{where}: expected {kind} literal", node)
         elif isinstance(domain, EnumRef) and value.literal not in domain.literals:
-            self.err(f"{where}: '{value.literal}' is not a literal of {domain.enum}")
+            self.err(f"{where}: '{value.literal}' is not a literal of "
+                     f"{domain.enum}", node)
 
     def check_pattern(self, pattern, mm, info, where):
         if mm is None or info is None:
             return
-        for n in _duplicates(e.name for e in pattern.elements):
-            self.err(f"{where}: duplicate element name '{n}'")
+        for n, e in _duplicates(pattern.elements):
+            self.err(f"{where}: duplicate element name '{n}'", e)
         elems = pattern.element_map()
         for e in pattern.elements:
             if e.klass not in info:
-                self.err(f"{where}: unknown class '{e.klass}' for element '{e.name}'")
+                self.err(f"{where}: unknown class '{e.klass}' for element "
+                         f"'{e.name}'", e)
                 continue
             for c in e.constraints:
                 dom = info[e.klass].attributes.get(c.attr)
                 if dom is None:
-                    self.err(f"{where}: element '{e.name}' has no attribute '{c.attr}'")
+                    self.err(f"{where}: element '{e.name}' has no attribute "
+                             f"'{c.attr}'", c)
                     continue
-                self.check_literal_against(dom, c.value,
-                                           f"{where}: guard on '{e.name}.{c.attr}'")
+                self.check_literal_against(
+                    dom, c.value, f"{where}: guard on '{e.name}.{c.attr}'", c)
                 if c.op not in ("==", "!=") and not isinstance(
                         dom, (IntRange, IntSet, IntUnbounded)):
                     self.err(f"{where}: ordered comparison needs an Int attribute "
-                             f"('{e.name}.{c.attr}')")
+                             f"('{e.name}.{c.attr}')", c)
         assocs = mm.assoc_map()
         for l in pattern.links:
             a = assocs.get(l.assoc)
             if a is None:
-                self.err(f"{where}: unknown association '{l.assoc}'")
+                self.err(f"{where}: unknown association '{l.assoc}'", l)
                 continue
             for endpoint, decl_end in ((l.source, a.source), (l.target, a.target)):
                 el = elems.get(endpoint)
                 if el is None:
                     self.err(f"{where}: link '{l.name}' references undeclared "
-                             f"element '{endpoint}'")
+                             f"element '{endpoint}'", l)
                 elif el.klass in info and decl_end in info and \
                         not types_overlap(info, el.klass, decl_end):
                     self.err(f"{where}: link '{l.name}' endpoint '{endpoint}' of class "
                              f"'{el.klass}' is incompatible with association end "
-                             f"'{decl_end}'")
+                             f"'{decl_end}'", l)
 
     # -- transformation ----------------------------------------------------------
 
@@ -653,25 +688,21 @@ class _Resolver:
                             if v.attr not in enums[v.element].literals:
                                 self.err(f"rule '{rule.name}': unknown "
                                          f"literal '{v.attr}' of enum "
-                                         f"'{v.element}'")
-                            b = AttrBinding(b.attr,
-                                            EnumValue(v.element, v.attr))
+                                         f"'{v.element}'", b)
+                            b = replace(b, value=EnumValue(v.element, v.attr))
                         bindings.append(b)
-                    elements.append(ApplyElement(e.name, e.klass,
-                                                 tuple(bindings)))
-                rules.append(Rule(rule.name,
-                                  rule.match,
-                                  ApplyGraph(tuple(elements),
-                                             rule.apply.links),
-                                  rule.backward))
+                    elements.append(replace(e, bindings=tuple(bindings)))
+                rules.append(replace(rule, apply=ApplyGraph(
+                    tuple(elements), rule.apply.links)))
             layers.append(Layer(layer.name, tuple(rules)))
-        return Transformation(t.name, t.source, t.target, tuple(layers))
+        return replace(t, layers=tuple(layers))
 
     def resolve_transformation(self, t):
-        src_mm, src_info = self.lookup_mm(t.source, f"transformation '{t.name}'")
-        tgt_mm, tgt_info = self.lookup_mm(t.target, f"transformation '{t.name}'")
-        for n in _duplicates(r.name for _, r in t.all_rules()):
-            self.err(f"duplicate rule '{n}' in transformation '{t.name}'")
+        where = f"transformation '{t.name}'"
+        src_mm, src_info = self.lookup_mm(t.source, where, t)
+        tgt_mm, tgt_info = self.lookup_mm(t.target, where, t)
+        for n, r in _duplicates(r for _, r in t.all_rules()):
+            self.err(f"duplicate rule '{n}' in transformation '{t.name}'", r)
         for _, rule in t.all_rules():
             where = f"rule '{rule.name}'"
             self.check_pattern(rule.match, src_mm, src_info, where + " match")
@@ -681,63 +712,65 @@ class _Resolver:
             for ae, me in rule.backward:
                 if ae not in apply_names:
                     self.err(f"{where}: backward pair references undeclared apply "
-                             f"element '{ae}'")
+                             f"element '{ae}'", rule)
                 if me not in match_names:
                     self.err(f"{where}: backward pair references undeclared match "
-                             f"element '{me}'")
+                             f"element '{me}'", rule)
 
     def check_apply(self, rule, src_info, tgt_mm, tgt_info, where):
         if tgt_mm is None or tgt_info is None:
             return
-        for n in _duplicates(e.name for e in rule.apply.elements):
-            self.err(f"{where}: duplicate apply element '{n}'")
+        for n, e in _duplicates(rule.apply.elements):
+            self.err(f"{where}: duplicate apply element '{n}'", e)
         match_elems = rule.match.element_map()
         for e in rule.apply.elements:
             if e.klass not in tgt_info:
                 self.err(f"{where}: unknown target class '{e.klass}' "
-                         f"for apply element '{e.name}'")
+                         f"for apply element '{e.name}'", e)
                 continue
             for b in e.bindings:
                 dom = tgt_info[e.klass].attributes.get(b.attr)
                 if dom is None:
                     self.err(f"{where}: apply element '{e.name}' has no attribute "
-                             f"'{b.attr}'")
+                             f"'{b.attr}'", b)
                     continue
                 if isinstance(b.value, CopyBinding):
                     src_el = match_elems.get(b.value.element)
                     if src_el is None:
                         self.err(f"{where}: binding '{e.name}.{b.attr}' copies from "
-                                 f"undeclared match element '{b.value.element}'")
+                                 f"undeclared match element '{b.value.element}'",
+                                 b)
                         continue
                     if src_info and src_el.klass in src_info:
                         src_dom = src_info[src_el.klass].attributes.get(b.value.attr)
                         if src_dom is None:
                             self.err(f"{where}: match element '{b.value.element}' has "
-                                     f"no attribute '{b.value.attr}'")
+                                     f"no attribute '{b.value.attr}'", b)
                         elif _domain_kind(src_dom) != _domain_kind(dom):
                             self.err(f"{where}: binding '{e.name}.{b.attr}' copies "
                                      f"'{b.value.element}.{b.value.attr}' "
                                      f"({_domain_kind(src_dom)}) into a "
-                                     f"{_domain_kind(dom)} attribute")
+                                     f"{_domain_kind(dom)} attribute", b)
                 else:
                     self.check_literal_against(
-                        dom, b.value, f"{where}: binding '{e.name}.{b.attr}'")
+                        dom, b.value, f"{where}: binding '{e.name}.{b.attr}'", b)
         elems = rule.apply.element_map()
         assocs = tgt_mm.assoc_map()
         for l in rule.apply.links:
             a = assocs.get(l.assoc)
             if a is None:
-                self.err(f"{where}: unknown target association '{l.assoc}'")
+                self.err(f"{where}: unknown target association '{l.assoc}'", l)
                 continue
             for endpoint, decl_end in ((l.source, a.source), (l.target, a.target)):
                 el = elems.get(endpoint)
                 if el is None:
                     self.err(f"{where}: apply link '{l.name}' references undeclared "
-                             f"element '{endpoint}'")
+                             f"element '{endpoint}'", l)
                 elif el.klass in tgt_info and not types_overlap(
                         tgt_info, el.klass, decl_end):
                     self.err(f"{where}: apply link '{l.name}' endpoint '{endpoint}' "
-                             f"is incompatible with association end '{decl_end}'")
+                             f"is incompatible with association end '{decl_end}'",
+                             l)
 
     # -- properties ----------------------------------------------------------------
 
@@ -747,17 +780,18 @@ class _Resolver:
             homes = {mm.name for mm in self.spec.metamodels
                      if e.klass in self.info.get(mm.name, {})}
             if not homes:
-                self.err(f"{where}: unknown class '{e.klass}'")
+                self.err(f"{where}: unknown class '{e.klass}'", e)
                 return None
             candidates = homes if candidates is None else candidates & homes
         if candidates is None:
             return None  # empty pattern: no anchor
         if not candidates:
-            self.err(f"{where}: pattern classes do not share a metamodel")
+            self.err(f"{where}: pattern classes do not share a metamodel",
+                     pattern.elements[0])
             return None
         if len(candidates) > 1:
             self.err(f"{where}: pattern classes are ambiguous across metamodels "
-                     f"{sorted(candidates)}")
+                     f"{sorted(candidates)}", pattern.elements[0])
             return None
         return next(iter(candidates))
 
@@ -766,20 +800,20 @@ class _Resolver:
         pre_mm = self.find_pattern_metamodel(p.precondition, where + " precondition")
         post_mm = self.find_pattern_metamodel(p.postcondition, where + " postcondition")
         if pre_mm:
-            mm, info = self.lookup_mm(pre_mm, where)
+            mm, info = self.lookup_mm(pre_mm, where, p)
             self.check_pattern(p.precondition, mm, info, where + " precondition")
         if post_mm:
-            mm, info = self.lookup_mm(post_mm, where)
+            mm, info = self.lookup_mm(post_mm, where, p)
             self.check_pattern(p.postcondition, mm, info, where + " postcondition")
         pre_names = {e.name for e in p.precondition.elements}
         post_names = {e.name for e in p.postcondition.elements}
         for post_el, pre_el in p.traces:
             if post_el not in post_names:
                 self.err(f"{where}: trace constraint references undeclared "
-                         f"postcondition element '{post_el}'")
+                         f"postcondition element '{post_el}'", p)
             if pre_el not in pre_names:
                 self.err(f"{where}: trace constraint references undeclared "
-                         f"precondition element '{pre_el}'")
+                         f"precondition element '{pre_el}'", p)
 
 
 def property_metamodels(spec, prop):

@@ -736,54 +736,57 @@ def encode(spec, prop, bounds, options, transformation, deadline=None):
 # Decoding
 # ---------------------------------------------------------------------------
 
+def decode_world(model, world):
+    """The instance model held by `world`'s slots in a sat assignment:
+    the existing elements with their attribute values, and the links
+    between them."""
+    def truthy(name):
+        return bool(model.get(name, False))
+
+    elements = []
+    for c in sorted(world.slots):
+        for i in range(world.slots[c]):
+            if not truthy(world.ex(c, i)):
+                continue
+            attrs = {}
+            for attr, dom in sorted(world.info[c].attributes.items()):
+                encf, dec, lo, hi, sparse = _domain_codec(dom)
+                raw = model.get(world.at(c, i, attr), lo)
+                try:
+                    attrs[attr] = dec(raw)
+                except (IndexError, KeyError):
+                    attrs[attr] = dec(lo)
+            elements.append(Element(f"{world.tag}_{c}_{i}", c,
+                                    tuple(sorted(attrs.items()))))
+    ids = {e.id for e in elements}
+    links = []
+    for a in world.mm.associations:
+        for cs, i in world.all_slots(a.source):
+            for ct, j in world.all_slots(a.target):
+                if truthy(world.ln(a.name, cs, i, ct, j)):
+                    s, g = f"{world.tag}_{cs}_{i}", f"{world.tag}_{ct}_{j}"
+                    if s in ids and g in ids:
+                        links.append(Link(a.name, s, g))
+    return model_from_parts(elements, links)
+
+
 def decode_counterexample(model, problem, spec, transformation=None):
     """Rebuild (source model, target model, violated precondition binding)
     from a sat assignment."""
     enc = problem.metadata["encoder"]
-
-    def truthy(name):
-        return bool(model.get(name, False))
-
-    def decode_world(world):
-        elements = []
-        for c in sorted(world.slots):
-            for i in range(world.slots[c]):
-                if not truthy(world.ex(c, i)):
-                    continue
-                attrs = {}
-                for attr, dom in sorted(world.info[c].attributes.items()):
-                    encf, dec, lo, hi, sparse = _domain_codec(dom)
-                    raw = model.get(world.at(c, i, attr), lo)
-                    try:
-                        attrs[attr] = dec(raw)
-                    except (IndexError, KeyError):
-                        attrs[attr] = dec(lo)
-                elements.append(Element(f"{world.tag}_{c}_{i}", c,
-                                        tuple(sorted(attrs.items()))))
-        ids = {e.id for e in elements}
-        links = []
-        for a in world.mm.associations:
-            for cs, i in world.all_slots(a.source):
-                for ct, j in world.all_slots(a.target):
-                    if truthy(world.ln(a.name, cs, i, ct, j)):
-                        s, g = f"{world.tag}_{cs}_{i}", f"{world.tag}_{ct}_{j}"
-                        if s in ids and g in ids:
-                            links.append(Link(a.name, s, g))
-        return model_from_parts(elements, links)
-
-    source = decode_world(enc.src)
-    target = decode_world(enc.tgt)
+    source = decode_world(model, enc.src)
+    target = decode_world(model, enc.tgt)
 
     traces = set()
     for binding, (c, j), fv, cv, k in enc.creation_index:
-        if truthy(fv) and model.get(cv, 0) == k:
+        if model.get(fv, False) and model.get(cv, 0) == k:
             traces.update(TraceLink(f"s_{cs}_{i}", f"t_{c}_{j}")
                           for cs, i in binding.values())
     target = model_from_parts(target.elements, target.links, traces)
 
     violated = None
     for pidx, pre in enumerate(problem.pre_bindings):
-        if truthy(f"sel_{pidx}"):
+        if model.get(f"sel_{pidx}", False):
             violated = {name: f"s_{c}_{i}" for name, (c, i) in pre.items()}
             break
     return source, target, violated

@@ -13,19 +13,25 @@ command that reads SMT-LIB from stdin and prints sat/unsat plus a
 (model ...) block works (``z3 -in``, ``cvc5``, ...).
 
 Starting a child costs more than solving a typical problem, so one spare
-child is kept ready: once a solve has handed its problem over, it starts the
-child for the next solve with the same command, whose start-up then overlaps
-the current solve.  The spare has loaded its solver and waits on stdin; if
-its owner dies, it reads end-of-file, solves the empty script and exits.
+child is kept ready: a solve takes the spare, starts the spare for the next
+solve with the same command, and only then hands its problem over.  The new
+spare's fork and exec thus happen before the solving child needs the CPU,
+and the rest of its start-up overlaps the solve.  The spare has loaded its
+solver and waits on stdin; if its owner dies, it reads end-of-file, solves
+the empty script and exits.  The bundled child exits as soon as its answer
+is flushed, without the interpreter's teardown.
 
 Problem texts name shared Bool terms with zero-arity ``define-fun``
 commands, so a solver must accept those too.  The bundled one takes exactly
 that subset: ``(define-fun name () Bool body)``, scoped by push and pop,
 each name defined once and before its first use.  It compiles a body at the
 name's first reference and reuses the literal, and leaves defined names out
-of ``(get-model)``.  It asserts a top-level ``and`` one conjunct at a time,
-and a top-level ``or`` or ``=>`` as one clause over the literals of its
-operands; any other assertion becomes a Tseitin gate and a unit clause.
+of ``(get-model)``.  It turns each assertion into clauses without a gate for
+its top-level connectives: conjunctions split into clauses, disjunctions,
+implications and negated conjunctions join one clause, and an implication
+with a conjunction as consequent gives one clause per conjunct.  A defined
+name in such a position counts as its body.  Below that, every connective
+becomes a Tseitin gate.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .model import validate_conformance
+from .smtencode import decode_world
 from .smtsolver import parse_sexprs
 
 
@@ -58,9 +66,15 @@ class SolverVerdict:
 # instead of compiling the module on every solve.  It starts isolated (-I:
 # no PYTHON* variables, no user site-packages, no cwd on the path) and
 # without ``site`` (-S), whose .pth hooks may import third-party packages on
-# every start; the stdlib-only child needs neither.
-_SOLVER_LAUNCHER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
-                    "import smtsolver; sys.exit(smtsolver.main())")
+# every start; the stdlib-only child needs neither.  The solve makes no
+# reference cycles, so the cyclic collector is off: it only rescans the
+# growing CNF.  Once the answer is flushed the child leaves with _exit,
+# skipping the interpreter's teardown, which would hold back end-of-file
+# by a few milliseconds; ``posix`` is loaded at start-up, ``os`` is not.
+_SOLVER_LAUNCHER = ("import gc, posix, sys; gc.disable(); "
+                    "sys.path.insert(0, sys.argv.pop(1)); import smtsolver; "
+                    "code = smtsolver.main(); sys.stdout.flush(); "
+                    "sys.stderr.flush(); posix._exit(code)")
 
 
 def default_solver_command():
@@ -203,8 +217,8 @@ def _hand_over(proc, data):
 def run_solver(problem, timeout_seconds, solver_command=None):
     """Solve one encoded problem in a child process.
 
-    The problem goes to the child's stdin, then the spare for the next solve
-    is started.  The child is terminated and reaped when the timeout
+    The spare for the next solve is started, then the problem goes to the
+    child's stdin.  The child is terminated and reaped when the timeout
     expires.
     """
     cmd = list(solver_command or default_solver_command())
@@ -217,8 +231,8 @@ def run_solver(problem, timeout_seconds, solver_command=None):
                              raw_output=f"cannot start solver {cmd[0]}: "
                                         f"{exc.strerror or exc}")
     try:
-        rest = _hand_over(proc, problem.text.encode("utf-8"))
         _refill(cmd)
+        rest = _hand_over(proc, problem.text.encode("utf-8"))
         try:
             out, err = proc.communicate(
                 rest, timeout=max(0.0, start + timeout_seconds
@@ -250,18 +264,15 @@ def run_solver(problem, timeout_seconds, solver_command=None):
             _reap(proc)
 
 
-def _violated_deferred(problem, model, spec, transformation=None):
+def _violated_deferred(problem, model):
     """Deferred lower-bound assertions whose constraint the model violates.
 
     The deferred assertions were generated per source slot; re-checking them
-    symbolically is unnecessary: decode the source and test each mandatory
-    lower bound concretely.
+    symbolically is unnecessary: decode the source alone and test each
+    mandatory lower bound concretely.
     """
-    from .smtencode import decode_counterexample
-    from .model import validate_conformance
     enc = problem.metadata["encoder"]
-    source, _, _ = decode_counterexample(model, problem, spec, transformation)
-    report = validate_conformance(source, enc.src_mm)
+    report = validate_conformance(decode_world(model, enc.src), enc.src_mm)
     return [v for v in report.violations if v.kind == "multiplicity-lower"]
 
 
@@ -272,13 +283,12 @@ def lazy_closure_loop(problem, timeout_seconds, spec, transformation=None,
     When a sat model breaks a deferred lower bound, all of them are added
     and the problem is solved once more, which gives the verdict of solving
     with them from the start.  Returns the verdict and the number of such
-    rounds (0 or 1).
+    rounds (0 or 1).  The check reads neither `spec` nor `transformation`.
     """
     deadline = time.monotonic() + timeout_seconds
     verdict = _solve_by(problem, deadline, solver_command)
     if verdict.status != "sat" or not problem.deferred \
-            or not _violated_deferred(problem, verdict.model, spec,
-                                      transformation):
+            or not _violated_deferred(problem, verdict.model):
         return verdict, 0
     closed = problem.with_extra_assertions(problem.deferred)
     return _solve_by(closed, deadline, solver_command), 1

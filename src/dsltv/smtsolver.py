@@ -6,15 +6,25 @@ constraints (the encoder always asserts them).  Integers are grounded with a
 one-hot boolean encoding, formulas are Tseitin-transformed to CNF, and a
 small CDCL search (watched literals, first-UIP learning, VSIDS, restarts)
 decides satisfiability.  Zero-arity Bool ``define-fun`` names a term; its
-body is compiled at the first reference and the literal reused.  A top-level
-``and`` is asserted conjunct by conjunct, and a top-level ``or`` or ``=>``
-becomes one clause over its operands' literals, without a gate (the
-top-level half of Plaisted & Greenbaum's transform, 1986).  Grounding
-compiles each distinct comparison atom over two tokens once and reuses its
-literal; gates are shared by their sorted inputs, and binary clauses are
-ordered without the set and sort of the general clause path.  None of the
-memos changes the CNF: a repeated atom or defined name would only find its
-gates again.  Literal values and watch lists are lists indexed
+body is compiled at the first reference and the literal reused.
+
+Top-level connectives become clauses without gates (the top-level half of
+Plaisted & Greenbaum's transform, 1986).  A top-level ``and`` is asserted
+conjunct by conjunct.  A top-level ``or`` becomes one clause, into which
+nested ``or`` operands and ``(not (and ...))`` operands splice their
+operands; a top-level ``(not (and ...))`` is one clause too.  A top-level
+``=>`` puts its negated antecedents into the clause of its consequent: an
+``and`` antecedent adds its negated operands, an ``or`` consequent adds its
+operands, and an ``and`` consequent gives one clause per conjunct.  The
+negations of these shapes split or join the same way.  A defined name in
+such a position is replaced by its body before its shape is tested, so
+naming a term never changes the CNF.
+
+Grounding compiles each distinct comparison atom over two tokens once and
+reuses its literal; gates are shared by their sorted inputs, and binary
+clauses are ordered without the set and sort of the general clause path.
+None of the memos changes the CNF: a repeated atom or defined name would
+only find its gates again.  Literal values and watch lists are lists indexed
 directly by the signed literal, and VSIDS picks its decision variable from a
 lazy binary heap that is rebuilt whenever it holds more than 2n entries; see
 ``Solver``.
@@ -673,25 +683,87 @@ class _Grounding:
         self.defined = {}             # defined name -> literal
         self.visible = 0              # definitions the current term may use
 
-    def assert_term(self, e):
-        """Add clauses that make ``e`` hold.  A conjunction is asserted one
-        conjunct at a time, and a disjunction or an implication becomes one
-        clause over the literals of its operands; any other term is
-        compiled to a literal and asserted as a unit clause."""
-        head = e[0] if e.__class__ is list and e else None
-        if head == "and":
-            for x in e[1:]:
-                self.assert_term(x)
-        elif head == "or":
-            self.circuit.cnf.add([self.compile_bool(x) for x in e[1:]])
-        elif head == "=>":
-            if len(e) < 3:
-                raise _arity_error(e, "at least 2 operands")
-            lits = [-self.compile_bool(x) for x in e[1:-1]]
-            lits.append(self.compile_bool(e[-1]))
-            self.circuit.cnf.add(lits)
+    def assert_term(self, e, positive=True, clause=()):
+        """Add clauses that make ``e`` (``(not e)`` when not ``positive``)
+        or a literal of ``clause`` hold.
+
+        A conjunction, and the negation of a disjunction or an implication,
+        is asserted one operand at a time with the same ``clause``.  An
+        implication adds its negated antecedents to ``clause`` and asserts
+        its consequent with it, so an ``and`` consequent gives one clause
+        per conjunct.  Any other term ends the clause with the literals of
+        ``clause_lits``."""
+        term, visible = self.shape(e)
+        head = term[0] if term.__class__ is list and term else None
+        if head == "not" and len(term) == 2:
+            flipped, kept = term[1:], ()
+        elif head == ("and" if positive else "or"):
+            flipped, kept = (), term[1:]
+        elif head == "=>" and len(term) >= 3:
+            flipped, kept = term[1:-1], term[-1:]
         else:
-            self.circuit.cnf.add([self.compile_bool(e)])
+            lits = list(clause)
+            self.clause_lits(e, positive, lits)
+            self.circuit.cnf.add(lits)
+            return
+        outer, self.visible = self.visible, visible
+        if head == "=>" and positive:
+            # the negated antecedents join the clause of the consequent
+            clause = list(clause)
+            for x in flipped:
+                self.clause_lits(x, False, clause)
+            flipped = ()
+        for x in flipped:
+            self.assert_term(x, not positive, clause)
+        for x in kept:
+            self.assert_term(x, positive, clause)
+        self.visible = outer
+
+    def clause_lits(self, e, positive, lits):
+        """Append to ``lits`` literals whose disjunction is ``e`` (``(not
+        e)`` when not ``positive``).  The operands of a disjunction or an
+        implication, and the negated operands of a conjunction, are taken
+        one by one; any other term is compiled to one literal."""
+        if e.__class__ is str:
+            lit = self.bool_vars.get(e)
+            if lit is not None:          # the common case, taken first
+                lits.append(lit if positive else -lit)
+                return
+            term, visible = self.shape(e)
+        else:
+            term, visible = e, self.visible
+        head = term[0] if term.__class__ is list and term else None
+        if head == "not" and len(term) == 2:
+            flipped, kept = term[1:], ()
+        elif head == ("or" if positive else "and"):
+            flipped, kept = (), term[1:]
+        elif positive and head == "=>" and len(term) >= 3:
+            flipped, kept = term[1:-1], term[-1:]
+        else:
+            lit = self.compile_bool(e)
+            lits.append(lit if positive else -lit)
+            return
+        outer, self.visible = self.visible, visible
+        for x in flipped:
+            self.clause_lits(x, not positive, lits)
+        for x in kept:
+            self.clause_lits(x, positive, lits)
+        self.visible = outer
+
+    def shape(self, e):
+        """``e`` with a defined name replaced by its body, repeatedly, and
+        the definitions the result may use.  ``assert_term`` and
+        ``clause_lits`` test this shape, so that a name splices into a
+        clause exactly as its body written in its place would."""
+        visible = self.visible
+        while e.__class__ is str:
+            entry = self.defs.get(e)
+            if entry is None:
+                break
+            if entry[1] >= visible:
+                raise SmtError(f"{e!r} is used before its definition")
+            e, visible = entry
+        return e, visible
 
     def defined_lit(self, name):
         """Literal of a defined name.  Its body is compiled at the first

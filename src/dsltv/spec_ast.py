@@ -3,13 +3,21 @@
 A specification bundles metamodels, layered transformations and
 precondition/postcondition properties. Everything here is immutable;
 name references are resolved by the parser before a Specification is
-handed out.
+handed out.  A node the parser made knows the (line, column) of the token
+that names it, for diagnostics; that position is not part of its value.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+
+
+def _pos():
+    """The ``pos`` field: (line, column) of the token that names the node
+    (its attribute, for a guard or binding), or None for a node built in
+    code.  Equality and hashing ignore it."""
+    return field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,7 @@ class EnumValue:
 class AttributeDecl:
     name: str
     domain: object
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,14 @@ class ClassDecl:
     abstract: bool = False
     parent: str | None = None
     attributes: tuple = ()
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
 class EnumDecl:
     name: str
     literals: tuple
+    pos: tuple | None = _pos()
 
 
 UNBOUNDED = None  # upper multiplicity marker
@@ -132,6 +143,7 @@ class AssociationDecl:
     target: str
     lower: int = 0
     upper: int | None = UNBOUNDED  # None means '*'
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,7 @@ class Metamodel:
     classes: tuple = ()
     enums: tuple = ()
     associations: tuple = ()
+    pos: tuple | None = _pos()
 
     def class_map(self):
         return {c.name: c for c in self.classes}
@@ -160,6 +173,7 @@ class AttrConstraint:
     attr: str
     op: str  # ==  !=  <  <=  >  >=
     value: object  # bool | int | str | EnumValue
+    pos: tuple | None = _pos()
 
 
 _ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -184,6 +198,7 @@ class PatternElement:
     klass: str
     any_flag: bool = False
     constraints: tuple = ()
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,7 @@ class PatternLink:
     source: str  # local element name
     target: str
     direct: bool = False
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -214,6 +230,7 @@ class CopyBinding:
 class AttrBinding:
     attr: str
     value: object  # literal or CopyBinding
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -221,6 +238,7 @@ class ApplyElement:
     name: str
     klass: str
     bindings: tuple = ()
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
@@ -238,6 +256,7 @@ class Rule:
     match: PatternGraph
     apply: ApplyGraph
     backward: tuple = ()  # (apply element name, match element name) pairs
+    pos: tuple | None = _pos()
 
     def arity(self) -> int:
         return len(self.match.elements)
@@ -269,6 +288,7 @@ class Transformation:
     source: str  # metamodel name
     target: str
     layers: tuple
+    pos: tuple | None = _pos()
 
     def all_rules(self):
         return [(i, r) for i, layer in enumerate(self.layers) for r in layer.rules]
@@ -288,6 +308,7 @@ class PropertyDecl:
     precondition: PatternGraph
     postcondition: PatternGraph
     traces: tuple = ()  # (post element name, pre element name) pairs
+    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)

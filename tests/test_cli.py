@@ -117,6 +117,32 @@ def test_copy_across_attribute_kinds_exits_three(tmp_path, capsys):
     assert "copies 'a.v' (Int) into a String attribute" in err
 
 
+def test_semantic_errors_carry_their_position(tmp_path, capsys):
+    # each at the token that starts the offending node: the binding's
+    # attribute, the pattern element, the repeated declaration's name
+    from test_parser import KIND_MISMATCH
+    unknown = KIND_MISMATCH.replace("precondition { any a : A }",
+                                    "precondition { any a : Nope }")
+    duplicate = KIND_MISMATCH.replace("class B { w: String }",
+                                      "class B { w: String }\n"
+                                      "    class B { }")
+    cases = [
+        (KIND_MISMATCH, "8:29: error: rule 'R': binding 'b.w' copies 'a.v' "
+                        "(Int) into a String attribute"),
+        (unknown, "13:24: error: property 'P' precondition: unknown class "
+                  "'Nope'"),
+        (duplicate, "4:11: error: duplicate class 'B' in metamodel 'N'"),
+    ]
+    for n, (text, message) in enumerate(cases):
+        spec = tmp_path / f"bad{n}.dslt"
+        spec.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(spec)])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert f"{spec}:{message}\n" in err, err
+
+
 def test_duplicate_names_are_reported_in_declaration_order(tmp_path):
     # set iteration order follows the hash seed; diagnostics must not
     spec = tmp_path / "dup.dslt"

@@ -17,6 +17,7 @@ from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
 from dsltv.parser import parse_spec, parse_spec_file
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
+from dsltv import smtrun
 from dsltv.smtrun import lazy_closure_loop, run_solver
 from dsltv.smtsolver import solve_text
 
@@ -194,6 +195,32 @@ def test_lazy_closure_defers_lower_bounds(uml2java):
         assert (verdict.status, taken) == (run_solver(
             problem.with_extra_assertions(deferred), 60).status, rounds)
         assert problem.deferred == deferred
+
+
+def test_closure_check_reads_the_counterexamples_source(monkeypatch):
+    # the lower-bound check decodes the source only, and it is the source
+    # the verdict's counterexample is decoded with
+    c06 = load_spec("corpus/c06_mandatory.dslt")
+    plan = plan_property(c06, c06.property("ChildHasPOut_ShouldFail"),
+                         VerificationConfig())
+    problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+                     EncodeOptions(rule_names=plan.rule_names(
+                         plan.fragment)), plan.t)
+    checked = []
+
+    def record(source, mm):
+        checked.append(source)
+        return validate_conformance(source, mm)
+
+    monkeypatch.setattr(smtrun, "validate_conformance", record)
+    # with the lower bounds asserted, the first model keeps them: the check
+    # passes, and that model is the verdict's
+    closed = problem.with_extra_assertions(problem.deferred)
+    verdict, rounds = lazy_closure_loop(closed, 60, c06, plan.t)
+    assert (verdict.status, rounds) == ("sat", 0)
+    source, _, _ = decode_counterexample(verdict.model, closed, c06, plan.t)
+    assert checked == [source]
+    assert any(e.klass == "Child" for e in source.elements)
 
 
 def test_run_solver_timeout_kills_child(uml2java):

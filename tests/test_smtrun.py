@@ -87,6 +87,42 @@ def test_threads_share_one_spare():
     assert _children() == {}
 
 
+def test_spare_is_running_when_the_problem_is_handed_over(monkeypatch):
+    discard_spare()
+    seen = []
+    hand_over = smtrun._hand_over
+
+    def record(proc, data):
+        spare = smtrun._spare
+        seen.append(spare is not None and spare.pid != proc.pid
+                    and spare.poll() is None)
+        return hand_over(proc, data)
+
+    monkeypatch.setattr(smtrun, "_hand_over", record)
+    # the first solve starts its own child and the spare; the next ones take
+    # the spare and start the next before they hand over
+    for _ in range(3):
+        assert run_solver(SAT, 60).status == "sat"
+    assert seen == [True] * 3
+
+
+def test_large_model_arrives_whole_and_no_child_is_left():
+    # the model is about 170 kB, more than twice a 64 kB pipe buffer: the
+    # child must flush all of it before it leaves with _exit
+    names = [f"b{i}" for i in range(5000)]
+    problem = types.SimpleNamespace(text="\n".join(
+        [f"(declare-const {n} Bool)" for n in names] +
+        [f"(assert {'' if i % 3 else '(not '}{n}{'' if i % 3 else ')'})"
+         for i, n in enumerate(names)] + ["(check-sat)", "(get-model)"]))
+    verdict = run_solver(problem, 60)
+    assert verdict.status == "sat", verdict.raw_output[-200:]
+    assert len(verdict.raw_output) > 2 * 65536
+    assert verdict.model == {n: bool(i % 3) for i, n in enumerate(names)}
+    # the solving child was reaped; only the spare is left, and it runs
+    assert set(_children()) == {smtrun._spare.pid}
+    assert _running(smtrun._spare.pid)
+
+
 def test_timeout_is_followed_by_a_solve():
     verdict = run_solver(_pigeonhole(9), timeout_seconds=0.3)
     assert verdict.status == "timeout"
