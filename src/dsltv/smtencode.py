@@ -4,10 +4,18 @@ World: per concrete class, a bounded number of slots with existence booleans,
 finite-domain integer attribute variables, and boolean link matrices.
 Rules: one firing boolean per injective source binding, defined as the
 conjunction of existence, links, guards, and backward resolution; fresh apply
-elements get integer slot-choice variables with at-most-one-creator, and a
-target slot exists iff exactly one firing claims it.  Traces are implicit in
-the firing structure.  The query asserts that some canonical precondition
-binding holds and no postcondition witness exists for it; sat means
+elements get integer slot-choice variables with at-most-one-creator.  A
+target slot exists iff exactly one firing claims it, asserted in three
+parts: each claim implies that the slot exists (with the claim's attribute
+bindings), the slot exists only if some claim holds, and at most one claim
+holds.  The parts allow the same assignments to every variable but the
+counter registers of the third (below) as the iff with the first part did.
+Where the slot exists, the second and third parts leave exactly one claim;
+where it does not, the first leaves none.  Conversely, the iff and the
+first part already ruled out two claims at once, since both would make the
+slot exist while "exactly one" fails.  Traces are implicit in the firing
+structure.  The query asserts that some canonical precondition binding
+holds and no postcondition witness exists for it; sat means
 counterexample.
 
 Every problem breaks the symmetry between the slots of one concrete class
@@ -54,8 +62,11 @@ name (Kodkod's subformula sharing, Torlak & Jackson, TACAS 2007).  The claim
 a backward case reads is the text of its creation's claim, so both get one
 name.  The definitions follow the declarations, and a body only refers to
 names made before it.  A defined name means its body, so verdicts cannot
-change; the text no longer repeats a claim in every ``exactly_one`` pair,
-trace term, backward case and apply link.  The bundled solver compiles a
+change; the text no longer repeats a claim in every existence clause,
+trace term, backward case and apply link.  An apply link's fresh end is
+named by its claim, which holds the firing, so the link's antecedent leaves
+the firing out whenever an end is fresh; the solver splices the same
+literals either way.  The bundled solver compiles a
 body at the name's first reference and reuses the literal.  Compiling the
 body again in place of a later reference would only find the gates made the
 first time, so the CNF is the one of the inlined text, clause for clause,
@@ -79,7 +90,11 @@ j+1 of x_0..x_i do, so a (k+1)-th true literal would falsify its last
 clause.  Every model of the subset form thus extends to one of the counter,
 and every model of the counter restricts to one of the subset form, so
 verdicts cannot change.  k = 0 becomes unit negations, and a row of at most
-k links needs no constraint.
+k links needs no constraint.  The "at most one claim" part of target
+existence is the same counter with k = 1 over the slot's n claims: n-1
+registers and 3n-4 clauses, conjoined with the slot's "exists only if
+claimed" clause into one assertion, which the solver turns into clauses
+without a gate.
 """
 
 from __future__ import annotations
@@ -337,16 +352,21 @@ class Encoder:
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
     def _at_most(self, lits, k, prefix):
-        """Assert that at most k of ``lits`` hold: Sinz's sequential counter.
-        Register ``{prefix}_{i}_{j}`` is forced true when at least j+1 of
-        ``lits[0..i]`` hold; decoding never reads them (see the module
-        docstring)."""
+        """Assert that at most k of ``lits`` hold, one clause per assertion
+        (see ``_at_most_clauses``)."""
+        self.asserts.extend(f"(assert {c})"
+                            for c in self._at_most_clauses(lits, k, prefix))
+
+    def _at_most_clauses(self, lits, k, prefix):
+        """Clauses saying that at most k of ``lits`` hold: Sinz's sequential
+        counter.  Register ``{prefix}_{i}_{j}`` is forced true when at least
+        j+1 of ``lits[0..i]`` hold; decoding never reads them (see the
+        module docstring)."""
         n = len(lits)
         if n <= k:
-            return
+            return []
         if k == 0:
-            self.asserts.extend(f"(assert {_not(x)})" for x in lits)
-            return
+            return [_not(x) for x in lits]
         s = [[self.decl_bool(f"{prefix}_{i}_{j}") for j in range(k)]
              for i in range(n - 1)]
         clauses = [[_not(lits[0]), s[0][0]]]
@@ -360,7 +380,7 @@ class Encoder:
                 clauses.append([_not(s[i - 1][j]), s[i][j]])
             clauses.append([_not(lits[i]), _not(s[i - 1][k - 1])])
         clauses.append([_not(lits[n - 1]), _not(s[n - 2][k - 1])])
-        self.asserts.extend(f"(assert {_or(c)})" for c in clauses)
+        return [_or(c) for c in clauses]
 
     def checkpoint(self):
         """Stop the encoding once its firings or its emitted assertions pass
@@ -534,9 +554,10 @@ class Encoder:
                 def slot_cases(name):
                     """(condition, (class, slot)) cases for an apply element."""
                     if name in fresh:
+                        # the claim, which holds fv as well
                         cv, slots = choice_name[(rule.name, bidx, name)]
-                        return [(f"(= {cv} {k})", slots[k])
-                                for k in range(len(slots))]
+                        return [(self.share(_and([fv, f"(= {cv} {k})"])),
+                                 slots[k]) for k in range(len(slots))]
                     cases = []
                     for fv2, cv2, slots2 in bw_cands.get(name, ()):
                         for k in range(len(slots2)):
@@ -581,24 +602,38 @@ class Encoder:
                 # apply links between chosen slots
                 for l in rule.apply.links:
                     a = self.tgt_mm.assoc_map()[l.assoc]
+                    # a fresh end's claim already holds fv
+                    lead = [] if l.source in fresh or l.target in fresh \
+                        else [fv]
                     for cond_s, (cs, i) in slot_cases(l.source):
                         for cond_t, (ct, j) in slot_cases(l.target):
                             if not (is_subtype(self.tgt_info, cs, a.source)
                                     and is_subtype(self.tgt_info, ct,
                                                    a.target)):
                                 continue
+                            cond = _and(lead + [cond_s, cond_t])
                             self.asserts.append(
-                                f"(assert (=> {_and([fv, cond_s, cond_t])} "
+                                f"(assert (=> {cond} "
                                 f"{self.tgt.ln(l.assoc, cs, i, ct, j)}))")
 
-        # target existence iff claimed by exactly one creator
-        for c in sorted(self.tgt.slots):
-            for j in range(self.tgt.slots[c]):
-                claims = [claim for _, claim
-                          in self.claims_by_slot.get((c, j), ())]
-                self.asserts.append(
-                    f"(assert (= {self.tgt.ex(c, j)} "
-                    f"{_exactly_one(claims)}))")
+        # target existence; each claim's assertion above gives claim => ex
+        slots = [(c, j) for c in sorted(self.tgt.slots)
+                 for j in range(self.tgt.slots[c])]
+        for m, (c, j) in enumerate(slots):
+            claims = [claim for _, claim
+                      in self.claims_by_slot.get((c, j), ())]
+            self.asserts.append(
+                self._slot_existence(self.tgt.ex(c, j), claims, f"o{m}"))
+
+    def _slot_existence(self, ex, claims, prefix):
+        """One assertion: target slot ``ex`` exists only if one of its
+        ``claims`` holds, and at most one of them holds, by a counter with
+        registers ``{prefix}_{i}_0``.  With ``claim => ex`` for every claim
+        this says ``ex`` iff exactly one claim holds (see the module
+        docstring)."""
+        parts = [f"(=> {ex} {_or(claims)})"]
+        parts += self._at_most_clauses(claims, 1, prefix)
+        return f"(assert {_and(parts)})"
 
     def _binding_assignment(self, b, c, j, binding):
         dom = self.tgt_info[c].attributes[b.attr]

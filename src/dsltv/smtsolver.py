@@ -21,7 +21,8 @@ such a position is replaced by its body before its shape is tested, so
 naming a term never changes the CNF.
 
 Grounding compiles each distinct comparison atom over two tokens once and
-reuses its literal; gates are shared by their sorted inputs, and binary
+reuses its literal, and keeps the literals that a defined name splices into
+a clause, per polarity; gates are shared by their sorted inputs, and binary
 clauses are ordered without the set and sort of the general clause path.
 None of the memos changes the CNF: a repeated atom or defined name would
 only find its gates again.  Literal values and watch lists are lists indexed
@@ -681,6 +682,7 @@ class _Grounding:
         self.domains = domains        # int var -> list of values
         self.atoms = {}               # (op, token, token) -> literal
         self.defined = {}             # defined name -> literal
+        self.spliced = ({}, {})       # per polarity: defined name -> literals
         self.visible = 0              # definitions the current term may use
 
     def assert_term(self, e, positive=True, clause=()):
@@ -723,13 +725,26 @@ class _Grounding:
         """Append to ``lits`` literals whose disjunction is ``e`` (``(not
         e)`` when not ``positive``).  The operands of a disjunction or an
         implication, and the negated operands of a conjunction, are taken
-        one by one; any other term is compiled to one literal."""
+        one by one; any other term is compiled to one literal.
+
+        The literals a defined name splices are kept in ``spliced``, one
+        table per polarity, and a later use of the name appends them
+        without walking its body again.  The walk would only find the same
+        atoms and gates, so the memo leaves the CNF as it was."""
+        memo = None
         if e.__class__ is str:
             lit = self.bool_vars.get(e)
             if lit is not None:          # the common case, taken first
                 lits.append(lit if positive else -lit)
                 return
             term, visible = self.shape(e)
+            if term is not e:            # a defined name, visible here
+                memo = self.spliced[positive]
+                done = memo.get(e)
+                if done is not None:
+                    lits += done
+                    return
+                start = len(lits)
         else:
             term, visible = e, self.visible
         head = term[0] if term.__class__ is list and term else None
@@ -749,6 +764,8 @@ class _Grounding:
         for x in kept:
             self.clause_lits(x, positive, lits)
         self.visible = outer
+        if memo is not None:
+            memo[e] = lits[start:]
 
     def shape(self, e):
         """``e`` with a defined name replaced by its body, repeatedly, and

@@ -11,12 +11,11 @@ import itertools
 import os
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
-from dsltv.cutoff import (CutoffBounds, CutoffParams, FragmentKind,
-                          RelevanceMode, compute_cutoff)
+from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
+                          compute_cutoff)
 from dsltv.engine import check_property_concrete, execute
 from dsltv.kboundary import selective_minus_one, uniform_sweep
 from dsltv.model import induce_submodel, validate_conformance
@@ -260,66 +259,37 @@ def _zombie_children():
     return out
 
 
-# The stress fixture's shape plus a first-layer rule that gives every Cls a
-# loose ClsDecl and PkgDecl.  The third relevant rule raises the uniform
-# bound K from 6 to 8, and the loose declarations compete for the same
-# slots.  The timeout run raises every bound to 12: encoding takes about
-# 0.4 s (23.6k assertions) and the solver child far longer than the 3 s
-# timeout (13 s untimed on a 2-vCPU VM), so the deadline lands in the
-# child.
-DEEP_SPEC = """
-metamodel SDeep {
-    class Pkg { }
-    class Cls { }
-    assoc contains : Pkg -> Cls [0..*]
+# Nine pigeons, each with one of eight holes, and one rule per hole that
+# creates a Clash for every two pigeons sharing it: the property holds by
+# the pigeonhole principle, which the solver must refute by search (CDCL
+# needs exponentially many conflicts for it).  The planned bound is 9:
+# encoding takes about 0.1 s (1.3 MB, 6.4k assertions), and the solver
+# child needs about 200 s untimed on a 2-vCPU VM, so the 3 s deadline
+# lands in the child.
+PIGEON_SPEC = """
+metamodel Roost {
+    class Pigeon { hole: Int[0..7] }
 }
-metamodel TDeep {
-    class PkgDecl { }
-    class ClsDecl { }
-    assoc declares : PkgDecl -> ClsDecl [0..*]
+metamodel Report {
+    class Clash { }
 }
-transformation deep : SDeep -> TDeep {
-    layer Containers {
-        rule Cls2Loose {
-            match { any c : Cls }
-            apply {
-                cd : ClsDecl
-                pd : PkgDecl
-            }
-        }
-        rule Pkg2PkgDecl {
-            match { any p : Pkg }
-            apply { pd : PkgDecl }
-        }
-    }
-    layer Members {
-        rule Cls2ClsDecl {
-            match {
-                any p : Pkg
-                any c : Cls
-                direct l : contains -- p.c
-            }
-            apply {
-                pd : PkgDecl
-                cd : ClsDecl
-                out : declares -- pd.cd
-            }
-            backward { pd <--trace-- p }
-        }
+transformation roost : Roost -> Report {
+    layer Pairs {""" + "".join(f"""
+        rule Clash{h} {{
+            match {{
+                any a : Pigeon where hole == {h}
+                any b : Pigeon where hole == {h}
+            }}
+            apply {{ c : Clash }}
+        }}""" for h in range(8)) + """
     }
 }
-property ContainedClsHasDecl "A contained Cls gets a declared counterpart." {
-    precondition {
-        any p : Pkg
-        any c : Cls
-        direct l : contains -- p.c
+property PigeonsShareAHole "Nine pigeons in eight holes make a clash." {
+    precondition {""" + "".join(f"""
+        any p{i} : Pigeon""" for i in range(9)) + """
     }
     postcondition {
-        pd : PkgDecl
-        cd : ClsDecl
-        out : declares -- pd.cd
-        pd <--trace-- p
-        cd <--trace-- c
+        c : Clash
     }
 }
 """
@@ -327,16 +297,15 @@ property ContainedClsHasDecl "A contained Cls gets a declared counterpart." {
 
 def test_timeout_and_ceiling_are_clean():
     start = time.monotonic()
-    spec = parse_spec(DEEP_SPEC, "inline")
+    spec = parse_spec(PIGEON_SPEC, "inline")
     assert not isinstance(spec, list), spec
-    prop = spec.property("ContainedClsHasDecl")
+    prop = spec.property("PigeonsShareAHole")
 
     config = VerificationConfig(timeout_seconds=3, per_class=False,
                                 fragment_kind=FragmentKind.FULL)
     plan = plan_property(spec, prop, config)
-    assert plan.cutoff.k == 8
-    wide = replace(plan, cutoff=CutoffBounds(12, 12, 12))
-    verdict = verify_property(spec, prop, config, plan=wide)
+    assert plan.cutoff.k == 9
+    verdict = verify_property(spec, prop, config, plan=plan)
     assert verdict.status == UNKNOWN
     assert verdict.reason == "timeout"
     assert verdict.detail == "solver exceeded the time budget"

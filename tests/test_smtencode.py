@@ -562,6 +562,28 @@ def test_at_most_counter_is_exact_on_small_rows():
                 assert _solver_answer(text) == expected, (n, k, values)
 
 
+def test_slot_existence_is_exactly_one_claim():
+    spec = _slot_spec()
+    for n in range(6):
+        enc = Encoder(spec, spec.property("AHasNode"), SLOT_BOUNDS,
+                      EncodeOptions(), spec.transformations[0])
+        ex = enc.decl_bool("ex")
+        claims = [enc.decl_bool(f"x{i}") for i in range(n)]
+        block = enc._slot_existence(ex, claims, "c")
+        # each claim's own assertion in the encoding gives claim => ex
+        implied = [f"(assert (=> {x} {ex}))" for x in claims]
+        for values in itertools.product((False, True), repeat=n + 1):
+            units = [f"(assert {x})" if v else f"(assert (not {x}))"
+                     for x, v in zip([ex] + claims, values)]
+            text = "\n".join(enc.decls + [block] + implied + units
+                             + ["(check-sat)"])
+            # ex iff exactly one claim, and no claim without ex: the iff
+            # with claim => ex that the block replaces
+            held = sum(values[1:])
+            expected = "sat" if held == int(values[0]) else "unsat"
+            assert _solver_answer(text) == expected, (n, values)
+
+
 # An Item's tags row is limited by the association's upper bound UPPER; with
 # UPPER = 2 no Item has three Tags, so both properties hold vacuously.
 TAG_SPEC = """

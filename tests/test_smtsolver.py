@@ -219,6 +219,11 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
             "'e' is used before its definition",
         "(define-fun d () Bool (not d)) (assert d) (check-sat)":
             "'d' is used before its definition",
+        # e's spliced literals are kept by the first assertion, yet d, made
+        # before e, still may not use them
+        "(declare-const a Bool) (define-fun d () Bool (or e a))"
+        " (define-fun e () Bool (or a a)) (assert (or e a)) (assert d)"
+        " (check-sat)": "'e' is used before its definition",
     }
     for n, (text, message) in enumerate(errors.items()):
         path = tmp_path / f"bad{n}.smt2"
@@ -723,15 +728,20 @@ def _mult_problem(k):
     return _uniform_problem(spec, "ItemHasOut", k)
 
 
-# (CNF variables, CNF clauses, conflicts) of the stress ladder.  Grounding
-# that produces another CNF, or a search that takes another path, shows here
-# first: update these deliberately, with the reason, when either changes.
-# Splicing top-level connectives into clauses, instead of gating them, took
-# these from (130, 394, 0), (371, 1302, 0) and (970, 3736, 0).
-STRESS_LADDER = {2: (103, 310, 0), 3: (288, 1018, 0), 4: (762, 2986, 0)}
+# (CNF variables, CNF clauses, conflicts) of the stress and mult ladders.
+# Grounding that produces another CNF, or a search that takes another path,
+# shows here first: update these deliberately, with the reason, when either
+# changes.  Splicing top-level connectives into clauses, instead of gating
+# them, took stress from (130, 394, 0), (371, 1302, 0) and (970, 3736, 0) to
+# (103, 310, 0), (288, 1018, 0) and (762, 2986, 0); asserting target
+# existence with an at-most-one counter per slot, instead of an iff over
+# the pairwise exactly-one, took them to the values below.
+STRESS_LADDER = {2: (83, 236, 0), 3: (201, 648, 0), 4: (392, 1418, 0)}
+MULT_LADDER = {4: (117, 276, 0), 8: (425, 1098, 0), 12: (925, 2528, 0)}
 
 
-def test_stress_ladder_cnf_and_search_are_pinned(monkeypatch):
+def _ladder(problem, rungs, monkeypatch):
+    """(CNF variables, CNF clauses, conflicts) of ``problem(k)`` per rung."""
     seen = []
 
     class Counting(Solver):
@@ -747,13 +757,22 @@ def test_stress_ladder_cnf_and_search_are_pinned(monkeypatch):
 
     monkeypatch.setattr(smtsolver, "Solver", Counting)
     got = {}
-    for k in STRESS_LADDER:
+    for k in rungs:
         seen.clear()
-        smtsolver.SmtScript().run(parse_sexprs(_stress_problem(k).text),
+        smtsolver.SmtScript().run(parse_sexprs(problem(k).text),
                                   out=io.StringIO())
         solver, = seen
         got[k] = (*solver.size, solver.conflicts)
-    assert got == STRESS_LADDER
+    return got
+
+
+def test_stress_ladder_cnf_and_search_are_pinned(monkeypatch):
+    assert _ladder(_stress_problem, STRESS_LADDER, monkeypatch) \
+        == STRESS_LADDER
+
+
+def test_mult_ladder_cnf_and_search_are_pinned(monkeypatch):
+    assert _ladder(_mult_problem, MULT_LADDER, monkeypatch) == MULT_LADDER
 
 
 def _pigeonhole_cnf(pigeons, holes):
