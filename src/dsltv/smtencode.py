@@ -292,6 +292,13 @@ class Encoder:
                     [f"(= {name} {v})" for v in sparse]) + ")")
         return name
 
+    def claim(self, fv, cv, k):
+        """The shared name of the claim that firing ``fv`` puts its fresh
+        element in the ``k``-th slot its choice variable ``cv`` ranges
+        over.  Slot cases and claim assertions both take it from here, so
+        they always name the same term."""
+        return self.share(_and([fv, f"(= {cv} {k})"]))
+
     def share(self, term):
         """A name for the Bool term ``term``: the first call with a compound
         term defines a fresh name for it, and every later call with the same
@@ -556,13 +563,13 @@ class Encoder:
                     if name in fresh:
                         # the claim, which holds fv as well
                         cv, slots = choice_name[(rule.name, bidx, name)]
-                        return [(self.share(_and([fv, f"(= {cv} {k})"])),
-                                 slots[k]) for k in range(len(slots))]
+                        return [(self.claim(fv, cv, k), slots[k])
+                                for k in range(len(slots))]
                     cases = []
                     for fv2, cv2, slots2 in bw_cands.get(name, ()):
                         for k in range(len(slots2)):
-                            cases.append((self.share(
-                                _and([fv2, f"(= {cv2} {k})"])), slots2[k]))
+                            cases.append((self.claim(fv2, cv2, k),
+                                          slots2[k]))
                     return cases
 
                 # claims: firing picks a distinct existing slot per fresh
@@ -574,7 +581,7 @@ class Encoder:
                         self.asserts.append(f"(assert (not {fv}))")
                         continue
                     for k, (c, j) in enumerate(slots):
-                        claim = self.share(_and([fv, f"(= {cv} {k})"]))
+                        claim = self.claim(fv, cv, k)
                         self.claims_by_slot.setdefault((c, j), []).append(
                             (src_slots, claim))
                         self.creation_index.append((binding, (c, j), fv, cv, k))
