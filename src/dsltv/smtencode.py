@@ -242,7 +242,14 @@ def _exactly_one(terms):
     return f"(and (or {' '.join(terms)}) {pairs})"
 
 
+def _int(n):
+    """The SMT-LIB text of the Int constant ``n``: a numeral, or ``(- 2)``
+    for -2, which SMT-LIB 2.6 would read as a symbol."""
+    return str(n) if n >= 0 else f"(- {-n})"
+
+
 def _cmp_atom(op, var, value):
+    value = _int(value)
     if op == "==":
         return f"(= {var} {value})"
     if op == "!=":
@@ -285,11 +292,11 @@ class Encoder:
         if name not in self.int_vars:
             self.int_vars.add(name)
             self.decls.append(f"(declare-const {name} Int)")
-            self.asserts.append(f"(assert (and (<= {lo} {name}) "
-                                f"(<= {name} {hi})))")
+            self.asserts.append(f"(assert (and (<= {_int(lo)} {name}) "
+                                f"(<= {name} {_int(hi)})))")
             if sparse is not None and list(sparse) != list(range(lo, hi + 1)):
                 self.asserts.append("(assert " + _or(
-                    [f"(= {name} {v})" for v in sparse]) + ")")
+                    [f"(= {name} {_int(v)})" for v in sparse]) + ")")
         return name
 
     def claim(self, fv, cv, k):
@@ -297,7 +304,7 @@ class Encoder:
         element in the ``k``-th slot its choice variable ``cv`` ranges
         over.  Slot cases and claim assertions both take it from here, so
         they always name the same term."""
-        return self.share(_and([fv, f"(= {cv} {k})"]))
+        return self.share(_and([fv, f"(= {cv} {_int(k)})"]))
 
     def share(self, term):
         """A name for the Bool term ``term``: the first call with a compound
@@ -325,7 +332,7 @@ class Encoder:
                     # nonexistent slots pin attributes to the default
                     self.asserts.append(
                         f"(assert (=> (not {world.ex(c, i)}) "
-                        f"(= {name} {lo})))")
+                        f"(= {name} {_int(lo)})))")
         for a in world.mm.associations:
             rows = world.all_slots(a.source)
             cols = world.all_slots(a.target)
@@ -518,7 +525,8 @@ class Encoder:
                     hi = allowed[-1] if allowed else 0
                     self.decl_int(cv, 0, hi)
                     for k in sorted(set(range(hi)) - set(allowed)):
-                        self.asserts.append(f"(assert (not (= {cv} {k})))")
+                        self.asserts.append(
+                            f"(assert (not (= {cv} {_int(k)})))")
                     for c in {c for c, _ in slots}:
                         earlier[c] += 1
                     choice_name[(rule.name, bidx, ae.name)] = (cv, slots)
@@ -603,8 +611,8 @@ class Encoder:
                                 if s1 == s2:
                                     self.asserts.append(
                                         f"(assert (=> {fv} (not (and "
-                                        f"(= {cvx} {kx}) "
-                                        f"(= {cvy} {ky})))))")
+                                        f"(= {cvx} {_int(kx)}) "
+                                        f"(= {cvy} {_int(ky)})))))")
 
                 # apply links between chosen slots
                 for l in rule.apply.links:
@@ -657,12 +665,12 @@ class Encoder:
             cases = []
             for v in sdom.values():
                 try:
-                    cases.append(_and([f"(= {svar} {senc(v)})",
-                                       f"(= {tvar} {enc(v)})"]))
+                    cases.append(_and([f"(= {svar} {_int(senc(v))})",
+                                       f"(= {tvar} {_int(enc(v))})"]))
                 except KeyError:
                     continue
             return _or(cases)
-        return f"(= {tvar} {enc(b.value)})"
+        return f"(= {tvar} {_int(enc(b.value))})"
 
     # -- traces ------------------------------------------------------------------
 

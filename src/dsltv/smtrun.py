@@ -19,18 +19,22 @@ spare's fork and exec thus happen before the solving child needs the CPU,
 and the rest of its start-up overlaps the solve.  The spare has loaded its
 solver and waits on stdin; if its owner dies, it reads end-of-file, solves
 the empty script and exits.  The bundled child exits as soon as its answer
-is flushed, without the interpreter's teardown.
+is flushed, without the interpreter's teardown.  Once the child's output
+has ended, the child is killed and reaped at once: ``Popen.wait`` with a
+timeout would poll, sleeping a millisecond while the child exits.
 
 Problem texts name shared Bool terms with zero-arity ``define-fun``
-commands, so a solver must accept those too.  The bundled one takes exactly
-that subset: ``(define-fun name () Bool body)``, scoped by push and pop,
-each name defined once and before its first use.  It compiles a body at the
-name's first reference and reuses the literal, and leaves defined names out
-of ``(get-model)``.  It turns each assertion into clauses without a gate for
-its top-level connectives: conjunctions split into clauses, disjunctions,
-implications and negated conjunctions join one clause, and an implication
-with a conjunction as consequent gives one clause per conjunct.  A defined
-name in such a position counts as its body.  Below that, every connective
+commands and write a negative Int constant as ``(- n)``, so a solver must
+accept those too.  The bundled one reads exactly the language the encoder
+writes, listed in ``smtsolver``'s docstring, and reports anything else as
+an error; each ``(define-fun name () Bool body)`` is made once and before
+its first use.  It compiles a body at the name's first reference and
+reuses the literal, and leaves defined names out of ``(get-model)``.  It
+turns each assertion into clauses without a gate for its top-level
+connectives: conjunctions split into clauses, disjunctions, implications
+and negated conjunctions join one clause, and an implication with a
+conjunction as consequent gives one clause per conjunct.  A defined name in
+such a position counts as its body.  Below that, every connective
 becomes a Tseitin gate.
 """
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import selectors
 import subprocess
 import sys
 import threading
@@ -132,8 +137,13 @@ def _start(cmd):
 
 
 def _reap(proc):
+    """Kill and wait for the child, and close its pipes.  The wait cannot
+    sleep: without a timeout, Popen.wait blocks in waitpid."""
     proc.kill()
-    proc.communicate()
+    proc.wait()
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        if pipe is not None:
+            pipe.close()
 
 
 def _take(cmd):
@@ -197,7 +207,7 @@ os.register_at_fork(after_in_child=_forget_spare)
 def _hand_over(proc, data):
     """Write as much of `data` to the child's stdin as its pipe takes without
     blocking, and close stdin when that is all of it.  Returns the rest, for
-    `communicate`, or None."""
+    `_read_answer`, or None."""
     fd = proc.stdin.fileno()
     os.set_blocking(fd, False)
     try:
@@ -207,19 +217,55 @@ def _hand_over(proc, data):
     except BrokenPipeError:   # the child has exited; its output tells why
         sent = len(data)
     if sent < len(data):
-        os.set_blocking(fd, True)
-        return data[sent:]
+        return memoryview(data)[sent:]
     proc.stdin.close()
     proc.stdin = None
     return None
+
+
+def _read_answer(proc, rest, deadline):
+    """Write `rest` (unless None) to the child's stdin and close it, and read
+    the child's stdout and stderr to end-of-file, all before `deadline`.
+    Returns the two outputs as bytes, or None when the deadline passes
+    first.  The child is not waited for: `run_solver` kills and reaps it."""
+    outputs = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+    stdin = None if rest is None else proc.stdin.fileno()
+    with selectors.PollSelector() as sel:
+        for fd in outputs:
+            sel.register(fd, selectors.EVENT_READ)
+        if stdin is not None:
+            sel.register(stdin, selectors.EVENT_WRITE)
+        while sel.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            for key, _ in sel.select(remaining):
+                if key.fd != stdin:
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        outputs[key.fd].append(chunk)
+                    else:
+                        sel.unregister(key.fd)
+                    continue
+                try:
+                    rest = rest[os.write(stdin, rest):]
+                except BlockingIOError:
+                    continue
+                except BrokenPipeError:   # as in _hand_over
+                    rest = rest[:0]
+                if not rest:
+                    sel.unregister(stdin)
+                    proc.stdin.close()
+                    proc.stdin = None
+    return [b"".join(chunks) for chunks in outputs.values()]
 
 
 def run_solver(problem, timeout_seconds, solver_command=None):
     """Solve one encoded problem in a child process.
 
     The spare for the next solve is started, then the problem goes to the
-    child's stdin.  The child is terminated and reaped when the timeout
-    expires.
+    child's stdin.  The child is killed and reaped once its output ends or
+    the timeout expires.
     """
     cmd = list(solver_command or default_solver_command())
     start = time.monotonic()
@@ -233,16 +279,12 @@ def run_solver(problem, timeout_seconds, solver_command=None):
     try:
         _refill(cmd)
         rest = _hand_over(proc, problem.text.encode("utf-8"))
-        try:
-            out, err = proc.communicate(
-                rest, timeout=max(0.0, start + timeout_seconds
-                                  - time.monotonic()))
-        except subprocess.TimeoutExpired:
+        outputs = _read_answer(proc, rest, start + timeout_seconds)
+        if outputs is None:
             return SolverVerdict("timeout",
                                  wall_time=time.monotonic() - start)
         wall = time.monotonic() - start
-        out = out.decode("utf-8", "replace")
-        err = err.decode("utf-8", "replace")
+        out, err = (o.decode("utf-8", "replace") for o in outputs)
         first = next((ln.strip() for ln in out.splitlines() if ln.strip()),
                      "")
         if first == "unsat":
@@ -260,8 +302,7 @@ def run_solver(problem, timeout_seconds, solver_command=None):
         return SolverVerdict("solver-error", wall_time=wall,
                              raw_output=out + ("\n" + err if err else ""))
     finally:
-        if proc.poll() is None:
-            _reap(proc)
+        _reap(proc)
 
 
 def _violated_deferred(problem, model):

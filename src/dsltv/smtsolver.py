@@ -1,29 +1,41 @@
-"""Self-contained solver for the SMT-LIB 2 subset this package emits.
+"""Self-contained solver for the SMT-LIB 2 language this package emits.
 
-Supports QF_LIA restricted to finite-domain integer constants: every Int
-variable must have derivable lower and upper bounds from the asserted
-constraints (the encoder always asserts them).  Integers are grounded with a
-one-hot boolean encoding, formulas are Tseitin-transformed to CNF, and a
-small CDCL search (watched literals, first-UIP learning, VSIDS, restarts)
-decides satisfiability.  Zero-arity Bool ``define-fun`` names a term; its
-body is compiled at the first reference and the literal reused.
+It reads exactly that language and reports anything else as an error:
+
+- commands ``set-logic``, ``set-option`` (both ignored), ``declare-const``
+  of sort Bool or Int, ``define-fun`` of a zero-arity Bool name, each name
+  declared or defined once and before its first use, ``assert``,
+  ``check-sat``, ``get-model`` and ``exit``;
+- Bool terms: declared and defined names, ``true``, ``false``, ``and``,
+  ``or``, ``not``, binary ``=>`` and binary ``=`` over Bool terms;
+- atoms ``=``, ``<=``, ``<``, ``>=`` and ``>`` whose two sides are each an
+  Int name or an Int constant, written as a numeral (``3``) or as
+  ``(- 3)``: SMT-LIB reads ``-3`` as a symbol.
+
+Every Int name needs a lower and an upper bound asserted as ``(<= c x)``
+and ``(<= x c)``, bare or as conjuncts of an asserted ``and`` (the encoder
+always asserts them).  Integers are grounded with a one-hot boolean
+encoding, formulas are Tseitin-transformed to CNF, and a small CDCL search
+(watched literals, first-UIP learning, VSIDS, restarts) decides
+satisfiability.  A defined name's body is compiled at the first reference
+and the literal reused.
 
 Top-level connectives become clauses without gates (the top-level half of
 Plaisted & Greenbaum's transform, 1986).  A top-level ``and`` is asserted
 conjunct by conjunct.  A top-level ``or`` becomes one clause, into which
 nested ``or`` operands and ``(not (and ...))`` operands splice their
 operands; a top-level ``(not (and ...))`` is one clause too.  A top-level
-``=>`` puts its negated antecedents into the clause of its consequent: an
+``=>`` puts its negated antecedent into the clause of its consequent: an
 ``and`` antecedent adds its negated operands, an ``or`` consequent adds its
 operands, and an ``and`` consequent gives one clause per conjunct.  The
 negations of these shapes split or join the same way.  A defined name in
 such a position is replaced by its body before its shape is tested, so
 naming a term never changes the CNF.
 
-Grounding compiles each distinct comparison atom over two tokens once and
-reuses its literal, and keeps the literals that a defined name splices into
-a clause, per polarity; gates are shared by their sorted inputs, and binary
-clauses are ordered without the set and sort of the general clause path.
+Grounding compiles each distinct comparison atom once and reuses its
+literal, and keeps the literals that a defined name splices into a clause,
+per polarity; gates are shared by their sorted inputs, and binary clauses
+are ordered without the set and sort of the general clause path.
 None of the memos changes the CNF: a repeated atom or defined name would
 only find its gates again.  Literal values and watch lists are lists indexed
 directly by the signed literal, and VSIDS picks its decision variable from a
@@ -443,9 +455,6 @@ class Circuit:
     def or_(self, lits):
         return -self.and_([-l for l in lits])
 
-    def ite(self, c, t, e):
-        return self.and_([self.or_([-c, t]), self.or_([c, e])])
-
     def iff(self, a, b):
         return self.and_([self.or_([-a, b]), self.or_([-b, a])])
 
@@ -464,9 +473,6 @@ class SmtScript:
         self.defs = {}         # defined name -> (body, index in defs)
         self.assertions = []
         self.visible = []      # per assertion: the definitions made before it
-        # one [assertion count, declaration count, definition count, levels]
-        # per (push n): the n levels it opens all start from those counts
-        self.stack = []
         self._model = None
 
     def run(self, forms, out=sys.stdout):
@@ -474,20 +480,15 @@ class SmtScript:
             if not isinstance(form, list) or not form:
                 raise SmtError(f"bad command: {form!r}")
             head = form[0]
-            if head in ("set-logic", "set-info", "set-option"):
+            if head in ("set-logic", "set-option"):
                 continue
-            if head in ("declare-const", "declare-fun"):
-                arity = 3 if head == "declare-const" else 4
-                if len(form) != arity or form[1].__class__ is not str:
-                    raise SmtError(f"malformed {head}: {form!r}")
-                name = form[1]
-                sort = form[-1]
-                if head == "declare-fun" and form[2] != []:
-                    raise SmtError("only zero-arity functions supported")
-                if sort not in ("Bool", "Int"):
-                    raise SmtError(f"unsupported sort {sort!r}")
-                self._check_fresh(name)
-                self.sorts[name] = sort
+            if head == "declare-const":
+                if len(form) != 3 or form[1].__class__ is not str:
+                    raise SmtError(f"malformed declare-const: {form!r}")
+                if form[2] not in ("Bool", "Int"):
+                    raise SmtError(f"unsupported sort {form[2]!r}")
+                self._check_fresh(form[1])
+                self.sorts[form[1]] = form[2]
             elif head == "define-fun":
                 if len(form) != 5 or form[1].__class__ is not str:
                     raise SmtError(f"malformed define-fun: {form!r}")
@@ -502,29 +503,6 @@ class SmtScript:
                     raise SmtError(f"assert takes one term: {form!r}")
                 self.assertions.append(form[1])
                 self.visible.append(len(self.defs))
-            elif head == "push":
-                n = _levels(form)
-                if n:
-                    self.stack.append([len(self.assertions), len(self.sorts),
-                                       len(self.defs), n])
-            elif head == "pop":
-                n = _levels(form)
-                depth = sum(top[3] for top in self.stack)
-                if n > depth:
-                    raise SmtError(f"cannot pop {n} of {depth} levels")
-                while n:
-                    top = self.stack[-1]
-                    k = min(n, top[3])
-                    n -= k
-                    top[3] -= k
-                    del self.assertions[top[0]:]
-                    del self.visible[top[0]:]
-                    for name in list(self.sorts)[top[1]:]:
-                        del self.sorts[name]
-                    for name in list(self.defs)[top[2]:]:
-                        del self.defs[name]
-                    if not top[3]:
-                        self.stack.pop()
             elif head == "check-sat":
                 self.last = self.check(out)
             elif head == "get-model":
@@ -535,62 +513,35 @@ class SmtScript:
                 raise SmtError(f"unsupported command {head!r}")
 
     def _check_fresh(self, name):
-        # SMT-LIB forbids a second declaration or definition of a name, and
-        # pop could not restore the shadowed one
+        # SMT-LIB forbids a second declaration or definition of a name
         if name in self.sorts or name in self.defs:
             raise SmtError(f"{name!r} is already declared")
 
     # -- grounding ---------------------------------------------------------
 
     def derive_bounds(self):
-        """Scan assertions, and the conjuncts of asserted conjunctions, for
-        (<= c x) / (<= x c) / (= x c) shapes to bound every Int variable."""
+        """Bound the Int variables by the assertions of the shapes
+        ``(<= c x)`` and ``(<= x c)``, with c a constant, taken bare or as
+        conjuncts of asserted conjunctions."""
         lo = {}
         hi = {}
-
-        def note_lo(name, v):
-            lo[name] = max(lo.get(name, v), v) if name in lo else v
-
-        def note_hi(name, v):
-            hi[name] = min(hi.get(name, v), v) if name in hi else v
-
         todo = list(self.assertions)
         while todo:
             e = todo.pop()
-            if not isinstance(e, list) or not e:
+            if e.__class__ is not list or not e:
                 continue
-            head = e[0]
-            if head == "and":
+            if e[0] == "and":
                 todo.extend(e[1:])
-            elif head in ("<=", "<", ">=", ">", "=") and len(e) == 3:
+            elif e[0] == "<=" and len(e) == 3:
                 a, b = e[1], e[2]
-                va, vb = _numeral(a), _numeral(b)
-                if va is not None and isinstance(b, str) and b in self.sorts:
-                    v = va
-                    if head in ("<=",):
-                        note_lo(b, v)
-                    elif head == "<":
-                        note_lo(b, v + 1)
-                    elif head == ">=":
-                        note_hi(b, v)
-                    elif head == ">":
-                        note_hi(b, v - 1)
-                    elif head == "=":
-                        note_lo(b, v)
-                        note_hi(b, v)
-                elif vb is not None and isinstance(a, str) and a in self.sorts:
-                    v = vb
-                    if head == "<=":
-                        note_hi(a, v)
-                    elif head == "<":
-                        note_hi(a, v - 1)
-                    elif head == ">=":
-                        note_lo(a, v)
-                    elif head == ">":
-                        note_lo(a, v + 1)
-                    elif head == "=":
-                        note_lo(a, v)
-                        note_hi(a, v)
+                if b.__class__ is str and self.sorts.get(b) == "Int":
+                    v = _constant(a)
+                    if v is not None:
+                        lo[b] = max(lo[b], v) if b in lo else v
+                if a.__class__ is str and self.sorts.get(a) == "Int":
+                    v = _constant(b)
+                    if v is not None:
+                        hi[a] = min(hi[a], v) if a in hi else v
         return lo, hi
 
     def check(self, out):
@@ -602,7 +553,6 @@ class SmtScript:
 
         lo, hi = self.derive_bounds()
         onehot = {}  # int var -> {value: sat literal}
-        self.domains = {}
         for name, sort in self.sorts.items():
             if sort != "Int":
                 continue
@@ -614,9 +564,7 @@ class SmtScript:
                 self._model = None
                 print("unsat", file=out)
                 return "unsat"
-            values = range(lo[name], hi[name] + 1)
-            self.domains[name] = list(values)
-            lits = {v: circuit.var() for v in values}
+            lits = {v: circuit.var() for v in range(lo[name], hi[name] + 1)}
             onehot[name] = lits
             vs = list(lits.values())
             circuit.cnf.add(vs)
@@ -625,8 +573,7 @@ class SmtScript:
                                     for i in range(len(vs))
                                     for j in range(i + 1, len(vs))]
 
-        grounding = _Grounding(circuit, self.sorts, self.defs, bool_vars,
-                               onehot, self.domains)
+        grounding = _Grounding(circuit, self.defs, bool_vars, onehot)
         for a, visible in zip(self.assertions, self.visible):
             grounding.visible = visible
             grounding.assert_term(a)
@@ -638,10 +585,9 @@ class SmtScript:
             model = {}
             for name, lit in bool_vars.items():
                 model[name] = solver.model_value(lit)
-            for name, lits in onehot.items():
-                val = next((v for v, l in lits.items()
-                            if solver.model_value(l)), None)
-                model[name] = self.domains[name][0] if val is None else val
+            for name, lits in onehot.items():   # exactly one literal holds
+                model[name] = next(v for v, l in lits.items()
+                                   if solver.model_value(l))
             self._model = model
             print("sat", file=out)
             return "sat"
@@ -673,14 +619,12 @@ class _Grounding:
     would keep the circuit and its CNF alive until the cyclic collector
     runs."""
 
-    def __init__(self, circuit, sorts, defs, bool_vars, onehot, domains):
+    def __init__(self, circuit, defs, bool_vars, onehot):
         self.circuit = circuit
-        self.sorts = sorts
         self.defs = defs              # defined name -> (body, index)
         self.bool_vars = bool_vars
         self.onehot = onehot          # int var -> {value: sat literal}
-        self.domains = domains        # int var -> list of values
-        self.atoms = {}               # (op, token, token) -> literal
+        self.atoms = {}               # (op, operand, operand) -> literal
         self.defined = {}             # defined name -> literal
         self.spliced = ({}, {})       # per polarity: defined name -> literals
         self.visible = 0              # definitions the current term may use
@@ -691,7 +635,7 @@ class _Grounding:
 
         A conjunction, and the negation of a disjunction or an implication,
         is asserted one operand at a time with the same ``clause``.  An
-        implication adds its negated antecedents to ``clause`` and asserts
+        implication adds its negated antecedent to ``clause`` and asserts
         its consequent with it, so an ``and`` consequent gives one clause
         per conjunct.  Any other term ends the clause with the literals of
         ``clause_lits``."""
@@ -701,8 +645,8 @@ class _Grounding:
             flipped, kept = term[1:], ()
         elif head == ("and" if positive else "or"):
             flipped, kept = (), term[1:]
-        elif head == "=>" and len(term) >= 3:
-            flipped, kept = term[1:-1], term[-1:]
+        elif head == "=>" and len(term) == 3:
+            flipped, kept = term[1:2], term[2:]
         else:
             lits = list(clause)
             self.clause_lits(e, positive, lits)
@@ -710,7 +654,7 @@ class _Grounding:
             return
         outer, self.visible = self.visible, visible
         if head == "=>" and positive:
-            # the negated antecedents join the clause of the consequent
+            # the negated antecedent joins the clause of the consequent
             clause = list(clause)
             for x in flipped:
                 self.clause_lits(x, False, clause)
@@ -752,8 +696,8 @@ class _Grounding:
             flipped, kept = term[1:], ()
         elif head == ("or" if positive else "and"):
             flipped, kept = (), term[1:]
-        elif positive and head == "=>" and len(term) >= 3:
-            flipped, kept = term[1:-1], term[-1:]
+        elif positive and head == "=>" and len(term) == 3:
+            flipped, kept = term[1:2], term[2:]
         else:
             lit = self.compile_bool(e)
             lits.append(lit if positive else -lit)
@@ -801,98 +745,46 @@ class _Grounding:
             self.visible = outer
         return lit
 
-    def int_operands(self, e):
-        """Collect (variable names, constant offset factor) for a linear
-        term; supports var, constant, +, -, * by constant."""
-        if isinstance(e, str):
-            value = _numeral(e)
-            if value is not None:
-                return [], value
-            if self.sorts.get(e) == "Int":
-                return [(e, 1)], 0
-            raise SmtError(f"not an Int term: {e!r}")
-        if not e:
-            raise SmtError("empty Int term ()")
-        head = e[0]
-        if head == "+":
-            vs, c = [], 0
-            for sub in e[1:]:
-                v2, c2 = self.int_operands(sub)
-                vs += v2
-                c += c2
-            return vs, c
-        if head == "-":
-            if len(e) < 2:
-                raise _arity_error(e, "at least 1 operand")
-            if len(e) == 2:
-                vs, c = self.int_operands(e[1])
-                return [(n, -k) for n, k in vs], -c
-            vs, c = self.int_operands(e[1])
-            for sub in e[2:]:
-                v2, c2 = self.int_operands(sub)
-                vs += [(n, -k) for n, k in v2]
-                c -= c2
-            return vs, c
-        if head == "*" and len(e) == 3:
-            for a, b in ((e[1], e[2]), (e[2], e[1])):
-                k = _numeral(a)
-                if k is not None:
-                    vs, c = self.int_operands(b)
-                    return [(n, f * k) for n, f in vs], c * k
-        if head == "ite":
-            raise SmtError("ite over Int not supported")
-        raise SmtError(f"unsupported Int term {e!r}")
+    def operand(self, e):
+        """An Int operand: a declared Int name as it is, or the value of a
+        constant."""
+        if e.__class__ is str and e in self.onehot:
+            return e
+        value = _constant(e)
+        if value is None:
+            raise SmtError(f"not an Int name or constant: {e!r}")
+        return value
 
     def atom_lit(self, op, left, right):
-        """Comparison atom over linear Int terms, compiled by enumerating
-        the involved variables' finite domains.
+        """Comparison atom between two Int operands, compiled by enumerating
+        the domains of its variables.
 
-        An atom over two tokens is compiled once and its literal kept in
-        ``atoms``.  Compiling it again would only find every gate in
-        ``circuit.cache``, so the memo leaves the CNF as it was."""
-        if left.__class__ is str and right.__class__ is str:
-            key = (op, left, right)
-            lit = self.atoms.get(key)
-            if lit is None:
-                lit = self.atoms[key] = self._compile_atom(op, left, right)
-            return lit
-        return self._compile_atom(op, left, right)
+        Each atom is compiled once and its literal kept in ``atoms``, keyed
+        by its operands, so ``(- 2)`` is keyed by its value.  Compiling it
+        again would only find every gate in ``circuit.cache``, so the memo
+        leaves the CNF as it was."""
+        key = (op, self.operand(left), self.operand(right))
+        lit = self.atoms.get(key)
+        if lit is None:
+            lit = self.atoms[key] = self._compile_atom(*key)
+        return lit
 
-    def _compile_atom(self, op, left, right):
-        lvs, lc = self.int_operands(left)
-        rvs, rc = self.int_operands(right)
-        terms = {}
-        for n, k in lvs:
-            terms[n] = terms.get(n, 0) + k
-        for n, k in rvs:
-            terms[n] = terms.get(n, 0) - k
-        const = lc - rc  # atom: sum(terms) + const OP 0
-        names = [n for n, k in terms.items() if k != 0]
-        if len(names) > 3:
-            raise SmtError("atom involves too many Int variables")
-
-        def test(total):
-            if op == "=":
-                return total == 0
-            if op == "<=":
-                return total <= 0
-            if op == "<":
-                return total < 0
-            if op == ">=":
-                return total >= 0
-            if op == ">":
-                return total > 0
-            raise SmtError(f"unknown comparison {op!r}")
-
-        combos = [[]]
-        for n in names:
-            combos = [c + [(n, v)] for c in combos for v in self.domains[n]]
+    def _compile_atom(self, op, a, b):
+        test = _COMPARE[op]
+        if a == b:                  # x op x holds for every value of x
+            a = b = 0
         circuit, onehot = self.circuit, self.onehot
-        good = []
-        for combo in combos:
-            total = const + sum(terms[n] * v for n, v in combo)
-            if test(total):
-                good.append(circuit.and_([onehot[n][v] for n, v in combo]))
+        if a.__class__ is str:
+            if b.__class__ is str:
+                good = [circuit.and_([la, lb])
+                        for va, la in onehot[a].items()
+                        for vb, lb in onehot[b].items() if test(va, vb)]
+            else:
+                good = [l for v, l in onehot[a].items() if test(v, b)]
+        elif b.__class__ is str:
+            good = [l for v, l in onehot[b].items() if test(a, v)]
+        else:
+            return circuit.const_true if test(a, b) else -circuit.const_true
         return circuit.or_(good)
 
     def compile_bool(self, e):
@@ -910,90 +802,46 @@ class _Grounding:
         head = e[0]
         if head == "and":
             return circuit.and_([compile_bool(x) for x in e[1:]])
-        if head == "=" or head == "distinct":
-            if len(e) < 3:
-                raise _arity_error(e, "at least 2 operands")
-            if len(e) == 3 and e[1].__class__ is str and \
-                    e[2].__class__ is str:
-                # an Int atom seen before needs no sort test
-                eq = self.atoms.get(("=", e[1], e[2]))
-                if eq is not None:
-                    return eq if head == "=" else -eq
-            args = e[1:]
-            if self.is_bool_term(args[0]):
-                lits = [compile_bool(x) for x in args]
-                pairs = []
-                for i in range(len(lits) - 1):
-                    for j in range(i + 1, len(lits)):
-                        eq = circuit.iff(lits[i], lits[j])
-                        pairs.append(eq if head == "=" else -eq)
-                return circuit.and_(pairs)
-            if len(args) == 2:            # and_ of one literal is itself
-                eq = self.atom_lit("=", args[0], args[1])
-                return eq if head == "=" else -eq
-            pairs = []
-            for i in range(len(args) - 1):
-                for j in range(i + 1, len(args)):
-                    eq = self.atom_lit("=", args[i], args[j])
-                    pairs.append(eq if head == "=" else -eq)
-            return circuit.and_(pairs)
+        if head == "or":
+            return -circuit.and_([-compile_bool(x) for x in e[1:]])
         if head == "not":
             if len(e) != 2:
                 raise _arity_error(e, "1 operand")
             return -compile_bool(e[1])
-        if head == "or":
-            return -circuit.and_([-compile_bool(x) for x in e[1:]])
-        if head == "=>":
-            if len(e) < 3:
-                raise _arity_error(e, "at least 2 operands")
-            lits = [compile_bool(x) for x in e[1:]]
-            out2 = lits[-1]
-            for l in reversed(lits[:-1]):
-                out2 = circuit.or_([-l, out2])
-            return out2
-        if head == "xor":
-            if len(e) < 3:
-                raise _arity_error(e, "at least 2 operands")
-            out2 = compile_bool(e[1])
-            for x in e[2:]:
-                out2 = -circuit.iff(out2, compile_bool(x))
-            return out2
-        if head == "ite":
-            if len(e) != 4:
-                raise _arity_error(e, "3 operands")
-            return circuit.ite(compile_bool(e[1]), compile_bool(e[2]),
-                               compile_bool(e[3]))
-        if head in ("<=", "<", ">=", ">"):
+        if head in ("=", "<=", "<", ">=", ">"):
             if len(e) != 3:
                 raise _arity_error(e, "2 operands")
+            if head == "=" and not self.is_int_term(e[1]):
+                return circuit.iff(compile_bool(e[1]), compile_bool(e[2]))
             return self.atom_lit(head, e[1], e[2])
+        if head == "=>":
+            if len(e) != 3:
+                raise _arity_error(e, "2 operands")
+            return circuit.or_([-compile_bool(e[1]), compile_bool(e[2])])
         raise SmtError(f"unsupported operator {head!r}")
 
-    def is_bool_term(self, e):
-        if e in ("true", "false"):
-            return True
-        if isinstance(e, str):
-            return self.sorts.get(e) == "Bool" or e in self.defs
-        return bool(e) and e[0] in ("and", "or", "not", "=>", "xor", "ite",
-                                    "=", "distinct", "<=", "<", ">=", ">")
+    def is_int_term(self, e):
+        """Whether ``e`` is an Int name or constant; an ``=`` over such an
+        operand is an atom, any other is an iff of Bool terms."""
+        if e.__class__ is str:
+            return e in self.onehot or _constant(e) is not None
+        return e[:1] == ["-"]
 
 
-def _levels(form):
-    """The level count n of (push n) or (pop n); 1 when n is left out."""
-    if len(form) == 1:
-        return 1
-    n = _numeral(form[1]) if len(form) == 2 else None
-    if n is not None and n >= 0:
-        return n
-    raise SmtError(f"{form[0]} takes one numeral: {form!r}")
+_COMPARE = {"=": int.__eq__, "<=": int.__le__, "<": int.__lt__,
+            ">=": int.__ge__, ">": int.__gt__}
 
 
-def _numeral(tok):
-    """The value of an integer token such as "3" or "-3", else None."""
-    if tok.__class__ is not str:
-        return None
-    digits = tok[1:] if tok[:1] == "-" else tok
-    return int(tok) if digits.isascii() and digits.isdigit() else None
+def _constant(e):
+    """The value of an Int constant, a numeral such as "3" or a negation
+    such as ``(- 3)``, else None."""
+    if e.__class__ is list and len(e) == 2 and e[0] == "-":
+        e, sign = e[1], -1
+    else:
+        sign = 1
+    if e.__class__ is str and e.isascii() and e.isdigit():
+        return sign * int(e)
+    return None
 
 
 def _arity_error(e, expected):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import re
 import time
 
 import pytest
@@ -17,9 +18,9 @@ from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
 from dsltv.parser import parse_spec, parse_spec_file
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
-from dsltv import smtrun
+from dsltv import smtrun, smtsolver
 from dsltv.smtrun import lazy_closure_loop, run_solver
-from dsltv.smtsolver import solve_text
+from dsltv.smtsolver import parse_sexprs, solve_text, tokenize_sexprs
 
 
 def _bounds(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
@@ -680,3 +681,85 @@ def test_upper_bound_encoding_grows_polynomially():
                      if line.startswith("(assert"))
     # one clause per 4-subset of each 16-link row would be 16 * 1,820
     assert assertions < 3000
+
+
+NEGATIVE_SPEC = """
+metamodel NegSrc {
+    class Reading { v: Int[-2..1] }
+}
+metamodel NegTgt {
+    class Alarm { level: Int[-2..1] }
+    class Mark { code: Int{-3, -1, 2} }
+}
+transformation alarms : NegSrc -> NegTgt {
+    layer Only {
+        rule Cold2Alarm {
+            match { any r : Reading where v < -1 }
+            apply { a : Alarm { level = r.v } }
+        }
+        rule Cool2Mark {
+            match { any r : Reading where v <= 0 }
+            apply { m : Mark { code = -3 } }
+        }
+    }
+}
+property ColdestHasAlarm "A reading of -2 raises an alarm at level -2." {
+    precondition { any r : Reading where v == -2 }
+    postcondition {
+        a : Alarm where level == -2
+        a <--trace-- r
+    }
+}
+property ChillyHasAlarm_ShouldFail "Negative: -1 raises no alarm." {
+    precondition { any r : Reading where v >= -1 }
+    postcondition {
+        a : Alarm
+        a <--trace-- r
+    }
+}
+property CoolHasMark "A reading below 1 gets a mark of -3." {
+    precondition { any r : Reading where v != 1 }
+    postcondition {
+        m : Mark where code == -3
+        m <--trace-- r
+    }
+}
+"""
+
+# verdict and (CNF variables, CNF clauses) at two slots per class; the CNF
+# is the one grounded when negative constants were written as "-2"
+NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (102, 317)),
+                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (103, 321)),
+                     "CoolHasMark": (HOLDS, (102, 317))}
+
+
+def test_negative_constants_are_written_as_negations(monkeypatch):
+    # SMT-LIB 2.6 reads -2 as a symbol, so the encoder writes (- 2)
+    spec = parse_spec(NEGATIVE_SPEC, "inline")
+    assert not isinstance(spec, list), spec
+    t = spec.transformations[0]
+    sizes = []
+
+    class Sized(smtsolver.Solver):
+        def __init__(self, cnf):
+            sizes.append((cnf.nvars, len(cnf.clauses)))
+            super().__init__(cnf)
+
+    bounds = PerClassBounds(source={"Reading": 2},
+                            target={"Alarm": 2, "Mark": 2})
+    for prop in spec.properties:
+        want, cnf = NEGATIVE_EXPECTED[prop.name]
+        assert oracle_verdict(spec, prop, {"Reading": 2}) == want
+        assert verify_property(spec, prop).status == want
+        text = encode(spec, prop, bounds, EncodeOptions(), t).text
+        assert "(- 2)" in text and "(- 3)" in text
+        assert not [tok for tok in tokenize_sexprs(text)
+                    if re.fullmatch("-[0-9]+", tok)]
+        sizes.clear()
+        out = io.StringIO()
+        with monkeypatch.context() as m:
+            m.setattr(smtsolver, "Solver", Sized)
+            smtsolver.SmtScript().run(parse_sexprs(text), out=out)
+        assert sizes == [cnf], prop.name
+        assert out.getvalue().split()[0] == \
+            ("sat" if want == VIOLATED else "unsat")

@@ -204,3 +204,25 @@ def test_spare_exits_when_its_owner_dies():
 def test_no_solver_outlives_a_normal_exit():
     pid = _spare_pid_of("sys.exit(0)")
     assert not os.path.exists(f"/proc/{pid}")
+
+
+def test_back_to_back_solves_do_not_sleep(monkeypatch):
+    # a child whose output has ended is killed and reaped at once:
+    # Popen.wait with a timeout polls waitpid with sleeps from 1 ms, and most
+    # solves slept once while the child exited
+    sleeps = []
+
+    class Clock:
+        """subprocess's time module, with its sleeps recorded."""
+
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        def sleep(self, seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+    monkeypatch.setattr(subprocess, "time", Clock())
+    for _ in range(10):
+        assert run_solver(SAT, 60).status == "sat"
+    assert sleeps == []

@@ -77,67 +77,17 @@ def test_bounded_integers():
     out = _solve("""
 (declare-const x Int)
 (declare-const y Int)
-(assert (>= x 0))
-(assert (<= x 3))
-(assert (>= y 0))
+(assert (and (<= (- 2) x) (<= x 3)))
+(assert (<= (- 2) y))
 (assert (<= y 3))
-(assert (= (+ x y) 5))
-(assert (> x y))
+(assert (< x y))
+(assert (<= y (- 1)))
 (check-sat)
 (get-model)
 """)
-    assert out.startswith("sat")
-    model = {}
-    for line in out.splitlines():
-        if "define-fun" in line:
-            parts = line.replace("(", " ").replace(")", " ").split()
-            model[parts[1]] = int(parts[-1])
-    assert model["x"] + model["y"] == 5 and model["x"] > model["y"]
-
-
-def test_push_pop_scoping():
-    out = _solve("""
-(declare-const a Bool)
-(assert a)
-(push 1)
-(assert (not a))
-(check-sat)
-(pop 1)
-(check-sat)
-""")
-    assert out.split() == ["unsat", "sat"]
-
-
-def test_push_and_pop_move_n_levels():
-    out = _solve("""
-(declare-const x Bool)
-(assert x)
-(push 1)
-(assert (not x))
-(push 1)
-(pop 2)
-(check-sat)
-(push 3)
-(assert (not x))
-(pop 1)
-(check-sat)
-(push 0)
-(pop 0)
-(check-sat)
-""")
-    assert out.split() == ["sat", "sat", "sat"]
-
-
-def test_pop_drops_the_declarations_of_its_levels(tmp_path, capsys):
-    gone = tmp_path / "gone.smt2"
-    gone.write_text("(push 1)(declare-const a Bool)(pop 1)(assert a)"
-                    "(check-sat)")
-    assert solver_main([str(gone)]) == 1
-    assert capsys.readouterr().out.startswith("(error ")
-    out = _solve("(declare-const a Bool)(push 2)(declare-const b Bool)"
-                 "(pop 1)(declare-const c Bool)(pop 1)(assert a)"
-                 "(check-sat)")
-    assert out.split() == ["sat"]
+    assert out.split() == ["sat", "(model",
+                           "(define-fun", "x", "()", "Int", "(-", "2))",
+                           "(define-fun", "y", "()", "Int", "(-", "1))", ")"]
 
 
 def test_deep_nesting_is_an_error_line(tmp_path, capsys):
@@ -160,6 +110,7 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         "(declare-fun f)",
         "(declare-const (a) Bool)",
         "(declare-const a Bool) (push 1) (declare-const a Int)",
+        "(declare-const a Bool) (declare-const a Int)",
         "(declare-const a Bool) (assert (ite a)) (check-sat)",
         "(declare-const a Bool) (assert (not)) (check-sat)",
         "(declare-const a Bool) (assert (=> a)) (check-sat)",
@@ -174,6 +125,34 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         " (assert (= x ())) (check-sat)",
         "(declare-const x Int) (assert (<= --1 x)) (assert (<= x 2))"
         " (check-sat)",
+        # constructs outside the language the encoder writes
+        "(set-info :status sat) (check-sat)",
+        "(declare-const a Bool) (push 1) (assert a) (check-sat)",
+        "(declare-const a Bool) (assert a) (pop 1) (check-sat)",
+        "(declare-fun a () Bool) (assert a) (check-sat)",
+        "(declare-const a Bool) (assert (xor a a)) (check-sat)",
+        "(declare-const a Bool) (assert (ite a a (not a))) (check-sat)",
+        "(declare-const a Bool) (declare-const b Bool)"
+        " (assert (distinct a b)) (check-sat)",
+        "(declare-const a Bool) (assert (= a a a)) (check-sat)",
+        "(declare-const a Bool) (assert (=> a a a)) (check-sat)",
+        "(declare-const a Bool) (assert (or a (=> a a a))) (check-sat)",
+        "(declare-const a Bool) (assert (not (=> a a a))) (check-sat)",
+    ] + [
+        "(declare-const x Int) (declare-const y Int)"
+        " (assert (<= 0 x)) (assert (<= x 2))"
+        f" (assert (<= 0 y)) (assert (<= y 2)) (assert {atom}) (check-sat)"
+        for atom in ("(distinct x y)", "(= x y 1)", "(= (+ x 1) 2)",
+                     "(= (- x 1) 0)", "(<= (- x) 0)", "(< (* 2 x) 2)",
+                     "(= x (ite (= y 0) 1 2))")
+    ] + [
+        # x is bounded only by shapes other than (<= c x) and (<= x c)
+        f"(declare-const x Int) {bounds} (check-sat)"
+        for bounds in ("(assert (>= x 0)) (assert (<= x 2))",
+                       "(assert (<= 0 x)) (assert (< x 3))",
+                       "(assert (= x 1))",
+                       "(assert (<= -1 x)) (assert (<= x 2))",
+                       "(assert (<= 0 x)) (assert (=> true (<= x 2)))")
     ]
     for n, text in enumerate(scripts):
         path = tmp_path / f"bad{n}.smt2"
@@ -185,22 +164,17 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
 def test_definitions_are_scoped_and_checked(tmp_path, capsys):
     out = _solve("""
 (declare-const a Bool)
-(push 1)
-(define-fun d () Bool (and a (not a)))
-(assert d)
-(check-sat)
-(pop 1)
 (define-fun d () Bool (or a (not a)))
 (define-fun e () Bool (and d a))
 (assert (=> d e))
 (check-sat)
 (get-model)
 """)
-    assert out.split() == ["unsat", "sat", "(model", "(define-fun", "a",
-                           "()", "Bool", "true)", ")"]
+    assert out.split() == ["sat", "(model", "(define-fun", "a", "()", "Bool",
+                           "true)", ")"]
     errors = {
-        "(declare-const a Bool) (push 1) (define-fun d () Bool a) (pop 1)"
-        " (assert d) (check-sat)": "unknown Bool term 'd'",
+        "(declare-const a Bool) (assert d) (check-sat)":
+            "unknown Bool term 'd'",
         "(declare-const a Bool) (define-fun d () Bool a)"
         " (define-fun d () Bool a)": "'d' is already declared",
         "(declare-const a Bool) (define-fun a () Bool true)":
@@ -237,14 +211,14 @@ def test_get_model_before_check_sat_is_an_error_line():
         '(error "no model available")'
 
 
-def test_distinct_forces_order():
+def test_disequality_forces_order():
     out = _solve("""
 (declare-const x Int)
 (declare-const y Int)
-(assert (>= x 0)) (assert (<= x 1))
-(assert (>= y 0)) (assert (<= y 1))
-(assert (distinct x y))
-(assert (> x y))
+(assert (<= 0 x)) (assert (<= x 1))
+(assert (<= 0 y)) (assert (<= y 1))
+(assert (not (= x y)))
+(assert (>= x y))
 (check-sat)
 (get-model)
 """)
@@ -477,13 +451,15 @@ def test_solver_agrees_with_brute_force():
 
 class _RandomProblem:
     """A random script over at most 3 Bools and 2 Ints with domains inside
-    [-2..3] and zero-arity Bool definitions, using every operator the
-    grounder accepts.  ``atoms`` keeps the comparisons made so far, so later
-    ones can repeat them.  A definition's body may use the earlier ones, and
-    the assertions nest conjunctions, disjunctions and implications at the
-    top, where the grounder asserts them as clauses.  Some assertions take a
-    shape the grounder splices into clauses, with each of its parts inline
-    or behind a definition."""
+    [-2..3] and zero-arity Bool definitions, in exactly the language the
+    grounder accepts: each side of a comparison is an Int name, a numeral
+    or ``(- n)``, ``=`` and ``=>`` take two operands, and the Ints are
+    bounded by ``(<= c x)`` and ``(<= x c)``.  ``atoms`` keeps the
+    comparisons made so far, so later ones can repeat them.  A definition's
+    body may use the earlier ones, and the assertions nest conjunctions,
+    disjunctions and implications at the top, where the grounder asserts
+    them as clauses.  Some assertions take a shape the grounder splices
+    into clauses, with each of its parts inline or behind a definition."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -497,37 +473,24 @@ class _RandomProblem:
         for i in range(rng.randint(0, 3)):
             self.defs.append((f"d{i}", self.bool_term(2)))
 
-    def const(self):
-        n = self.rng.randint(-2, 3)
-        return str(n) if n >= 0 or self.rng.random() < 0.5 else ["-", str(-n)]
+    def const(self, n=None):
+        n = self.rng.randint(-2, 3) if n is None else n
+        return str(n) if n >= 0 else ["-", str(-n)]
 
-    def int_term(self, depth):
-        rng = self.rng
-        roll = rng.random()
-        if depth == 0 or roll < 0.4:
-            if self.ints and rng.random() < 0.7:
-                return rng.choice(list(self.ints))
-            return self.const()
-        sub = [self.int_term(depth - 1) for _ in range(rng.randint(1, 3))]
-        if roll < 0.6:
-            return ["+", *sub]
-        if roll < 0.8:
-            return ["-", *sub[:2]]
-        k = str(rng.randint(-2, 3))
-        return ["*", k, sub[0]] if rng.random() < 0.5 else ["*", sub[0], k]
+    def operand(self):
+        if self.ints and self.rng.random() < 0.7:
+            return self.rng.choice(list(self.ints))
+        return self.const()
 
-    def atom(self, depth):
+    def atom(self):
         rng = self.rng
         if self.atoms and rng.random() < 0.4:
             op, *args = rng.choice(self.atoms)
             return [op, *(args[::-1] if rng.random() < 0.5 else args)]
-        op = rng.choice(("=", "distinct", "<=", "<", ">=", ">"))
-        width = rng.choice((2, 2, 3)) if op in ("=", "distinct") else 2
-        # plain tokens are the atoms the grounder compiles only once
-        args = [self.int_term(0 if rng.random() < 0.6 else depth)
-                for _ in range(width)]
-        self.atoms.append([op, *args])
-        return [op, *args]
+        atom = [rng.choice(("=", "<=", "<", ">=", ">")), self.operand(),
+                self.operand()]
+        self.atoms.append(atom)
+        return atom
 
     def bool_term(self, depth):
         rng = self.rng
@@ -537,25 +500,20 @@ class _RandomProblem:
             if names and rng.random() < 0.6:
                 return rng.choice(names)
             if self.ints and rng.random() < 0.8:
-                return self.atom(1)
+                return self.atom()
             return rng.choice(("true", "false"))
         if roll < 0.35 and (self.ints or not self.bools):
-            return self.atom(2)
-        op = rng.choice(("and", "or", "not", "=>", "xor", "ite", "=",
-                         "distinct"))
-        width = {"not": 1, "ite": 3}.get(op) or rng.randint(
-            1 if op in ("and", "or") else 2, 3)
+            return self.atom()
+        op = rng.choice(("and", "or", "not", "=>", "="))
+        width = {"not": 1, "=>": 2, "=": 2}.get(op) or rng.randint(1, 3)
         return [op, *(self.bool_term(depth - 1) for _ in range(width))]
 
     def bounds(self, x, lo, hi):
-        lo_s, hi_s = str(lo), str(hi)
-        shapes = [[["<=", lo_s, x], ["<=", x, hi_s]],
-                  [[">=", x, lo_s], [">=", hi_s, x]],
-                  [["<", str(lo - 1), x], [">", str(hi + 1), x]],
-                  [["and", ["<=", lo_s, x], ["<", x, str(hi + 1)]]]]
-        if lo == hi:
-            shapes.append([["=", x, lo_s]])
-        return self.rng.choice(shapes)
+        low, high = ["<=", self.const(lo), x], ["<=", x, self.const(hi)]
+        looser = ["<=", self.const(lo - 1), x]   # the tighter bound counts
+        return self.rng.choice([[low, high], [["and", low, high]],
+                                [["and", high, looser], low],
+                                [["and", ["and", low], high, looser]]])
 
     def named(self, term):
         """``term``, or at random the name of a new definition of it."""
@@ -595,7 +553,7 @@ class _RandomProblem:
         if depth == 0 or roll < 0.4:
             return self.bool_term(3)
         op = "and" if roll < 0.6 else "or" if roll < 0.8 else "=>"
-        width = rng.randint(1 if op != "=>" else 2, 3)
+        width = 2 if op == "=>" else rng.randint(1, 3)
         return [op, *(self.top_term(depth - 1) for _ in range(width))]
 
     def assertions(self):
@@ -626,39 +584,31 @@ class _RandomProblem:
 
 
 def _int_value(e, env):
-    if isinstance(e, str):
-        return env[e] if e in env else int(e)
-    args = [_int_value(x, env) for x in e[1:]]
-    if e[0] == "+":
-        return sum(args)
-    if e[0] == "-":
-        return -args[0] if len(args) == 1 else args[0] - sum(args[1:])
-    assert e[0] == "*"
-    return args[0] * args[1]
+    if isinstance(e, list):             # (- n)
+        return -int(e[1])
+    return env[e] if e in env else int(e)
 
 
-_COMPARE = {"<=": int.__le__, "<": int.__lt__, ">=": int.__ge__,
-            ">": int.__gt__}
+def _is_int(e, env):
+    """Whether ``e`` is an Int operand: a name of an Int, a numeral or
+    ``(- n)``."""
+    if isinstance(e, list):
+        return e[0] == "-"
+    return e.isdigit() or type(env.get(e)) is int
+
+
+_COMPARE = {"=": int.__eq__, "<=": int.__le__, "<": int.__lt__,
+            ">=": int.__ge__, ">": int.__gt__}
 
 
 def _bool_value(e, env):
     if isinstance(e, str):
         return {"true": True, "false": False}.get(e, env.get(e))
     op, args = e[0], e[1:]
+    if op == "=" and not _is_int(args[0], env):
+        return _bool_value(args[0], env) == _bool_value(args[1], env)
     if op in _COMPARE:
         return _COMPARE[op](_int_value(args[0], env), _int_value(args[1], env))
-    if op in ("=", "distinct"):
-        first = args[0]
-        if isinstance(first, str):
-            is_bool = first in ("true", "false") or \
-                isinstance(env.get(first), bool)
-        else:
-            is_bool = first[0] not in ("+", "-", "*")
-        value = _bool_value if is_bool else _int_value
-        vals = [value(x, env) for x in args]
-        if op == "=":
-            return all(v == vals[0] for v in vals)
-        return len(set(vals)) == len(vals)
     vals = [_bool_value(x, env) for x in args]
     if op == "and":
         return all(vals)
@@ -666,15 +616,8 @@ def _bool_value(e, env):
         return any(vals)
     if op == "not":
         return not vals[0]
-    if op == "=>":
-        out = vals[-1]
-        for v in reversed(vals[:-1]):
-            out = not v or out
-        return out
-    if op == "xor":
-        return sum(vals) % 2 == 1
-    assert op == "ite"
-    return vals[1] if vals[0] else vals[2]
+    assert op == "=>"
+    return not vals[0] or vals[1]
 
 
 def test_grounding_agrees_with_brute_force():
@@ -775,6 +718,49 @@ def test_mult_ladder_cnf_and_search_are_pinned(monkeypatch):
     assert _ladder(_mult_problem, MULT_LADDER, monkeypatch) == MULT_LADDER
 
 
+# The SMT-LIB that the encoder writes and the bundled solver reads (see the
+# smtsolver module docstring); a negative constant (- n) is not an operator.
+COMMANDS = {"set-logic", "set-option", "declare-const", "define-fun",
+            "assert", "check-sat", "get-model", "exit"}
+OPERATORS = {"and", "or", "not", "=>", "=", "<=", "<", ">=", ">"}
+
+
+def _outside_language(forms):
+    """The command heads, operators and arities in ``forms`` that the
+    solver's language does not have."""
+    found = []
+
+    def visit(e):
+        if e.__class__ is str or (len(e) == 2 and e[0] == "-"
+                                  and e[1].isdigit()):
+            return
+        if e[0] not in OPERATORS:
+            found.append(e[0])
+        elif e[0] in ("=", "=>") and len(e) != 3:
+            found.append(f"{e[0]} with {len(e) - 1} operands")
+        for x in e[1:]:
+            visit(x)
+
+    for form in forms:
+        if form[0] not in COMMANDS:
+            found.append(form[0])
+        elif form[0] == "assert":
+            visit(form[1])
+        elif form[0] == "define-fun":
+            visit(form[4])
+    return found
+
+
+def test_encoder_writes_only_the_solver_language(fixture_dumps):
+    texts = [text for _, text in fixture_dumps]
+    for problem in [_stress_problem(k) for k in (2, 3, 4)] + \
+            [_mult_problem(k) for k in (4, 8, 12)]:
+        texts += [problem.text,
+                  problem.with_extra_assertions(problem.deferred).text]
+    for text in texts:
+        assert _outside_language(parse_sexprs(text)) == [], text[:200]
+
+
 def _pigeonhole_cnf(pigeons, holes):
     """PHP(pigeons, holes): every pigeon sits in a hole, no two share one.
     Variable p * holes + h + 1 puts pigeon p in hole h."""
@@ -825,9 +811,9 @@ def test_solve_leaves_no_reference_cycles(monkeypatch):
 (declare-const a Bool)
 (declare-const x Int)
 (declare-const y Int)
-(assert (and (<= 0 x) (<= x 3) (<= 0 y) (<= y 3)))
-(assert (or a (= (+ x y) 5)))
-(assert (=> a (< x (- y 1))))
+(assert (and (<= 0 x) (<= x 3) (<= (- 1) y) (<= y 3)))
+(assert (or a (= x y)))
+(assert (=> a (< x (- 1))))
 (check-sat)
 (get-model)
 """
