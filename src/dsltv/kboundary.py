@@ -4,7 +4,10 @@ Three phases per property: a uniform sweep that shifts every per-class bound
 by an offset and re-verifies, a selective pass decrementing one class at a
 time to find the binding classes, and concrete witness execution at support
 levels around the base bound.  Results render to a markdown report plus raw
-JSON.
+JSON.  ``dsltv kboundary`` runs the first two: witnesses are families of
+source models, which only a library caller passes, to
+``witness_validation(spec, prop, family)``.  So the CLI report's Concrete
+column reads ``-`` and its JSON has ``"witness": null``.
 """
 
 from __future__ import annotations

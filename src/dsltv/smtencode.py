@@ -194,6 +194,9 @@ class _World:
                 out.extend((c, i) for i in range(self.slots[c]))
         return out
 
+    def element_id(self, c, i):
+        return f"{self.tag}_{c}_{i}"
+
     def ex(self, c, i):
         return f"ex_{self.tag}_{c}_{i}"
 
@@ -806,7 +809,7 @@ def decode_world(model, world):
                     attrs[attr] = dec(raw)
                 except (IndexError, KeyError):
                     attrs[attr] = dec(lo)
-            elements.append(Element(f"{world.tag}_{c}_{i}", c,
+            elements.append(Element(world.element_id(c, i), c,
                                     tuple(sorted(attrs.items()))))
     ids = {e.id for e in elements}
     links = []
@@ -814,7 +817,7 @@ def decode_world(model, world):
         for cs, i in world.all_slots(a.source):
             for ct, j in world.all_slots(a.target):
                 if truthy(world.ln(a.name, cs, i, ct, j)):
-                    s, g = f"{world.tag}_{cs}_{i}", f"{world.tag}_{ct}_{j}"
+                    s, g = world.element_id(cs, i), world.element_id(ct, j)
                     if s in ids and g in ids:
                         links.append(Link(a.name, s, g))
     return model_from_parts(elements, links)
@@ -827,16 +830,17 @@ def decode_counterexample(model, problem, spec, transformation=None):
     source = decode_world(model, enc.src)
     target = decode_world(model, enc.tgt)
 
+    src_id, tgt_id = enc.src.element_id, enc.tgt.element_id
     traces = set()
     for binding, (c, j), fv, cv, k in enc.creation_index:
         if model.get(fv, False) and model.get(cv, 0) == k:
-            traces.update(TraceLink(f"s_{cs}_{i}", f"t_{c}_{j}")
+            traces.update(TraceLink(src_id(cs, i), tgt_id(c, j))
                           for cs, i in binding.values())
     target = model_from_parts(target.elements, target.links, traces)
 
     violated = None
     for pidx, pre in enumerate(problem.pre_bindings):
         if model.get(f"sel_{pidx}", False):
-            violated = {name: f"s_{c}_{i}" for name, (c, i) in pre.items()}
+            violated = {name: src_id(c, i) for name, (c, i) in pre.items()}
             break
     return source, target, violated

@@ -23,19 +23,12 @@ is flushed, without the interpreter's teardown.  Once the child's output
 has ended, the child is killed and reaped at once: ``Popen.wait`` with a
 timeout would poll, sleeping a millisecond while the child exits.
 
-Problem texts name shared Bool terms with zero-arity ``define-fun``
-commands and write a negative Int constant as ``(- n)``, so a solver must
-accept those too.  The bundled one reads exactly the language the encoder
-writes, listed in ``smtsolver``'s docstring, and reports anything else as
-an error; each ``(define-fun name () Bool body)`` is made once and before
-its first use.  It compiles a body at the name's first reference and
-reuses the literal, and leaves defined names out of ``(get-model)``.  It
-turns each assertion into clauses without a gate for its top-level
-connectives: conjunctions split into clauses, disjunctions, implications
-and negated conjunctions join one clause, and an implication with a
-conjunction as consequent gives one clause per conjunct.  A defined name in
-such a position counts as its body.  Below that, every connective
-becomes a Tseitin gate.
+A ``--solver`` command must accept what the encoder writes: zero-arity
+``define-fun`` commands naming shared Bool terms, negative Int constants
+written as ``(- n)``, and plain tokens only, with no quoted symbol, string
+or comment.  Its output is read by the same reader, so a model holding one
+of those is a solver-error.  ``smtsolver``'s docstring gives the bundled
+solver's language and how it grounds it.
 """
 
 from __future__ import annotations
@@ -204,37 +197,19 @@ atexit.register(discard_spare)
 os.register_at_fork(after_in_child=_forget_spare)
 
 
-def _hand_over(proc, data):
-    """Write as much of `data` to the child's stdin as its pipe takes without
-    blocking, and close stdin when that is all of it.  Returns the rest, for
-    `_read_answer`, or None."""
-    fd = proc.stdin.fileno()
-    os.set_blocking(fd, False)
-    try:
-        sent = os.write(fd, data)
-    except BlockingIOError:
-        sent = 0
-    except BrokenPipeError:   # the child has exited; its output tells why
-        sent = len(data)
-    if sent < len(data):
-        return memoryview(data)[sent:]
-    proc.stdin.close()
-    proc.stdin = None
-    return None
-
-
-def _read_answer(proc, rest, deadline):
-    """Write `rest` (unless None) to the child's stdin and close it, and read
-    the child's stdout and stderr to end-of-file, all before `deadline`.
-    Returns the two outputs as bytes, or None when the deadline passes
-    first.  The child is not waited for: `run_solver` kills and reaps it."""
+def _read_answer(proc, data, deadline):
+    """Write `data` to the child's stdin and close it, and read the child's
+    stdout and stderr to end-of-file, all before `deadline`.  Returns the two
+    outputs as bytes, or None when the deadline passes first.  The child is
+    not waited for: `run_solver` kills and reaps it."""
+    stdin = proc.stdin.fileno()
+    os.set_blocking(stdin, False)
     outputs = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    stdin = None if rest is None else proc.stdin.fileno()
+    rest = memoryview(data)
     with selectors.PollSelector() as sel:
+        sel.register(stdin, selectors.EVENT_WRITE)
         for fd in outputs:
             sel.register(fd, selectors.EVENT_READ)
-        if stdin is not None:
-            sel.register(stdin, selectors.EVENT_WRITE)
         while sel.get_map():
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -251,8 +226,8 @@ def _read_answer(proc, rest, deadline):
                     rest = rest[os.write(stdin, rest):]
                 except BlockingIOError:
                     continue
-                except BrokenPipeError:   # as in _hand_over
-                    rest = rest[:0]
+                except BrokenPipeError:   # the child has exited; its output
+                    rest = rest[:0]       # tells why
                 if not rest:
                     sel.unregister(stdin)
                     proc.stdin.close()
@@ -278,8 +253,8 @@ def run_solver(problem, timeout_seconds, solver_command=None):
                                         f"{exc.strerror or exc}")
     try:
         _refill(cmd)
-        rest = _hand_over(proc, problem.text.encode("utf-8"))
-        outputs = _read_answer(proc, rest, start + timeout_seconds)
+        outputs = _read_answer(proc, problem.text.encode("utf-8"),
+                               start + timeout_seconds)
         if outputs is None:
             return SolverVerdict("timeout",
                                  wall_time=time.monotonic() - start)

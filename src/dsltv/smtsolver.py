@@ -2,6 +2,9 @@
 
 It reads exactly that language and reports anything else as an error:
 
+- tokens: ``(``, ``)`` and the maximal runs of other characters between
+  them and space, tab, CR and LF; a ``|``, ``"`` or ``;`` anywhere (a
+  quoted symbol, a string or a comment) is an error;
 - commands ``set-logic``, ``set-option`` (both ignored), ``declare-const``
   of sort Bool or Int, ``define-fun`` of a zero-arity Bool name, each name
   declared or defined once and before its first use, ``assert``,
@@ -61,62 +64,20 @@ class SmtSyntaxError(ValueError):
     pass
 
 
-def tokenize_sexprs(text):
-    """Split SMT-LIB text into tokens: "(", ")", symbols and numerals, quoted
-    symbols without their bars, and strings with their quotes and "" undone.
-    Equal tokens are one shared string object.
+_UNREAD = (("|", "quoted symbols"), ('"', "strings"), (";", "comments"))
 
-    Only space, tab, CR and LF separate tokens.  A symbol runs up to
-    whitespace, a parenthesis or ";", so a bar or quote inside it (``a|b``)
-    belongs to it; elsewhere "|" opens a quoted symbol, '"' a string and ";"
-    a comment up to the next LF.  The plain stretches between those three
-    are split with str methods, and only quoted symbols, strings and comments
-    are scanned here.  The reader imports nothing: ``re`` would pull enum,
-    functools and collections into every solver child.
-    """
-    toks = []
+
+def tokenize_sexprs(text):
+    """The tokens of ``text``, as the module docstring defines them, equal
+    ones as one shared string object.  The reader imports nothing: ``re``
+    would pull enum, functools and collections into every solver child."""
+    for char, what in _UNREAD:
+        if char in text:
+            raise SmtSyntaxError(f"{what} are not supported")
     intern = {}.setdefault
-    find = text.find
-    n = len(text)
-    start = pos = 0       # text[start:pos] is plain and pos is not in a token
-    bar = quote = semi = -1
-    while True:
-        # the next "|", '"' and ";" at or after pos, n when there is none
-        if bar < pos:
-            bar = find("|", pos) % (n + 1)
-        if quote < pos:
-            quote = find('"', pos) % (n + 1)
-        if semi < pos:
-            semi = find(";", pos) % (n + 1)
-        k = min(bar, quote, semi)
-        if k < n and k > start and semi != k and \
-                text[k - 1] not in " \t\r\n()":
-            pos = k + 1                 # a bar or quote inside a symbol
-            continue
-        toks += [intern(t, t) for t in text[start:k]
-                 .replace("\t", " ").replace("\r", " ").replace("\n", " ")
-                 .replace("(", " ( ").replace(")", " ) ").split(" ") if t]
-        if k == n:
-            return toks
-        if k == semi:
-            end = find("\n", k) % (n + 1)
-        elif k == bar:
-            end = find("|", k + 1) + 1
-            if not end:
-                raise SmtSyntaxError("unterminated quoted symbol")
-            tok = text[k + 1:end - 1]
-            toks.append(intern(tok, tok))
-        else:
-            end = k                     # skip "" pairs up to a lone quote
-            while True:
-                end = find('"', end + 1) + 1
-                if not end:
-                    raise SmtSyntaxError("unterminated string")
-                if text[end:end + 1] != '"':
-                    break
-            tok = '"' + text[k + 1:end - 1].replace('""', '"') + '"'
-            toks.append(intern(tok, tok))
-        start = pos = end
+    return [intern(t, t) for t in text
+            .replace("\t", " ").replace("\r", " ").replace("\n", " ")
+            .replace("(", " ( ").replace(")", " ) ").split(" ") if t]
 
 
 def parse_sexprs(text):
@@ -606,8 +567,7 @@ class SmtScript:
             else:
                 sv = str(v) if v >= 0 else f"(- {-v})"
                 sort = "Int"
-            sym = f"|{name}|" if any(c in name for c in "()# ") else name
-            lines.append(f"  (define-fun {sym} () {sort} {sv})")
+            lines.append(f"  (define-fun {name} () {sort} {sv})")
         lines.append(")")
         print("\n".join(lines), file=out)
 

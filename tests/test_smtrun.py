@@ -90,15 +90,15 @@ def test_threads_share_one_spare():
 def test_spare_is_running_when_the_problem_is_handed_over(monkeypatch):
     discard_spare()
     seen = []
-    hand_over = smtrun._hand_over
+    read_answer = smtrun._read_answer
 
-    def record(proc, data):
+    def record(proc, data, deadline):
         spare = smtrun._spare
         seen.append(spare is not None and spare.pid != proc.pid
                     and spare.poll() is None)
-        return hand_over(proc, data)
+        return read_answer(proc, data, deadline)
 
-    monkeypatch.setattr(smtrun, "_hand_over", record)
+    monkeypatch.setattr(smtrun, "_read_answer", record)
     # the first solve starts its own child and the spare; the next ones take
     # the spare and start the next before they hand over
     for _ in range(3):

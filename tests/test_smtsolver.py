@@ -126,6 +126,9 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         "(declare-const x Int) (assert (<= --1 x)) (assert (<= x 2))"
         " (check-sat)",
         # constructs outside the language the encoder writes
+        "(declare-const |a| Bool) (check-sat)",
+        '(set-option :x "s") (check-sat)',
+        "(check-sat) ; c",
         "(set-info :status sat) (check-sat)",
         "(declare-const a Bool) (push 1) (assert a) (check-sat)",
         "(declare-const a Bool) (assert a) (pop 1) (check-sat)",
@@ -235,48 +238,35 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert "(error" in capsys.readouterr().out
 
 
-# The regular expression the reader was first written with, kept as the
-# reference that the str-method reader must match token for token.
-_REFERENCE_TOKEN = re.compile(r"""
-    [()]
-  | [^ \t\r\n();|"][^ \t\r\n();]*    # symbol or numeral
-  | \|[^|]*\|                        # quoted symbol
-  | "(?:[^"]|"")*"                   # string; "" stands for one quote
-  | ;[^\n]*                          # comment
-  | [|"]                             # unterminated quoted symbol or string
-""", re.VERBOSE)
+# The regular expression the reader was first written with, cut to the
+# plain tokens it now reads, kept as the reference that the str-method
+# reader must match token for token.
+_REFERENCE_TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 
 
 def _reference_tokens(text):
-    toks = []
-    for tok in _REFERENCE_TOKEN.findall(text):
-        ch = tok[0]
-        if ch == ";":
-            continue
-        if ch == "|":
-            if len(tok) == 1:
-                raise SmtSyntaxError("unterminated quoted symbol")
-            tok = tok[1:-1]
-        elif ch == '"':
-            if len(tok) == 1:
-                raise SmtSyntaxError("unterminated string")
-            tok = '"' + tok[1:-1].replace('""', '"') + '"'
-        toks.append(tok)
-    return toks
+    if re.search(r'[|";]', text):
+        raise SmtSyntaxError("quoted symbol, string or comment")
+    return _REFERENCE_TOKEN.findall(text)
 
 
 def _tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
-    except SmtSyntaxError as exc:
-        return f"error: {exc}"
+    except SmtSyntaxError:
+        return "error"
 
 
 # Besides the reader's own characters: str.split() would also break on
 # \x0b, \x0c, \x1c and \xa0, which are symbol characters in SMT-LIB text.
+# Half the texts are drawn without "|", '"' and ";", so that most are read.
+_PLAIN = "()ab1-x \t\r\n\x0b\x0c\x1c\xa0"
+
+
 @settings(derandomize=True, database=None, max_examples=1500,
           deadline=None)
-@given(st.text(alphabet='()|";ab1-x \t\r\n\x0b\x0c\x1c\xa0', max_size=40))
+@given(st.one_of(st.text(alphabet=_PLAIN, max_size=40),
+                 st.text(alphabet=_PLAIN + '|";', max_size=40)))
 def test_reader_matches_the_regex_reader(text):
     got = _tokens_or_error(tokenize_sexprs, text)
     assert got == _tokens_or_error(_reference_tokens, text)
@@ -287,16 +277,16 @@ def test_reader_matches_the_regex_reader(text):
 
 def test_reader_edge_cases():
     cases = {
-        "a|b c|d": ["a|b", "c|d"],
-        '(x"y)': ["(", 'x"y', ")"],
-        "|a b|c": ["a b", "c"],
-        '"a""b"c': ['"a"b"', "c"],
-        '"a"""': ['"a""'],
-        "a;b|\nc": ["a", "c"],
-        "a;b\rc": ["a"],
+        "a|b c|d": "error",
+        '(x"y)': "error",
+        "|a b|c": "error",
+        '"a""b"c': "error",
+        '"a"""': "error",
+        "a;b|\nc": "error",
+        "a;b\rc": "error",
         "\x0ba\xa0b": ["\x0ba\xa0b"],
-        '"a""': "error: unterminated string",
-        "(|a)": "error: unterminated quoted symbol",
+        '"a""': "error",
+        "(|a)": "error",
     }
     for text, expected in cases.items():
         assert _tokens_or_error(tokenize_sexprs, text) == expected, text
@@ -629,9 +619,11 @@ def test_grounding_agrees_with_brute_force():
         text = problem.script(assertions)
         expected = any(all(_bool_value(a, env) for a in assertions)
                        for env in problem.assignments())
-        forms = parse_sexprs(_solve(text))
-        assert forms[0] == ("sat" if expected else "unsat"), text
+        out = _solve(text)
+        # after unsat, (get-model) prints an error line holding a string
+        assert out.split()[0] == ("sat" if expected else "unsat"), text
         if expected:
+            forms = parse_sexprs(out)
             model = {}
             for _, name, _, sort, value in forms[1][1:]:
                 if sort == "Bool":
@@ -758,6 +750,8 @@ def test_encoder_writes_only_the_solver_language(fixture_dumps):
         texts += [problem.text,
                   problem.with_extra_assertions(problem.deferred).text]
     for text in texts:
+        # no quoted symbol, string or comment
+        assert not set('|";') & set(text), text[:200]
         assert _outside_language(parse_sexprs(text)) == [], text[:200]
 
 
