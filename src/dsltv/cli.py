@@ -5,7 +5,8 @@ verify (bounded verification, NDJSON stream), run (concrete execution),
 abstract (proof-spec synthesis), kboundary (cutoff boundary experiment).
 
 Exit codes: 0 success / all HOLDS, 1 violations present, 2 unknowns present,
-3 usage or parse error.
+3 usage or parse error, 141 (128 + SIGPIPE, as a shell reports a program
+that SIGPIPE ended) when the reader of stdout went away before the end.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_PIPE = 141
 
 _MODES = [m.value for m in RelevanceMode]
 _FRAGMENTS = [f.value for f in FragmentKind]
@@ -341,8 +343,7 @@ def cmd_kboundary(args):
     for prop in _selected_properties(spec, args.property):
         lab = BoundsLab(spec, prop, config)  # one plan and one base verdict
         results.append({"sweep": lab.uniform_sweep(),
-                        "perturbation": lab.selective_minus_one(),
-                        "witness": None})
+                        "perturbation": lab.selective_minus_one()})
     report = emit_report(results, os.path.basename(args.spec))
     with open(args.out, "w") as fh:
         fh.write(report)
@@ -361,7 +362,13 @@ def main(argv=None):
     handler = {"check": cmd_check, "cutoff": cmd_cutoff,
                "verify": cmd_verify, "run": cmd_run,
                "abstract": cmd_abstract, "kboundary": cmd_kboundary}
-    return handler[args.command](args)
+    try:
+        return handler[args.command](args)
+    except BrokenPipeError:
+        # stdout's reader has gone, as under `| head -1`: what is still
+        # buffered goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -1,13 +1,9 @@
 """Empirical cutoff-boundary validation.
 
-Three phases per property: a uniform sweep that shifts every per-class bound
-by an offset and re-verifies, a selective pass decrementing one class at a
-time to find the binding classes, and concrete witness execution at support
-levels around the base bound.  Results render to a markdown report plus raw
-JSON.  ``dsltv kboundary`` runs the first two: witnesses are families of
-source models, which only a library caller passes, to
-``witness_validation(spec, prop, family)``.  So the CLI report's Concrete
-column reads ``-`` and its JSON has ``"witness": null``.
+Two phases per property: a uniform sweep that shifts every per-class bound
+by an offset and re-verifies, and a selective pass decrementing one class at
+a time to find the binding classes.  Results render to a markdown report
+plus raw JSON.
 """
 
 from __future__ import annotations
@@ -17,9 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .cutoff import PerClassBounds
-from .engine import check_property_concrete, execute
 from .inheritance import flatten_inheritance_info
-from .model import validate_conformance
 from .orchestrator import HOLDS, UNKNOWN, VIOLATED, PlanRejected, \
     VerificationConfig, _PropertyRun, plan_property, verify_property
 
@@ -68,26 +62,6 @@ class PerturbationResult:
                       "reason": self.reasons.get((c, s))}
                      for c, s, st in self.runs],
             "bindingClasses": list(self.binding_classes),
-            "matched": self.matched,
-        }
-
-
-@dataclass
-class WitnessResult:
-    property: str
-    rows: list = field(default_factory=list)
-    # (level, index, predicted, actual, matched)
-
-    @property
-    def matched(self):
-        return all(m for *_, m in self.rows)
-
-    def to_json(self):
-        return {
-            "property": self.property,
-            "witnesses": [{"level": lv, "index": i, "predicted": p,
-                           "actual": a, "matched": m}
-                          for lv, i, p, a, m in self.rows],
             "matched": self.matched,
         }
 
@@ -219,38 +193,6 @@ def selective_minus_one(spec, prop, config=None, base_verdict=None):
     return BoundsLab(spec, prop, config, base_verdict).selective_minus_one()
 
 
-def witness_validation(spec, prop, family, config=None, base_verdict=None):
-    """family maps a support level in {"base-1", "base", "base+1"} to an
-    iterable of conformant source models.  Raises PlanRejected for a
-    property outside the verifiable fragment."""
-    lab = BoundsLab(spec, prop, config, base_verdict)
-    if lab.rejection:
-        raise lab.rejection
-    prop = lab.prop
-    # abstraction rewrites attribute domains only, so the plan's
-    # transformation is the one the user's models run through
-    t = lab.plan.t
-    pattern = "negative" if lab.base_verdict.status == VIOLATED \
-        else "positive"
-    deltas = {"base-1": -1, "base": 0, "base+1": 1}
-    result = WitnessResult(prop.name)
-    src_mm = spec.metamodel(t.source)
-    for level in ("base-1", "base", "base+1"):
-        for i, source in enumerate(family.get(level, ())):
-            report = validate_conformance(source, src_mm)
-            if not report.conformant:
-                raise ValueError(
-                    f"witness {level}[{i}] for {prop.name} is not "
-                    f"conformant: {report.violations[0].message}")
-            run = execute(t, source, spec)
-            concrete = check_property_concrete(prop, source, run, spec)
-            actual = HOLDS if concrete.holds else VIOLATED
-            predicted = _expected_at(pattern, deltas[level])
-            result.rows.append((level, i, predicted, actual,
-                                predicted == actual))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
@@ -264,24 +206,22 @@ def _status_cell(status, reason):
 
 
 def emit_report(results, spec_name="spec"):
-    """results: list of dicts with keys sweep, perturbation, witness (any of
+    """results: list of dicts with keys sweep and perturbation (either of
     which may be None)."""
     lines = ["# Cutoff boundary validation", ""]
     lines += ["| Spec | Property | Base K | Dominant formula | Uniform | "
-              "Sel. -1 | Concrete |",
-              "|---|---|---|---|---|---|---|"]
+              "Sel. -1 |",
+              "|---|---|---|---|---|---|"]
     for entry in results:
         sweep = entry.get("sweep")
         pert = entry.get("perturbation")
-        wit = entry.get("witness")
-        name = (sweep or pert or wit).property
+        name = (sweep or pert).property
         base_k = sweep.base_k if sweep else "-"
         dominant = "/".join(sweep.dominant) if sweep else "-"
         lines.append(
             f"| {spec_name} | {name} | {base_k} | {dominant} | "
             f"{_tick(sweep.matched) if sweep else '-'} | "
-            f"{_tick(pert.matched) if pert else '-'} | "
-            f"{_tick(wit.matched) if wit else '-'} |")
+            f"{_tick(pert.matched) if pert else '-'} |")
     lines.append("")
 
     lines += ["## Uniform sweep", ""]
@@ -310,17 +250,6 @@ def emit_report(results, spec_name="spec"):
             lines.append(f"| {c} | {side} | {cell} |")
         lines.append("")
 
-    lines += ["## Concrete witnesses", ""]
-    for entry in results:
-        wit = entry.get("witness")
-        if wit is None:
-            continue
-        lines += [f"### {wit.property}", "",
-                  "| level | index | predicted | actual | matched |",
-                  "|---|---|---|---|---|"]
-        for lv, i, p, a, m in wit.rows:
-            lines.append(f"| {lv} | {i} | {p} | {a} | {_tick(m)} |")
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -328,7 +257,7 @@ def results_json(results):
     out = []
     for entry in results:
         item = {}
-        for key in ("sweep", "perturbation", "witness"):
+        for key in ("sweep", "perturbation"):
             item[key] = entry[key].to_json() if entry.get(key) else None
         out.append(item)
     return json.dumps(out, indent=2)

@@ -8,8 +8,8 @@ elements get integer slot-choice variables with at-most-one-creator.  A
 target slot exists iff exactly one firing claims it, asserted in three
 parts: each claim implies that the slot exists (with the claim's attribute
 bindings), the slot exists only if some claim holds, and at most one claim
-holds.  The parts allow the same assignments to every variable but the
-counter registers of the third (below) as the iff with the first part did.
+holds.  The parts allow the same assignments as the iff with the first
+part did.
 Where the slot exists, the second and third parts leave exactly one claim;
 where it does not, the first leaves none.  Conversely, the iff and the
 first part already ruled out two claims at once, since both would make the
@@ -77,24 +77,12 @@ class sets is refuted one component at a time: injectivity cannot couple
 them, so a witness of the whole exists iff each component has one.
 
 An association upper bound ``[..k]`` limits each link row x_0..x_{n-1} (the
-links out of one slot) with Sinz's sequential counter ("Towards an Optimal
-CNF Encoding of Boolean Cardinality Constraints", CP 2005): (n-1)*k
-auxiliary registers s_{i,j} and 2nk + n - 3k - 1 clauses, where the subset
-form took one clause per (k+1)-subset.  The clauses say x_i => s_{i,0},
-s_{i-1,j} => s_{i,j}, x_i & s_{i-1,j-1} => s_{i,j}, s_{0,j} false for
-j >= 1, and x_i => not s_{i-1,k-1}.  The counter is equisatisfiable with
-"at most k of the row": every assignment of the row with at most k true
-literals extends to the registers (set s_{i,j} iff at least j+1 of
-x_0..x_i hold), and in every model of the counter s_{i,j} holds whenever
-j+1 of x_0..x_i do, so a (k+1)-th true literal would falsify its last
-clause.  Every model of the subset form thus extends to one of the counter,
-and every model of the counter restricts to one of the subset form, so
-verdicts cannot change.  k = 0 becomes unit negations, and a row of at most
-k links needs no constraint.  The "at most one claim" part of target
-existence is the same counter with k = 1 over the slot's n claims: n-1
-registers and 3n-4 clauses, conjoined with the slot's "exists only if
-claimed" clause into one assertion, which the solver turns into clauses
-without a gate.
+links out of one slot) with one term, ``(<= (+ (ite x_0 1 0) ... (ite
+x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's sequential
+counter (see ``smtsolver``).  k = 0 becomes unit negations, and a row of at
+most k links needs no constraint.  The "at most one claim" part of target
+existence is the same term with k = 1 over the slot's claims, conjoined
+with the slot's "exists only if claimed" implication into one assertion.
 """
 
 from __future__ import annotations
@@ -245,6 +233,12 @@ def _exactly_one(terms):
     return f"(and (or {' '.join(terms)}) {pairs})"
 
 
+def _at_most_term(terms, k):
+    """At most ``k`` of ``terms`` hold, as the solver language writes it."""
+    ones = " ".join(f"(ite {t} 1 0)" for t in terms)
+    return f"(<= (+ {ones}) {k})"
+
+
 def _int(n):
     """The SMT-LIB text of the Int constant ``n``: a numeral, or ``(- 2)``
     for -2, which SMT-LIB 2.6 would read as a symbol."""
@@ -282,6 +276,7 @@ class Encoder:
         self.bool_vars = set()
         self.int_vars = set()
         self.n_firing_vars = 0
+        self.counter_clauses = 0
 
     # -- declarations --------------------------------------------------------
 
@@ -349,8 +344,7 @@ class Encoder:
             if a.upper is not None:
                 for cs, i in rows:
                     row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
-                    self._at_most(row, a.upper,
-                                  f"up_{world.tag}_{a.name}_{cs}_{i}")
+                    self._at_most(row, a.upper)
             # lower bounds: only meaningful on the source world, where the
             # model is free; target structure is fixed by the rules.  They
             # are deferred: the solver adds them only when a model breaks one
@@ -368,41 +362,24 @@ class Encoder:
                 self.asserts.append(
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
-    def _at_most(self, lits, k, prefix):
-        """Assert that at most k of ``lits`` hold, one clause per assertion
-        (see ``_at_most_clauses``)."""
-        self.asserts.extend(f"(assert {c})"
-                            for c in self._at_most_clauses(lits, k, prefix))
-
-    def _at_most_clauses(self, lits, k, prefix):
-        """Clauses saying that at most k of ``lits`` hold: Sinz's sequential
-        counter.  Register ``{prefix}_{i}_{j}`` is forced true when at least
-        j+1 of ``lits[0..i]`` hold; decoding never reads them (see the
-        module docstring)."""
+    def _at_most(self, lits, k):
+        """Assert that at most k of ``lits`` hold (see the module
+        docstring)."""
         n = len(lits)
         if n <= k:
-            return []
+            return
         if k == 0:
-            return [_not(x) for x in lits]
-        s = [[self.decl_bool(f"{prefix}_{i}_{j}") for j in range(k)]
-             for i in range(n - 1)]
-        clauses = [[_not(lits[0]), s[0][0]]]
-        clauses += [[_not(s[0][j])] for j in range(1, k)]
-        for i in range(1, n - 1):
-            clauses.append([_not(lits[i]), s[i][0]])
-            clauses.append([_not(s[i - 1][0]), s[i][0]])
-            for j in range(1, k):
-                clauses.append([_not(lits[i]), _not(s[i - 1][j - 1]),
-                                s[i][j]])
-                clauses.append([_not(s[i - 1][j]), s[i][j]])
-            clauses.append([_not(lits[i]), _not(s[i - 1][k - 1])])
-        clauses.append([_not(lits[n - 1]), _not(s[n - 2][k - 1])])
-        return [_or(c) for c in clauses]
+            self.asserts.extend(f"(assert {_not(x)})" for x in lits)
+            return
+        self.asserts.append(f"(assert {_at_most_term(lits, k)})")
+        # the ceiling counts the term as the counter clauses it stands for
+        self.counter_clauses += 2 * n * k + n - 3 * k - 2
 
     def checkpoint(self):
         """Stop the encoding once its firings or its emitted assertions pass
         the binding ceiling, or once its deadline has passed."""
-        emitted = len(self.asserts) + len(self.deferred)
+        emitted = len(self.asserts) + len(self.deferred) \
+            + self.counter_clauses
         ceiling = self.options.binding_ceiling
         if self.n_firing_vars > ceiling or emitted > ceiling:
             raise EncodingCeilingError(
@@ -637,20 +614,20 @@ class Encoder:
         # target existence; each claim's assertion above gives claim => ex
         slots = [(c, j) for c in sorted(self.tgt.slots)
                  for j in range(self.tgt.slots[c])]
-        for m, (c, j) in enumerate(slots):
+        for c, j in slots:
             claims = [claim for _, claim
                       in self.claims_by_slot.get((c, j), ())]
             self.asserts.append(
-                self._slot_existence(self.tgt.ex(c, j), claims, f"o{m}"))
+                self._slot_existence(self.tgt.ex(c, j), claims))
 
-    def _slot_existence(self, ex, claims, prefix):
+    def _slot_existence(self, ex, claims):
         """One assertion: target slot ``ex`` exists only if one of its
-        ``claims`` holds, and at most one of them holds, by a counter with
-        registers ``{prefix}_{i}_0``.  With ``claim => ex`` for every claim
-        this says ``ex`` iff exactly one claim holds (see the module
-        docstring)."""
+        ``claims`` holds, and at most one of them holds.  With ``claim =>
+        ex`` for every claim this says ``ex`` iff exactly one claim holds
+        (see the module docstring)."""
         parts = [f"(=> {ex} {_or(claims)})"]
-        parts += self._at_most_clauses(claims, 1, prefix)
+        if len(claims) > 1:
+            parts.append(_at_most_term(claims, 1))
         return f"(assert {_and(parts)})"
 
     def _binding_assignment(self, b, c, j, binding):

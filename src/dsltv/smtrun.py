@@ -25,10 +25,11 @@ timeout would poll, sleeping a millisecond while the child exits.
 
 A ``--solver`` command must accept what the encoder writes: zero-arity
 ``define-fun`` commands naming shared Bool terms, negative Int constants
-written as ``(- n)``, and plain tokens only, with no quoted symbol, string
-or comment.  Its output is read by the same reader, so a model holding one
-of those is a solver-error.  ``smtsolver``'s docstring gives the bundled
-solver's language and how it grounds it.
+written as ``(- n)``, cardinality terms ``(<= (+ (ite x 1 0) ...) k)``
+(standard QF_LIA; untried with z3 or cvc5), and plain tokens only, with no
+quoted symbol, string or comment.  Its output is read by the same reader,
+so a model holding one of those is a solver-error.  ``smtsolver``'s
+docstring gives the bundled solver's language and how it grounds it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,11 @@ It reads exactly that language and reports anything else as an error:
   ``or``, ``not``, binary ``=>`` and binary ``=`` over Bool terms;
 - atoms ``=``, ``<=``, ``<``, ``>=`` and ``>`` whose two sides are each an
   Int name or an Int constant, written as a numeral (``3``) or as
-  ``(- 3)``: SMT-LIB reads ``-3`` as a symbol.
+  ``(- 3)``: SMT-LIB reads ``-3`` as a symbol;
+- cardinality terms ``(<= (+ (ite x_0 1 0) ... (ite x_{n-1} 1 0)) k)``: at
+  most k of the n >= 2 Bool terms x_i hold, k a numeral.  Such a term is
+  asserted or is a conjunct of an asserted ``and``, in positive polarity
+  only; ``+`` and ``ite`` occur nowhere else.
 
 Every Int name needs a lower and an upper bound asserted as ``(<= c x)``
 and ``(<= x c)``, bare or as conjuncts of an asserted ``and`` (the encoder
@@ -34,6 +38,21 @@ operands, and an ``and`` consequent gives one clause per conjunct.  The
 negations of these shapes split or join the same way.  A defined name in
 such a position is replaced by its body before its shape is tested, so
 naming a term never changes the CNF.
+
+A cardinality term with n > k >= 1 becomes Sinz's sequential counter
+("Towards an Optimal CNF Encoding of Boolean Cardinality Constraints", CP
+2005): (n-1)*k fresh registers s_{i,j} and 2nk + n - 3k - 1 clauses, where
+the subset form takes one clause per (k+1)-subset.  The clauses say x_i =>
+s_{i,0}, s_{i-1,j} => s_{i,j}, x_i & s_{i-1,j-1} => s_{i,j}, s_{0,j} false
+for j >= 1, and x_i => not s_{i-1,k-1}.  The counter is equisatisfiable
+with "at most k of the row": every assignment of the row with at most k
+true terms extends to the registers (set s_{i,j} iff at least j+1 of
+x_0..x_i hold), and in every model of the counter s_{i,j} holds whenever
+j+1 of x_0..x_i do, so a (k+1)-th true term would falsify its last clause.
+k = 0 gives one unit clause per term and n <= k none.  Each negated x_i
+enters its clauses as it would in ``(or (not x_i) ...)``, so a defined name
+splices its operands there.  The registers are not declared names, so no
+model prints them.
 
 Grounding compiles each distinct comparison atom once and reuses its
 literal, and keeps the literals that a defined name splices into a clause,
@@ -436,7 +455,10 @@ class SmtScript:
         self.visible = []      # per assertion: the definitions made before it
         self._model = None
 
-    def run(self, forms, out=sys.stdout):
+    def run(self, forms, out=None):
+        """Run the commands ``forms``; answers go to ``out``, by default
+        the ``sys.stdout`` of the time of the call."""
+        out = sys.stdout if out is None else out
         for form in forms:
             if not isinstance(form, list) or not form:
                 raise SmtError(f"bad command: {form!r}")
@@ -597,8 +619,9 @@ class _Grounding:
         is asserted one operand at a time with the same ``clause``.  An
         implication adds its negated antecedent to ``clause`` and asserts
         its consequent with it, so an ``and`` consequent gives one clause
-        per conjunct.  Any other term ends the clause with the literals of
-        ``clause_lits``."""
+        per conjunct.  A cardinality term reached with an empty ``clause``
+        in positive polarity becomes its counter.  Any other term ends the
+        clause with the literals of ``clause_lits``."""
         term, visible = self.shape(e)
         head = term[0] if term.__class__ is list and term else None
         if head == "not" and len(term) == 2:
@@ -607,6 +630,11 @@ class _Grounding:
             flipped, kept = (), term[1:]
         elif head == "=>" and len(term) == 3:
             flipped, kept = term[1:2], term[2:]
+        elif head == "<=" and positive and not clause and _is_at_most(term):
+            outer, self.visible = self.visible, visible
+            self.at_most([x[1] for x in term[1][1:]], int(term[2]))
+            self.visible = outer
+            return
         else:
             lits = list(clause)
             self.clause_lits(e, positive, lits)
@@ -624,6 +652,36 @@ class _Grounding:
         for x in kept:
             self.assert_term(x, positive, clause)
         self.visible = outer
+
+    def at_most(self, terms, k):
+        """Clauses saying that at most ``k`` of the Bool ``terms`` hold:
+        the sequential counter of the module docstring."""
+        n = len(terms)
+        if n <= k:
+            return
+        negated = []
+        for x in terms:
+            lits = []
+            self.clause_lits(x, False, lits)
+            negated.append(lits)
+        add = self.circuit.cnf.add
+        if k == 0:
+            for lits in negated:
+                add(lits)
+            return
+        new = self.circuit.var
+        s = [[new() for _ in range(k)] for _ in range(n - 1)]
+        add(negated[0] + [s[0][0]])
+        for j in range(1, k):
+            add([-s[0][j]])
+        for i in range(1, n - 1):
+            add(negated[i] + [s[i][0]])
+            add([-s[i - 1][0], s[i][0]])
+            for j in range(1, k):
+                add(negated[i] + [-s[i - 1][j - 1], s[i][j]])
+                add([-s[i - 1][j], s[i][j]])
+            add(negated[i] + [-s[i - 1][k - 1]])
+        add(negated[n - 1] + [-s[n - 2][k - 1]])
 
     def clause_lits(self, e, positive, lits):
         """Append to ``lits`` literals whose disjunction is ``e`` (``(not
@@ -804,11 +862,23 @@ def _constant(e):
     return None
 
 
+def _is_at_most(e):
+    """Whether the ``<=`` term ``e`` is a cardinality term ``(<= (+ (ite x
+    1 0) ...) k)`` with a numeral k."""
+    if len(e) != 3 or e[1].__class__ is not list or e[1][:1] != ["+"] \
+            or len(e[1]) < 3:
+        return False
+    k = e[2]
+    return k.__class__ is str and k.isascii() and k.isdigit() and all(
+        x.__class__ is list and len(x) == 4 and x[0] == "ite"
+        and x[2] == "1" and x[3] == "0" for x in e[1][1:])
+
+
 def _arity_error(e, expected):
     return SmtError(f"{e[0]} takes {expected}: {e!r}")
 
 
-def solve_text(text, out=sys.stdout):
+def solve_text(text, out=None):
     script = SmtScript()
     script.run(parse_sexprs(text), out=out)
 

@@ -361,6 +361,40 @@ def test_solver_is_a_command_line(tmp_path, capsys):
             default
 
 
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a reader that leaves after one line, as `dsltv verify ... | head -1`
+    # does; the solver is the bundled one behind a script that records the
+    # pid of every child, spare included
+    pids = tmp_path / "pids"
+    wrapper = tmp_path / "solver.sh"
+    wrapper.write_text(f'echo $$ >> {shlex.quote(str(pids))}\nexec "$@"\n')
+    solver = shlex.join(["sh", str(wrapper),
+                         *smtrun.default_solver_command()])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dsltv.cli", "verify", UML, "--solver",
+         solver], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(proc.stdout.readline())["event"] == "verdict"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert err == b""
+    started = [int(p) for p in pids.read_text().split()]
+    assert len(started) >= 2
+    assert not [p for p in started if _running(p)]
+
+
 def test_dump_smt_writes_the_closed_problem(tmp_path, capsys):
     path = fixture_path("corpus/c06_mandatory.dslt")
     name = "ChildHasPOut_ShouldFail"

@@ -7,19 +7,10 @@ from conftest import fixture_path, load_spec
 from dsltv import cli, kboundary, orchestrator
 from dsltv.cli import main
 from dsltv.kboundary import (emit_report, results_json, selective_minus_one,
-                             uniform_sweep, witness_validation)
-from dsltv.model import InstanceModel
+                             uniform_sweep)
 from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
     plan_property, verify_property
 from dsltv.parser import parse_spec
-
-
-def _source(n):
-    m = InstanceModel()
-    names = ["a", "b"]
-    for i in range(n):
-        m = m.with_element(f"s{i}", "Source", {"name": names[i % 2]})
-    return m
 
 
 def test_negative_sweep_flips_exactly_at_base(kboundary_spec):
@@ -57,22 +48,6 @@ def test_selective_decrement_positive_has_no_binding(kboundary_spec):
     assert result.base_status == HOLDS
     assert result.binding_classes == []
     assert result.matched
-
-
-def test_witness_validation_executes_family(kboundary_spec):
-    prop = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
-    family = {"base-1": [_source(1)], "base": [_source(2)],
-              "base+1": [_source(3)]}
-    result = witness_validation(kboundary_spec, prop, family)
-    assert result.matched, result.rows
-    assert len(result.rows) == 3
-
-
-def test_witness_validation_rejects_nonconformant(kboundary_spec):
-    prop = kboundary_spec.property("SourceHasTypeDecl")
-    bad = InstanceModel().with_element("s0", "Source", {"name": "zzz"})
-    with pytest.raises(ValueError):
-        witness_validation(kboundary_spec, prop, {"base": [bad]})
 
 
 def test_report_and_json(kboundary_spec):

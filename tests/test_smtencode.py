@@ -531,36 +531,12 @@ def test_canonical_bindings_agree_with_oracle():
             {"x": ("Other", 0), "y": ("Leaf", 0)}], prop.name
 
 
-# -- association upper bounds: the sequential counter ------------------------
+# -- cardinality: association upper bounds and target existence -------------
 
 def _solver_answer(text):
     out = io.StringIO()
     solve_text(text, out=out)
     return out.getvalue().split()[0]
-
-
-def test_at_most_counter_is_exact_on_small_rows():
-    spec = _slot_spec()
-    for n in range(6):
-        for k in range(n + 1):
-            enc = Encoder(spec, spec.property("AHasNode"), SLOT_BOUNDS,
-                          EncodeOptions(), spec.transformations[0])
-            row = [enc.decl_bool(f"x{i}") for i in range(n)]
-            enc._at_most(row, k, "c")
-            registers = [d for d in enc.decls if " c_" in d]
-            if k < n:
-                assert len(registers) == (n - 1) * k, (n, k)
-                clauses = 2 * n * k + n - 3 * k - 1 if k else n
-                assert len(enc.asserts) == clauses, (n, k)
-            else:
-                assert not enc.asserts and not registers, (n, k)
-            for values in itertools.product((False, True), repeat=n):
-                units = [f"(assert {x})" if v else f"(assert (not {x}))"
-                         for x, v in zip(row, values)]
-                text = "\n".join(enc.decls + enc.asserts + units
-                                 + ["(check-sat)"])
-                expected = "sat" if sum(values) <= k else "unsat"
-                assert _solver_answer(text) == expected, (n, k, values)
 
 
 def test_slot_existence_is_exactly_one_claim():
@@ -570,7 +546,7 @@ def test_slot_existence_is_exactly_one_claim():
                       EncodeOptions(), spec.transformations[0])
         ex = enc.decl_bool("ex")
         claims = [enc.decl_bool(f"x{i}") for i in range(n)]
-        block = enc._slot_existence(ex, claims, "c")
+        block = enc._slot_existence(ex, claims)
         # each claim's own assertion in the encoding gives claim => ex
         implied = [f"(assert (=> {x} {ex}))" for x in claims]
         for values in itertools.product((False, True), repeat=n + 1):
@@ -667,6 +643,24 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
             result = execute(t, source, spec)
             assert not check_property_concrete(prop, source, result,
                                                spec).holds
+
+
+def test_ceiling_counts_an_at_most_term_as_its_counter_clauses():
+    # each Item's row of 5 tags under [0..2] is one term, which the ceiling
+    # counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
+    spec = parse_spec(TAG_SPEC.replace("UPPER", "2"), "inline")
+    enc = Encoder(spec, spec.property("ThreeTagsHaveMark"), TAG_BOUNDS,
+                  EncodeOptions(), spec.transformations[0])
+    enc.encode()
+    terms = [a for a in enc.asserts if a.startswith("(assert (<= (+ ")]
+    assert len(terms) == TAG_BOUNDS.source["Item"]
+    emitted = len(enc.asserts) + len(enc.deferred) + len(terms) * 17
+    enc.options.binding_ceiling = emitted
+    enc.checkpoint()
+    enc.options.binding_ceiling = emitted - 1
+    with pytest.raises(EncodingCeilingError,
+                       match=rf", {emitted} assertions\)"):
+        enc.checkpoint()
 
 
 def test_upper_bound_encoding_grows_polynomially():

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import glob
 import io
@@ -141,6 +142,29 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         "(declare-const a Bool) (assert (=> a a a)) (check-sat)",
         "(declare-const a Bool) (assert (or a (=> a a a))) (check-sat)",
         "(declare-const a Bool) (assert (not (=> a a a))) (check-sat)",
+    ] + [
+        # + and ite outside a positive, top-level cardinality term
+        f"(declare-const a Bool) (declare-const b Bool) {rest} (check-sat)"
+        for rest in (
+            "(assert (= (+ (ite a 1 0) (ite b 1 0)) 1))",
+            "(assert (<= 1 (+ (ite a 1 0) (ite b 1 0))))",
+            "(assert (ite a 1 0))",
+            "(assert (<= (ite a 1 0) 1))",
+            "(assert (<= (+ (ite a 2 0) (ite b 1 0)) 1))",
+            "(assert (<= (+ (ite a 0 1) (ite b 1 0)) 1))",
+            "(assert (<= (+ (ite a 1 0) b) 1))",
+            "(assert (<= (+ (ite a 1 0)) 1))",
+            "(assert (<= (+ (ite a 1 0) (ite b 1 0)) (- 1)))",
+            "(assert (<= (+ (ite a 1 0) (ite b 1 0)) a))",
+            "(assert (not (<= (+ (ite a 1 0) (ite b 1 0)) 1)))",
+            "(assert (or a (<= (+ (ite a 1 0) (ite b 1 0)) 1)))",
+            "(assert (=> a (<= (+ (ite a 1 0) (ite b 1 0)) 1)))",
+            "(assert (and a (not (<= (+ (ite a 1 0) (ite b 1 0)) 1))))",
+            "(define-fun d () Bool (<= (+ (ite a 1 0) (ite b 1 0)) 1))"
+            " (assert (or d a))",
+            "(assert (<= (+ (ite (<= (+ (ite a 1 0) (ite b 1 0)) 1) 1 0)"
+            " (ite b 1 0)) 1))",
+        )
     ] + [
         "(declare-const x Int) (declare-const y Int)"
         " (assert (<= 0 x)) (assert (<= x 2))"
@@ -449,7 +473,10 @@ class _RandomProblem:
     body may use the earlier ones, and the assertions nest conjunctions,
     disjunctions and implications at the top, where the grounder asserts
     them as clauses.  Some assertions take a shape the grounder splices
-    into clauses, with each of its parts inline or behind a definition."""
+    into clauses, with each of its parts inline or behind a definition.
+    Others are cardinality terms ``(<= (+ (ite x 1 0) ...) k)``, asserted
+    alone or as a conjunct of an asserted ``and``, the only positions where
+    the grounder takes them."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -546,11 +573,27 @@ class _RandomProblem:
         width = 2 if op == "=>" else rng.randint(1, 3)
         return [op, *(self.top_term(depth - 1) for _ in range(width))]
 
+    def at_most(self):
+        n = self.rng.randint(2, 4)
+        return ["<=", ["+", *(["ite", self.bool_term(2), "1", "0"]
+                              for _ in range(n))],
+                str(self.rng.randint(0, n))]
+
     def assertions(self):
+        rng = self.rng
         out = [b for x, (lo, hi) in self.ints.items()
                for b in self.bounds(x, lo, hi)]
-        return out + [self.top_term(2)
-                      for _ in range(self.rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.1:
+                out.append(self.at_most())
+            elif roll < 0.2:
+                parts = [self.at_most(), self.top_term(1)]
+                rng.shuffle(parts)
+                out.append(["and", *parts])
+            else:
+                out.append(self.top_term(2))
+        return out
 
     def assignments(self):
         envs = [{}]
@@ -595,6 +638,10 @@ def _bool_value(e, env):
     if isinstance(e, str):
         return {"true": True, "false": False}.get(e, env.get(e))
     op, args = e[0], e[1:]
+    if op == "<=" and isinstance(args[0], list) and args[0][0] == "+":
+        # a cardinality term: the ite operands are all (ite x 1 0)
+        held = sum(_bool_value(x[1], env) for x in args[0][1:])
+        return held <= int(args[1])
     if op == "=" and not _is_int(args[0], env):
         return _bool_value(args[0], env) == _bool_value(args[1], env)
     if op in _COMPARE:
@@ -717,9 +764,24 @@ COMMANDS = {"set-logic", "set-option", "declare-const", "define-fun",
 OPERATORS = {"and", "or", "not", "=>", "=", "<=", "<", ">=", ">"}
 
 
+def _at_most_operands(e):
+    """The terms x_i of a cardinality term ``(<= (+ (ite x_0 1 0) ...
+    (ite x_{n-1} 1 0)) k)`` with n >= 2 and a numeral k, else None."""
+    if not (isinstance(e, list) and len(e) == 3 and e[0] == "<="
+            and isinstance(e[1], list) and e[1][0] == "+" and len(e[1]) > 2
+            and isinstance(e[2], str) and e[2].isdigit()):
+        return None
+    if not all(isinstance(x, list) and len(x) == 4 and x[0] == "ite"
+               and x[2:] == ["1", "0"] for x in e[1][1:]):
+        return None
+    return [x[1] for x in e[1][1:]]
+
+
 def _outside_language(forms):
     """The command heads, operators and arities in ``forms`` that the
-    solver's language does not have."""
+    solver's language does not have.  ``+`` and ``ite`` are admitted only
+    in a cardinality term that is asserted or is a conjunct of an asserted
+    ``and``."""
     found = []
 
     def visit(e):
@@ -733,11 +795,21 @@ def _outside_language(forms):
         for x in e[1:]:
             visit(x)
 
+    def visit_conjunct(e):
+        operands = _at_most_operands(e)
+        for x in [e] if operands is None else operands:
+            visit(x)
+
     for form in forms:
         if form[0] not in COMMANDS:
             found.append(form[0])
         elif form[0] == "assert":
-            visit(form[1])
+            term = form[1]
+            if isinstance(term, list) and term[0] == "and":
+                for x in term[1:]:
+                    visit_conjunct(x)
+            else:
+                visit_conjunct(term)
         elif form[0] == "define-fun":
             visit(form[4])
     return found
@@ -753,6 +825,83 @@ def test_encoder_writes_only_the_solver_language(fixture_dumps):
         # no quoted symbol, string or comment
         assert not set('|";') & set(text), text[:200]
         assert _outside_language(parse_sexprs(text)) == [], text[:200]
+    # both positions of the cardinality term occur: an association upper
+    # bound alone, and target existence's at most one claim in an and
+    forms = [f for text in texts for f in parse_sexprs(text)
+             if f[0] == "assert"]
+    assert any(_at_most_operands(f[1]) for f in forms)
+    assert any(f[1][0] == "and" and any(_at_most_operands(x)
+                                        for x in f[1][1:])
+               for f in forms if isinstance(f[1], list))
+    # the checker itself refuses + and ite in any other position
+    a = "(declare-const a Bool) "
+    card = "(<= (+ (ite a 1 0) (ite a 1 0)) 1)"
+    for bad in (f"(assert (not {card}))", f"(assert (or a {card}))",
+                f"(assert (=> a {card}))", f"(define-fun d () Bool {card})",
+                "(assert (<= (+ (ite a 2 0) (ite a 1 0)) 1))",
+                "(assert (<= (+ (ite a 1 0) (ite a 1 0)) (- 1)))",
+                "(assert (= (+ (ite a 1 0) (ite a 1 0)) 1))"):
+        assert _outside_language(parse_sexprs(a + bad)) != [], bad
+
+
+def _cnf_size(text, monkeypatch):
+    """(CNF variables, CNF clauses) that ``text`` grounds to."""
+    seen = []
+
+    class Sized(Solver):
+        def __init__(self, cnf):
+            seen.append((cnf.nvars, len(cnf.clauses)))
+            super().__init__(cnf)
+
+    monkeypatch.setattr(smtsolver, "Solver", Sized)
+    _solve(text)
+    size, = seen
+    return size
+
+
+def test_at_most_counter_is_exact_on_small_rows(monkeypatch):
+    for n in range(2, 6):
+        row = [f"x{i}" for i in range(n)]
+        decls = "".join(f"(declare-const {x} Bool)" for x in row)
+        for k in range(n + 1):
+            ones = " ".join(f"(ite {x} 1 0)" for x in row)
+            card = f"(assert (<= (+ {ones}) {k}))"
+            base = _cnf_size(decls + "(check-sat)", monkeypatch)
+            vars_, clauses = _cnf_size(decls + card + "(check-sat)",
+                                       monkeypatch)
+            if k == 0:
+                grown = (0, n)
+            elif k < n:
+                grown = ((n - 1) * k, 2 * n * k + n - 3 * k - 1)
+            else:
+                grown = (0, 0)
+            assert (vars_ - base[0], clauses - base[1]) == grown, (n, k)
+            for values in itertools.product((False, True), repeat=n):
+                units = "".join(f"(assert {x})" if v
+                                else f"(assert (not {x}))"
+                                for x, v in zip(row, values))
+                out = _solve(decls + card + units + "(check-sat)")
+                assert out.split() == ["sat" if sum(values) <= k
+                                       else "unsat"], (n, k, values)
+
+
+def test_cardinality_prints_no_register():
+    out = _solve("(declare-const a Bool) (declare-const b Bool)"
+                 "(declare-const c Bool)"
+                 "(assert (and a (<= (+ (ite a 1 0) (ite b 1 0) (ite c 1 0))"
+                 " 1))) (check-sat) (get-model)")
+    assert out.split("\n", 1)[0] == "sat"
+    model = parse_sexprs(out)[1]
+    assert [(d[1], d[4]) for d in model[1:]] == [
+        ("a", "true"), ("b", "false"), ("c", "false")]
+
+
+def test_default_output_is_the_current_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        solve_text("(declare-const a Bool) (assert a) (assert (not a))"
+                   " (check-sat)")
+    assert buf.getvalue() == "unsat\n"
 
 
 def _pigeonhole_cnf(pigeons, holes):
