@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .inheritance import flatten_inheritance_info
 from .spec_ast import (
     AttributeDecl, ClassDecl, CopyBinding, IntSet, IntUnbounded, Metamodel,
     Specification, StringUnbounded, StringVocab, compare,
@@ -99,13 +98,11 @@ class AbstractionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _declaring_class(mm, klass, attr):
-    """Walk up the inheritance chain to the class declaring the attribute."""
+    """The class on `klass`'s inheritance chain that declares `attr`."""
     cmap = mm.class_map()
-    cur = cmap.get(klass)
-    while cur is not None:
-        if any(a.name == attr for a in cur.attributes):
-            return cur.name
-        cur = cmap.get(cur.parent) if cur.parent else None
+    for c in mm.info[klass].ancestors:
+        if any(a.name == attr for a in cmap[c].attributes):
+            return c
     raise KeyError(f"{klass}.{attr} not declared in metamodel {mm.name}")
 
 
@@ -339,8 +336,8 @@ def flatten_property(prop, spec):
     for pattern in (prop.precondition, prop.postcondition):
         for e in pattern.elements:
             mm, _ = spec.find_class(e.klass)
-            info = flatten_inheritance_info(mm)
-            if info[e.klass].abstract and not info[e.klass].subtypes:
+            ci = mm.info[e.klass]
+            if ci.abstract and not ci.subtypes:
                 raise AbstractionError(
                     f"abstract class {e.klass} has no concrete subtypes; "
                     f"property {prop.name} is vacuous")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fragments import trace_producers
-from .inheritance import flatten_inheritance_info, is_subtype, types_overlap
+from .inheritance import is_subtype, types_overlap
 from .model import _mandatory_edges
 from .spec_ast import CopyBinding, compare
 
@@ -150,8 +150,8 @@ def relevant_rules(spec, prop, mode, t):
     attribute-aware mode additionally drops producers whose literal apply
     bindings contradict the property's guards on the produced element.
     """
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+    src_info = spec.metamodel(t.source).info
+    tgt_info = spec.metamodel(t.target).info
     post_map = prop.postcondition.element_map()
     retained = {}
     worklist = []
@@ -228,7 +228,7 @@ def relevant_rules(spec, prop, mode, t):
 def _mandatory_reachable(mm, classes):
     """`classes` and every class reachable from them over mandatory
     associations."""
-    edges = _mandatory_edges(mm, flatten_inheritance_info(mm))
+    edges = _mandatory_edges(mm)
     out = set(classes)
     work = list(out)
     while work:
@@ -270,8 +270,8 @@ def per_class_bounds(spec, prop, relevance, k, t,
     """
     src_mm = spec.metamodel(t.source)
     tgt_mm = spec.metamodel(t.target)
-    src_info = flatten_inheritance_info(src_mm)
-    tgt_info = flatten_inheritance_info(tgt_mm)
+    src_info = src_mm.info
+    tgt_info = tgt_mm.info
     names = relevance.relevant_rules if rule_names is None else set(rule_names)
     rules = [rule for _, rule in t.all_rules() if rule.name in names]
 
@@ -286,19 +286,19 @@ def per_class_bounds(spec, prop, relevance, k, t,
     src = seeds(prop.precondition, src_info)
     tgt_seed = seeds(prop.postcondition, tgt_info)
 
-    def closure_fixpoint(base, mm, info):
+    def closure_fixpoint(base, mm):
         """counts[B] = min(k, base[B] + sum of lower * count(forcing A))."""
         counts = dict(base)
         changed = True
         while changed:
             changed = False
-            for b in info:
+            for b in base:
                 forced = 0
                 for a in mm.associations:
                     if a.lower < 1 or a.target != b:
                         continue
-                    forcing = sum(counts[c] for c in info
-                                  if is_subtype(info, c, a.source))
+                    forcing = sum(counts[c] for c in base
+                                  if is_subtype(mm.info, c, a.source))
                     forced += a.lower * min(forcing, k)
                 demand = min(k, base[b] + forced)
                 if counts[b] < demand:
@@ -306,7 +306,7 @@ def per_class_bounds(spec, prop, relevance, k, t,
                     changed = True
         return counts
 
-    src = closure_fixpoint(src, src_mm, src_info)
+    src = closure_fixpoint(src, src_mm)
 
     def source_count(klass):
         # available choices for a match element of declared class `klass`
@@ -321,7 +321,7 @@ def per_class_bounds(spec, prop, relevance, k, t,
         for e in rule.fresh_apply_elements():
             production[e.klass] = min(k, production[e.klass] + n_r)
     tgt_base = {c: min(k, tgt_seed[c] + production[c]) for c in tgt_info}
-    tgt = closure_fixpoint(tgt_base, tgt_mm, tgt_info)
+    tgt = closure_fixpoint(tgt_base, tgt_mm)
     return PerClassBounds(src, tgt)
 
 
@@ -344,8 +344,8 @@ def select_fragment(spec, prop, relevance, kind, t):
         # relevance retained the producers of every retained rule's backward
         # pairs, so these layers are closed under backward demands
         return tuple(sorted({t.rule_layer(r) for r in relevant}))
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+    src_info = spec.metamodel(t.source).info
+    tgt_info = spec.metamodel(t.target).info
     if not relevant:
         return (0,) if n else ()
     last = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .inheritance import flatten_inheritance_info, is_subtype
+from .inheritance import is_subtype
 from .model import InstanceModel, model_from_parts, Element, Link, TraceLink
 from .parser import property_metamodels
 from .spec_ast import CopyBinding, compare
@@ -129,8 +129,8 @@ def _eval_binding(value, binding, source_elems):
 
 def execute(transformation, source, spec):
     """Run every layer of the transformation on a source model."""
-    src_info = flatten_inheritance_info(spec.metamodel(transformation.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(transformation.target))
+    src_info = spec.metamodel(transformation.source).info
+    tgt_info = spec.metamodel(transformation.target).info
     source_elems = source.element_map()
 
     tgt_elements = {}
@@ -211,8 +211,8 @@ def check_property_concrete(prop, source, result, spec):
     """
     src_mm, tgt_mm = property_metamodels(spec, prop)
     # an empty pattern has one match, whatever the classes
-    src_info = flatten_inheritance_info(src_mm) if src_mm else {}
-    tgt_info = flatten_inheritance_info(tgt_mm) if tgt_mm else {}
+    src_info = src_mm.info if src_mm else {}
+    tgt_info = tgt_mm.info if tgt_mm else {}
     trace_set = {(t.src, t.tgt) for t in result.target.traces}
 
     violating = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .inheritance import flatten_inheritance_info, types_overlap
+from .inheritance import types_overlap
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,6 @@ def trace_producers(t, src_info, tgt_info, match_class, apply_class,
 def check_flnr(transformation, source_mm, target_mm):
     """Check the local non-recursive restrictions R1-R6 on a transformation."""
     report = FragmentReport()
-    src_info = flatten_inheritance_info(source_mm)
-    tgt_info = flatten_inheritance_info(target_mm)
 
     # R1: the grammar has no indirect-link syntax for transformations, so the
     # check passes by construction; still reported to document the boundary.
@@ -82,8 +80,9 @@ def check_flnr(transformation, source_mm, target_mm):
     for li, rule in transformation.all_rules():
         for (apply_name, match_name), (match_class, apply_class) in zip(
                 rule.backward, rule.backward_classes()):
-            producers = trace_producers(transformation, src_info, tgt_info,
-                                        match_class, apply_class)
+            producers = trace_producers(transformation, source_mm.info,
+                                        target_mm.info, match_class,
+                                        apply_class)
             if producers and producers[0][0] < li:
                 continue
             r3_clean = False

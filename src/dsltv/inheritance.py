@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spec_ast import Metamodel
-
 
 class InheritanceCycleError(Exception):
     pass
@@ -20,11 +18,14 @@ class ClassInfo:
     attributes: dict  # full attribute set, including inherited (name -> domain)
 
 
-def flatten_inheritance_info(mm: Metamodel) -> dict:
-    """Per-class concrete-subtype sets and flattened attribute maps.
+def flatten_inheritance_info(mm) -> dict:
+    """`mm.info`, the metamodel's flattened view."""
+    return mm.info
 
-    Raises InheritanceCycleError if the inheritance graph has a cycle.
-    """
+
+def _flatten(mm) -> dict:
+    """Per-class concrete-subtype sets and flattened attribute maps, for
+    `Metamodel.info`.  Raises InheritanceCycleError on a cycle."""
     classes = mm.class_map()
     ancestors: dict[str, tuple] = {}
 
@@ -39,10 +40,7 @@ def flatten_inheritance_info(mm: Metamodel) -> dict:
                     f"inheritance cycle through class '{cur}' in metamodel '{mm.name}'"
                 )
             seen.append(cur)
-            parent = classes[cur].parent
-            if parent is not None and parent not in classes:
-                raise KeyError(parent)
-            cur = parent
+            cur = classes[cur].parent  # an unknown parent: KeyError next
         ancestors[name] = tuple(seen)
         return ancestors[name]
 

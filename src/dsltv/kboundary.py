@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .cutoff import PerClassBounds
-from .inheritance import flatten_inheritance_info
 from .orchestrator import HOLDS, UNKNOWN, VIOLATED, PlanRejected, \
     VerificationConfig, _PropertyRun, plan_property, verify_property
 
@@ -91,14 +90,13 @@ class BoundsLab:
         self.k, self.dominant = self.plan.cutoff.k, self.plan.cutoff.dominant
         self.base = self.plan.bounds(self.plan.fragment)
         t = self.plan.t
-        src_info = flatten_inheritance_info(spec.metamodel(t.source))
-        tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
-        self.seed_source = set()
-        for e in self.prop.precondition.elements:
-            self.seed_source |= src_info[e.klass].subtypes
-        self.seed_target = set()
-        for e in self.prop.postcondition.elements:
-            self.seed_target |= tgt_info[e.klass].subtypes
+
+        def seeds(pattern, mm_name):
+            info = spec.metamodel(mm_name).info
+            return set().union(*(info[e.klass].subtypes
+                                 for e in pattern.elements))
+        self.seed_source = seeds(self.prop.precondition, t.source)
+        self.seed_target = seeds(self.prop.postcondition, t.target)
 
     def shifted(self, delta):
         def shift(side, seeds):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .inheritance import flatten_inheritance_info, is_subtype
+from .inheritance import is_subtype
 from .spec_ast import EnumRef, EnumValue
 
 
@@ -214,7 +214,7 @@ def _value_in_domain(domain, value):
 
 def validate_conformance(model, mm):
     """Check a model against one metamodel; report every violation."""
-    info = flatten_inheritance_info(mm)
+    info = mm.info
     report = ConformanceReport()
     elems = model.element_map()
 
@@ -282,13 +282,13 @@ def validate_conformance(model, mm):
 # Mandatory-association closure
 # ---------------------------------------------------------------------------
 
-def _mandatory_edges(mm, info):
+def _mandatory_edges(mm):
     """class -> list of (lower, target class), subtype-aware on the source."""
-    edges = {c: [] for c in info}
+    edges = {c: [] for c in mm.info}
     for a in mm.associations:
         if a.lower >= 1:
-            for c, ci in info.items():
-                if is_subtype(info, c, a.source):
+            for c in edges:
+                if is_subtype(mm.info, c, a.source):
                     edges[c].append((a.lower, a.target))
     return edges
 
@@ -300,8 +300,7 @@ def mandatory_closure(mm):
     lower * (1 + forced(targetClass)).  Any reachable mandatory cycle makes
     the closure unbounded and raises UnboundedClosureError.
     """
-    info = flatten_inheritance_info(mm)
-    edges = _mandatory_edges(mm, info)
+    edges = _mandatory_edges(mm)
     memo = {}
     on_stack = set()
 
@@ -319,7 +318,7 @@ def mandatory_closure(mm):
         memo[c] = total
         return total
 
-    return ClosureInfo({c: forced(c) for c in sorted(info)})
+    return ClosureInfo({c: forced(c) for c in sorted(edges)})
 
 
 def induce_submodel(model, keep, mm):
@@ -330,7 +329,7 @@ def induce_submodel(model, keep, mm):
     the original model's own links (the source model conforms, so following
     its links terminates).
     """
-    info = flatten_inheritance_info(mm)
+    info = mm.info
     elems = model.element_map()
     kept = set(keep)
     for eid in kept:

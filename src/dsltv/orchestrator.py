@@ -23,7 +23,6 @@ from .cutoff import (
 )
 from .engine import check_property_concrete, execute
 from .fragments import check_flnr, check_gbpp
-from .inheritance import flatten_inheritance_info
 from .model import UnboundedClosureError, mandatory_closure
 from .parser import property_metamodels
 from .smtencode import EncodeOptions, EncodingCeilingError, \
@@ -151,8 +150,8 @@ class PropertyPlan:
                                     rule_names=self.rule_names(fragment))
 
         def uniform(mm_name):
-            info = flatten_inheritance_info(self.spec.metamodel(mm_name))
-            return {c: k for c in info if not info[c].abstract}
+            return {c: k for c, ci in self.spec.metamodel(mm_name).info.items()
+                    if not ci.abstract}
         return PerClassBounds(source=uniform(self.t.source),
                               target=uniform(self.t.target))
 
@@ -340,11 +339,15 @@ def verify_all(spec, config=None, parallelism=1):
             for n in names:
                 yield n, verify_property(spec, n, config)
             return
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        pool = ThreadPoolExecutor(max_workers=parallelism)
+        try:
             futures = {n: pool.submit(verify_property, spec, n, config)
                        for n in names}
             for n in names:
                 yield n, futures[n].result()
+        finally:
+            # a reader that stops early drops the properties still queued
+            pool.shutdown(cancel_futures=True)
 
     counts = {"holds": 0, "violated": 0, "unknown": 0}
     for n, verdict in verdicts():

@@ -28,7 +28,7 @@ import re
 from dataclasses import replace
 
 from .diagnostics import Diagnostic
-from .inheritance import InheritanceCycleError, flatten_inheritance_info, types_overlap
+from .inheritance import InheritanceCycleError, types_overlap
 from .spec_ast import (
     ApplyElement,
     ApplyGraph,
@@ -529,7 +529,7 @@ class _Resolver:
         self.spec = spec
         self.diags = diags
         self.file = file
-        self.info = {}  # metamodel name -> class info map
+        self.unflattened = []  # resolved metamodels without `info`
         self.resolved_mms = []
 
     def err(self, message, node):
@@ -599,22 +599,23 @@ class _Resolver:
                              f"of metamodel '{mm.name}'", a)
         resolved = replace(mm, classes=tuple(classes))
         try:
-            self.info[mm.name] = flatten_inheritance_info(resolved)
-        except InheritanceCycleError as e:
-            self.err(str(e), mm)
-        except (KeyError, ValueError) as e:
-            self.err(f"in metamodel '{mm.name}': {e}", mm)
+            resolved.info  # flatten now, so that a failure is reported here
+        except (InheritanceCycleError, KeyError, ValueError) as e:
+            self.err(str(e) if isinstance(e, InheritanceCycleError)
+                     else f"in metamodel '{mm.name}': {e}", mm)
+            self.unflattened.append(resolved)
         self.resolved_mms.append(resolved)
 
     # -- shared pattern checks --------------------------------------------------
 
     def lookup_mm(self, name, where, node):
+        """The metamodel `name`, or None if unknown or not flattened."""
         try:
             mm = self.spec.metamodel(name)
         except KeyError:
             self.err(f"unknown metamodel '{name}' in {where}", node)
-            return None, None
-        return mm, self.info.get(name)
+            return None
+        return None if mm in self.unflattened else mm
 
     def check_literal_against(self, domain, value, where, node):
         kind = _domain_kind(domain)
@@ -624,9 +625,10 @@ class _Resolver:
             self.err(f"{where}: '{value.literal}' is not a literal of "
                      f"{domain.enum}", node)
 
-    def check_pattern(self, pattern, mm, info, where):
-        if mm is None or info is None:
+    def check_pattern(self, pattern, mm, where):
+        if mm is None:
             return
+        info = mm.info
         for n, e in _duplicates(pattern.elements):
             self.err(f"{where}: duplicate element name '{n}'", e)
         elems = pattern.element_map()
@@ -699,14 +701,14 @@ class _Resolver:
 
     def resolve_transformation(self, t):
         where = f"transformation '{t.name}'"
-        src_mm, src_info = self.lookup_mm(t.source, where, t)
-        tgt_mm, tgt_info = self.lookup_mm(t.target, where, t)
+        src_mm = self.lookup_mm(t.source, where, t)
+        tgt_mm = self.lookup_mm(t.target, where, t)
         for n, r in _duplicates(r for _, r in t.all_rules()):
             self.err(f"duplicate rule '{n}' in transformation '{t.name}'", r)
         for _, rule in t.all_rules():
             where = f"rule '{rule.name}'"
-            self.check_pattern(rule.match, src_mm, src_info, where + " match")
-            self.check_apply(rule, src_info, tgt_mm, tgt_info, where)
+            self.check_pattern(rule.match, src_mm, where + " match")
+            self.check_apply(rule, src_mm, tgt_mm, where)
             match_names = rule.match.element_map()
             apply_names = rule.apply.element_map()
             for ae, me in rule.backward:
@@ -717,9 +719,10 @@ class _Resolver:
                     self.err(f"{where}: backward pair references undeclared match "
                              f"element '{me}'", rule)
 
-    def check_apply(self, rule, src_info, tgt_mm, tgt_info, where):
-        if tgt_mm is None or tgt_info is None:
+    def check_apply(self, rule, src_mm, tgt_mm, where):
+        if tgt_mm is None:
             return
+        tgt_info = tgt_mm.info
         for n, e in _duplicates(rule.apply.elements):
             self.err(f"{where}: duplicate apply element '{n}'", e)
         match_elems = rule.match.element_map()
@@ -741,8 +744,8 @@ class _Resolver:
                                  f"undeclared match element '{b.value.element}'",
                                  b)
                         continue
-                    if src_info and src_el.klass in src_info:
-                        src_dom = src_info[src_el.klass].attributes.get(b.value.attr)
+                    if src_mm and src_el.klass in src_mm.info:
+                        src_dom = src_mm.info[src_el.klass].attributes.get(b.value.attr)
                         if src_dom is None:
                             self.err(f"{where}: match element '{b.value.element}' has "
                                      f"no attribute '{b.value.attr}'", b)
@@ -778,7 +781,7 @@ class _Resolver:
         candidates = None
         for e in pattern.elements:
             homes = {mm.name for mm in self.spec.metamodels
-                     if e.klass in self.info.get(mm.name, {})}
+                     if mm not in self.unflattened and e.klass in mm.info}
             if not homes:
                 self.err(f"{where}: unknown class '{e.klass}'", e)
                 return None
@@ -793,18 +796,15 @@ class _Resolver:
             self.err(f"{where}: pattern classes are ambiguous across metamodels "
                      f"{sorted(candidates)}", pattern.elements[0])
             return None
-        return next(iter(candidates))
+        return self.lookup_mm(next(iter(candidates)), where,
+                              pattern.elements[0])
 
     def resolve_property(self, p):
         where = f"property '{p.name}'"
         pre_mm = self.find_pattern_metamodel(p.precondition, where + " precondition")
         post_mm = self.find_pattern_metamodel(p.postcondition, where + " postcondition")
-        if pre_mm:
-            mm, info = self.lookup_mm(pre_mm, where, p)
-            self.check_pattern(p.precondition, mm, info, where + " precondition")
-        if post_mm:
-            mm, info = self.lookup_mm(post_mm, where, p)
-            self.check_pattern(p.postcondition, mm, info, where + " postcondition")
+        self.check_pattern(p.precondition, pre_mm, where + " precondition")
+        self.check_pattern(p.postcondition, post_mm, where + " postcondition")
         pre_names = {e.name for e in p.precondition.elements}
         post_names = {e.name for e in p.postcondition.elements}
         for post_el, pre_el in p.traces:

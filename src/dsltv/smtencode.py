@@ -91,7 +91,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .inheritance import flatten_inheritance_info, is_subtype
+from .inheritance import is_subtype
 from .model import Element, Link, TraceLink, model_from_parts
 from .spec_ast import (
     BoolDomain, CopyBinding, EnumRef, EnumValue, IntRange, IntSet,
@@ -167,18 +167,17 @@ def _domain_codec(domain):
 class _World:
     """One side (source or target) of the bounded world."""
 
-    def __init__(self, tag, mm, info, bounds):
+    def __init__(self, tag, mm, bounds):
         self.tag = tag
         self.mm = mm
-        self.info = info
-        self.slots = {c: bounds.get(c, 0) for c in info
-                      if not info[c].abstract and bounds.get(c, 0) > 0}
+        self.slots = {c: bounds.get(c, 0) for c, ci in mm.info.items()
+                      if not ci.abstract and bounds.get(c, 0) > 0}
 
     def all_slots(self, klass):
         """(concrete class, index) pairs compatible with a declared class."""
         out = []
         for c in sorted(self.slots):
-            if is_subtype(self.info, c, klass):
+            if is_subtype(self.mm.info, c, klass):
                 out.extend((c, i) for i in range(self.slots[c]))
         return out
 
@@ -262,12 +261,8 @@ class Encoder:
         self.options = options
         self.deadline = deadline  # time.monotonic() value, or None
         self.t = transformation
-        self.src_mm = spec.metamodel(self.t.source)
-        self.tgt_mm = spec.metamodel(self.t.target)
-        self.src_info = flatten_inheritance_info(self.src_mm)
-        self.tgt_info = flatten_inheritance_info(self.tgt_mm)
-        self.src = _World("s", self.src_mm, self.src_info, bounds.source)
-        self.tgt = _World("t", self.tgt_mm, self.tgt_info, bounds.target)
+        self.src = _World("s", spec.metamodel(self.t.source), bounds.source)
+        self.tgt = _World("t", spec.metamodel(self.t.target), bounds.target)
         self.decls = []
         self.defs = []
         self.shared = {}          # Bool term text -> its defined name
@@ -323,7 +318,7 @@ class Encoder:
         for c in sorted(world.slots):
             for i in range(world.slots[c]):
                 self.decl_bool(world.ex(c, i))
-                for attr, dom in sorted(world.info[c].attributes.items()):
+                for attr, dom in sorted(world.mm.info[c].attributes.items()):
                     enc, dec, lo, hi, sparse = _domain_codec(dom)
                     name = world.at(c, i, attr)
                     self.decl_int(name, lo, hi, sparse)
@@ -394,7 +389,7 @@ class Encoder:
     def guard_term(self, world, c, i, constraints):
         terms = []
         for g in constraints:
-            dom = world.info[c].attributes.get(g.attr)
+            dom = world.mm.info[c].attributes.get(g.attr)
             if dom is None:
                 return "false"
             enc, dec, lo, hi, sparse = _domain_codec(dom)
@@ -430,7 +425,7 @@ class Encoder:
         module docstring)."""
         names = [e.name for e in pattern.elements]
         options = [[c for c in sorted(world.slots)
-                    if is_subtype(world.info, c, e.klass)]
+                    if is_subtype(world.mm.info, c, e.klass)]
                    for e in pattern.elements]
         bindings = []
         for combo in itertools.product(*options):
@@ -455,8 +450,8 @@ class Encoder:
             cs, i = binding[l.source]
             ct, j = binding[l.target]
             a = world.mm.assoc_map()[l.assoc]
-            if not (is_subtype(world.info, cs, a.source)
-                    and is_subtype(world.info, ct, a.target)):
+            if not (is_subtype(world.mm.info, cs, a.source)
+                    and is_subtype(world.mm.info, ct, a.target)):
                 return "false"
             terms.append(world.ln(l.assoc, cs, i, ct, j))
         return self.share(_and(terms))
@@ -524,7 +519,7 @@ class Encoder:
                 src_slot = binding[match_name]
                 cands = [(fv2, cv2, slots2) for lj, ae2, fv2, cv2, slots2
                          in creations_of.get(src_slot, ())
-                         if lj < li and is_subtype(self.tgt_info, ae2.klass,
+                         if lj < li and is_subtype(self.tgt.mm.info, ae2.klass,
                                                    apply_el.klass)]
                 resolved[apply_name] = cands
                 terms.append(_exactly_one([c[0] for c in cands]))
@@ -596,14 +591,14 @@ class Encoder:
 
                 # apply links between chosen slots
                 for l in rule.apply.links:
-                    a = self.tgt_mm.assoc_map()[l.assoc]
+                    a = self.tgt.mm.assoc_map()[l.assoc]
                     # a fresh end's claim already holds fv
                     lead = [] if l.source in fresh or l.target in fresh \
                         else [fv]
                     for cond_s, (cs, i) in slot_cases(l.source):
                         for cond_t, (ct, j) in slot_cases(l.target):
-                            if not (is_subtype(self.tgt_info, cs, a.source)
-                                    and is_subtype(self.tgt_info, ct,
+                            if not (is_subtype(self.tgt.mm.info, cs, a.source)
+                                    and is_subtype(self.tgt.mm.info, ct,
                                                    a.target)):
                                 continue
                             cond = _and(lead + [cond_s, cond_t])
@@ -631,12 +626,12 @@ class Encoder:
         return f"(assert {_and(parts)})"
 
     def _binding_assignment(self, b, c, j, binding):
-        dom = self.tgt_info[c].attributes[b.attr]
+        dom = self.tgt.mm.info[c].attributes[b.attr]
         enc, dec, lo, hi, sparse = _domain_codec(dom)
         tvar = self.tgt.at(c, j, b.attr)
         if isinstance(b.value, CopyBinding):
             cs, i = binding[b.value.element]
-            sdom = self.src_info[cs].attributes[b.value.attr]
+            sdom = self.src.mm.info[cs].attributes[b.value.attr]
             senc, sdec, slo, shi, ssparse = _domain_codec(sdom)
             svar = self.src.at(cs, i, b.value.attr)
             if type(sdom) is type(dom) and sdom == dom:
@@ -719,7 +714,7 @@ class Encoder:
             s = set()
             for e in members:
                 s |= {c for c in self.tgt.slots
-                      if is_subtype(self.tgt_info, c, e.klass)}
+                      if is_subtype(self.tgt.mm.info, c, e.klass)}
             concrete.append(s)
         for x in range(len(concrete)):
             for y in range(x + 1, len(concrete)):
@@ -779,7 +774,7 @@ def decode_world(model, world):
             if not truthy(world.ex(c, i)):
                 continue
             attrs = {}
-            for attr, dom in sorted(world.info[c].attributes.items()):
+            for attr, dom in sorted(world.mm.info[c].attributes.items()):
                 encf, dec, lo, hi, sparse = _domain_codec(dom)
                 raw = model.get(world.at(c, i, attr), lo)
                 try:

@@ -289,7 +289,7 @@ def _violated_deferred(problem, model):
     mandatory lower bound concretely.
     """
     enc = problem.metadata["encoder"]
-    report = validate_conformance(decode_world(model, enc.src), enc.src_mm)
+    report = validate_conformance(decode_world(model, enc.src), enc.src.mm)
     return [v for v in report.violations if v.kind == "multiplicity-lower"]
 
 

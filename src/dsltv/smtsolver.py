@@ -453,6 +453,7 @@ class SmtScript:
         self.defs = {}         # defined name -> (body, index in defs)
         self.assertions = []
         self.visible = []      # per assertion: the definitions made before it
+        self.last = None       # the last check-sat's answer
         self._model = None
 
     def run(self, forms, out=None):
@@ -579,7 +580,8 @@ class SmtScript:
 
     def print_model(self, out):
         if self._model is None:
-            print("(error \"no model available\")", file=out)
+            if self.last is None:  # no check-sat yet; after unsat, nothing
+                print("(error \"no model available\")", file=out)
             return
         lines = ["(model"]
         for name in sorted(self._model):

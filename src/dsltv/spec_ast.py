@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from . import inheritance
 
 
 def _pos():
@@ -162,6 +165,12 @@ class Metamodel:
 
     def enum_map(self):
         return {e.name: e for e in self.enums}
+
+    @cached_property
+    def info(self):
+        """Class name -> `inheritance.ClassInfo`, computed on first use and
+        kept; a failure (cycle, unknown parent, clashing attribute) is not."""
+        return inheritance._flatten(self)
 
 
 # ---------------------------------------------------------------------------

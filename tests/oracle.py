@@ -9,7 +9,7 @@ import itertools
 from dsltv.cutoff import compute_cutoff, cutoff_params, per_class_bounds, \
     relevant_rules
 from dsltv.engine import check_property_concrete, execute
-from dsltv.inheritance import flatten_inheritance_info, is_subtype
+from dsltv.inheritance import is_subtype
 from dsltv.model import Element, InstanceModel, Link, mandatory_closure, \
     validate_conformance
 from dsltv.orchestrator import _transformation_for
@@ -26,7 +26,7 @@ def enumerate_source_models(spec, mm, bounds):
     """Every instance model with at most bounds[class] elements per concrete
     class, every attribute assignment, every link subset.  Conformance is
     NOT filtered here; callers decide."""
-    info = flatten_inheritance_info(mm)
+    info = mm.info
     classes = [c for c in sorted(bounds) if bounds[c] > 0
                and not info[c].abstract]
     count_axes = [range(bounds[c] + 1) for c in classes]
@@ -78,7 +78,7 @@ def oracle_verdict(spec, prop, bounds, transformation=None):
 def random_model(spec, mm, rng, max_per_class=3):
     """A random conformant model for metamodels without mandatory lowers."""
     assert all(a.lower == 0 for a in mm.associations)
-    info = flatten_inheritance_info(mm)
+    info = mm.info
     elements = []
     for c in sorted(info):
         if info[c].abstract:

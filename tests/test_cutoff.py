@@ -7,7 +7,6 @@ from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
                           compute_cutoff, cutoff_params, cutoff_report,
                           per_class_bounds, relevant_rules, select_fragment)
 from dsltv.fragments import trace_producers
-from dsltv.inheritance import flatten_inheritance_info
 from dsltv.model import mandatory_closure
 from dsltv.orchestrator import HOLDS, VerificationConfig, verify_property
 
@@ -105,8 +104,8 @@ def _producer_layers(spec, prop, t):
     the property's demands (each trace pair, and each untraced
     postcondition element) through the backward pairs of every rule
     reached, each to the producers in layers below its rule's."""
-    src_info = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+    src_info = spec.metamodel(t.source).info
+    tgt_info = spec.metamodel(t.target).info
     pre = prop.precondition.element_map()
     post = prop.postcondition.element_map()
     todo = [(pre[b].klass, post[a].klass, None) for a, b in prop.traces]
@@ -165,8 +164,8 @@ def test_relevance_keeps_the_producers_of_backward_pairs():
                                  recursive=True)):
         spec = load_spec(os.path.relpath(path, FIXTURES))
         t = spec.transformations[0]
-        src_info = flatten_inheritance_info(spec.metamodel(t.source))
-        tgt_info = flatten_inheritance_info(spec.metamodel(t.target))
+        src_info = spec.metamodel(t.source).info
+        tgt_info = spec.metamodel(t.target).info
         for prop, mode in itertools.product(spec.properties, RelevanceMode):
             relevant = relevant_rules(spec, prop, mode, t).relevant_rules
             for li, rule in t.all_rules():

@@ -1,5 +1,4 @@
 from dsltv.engine import (check_property_concrete, enumerate_matches, execute)
-from dsltv.inheritance import flatten_inheritance_info
 from dsltv.model import InstanceModel
 from dsltv.parser import parse_spec
 from dsltv.spec_ast import EnumValue
@@ -38,7 +37,7 @@ transformation t : M -> N {
     }
 }
 """, "inline")
-    info = flatten_inheritance_info(spec.metamodel("M"))
+    info = spec.metamodel("M").info
     model = InstanceModel().with_element("a1", "A", {})
     rule = spec.transformations[0].layers[0].rules[0]
     assert list(enumerate_matches(rule.match, model, info)) == []

@@ -1,5 +1,4 @@
 from dsltv.fragments import check_flnr, check_gbpp, trace_producers
-from dsltv.inheritance import flatten_inheritance_info
 from dsltv.parser import parse_spec
 
 
@@ -115,8 +114,8 @@ def test_trace_producers_overlap_types_and_respect_the_cut_off():
     spec = parse_spec(PRODUCER_SPEC, "inline")
     assert not isinstance(spec, list), spec
     t = spec.transformations[0]
-    src = flatten_inheritance_info(spec.metamodel(t.source))
-    tgt = flatten_inheritance_info(spec.metamodel(t.target))
+    src = spec.metamodel(t.source).info
+    tgt = spec.metamodel(t.target).info
 
     def producers(match_class, apply_class, before=None):
         return [(li, rule.name) for li, rule in trace_producers(

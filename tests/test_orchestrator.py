@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 from conftest import load_spec
 from oracle import oracle_verdict, source_bounds_for
@@ -224,6 +225,28 @@ def test_parallel_verify_all_yields_while_later_properties_run(
     rows = list(stream)
     assert [n for n, _ in rows] == names[1:] + [None]
     assert rows[-1][1]["holds"] == len(names)
+
+
+def test_parallel_verify_all_drops_queued_properties_when_closed(
+        uml2java, monkeypatch):
+    spec = replace(uml2java, properties=tuple(
+        replace(p, name=f"{p.name}_{i}")
+        for i in range(2) for p in uml2java.properties))
+    first = spec.properties[0].name
+    started = []
+
+    def fake_verify(spec, name, config):
+        started.append(name)
+        if name != first:
+            time.sleep(0.5)  # still running when the reader stops
+        return PropertyVerdict(HOLDS)
+
+    monkeypatch.setattr(orchestrator, "verify_property", fake_verify)
+    stream = verify_all(spec, parallelism=2)
+    assert next(stream)[0] == first
+    stream.close()
+    # the first, the one beside it and the next one its worker took
+    assert len(spec.properties) == 8 and len(started) <= 3
 
 
 def test_parallel_matches_sequential(uml2java):

@@ -1,10 +1,15 @@
 import glob
 import itertools
 import os
+from dataclasses import replace
 
+import pytest
+
+from dsltv.inheritance import InheritanceCycleError
 from dsltv.parser import COMPARISON_OPS, parse_spec, parse_spec_file
 from dsltv.printer import print_spec
-from dsltv.spec_ast import AttrBinding, EnumValue, compare
+from dsltv.spec_ast import (AttrBinding, ClassDecl, EnumValue, Metamodel,
+                            compare)
 
 from conftest import FIXTURES
 
@@ -226,3 +231,66 @@ def test_compare_orders_only_ints():
     for value, constant, expected in table:
         assert tuple(compare(op, value, constant)
                      for op in COMPARISON_OPS) == expected, (value, constant)
+
+
+BROKEN_INHERITANCE = """
+metamodel M {{
+{classes}
+    class C {{ }}
+}}
+metamodel N {{ class D {{ y: Bool }} }}
+transformation t : M -> N {{
+    layer L {{
+        rule R {{
+            match {{ any c : C where nope == true }}
+            apply {{ d : D {{ y = c.nope  z = true }} }}
+        }}
+    }}
+}}
+"""
+
+
+def test_unflattenable_metamodel_is_reported_and_skips_its_checks():
+    # the source pattern's unknown attribute goes unreported, since M has
+    # no flattened view; the target side is still checked
+    unknown_z = "rule 'R': apply element 'd' has no attribute 'z'"
+    for classes, message in [
+            ("    class A extends B { x: Bool }\n"
+             "    class B extends A { }",
+             "inheritance cycle through class 'A' in metamodel 'M'"),
+            ("    class A { x: Bool }\n"
+             "    class B extends A { x: Int }",
+             "in metamodel 'M': attribute 'x' redeclared along inheritance "
+             "chain of 'B' in metamodel 'M'")]:
+        result = parse_spec(BROKEN_INHERITANCE.format(classes=classes),
+                            "inline")
+        assert [(d.line, d.col, d.message) for d in result] == \
+            [(2, 11, message), (12, 41, unknown_z)], classes
+
+
+def test_failed_flattening_is_not_kept():
+    mm = Metamodel("M", (ClassDecl("A", parent="B"), ClassDecl("B", parent="A")))
+    for _ in range(2):
+        with pytest.raises(InheritanceCycleError):
+            mm.info
+    fixed = replace(mm, classes=(ClassDecl("A", parent="B"), ClassDecl("B")))
+    assert fixed.info["B"].subtypes == {"A", "B"}
+    assert fixed.info is fixed.info and fixed == replace(fixed)
+
+
+def test_a_duplicate_metamodel_with_a_cycle_hides_no_class():
+    # the metamodel that flattens still anchors the property
+    good = "metamodel M { class A { x: Bool } }"
+    bad = "metamodel M { class B extends C { } class C extends B { } }"
+    rest = """
+metamodel N { class D { y: Bool } }
+transformation t : M -> N {
+    layer L { rule R { match { any a : A } apply { d : D { y = a.x } } } }
+}
+property P "p" { precondition { any a : A } postcondition { d : D } }
+"""
+    for first, second in ((good, bad), (bad, good)):
+        result = parse_spec(f"{first}\n{second}\n{rest}", "inline")
+        assert [d.message for d in result] == [
+            "duplicate metamodel 'M'",
+            "inheritance cycle through class 'B' in metamodel 'M'"]
