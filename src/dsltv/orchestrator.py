@@ -245,7 +245,8 @@ class _PropertyRun:
             return unknown("timeout", "solver exceeded the time budget")
         if verdict.status != "sat":
             return unknown("solver-error", verdict.raw_output[:500])
-        cex = decode_counterexample(verdict.model, problem, plan.spec, plan.t)
+        cex = decode_counterexample(verdict.model, problem, plan.spec, plan.t,
+                                    source=verdict.source)
         return PropertyVerdict(VIOLATED, counterexample=cex, **common)
 
     def _dump(self, problem, fragment, suffix=""):

@@ -28,7 +28,9 @@ with four constraints:
   only if j <= r_c, the number of earlier creations whose candidate slots
   include a class-c slot.  A choice's declared range ends at its last
   allowed value; a choice that also spans subclass slots excludes the
-  values below that one by one;
+  values below that one by one.  A claim on any other value would be false
+  in every model, so claims, slot existence, traces, apply links and
+  distinctness are written for the allowed values only;
 - canonical precondition bindings: the query selects only bindings in which
   the pattern elements bound to concrete class c take slots 0, 1, ..., m-1
   of c in pattern-element order, one binding per assignment of elements to
@@ -40,9 +42,9 @@ with four constraints:
 They are sound together.  Take any model without them, and the injective
 precondition binding b that it selects.  Within one class, source slots are
 interchangeable everywhere in the encoding (existence, attributes, links
-and their upper bounds as "at most k", the injective rule and precondition
-bindings, and through those every firing, choice, backward case and trace
-term), so renumbering each class with b's slots first, in pattern order,
+and their multiplicities, the injective rule and precondition bindings, and
+through those every firing, choice, backward case and trace term), so
+renumbering each class with b's slots first, in pattern order,
 then its other existing slots, then the absent ones, yields a model again.
 b's slots exist (its binding term holds their existence), so source
 existence is ordered, and b has become the canonical binding of its class
@@ -53,6 +55,9 @@ fire leaves its choice free, and slot 0 is always allowed) without touching
 a source variable.  Source goes first because its renumbering permutes the
 firings, and with them the creation order that value precedence reads.  So
 a counterexample exists iff one exists whose violated binding is canonical.
+The argument holds with or without the deferred multiplicities (below),
+which are as symmetric as the rest, so it covers the relaxed first problem
+that the lazy closure loop solves as well as the closed one.
 ``tests/test_smtencode.py`` checks verdicts against the brute-force oracle
 with all four on.
 
@@ -76,13 +81,22 @@ A postcondition whose connected components have pairwise disjoint concrete
 class sets is refuted one component at a time: injectivity cannot couple
 them, so a witness of the whole exists iff each component has one.
 
-An association upper bound ``[..k]`` limits each link row x_0..x_{n-1} (the
-links out of one slot) with one term, ``(<= (+ (ite x_0 1 0) ... (ite
-x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's sequential
-counter (see ``smtsolver``).  k = 0 becomes unit negations, and a row of at
-most k links needs no constraint.  The "at most one claim" part of target
-existence is the same term with k = 1 over the slot's claims, conjoined
-with the slot's "exists only if claimed" implication into one assertion.
+A source association upper bound ``[..k]`` limits each link row
+x_0..x_{n-1} (the links out of one slot) with one term, ``(<= (+ (ite x_0 1
+0) ... (ite x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's
+sequential counter (see ``smtsolver``).  k = 0 becomes unit negations, and
+a row of at most k links needs no constraint.  These terms and the lower
+bounds ``[k..]`` are deferred (``EncodedProblem.deferred``): the problem
+text leaves them out, and ``smtrun.lazy_closure_loop`` adds them all only
+when a model breaks one, as in counterexample-guided abstraction refinement
+(Clarke et al., CAV 2000).  A first solve that answers unsat thus never
+grounds a counter.  Target multiplicities are not encoded: the target is
+what the rules make, neither execution nor the property checks it against
+its metamodel, and a bound there would only throw out sources whose output
+breaks it, turning their violations into a wrong HOLDS.  The "at most one
+claim" part of target existence is the same term with k = 1 over the
+slot's claims, conjoined with the slot's "exists only if claimed"
+implication into one assertion.
 """
 
 from __future__ import annotations
@@ -126,7 +140,7 @@ class EncodeOptions:
 @dataclass
 class EncodedProblem:
     text: str
-    deferred: list            # withheld source lower-bound assertions
+    deferred: list            # withheld source multiplicity assertions
     source_slots: dict        # class -> slot count (concrete classes)
     target_slots: dict
     pre_bindings: list        # canonical precondition bindings, by sel_ index
@@ -335,17 +349,15 @@ class Encoder:
                     self.asserts.append(
                         f"(assert (=> {v} (and {world.ex(cs, i)} "
                         f"{world.ex(ct, j)})))")
-            # upper bounds, eagerly
-            if a.upper is not None:
-                for cs, i in rows:
-                    row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
+            # multiplicities bind the source world only, and are deferred
+            # (see the module docstring)
+            if world is not self.src:
+                continue
+            for cs, i in rows:
+                row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
+                if a.upper is not None:
                     self._at_most(row, a.upper)
-            # lower bounds: only meaningful on the source world, where the
-            # model is free; target structure is fixed by the rules.  They
-            # are deferred: the solver adds them only when a model breaks one
-            if a.lower >= 1 and world is self.src:
-                for cs, i in rows:
-                    row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
+                if a.lower >= 1:
                     need = _or([_and(list(sub)) for sub in
                                 itertools.combinations(row, a.lower)])
                     self.deferred.append(
@@ -358,15 +370,15 @@ class Encoder:
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
     def _at_most(self, lits, k):
-        """Assert that at most k of ``lits`` hold (see the module
-        docstring)."""
+        """Defer the assertion that at most k of ``lits`` hold (see the
+        module docstring)."""
         n = len(lits)
         if n <= k:
             return
         if k == 0:
-            self.asserts.extend(f"(assert {_not(x)})" for x in lits)
+            self.deferred.extend(f"(assert {_not(x)})" for x in lits)
             return
-        self.asserts.append(f"(assert {_at_most_term(lits, k)})")
+        self.deferred.append(f"(assert {_at_most_term(lits, k)})")
         # the ceiling counts the term as the counter clauses it stands for
         self.counter_clauses += 2 * n * k + n - 3 * k - 2
 
@@ -480,8 +492,11 @@ class Encoder:
             firing_data.append((li, rule, bindings))
 
         fires_name = {}
+        # (rule, binding index, apply element) -> (choice, allowed), where
+        # allowed lists the (value, slot) pairs the choice may take; a claim
+        # on any other value is false in every model, so none is written
         choice_name = {}
-        # source slot -> [(li, apply element, fires, choice, slots)] of the
+        # source slot -> [(li, apply element, fires, choice, allowed)] of the
         # creations whose binding holds it, in creation order
         creations_of = {}
         earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
@@ -495,19 +510,19 @@ class Encoder:
                     # value precedence: the class-c slot j only if j <= r_c;
                     # the range ends at the last allowed value and the
                     # disallowed values below it are excluded one by one
-                    allowed = [k for k, (c, j) in enumerate(slots)
+                    allowed = [(k, (c, j)) for k, (c, j) in enumerate(slots)
                                if j <= earlier[c]]
-                    hi = allowed[-1] if allowed else 0
+                    hi = allowed[-1][0] if allowed else 0
                     self.decl_int(cv, 0, hi)
-                    for k in sorted(set(range(hi)) - set(allowed)):
+                    for k in sorted(set(range(hi)) - {k for k, _ in allowed}):
                         self.asserts.append(
                             f"(assert (not (= {cv} {_int(k)})))")
                     for c in {c for c, _ in slots}:
                         earlier[c] += 1
-                    choice_name[(rule.name, bidx, ae.name)] = (cv, slots)
+                    choice_name[(rule.name, bidx, ae.name)] = (cv, allowed)
                     for src_slot in binding.values():
                         creations_of.setdefault(src_slot, []).append(
-                            (li, ae, fv, cv, slots))
+                            (li, ae, fv, cv, allowed))
 
         # backward resolution candidates: creations of earlier layers whose
         # binding maps some match element to the demanded source slot
@@ -517,7 +532,7 @@ class Encoder:
             for apply_name, match_name in rule.backward:
                 apply_el = rule.apply.element_map()[apply_name]
                 src_slot = binding[match_name]
-                cands = [(fv2, cv2, slots2) for lj, ae2, fv2, cv2, slots2
+                cands = [(fv2, cv2, allowed2) for lj, ae2, fv2, cv2, allowed2
                          in creations_of.get(src_slot, ())
                          if lj < li and is_subtype(self.tgt.mm.info, ae2.klass,
                                                    apply_el.klass)]
@@ -545,25 +560,22 @@ class Encoder:
                     """(condition, (class, slot)) cases for an apply element."""
                     if name in fresh:
                         # the claim, which holds fv as well
-                        cv, slots = choice_name[(rule.name, bidx, name)]
-                        return [(self.claim(fv, cv, k), slots[k])
-                                for k in range(len(slots))]
-                    cases = []
-                    for fv2, cv2, slots2 in bw_cands.get(name, ()):
-                        for k in range(len(slots2)):
-                            cases.append((self.claim(fv2, cv2, k),
-                                          slots2[k]))
-                    return cases
+                        cv, allowed = choice_name[(rule.name, bidx, name)]
+                        return [(self.claim(fv, cv, k), slot)
+                                for k, slot in allowed]
+                    return [(self.claim(fv2, cv2, k), slot)
+                            for fv2, cv2, allowed2 in bw_cands.get(name, ())
+                            for k, slot in allowed2]
 
                 # claims: firing picks a distinct existing slot per fresh
                 # element and binds its attributes
                 src_slots = frozenset(binding.values())
                 for ae in rule.fresh_apply_elements():
-                    cv, slots = choice_name[(rule.name, bidx, ae.name)]
-                    if not slots:
+                    cv, allowed = choice_name[(rule.name, bidx, ae.name)]
+                    if not allowed:
                         self.asserts.append(f"(assert (not {fv}))")
                         continue
-                    for k, (c, j) in enumerate(slots):
+                    for k, (c, j) in allowed:
                         claim = self.claim(fv, cv, k)
                         self.claims_by_slot.setdefault((c, j), []).append(
                             (src_slots, claim))
@@ -581,8 +593,8 @@ class Encoder:
                         ax, ay = fresh_list[x], fresh_list[y]
                         cvx, sx = choice_name[(rule.name, bidx, ax.name)]
                         cvy, sy = choice_name[(rule.name, bidx, ay.name)]
-                        for kx, s1 in enumerate(sx):
-                            for ky, s2 in enumerate(sy):
+                        for kx, s1 in sx:
+                            for ky, s2 in sy:
                                 if s1 == s2:
                                     self.asserts.append(
                                         f"(assert (=> {fv} (not (and "
@@ -795,11 +807,14 @@ def decode_world(model, world):
     return model_from_parts(elements, links)
 
 
-def decode_counterexample(model, problem, spec, transformation=None):
+def decode_counterexample(model, problem, spec, transformation=None,
+                          source=None):
     """Rebuild (source model, target model, violated precondition binding)
-    from a sat assignment."""
+    from a sat assignment; `source`, when given, is the assignment's source
+    model, already decoded."""
     enc = problem.metadata["encoder"]
-    source = decode_world(model, enc.src)
+    if source is None:
+        source = decode_world(model, enc.src)
     target = decode_world(model, enc.tgt)
 
     src_id, tgt_id = enc.src.element_id, enc.tgt.element_id

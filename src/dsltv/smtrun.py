@@ -54,6 +54,8 @@ class SolverVerdict:
     model: dict = None
     wall_time: float = 0.0
     raw_output: str = ""
+    source: object = None     # the model's source, once the closure check
+                              # has decoded it
 
     def __post_init__(self):
         assert (self.model is not None) == (self.status == "sat")
@@ -281,31 +283,37 @@ def run_solver(problem, timeout_seconds, solver_command=None):
         _reap(proc)
 
 
-def _violated_deferred(problem, model):
-    """Deferred lower-bound assertions whose constraint the model violates.
+def _violated_deferred(problem, source):
+    """The association bounds that `source`, a sat model's decoded source,
+    breaks.
 
-    The deferred assertions were generated per source slot; re-checking them
-    symbolically is unnecessary: decode the source alone and test each
-    mandatory lower bound concretely.
+    The deferred assertions are the source multiplicities, written per link
+    row; re-checking them symbolically is unnecessary: the decoded source is
+    tested against each lower and upper bound concretely.
     """
-    enc = problem.metadata["encoder"]
-    report = validate_conformance(decode_world(model, enc.src), enc.src.mm)
-    return [v for v in report.violations if v.kind == "multiplicity-lower"]
+    report = validate_conformance(source, problem.metadata["encoder"].src.mm)
+    return [v for v in report.violations
+            if v.kind in ("multiplicity-lower", "multiplicity-upper")]
 
 
 def lazy_closure_loop(problem, timeout_seconds, spec, transformation=None,
                       solver_command=None):
-    """Solve with the source lower-bound assertions deferred.
+    """Solve with the source multiplicities deferred.
 
-    When a sat model breaks a deferred lower bound, all of them are added
-    and the problem is solved once more, which gives the verdict of solving
-    with them from the start.  Returns the verdict and the number of such
-    rounds (0 or 1).  The check reads neither `spec` nor `transformation`.
+    When a sat model breaks a deferred lower or upper bound, all of them
+    are added and the problem is solved once more, which gives the verdict
+    of solving with them from the start.  A sat model that breaks none
+    meets them all, so it is the verdict as it stands, with its decoded
+    source.  Returns the verdict and the number of closure rounds (0 or
+    1).  The check reads neither `spec` nor `transformation`.
     """
     deadline = time.monotonic() + timeout_seconds
     verdict = _solve_by(problem, deadline, solver_command)
-    if verdict.status != "sat" or not problem.deferred \
-            or not _violated_deferred(problem, verdict.model):
+    if verdict.status != "sat" or not problem.deferred:
+        return verdict, 0
+    source = decode_world(verdict.model, problem.metadata["encoder"].src)
+    if not _violated_deferred(problem, source):
+        verdict.source = source
         return verdict, 0
     closed = problem.with_extra_assertions(problem.deferred)
     return _solve_by(closed, deadline, solver_command), 1

@@ -21,6 +21,14 @@ def load_spec(name):
     return spec
 
 
+def fixture_specs():
+    """(path relative to the fixtures directory, parsed spec), sorted."""
+    rels = sorted(os.path.relpath(os.path.join(d, f), FIXTURES)
+                  for d, _, files in os.walk(FIXTURES)
+                  for f in files if f.endswith(".dslt"))
+    return [(rel, load_spec(rel)) for rel in rels]
+
+
 def corpus_paths():
     return sorted(glob.glob(os.path.join(FIXTURES, "corpus", "*.dslt")))
 

@@ -6,19 +6,19 @@ import time
 
 import pytest
 
-from conftest import load_spec
+from conftest import fixture_specs, load_spec
 from oracle import oracle_verdict, source_bounds_for
 
 from dsltv.cutoff import PerClassBounds, RelevanceMode, compute_cutoff, \
     cutoff_params, per_class_bounds, relevant_rules
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import mandatory_closure, validate_conformance
-from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
-    plan_property, verify_property
+from dsltv.orchestrator import HOLDS, VIOLATED, PlanRejected, \
+    VerificationConfig, plan_property, verify_property
 from dsltv.parser import parse_spec, parse_spec_file
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
-from dsltv import smtrun, smtsolver
+from dsltv import smtencode, smtrun, smtsolver
 from dsltv.smtrun import lazy_closure_loop, run_solver
 from dsltv.smtsolver import parse_sexprs, solve_text, tokenize_sexprs
 
@@ -199,8 +199,8 @@ def test_lazy_closure_defers_lower_bounds(uml2java):
 
 
 def test_closure_check_reads_the_counterexamples_source(monkeypatch):
-    # the lower-bound check decodes the source only, and it is the source
-    # the verdict's counterexample is decoded with
+    # the bound check decodes the source only, and the verdict carries that
+    # source for its counterexample
     c06 = load_spec("corpus/c06_mandatory.dslt")
     plan = plan_property(c06, c06.property("ChildHasPOut_ShouldFail"),
                          VerificationConfig())
@@ -219,9 +219,185 @@ def test_closure_check_reads_the_counterexamples_source(monkeypatch):
     closed = problem.with_extra_assertions(problem.deferred)
     verdict, rounds = lazy_closure_loop(closed, 60, c06, plan.t)
     assert (verdict.status, rounds) == ("sat", 0)
+    assert checked == [verdict.source]
     source, _, _ = decode_counterexample(verdict.model, closed, c06, plan.t)
-    assert checked == [source]
+    assert source == verdict.source
+    assert decode_counterexample(verdict.model, closed, c06, plan.t,
+                                 source=verdict.source)[0] is verdict.source
     assert any(e.klass == "Child" for e in source.elements)
+
+
+def _inline_spec(text):
+    spec = parse_spec(text, "inline")
+    assert not isinstance(spec, list), spec
+    return spec
+
+
+# Every A has exactly one r link.  The first property's precondition needs
+# two, so it holds vacuously; the first problem leaves the bounds out, and
+# its every model breaks the upper one.  The second one's first model has
+# one link and keeps both bounds.
+TWO_LINKS_SPEC = """
+metamodel OneSrc {
+    class A { }
+    class B { }
+    assoc r : A -> B [1..1]
+}
+metamodel OneTgt {
+    class TA { }
+    class TC { }
+}
+transformation one : OneSrc -> OneTgt {
+    layer Only { rule A2TA { match { any a : A } apply { ta : TA } } }
+}
+property TwoLinksHaveTC "An A with two r links maps to a TC." {
+    precondition {
+        any a : A
+        any b1 : B
+        any b2 : B
+        direct l1 : r -- a.b1
+        direct l2 : r -- a.b2
+    }
+    postcondition {
+        ta : TA
+        c : TC
+        ta <--trace-- a
+        c <--trace-- a
+    }
+}
+property LinkedAHasTC_ShouldFail "Negative: no rule makes a TC." {
+    precondition {
+        any a : A
+        any b : B
+        direct l : r -- a.b
+    }
+    postcondition {
+        c : TC
+        c <--trace-- a
+    }
+}
+"""
+
+
+def test_deferred_upper_bound_takes_one_closure_round():
+    spec = _inline_spec(TWO_LINKS_SPEC)
+    prop = spec.property("TwoLinksHaveTC")
+    assert oracle_verdict(spec, prop, {"A": 1, "B": 3}) == HOLDS
+    verdict = verify_property(spec, prop)
+    assert verdict.status == HOLDS
+    assert verdict.event(prop.name)["closureRounds"] == 1
+
+
+def test_sat_verdict_decodes_its_source_once(monkeypatch):
+    # the closure check decodes the source, and the counterexample reuses it
+    decoded = []
+    real = smtencode.decode_world
+
+    def counting(model, world):
+        decoded.append(world.tag)
+        return real(model, world)
+
+    monkeypatch.setattr(smtrun, "decode_world", counting)
+    monkeypatch.setattr(smtencode, "decode_world", counting)
+    spec = _inline_spec(TWO_LINKS_SPEC)
+    verdict = verify_property(spec, spec.property("LinkedAHasTC_ShouldFail"))
+    assert (verdict.status, verdict.closure_rounds) == (VIOLATED, 0)
+    assert decoded.count("s") == 1
+
+
+# tr is [0..1] in the target, but R2Tr makes one tr link per r link, from
+# the TA of the link's A, and no rule makes a TC.  Execution does not
+# enforce target multiplicities, so an A with two r links violates the
+# property; an encoding that bounded tr would hide that violation.
+TARGET_UPPER_SPEC = """
+metamodel TUSrc {
+    class A { }
+    class B { }
+    assoc r : A -> B [0..*]
+}
+metamodel TUTgt {
+    class TA { }
+    class TB { }
+    class TC { }
+    assoc tr : TA -> TB [0..1]
+}
+transformation tu : TUSrc -> TUTgt {
+    layer Make {
+        rule A2TA { match { any a : A } apply { ta : TA } }
+        rule B2TB { match { any b : B } apply { tb : TB } }
+    }
+    layer Wire {
+        rule R2Tr {
+            match {
+                any a : A
+                any b : B
+                direct l : r -- a.b
+            }
+            apply {
+                ta : TA
+                tb : TB
+                t : tr -- ta.tb
+            }
+            backward {
+                ta <--trace-- a
+                tb <--trace-- b
+            }
+        }
+    }
+}
+property TwoBsHaveTC_ShouldFail "Negative: no rule makes a TC." {
+    precondition {
+        any a : A
+        any b1 : B
+        any b2 : B
+        direct l1 : r -- a.b1
+        direct l2 : r -- a.b2
+    }
+    postcondition {
+        ta : TA
+        tb : TB
+        c : TC
+        t : tr -- ta.tb
+        ta <--trace-- a
+        c <--trace-- a
+    }
+}
+"""
+
+
+def test_target_upper_bounds_are_not_encoded():
+    spec = _inline_spec(TARGET_UPPER_SPEC)
+    prop = spec.property("TwoBsHaveTC_ShouldFail")
+    assert oracle_verdict(spec, prop, {"A": 1, "B": 2}) == VIOLATED
+    verdict = verify_property(spec, prop)
+    assert verdict.status == VIOLATED
+    t = spec.transformations[0]
+    source, _, _ = verdict.counterexample
+    assert validate_conformance(source, spec.metamodel(t.source)).conformant
+    result = execute(t, source, spec)
+    assert not check_property_concrete(prop, source, result, spec).holds
+
+
+def test_lazy_closure_agrees_with_eager_bounds():
+    # for every fixture property, solving with the source multiplicities
+    # deferred gives the status of solving with them from the start
+    config = VerificationConfig()
+    solved = 0
+    for rel, spec in fixture_specs():
+        for prop in spec.properties:
+            try:
+                plan = plan_property(spec, prop, config)
+                problem = encode(plan.spec, plan.prop,
+                                 plan.bounds(plan.fragment),
+                                 EncodeOptions(rule_names=plan.rule_names(
+                                     plan.fragment)), plan.t)
+            except (PlanRejected, EncodingCeilingError):
+                continue
+            verdict, _ = lazy_closure_loop(problem, 60, spec, plan.t)
+            eager = problem.with_extra_assertions(problem.deferred).text
+            assert verdict.status == _solver_answer(eager), (rel, prop.name)
+            solved += 1
+    assert solved >= 35
 
 
 def test_run_solver_timeout_kills_child(uml2java):
@@ -646,13 +822,13 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
 
 
 def test_ceiling_counts_an_at_most_term_as_its_counter_clauses():
-    # each Item's row of 5 tags under [0..2] is one term, which the ceiling
-    # counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
+    # each Item's row of 5 tags under [0..2] is one deferred term, which the
+    # ceiling counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
     spec = parse_spec(TAG_SPEC.replace("UPPER", "2"), "inline")
     enc = Encoder(spec, spec.property("ThreeTagsHaveMark"), TAG_BOUNDS,
                   EncodeOptions(), spec.transformations[0])
     enc.encode()
-    terms = [a for a in enc.asserts if a.startswith("(assert (<= (+ ")]
+    terms = [a for a in enc.deferred if a.startswith("(assert (<= (+ ")]
     assert len(terms) == TAG_BOUNDS.source["Item"]
     emitted = len(enc.asserts) + len(enc.deferred) + len(terms) * 17
     enc.options.binding_ceiling = emitted
@@ -672,7 +848,7 @@ def test_upper_bound_encoding_grows_polynomially():
     problem = encode(spec, spec.property("ItemHasOut"), bounds,
                      EncodeOptions(), spec.transformations[0])
     assertions = sum(1 for line in problem.text.splitlines()
-                     if line.startswith("(assert"))
+                     if line.startswith("(assert")) + len(problem.deferred)
     # one clause per 4-subset of each 16-link row would be 16 * 1,820
     assert assertions < 3000
 
@@ -720,11 +896,10 @@ property CoolHasMark "A reading below 1 gets a mark of -3." {
 }
 """
 
-# verdict and (CNF variables, CNF clauses) at two slots per class; the CNF
-# is the one grounded when negative constants were written as "-2"
-NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (102, 317)),
-                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (103, 321)),
-                     "CoolHasMark": (HOLDS, (102, 317))}
+# verdict and (CNF variables, CNF clauses) at two slots per class
+NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (93, 287)),
+                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (94, 291)),
+                     "CoolHasMark": (HOLDS, (93, 287))}
 
 
 def test_negative_constants_are_written_as_negations(monkeypatch):

@@ -716,9 +716,12 @@ def _mult_problem(k):
 # them, took stress from (130, 394, 0), (371, 1302, 0) and (970, 3736, 0) to
 # (103, 310, 0), (288, 1018, 0) and (762, 2986, 0); asserting target
 # existence with an at-most-one counter per slot, instead of an iff over
-# the pairwise exactly-one, took them to the values below.
-STRESS_LADDER = {2: (83, 236, 0), 3: (201, 648, 0), 4: (392, 1418, 0)}
-MULT_LADDER = {4: (117, 276, 0), 8: (425, 1098, 0), 12: (925, 2528, 0)}
+# the pairwise exactly-one, took them to (83, 236, 0), (201, 648, 0) and
+# (392, 1418, 0), and mult to (117, 276, 0), (425, 1098, 0) and
+# (925, 2528, 0).  Writing claims for allowed slot values only, and
+# deferring the source upper bounds, took both to the values below.
+STRESS_LADDER = {2: (80, 220, 0), 3: (194, 587, 0), 4: (379, 1255, 0)}
+MULT_LADDER = {4: (74, 176, 0), 8: (228, 610, 0), 12: (462, 1364, 0)}
 
 
 def _ladder(problem, rungs, monkeypatch):
@@ -841,6 +844,39 @@ def test_encoder_writes_only_the_solver_language(fixture_dumps):
                 "(assert (<= (+ (ite a 1 0) (ite a 1 0)) (- 1)))",
                 "(assert (= (+ (ite a 1 0) (ite a 1 0)) 1))"):
         assert _outside_language(parse_sexprs(a + bad)) != [], bad
+
+
+_CHOICE_RANGE = re.compile(r"\(assert \(and \(<= 0 (ch_\S+)\) "
+                           r"\(<= \1 (\d+)\)\)\)")
+_CHOICE_EXCLUDED = re.compile(r"\(assert \(not \(= (ch_\S+) (\d+)\)\)\)")
+_CHOICE_VALUE = re.compile(r"\(= (ch_[^\s()]+) (\d+)\)")
+
+
+def test_claims_name_allowed_slot_values_only(fixture_dumps):
+    # a choice's allowed values are its range less its exclusions; no claim
+    # or distinctness assertion compares it with another value
+    texts = [text for _, text in fixture_dumps] + \
+        [_stress_problem(k).text for k in (2, 3, 4)] + \
+        [_mult_problem(k).text for k in (4, 8, 12)]
+    compared = 0
+    for text in texts:
+        lines = text.splitlines()
+        allowed = {}
+        for line in lines:
+            m = _CHOICE_RANGE.fullmatch(line)
+            if m:
+                allowed[m[1]] = set(range(int(m[2]) + 1))
+        for line in lines:
+            m = _CHOICE_EXCLUDED.fullmatch(line)
+            if m:
+                allowed[m[1]].discard(int(m[2]))
+        for line in lines:
+            if _CHOICE_EXCLUDED.fullmatch(line):
+                continue
+            for cv, k in _CHOICE_VALUE.findall(line):
+                assert int(k) in allowed[cv], (cv, k, line)
+                compared += 1
+    assert compared > 100
 
 
 def _cnf_size(text, monkeypatch):

@@ -12,20 +12,12 @@ import collections
 import json
 import os
 
-from conftest import FIXTURES, load_spec
+from conftest import fixture_specs
 
 from dsltv import inheritance
 from dsltv.orchestrator import verify_all
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "verdict_events.json")
-
-
-def fixture_specs():
-    """(path relative to the fixtures directory, parsed spec), sorted."""
-    rels = sorted(os.path.relpath(os.path.join(d, f), FIXTURES)
-                  for d, _, files in os.walk(FIXTURES)
-                  for f in files if f.endswith(".dslt"))
-    return [(rel, load_spec(rel)) for rel in rels]
 
 
 def verdict_events(specs):
