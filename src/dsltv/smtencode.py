@@ -86,7 +86,8 @@ x_0..x_{n-1} (the links out of one slot) with one term, ``(<= (+ (ite x_0 1
 0) ... (ite x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's
 sequential counter (see ``smtsolver``).  k = 0 becomes unit negations, and
 a row of at most k links needs no constraint.  These terms and the lower
-bounds ``[k..]`` are deferred (``EncodedProblem.deferred``): the problem
+bounds ``[k..]``, with the assertions that the links they count have
+existing ends, are deferred (``EncodedProblem.deferred``): the problem
 text leaves them out, and ``smtrun.lazy_closure_loop`` adds them all only
 when a model breaks one, as in counterexample-guided abstraction refinement
 (Clarke et al., CAV 2000).  A first solve that answers unsat thus never
@@ -97,6 +98,52 @@ breaks it, turning their violations into a wrong HOLDS.  The "at most one
 claim" part of target existence is the same term with k = 1 over the
 slot's claims, conjoined with the slot's "exists only if claimed"
 implication into one assertion.
+
+The encoding is sliced to what the property can observe (cone of influence,
+Clarke, Grumberg & Peled, *Model Checking*, 1999; Kodkod's slicing, Torlak
+& Jackson, TACAS 2007).  The full encoding would declare every link of both
+worlds, assert that each link's ends exist, and write every apply link.
+The sliced one keeps less:
+
+- a source association that no encoded rule's match and no precondition
+  reads, and whose lower bound is 0, gets no links;
+- a target association that the postcondition does not read gets no links;
+- an apply link is written only for a pair of creations (the firing's own
+  for a fresh end, a backward candidate otherwise) that some witness can
+  read: for some canonical precondition binding and some postcondition link
+  of the association, the creation behind each end holds, in its binding,
+  the slots of every precondition element that the end's postcondition
+  element is traced to (``_link_needs``).  An end traced to nothing needs
+  nothing;
+- a target link is declared by the first apply link that writes it, and a
+  witness that needs a link no apply link writes is false;
+- a link's ends must exist only where a lower bound counts the link, and
+  that assertion is deferred with the lower bound (below).  Every other
+  read of a link, in a binding term, sits next to the existence of both
+  ends, and an upper bound only gains from a link fewer.
+
+The slicing applies to the encoding with its symmetry breaking, and its
+argument needs no symmetry.  Take a full model.  Each target link is true
+wherever one of its apply links' conditions holds; make it true there only,
+and only for the written apply links.  That removes links, and target links
+are read only by witnesses, which the query negates, so the result is a
+sliced model: unsat is kept.  Conversely, take a sliced model.  Make each
+pruned source link false, clear each link whose slot at either end does not
+exist, and make each target link true exactly where the condition of one of
+its apply links, written or pruned, holds.  No binding term changes, so
+firings, claims and traces stay as they were, and an apply link's condition
+holds claims, which hold their slots' existence.  Every full assertion then
+holds, except perhaps the query.  Suppose a witness for the selected
+canonical binding b reads, for a postcondition link whose ends are traced
+to b's slots S and T, a link that only a pruned apply link's condition made
+true.  That condition holds the claims of the two creations behind the
+apply link, and each existing target slot is claimed by exactly one
+creation.  The witness's trace terms (``trace_term``) read only those
+claims, so the two creations hold S and T, and the apply link was not
+pruned.  Every other link the witness reads was true in the sliced model,
+so the witness was there too, which the query rules out; sat is kept.
+``decode_counterexample`` decodes the sliced model, with the links between
+existing slots only: its target holds the links that the property reads.
 """
 
 from __future__ import annotations
@@ -140,7 +187,8 @@ class EncodeOptions:
 @dataclass
 class EncodedProblem:
     text: str
-    deferred: list            # withheld source multiplicity assertions
+    deferred: list            # withheld source multiplicity assertions,
+                              # with the link-end ones lower bounds need
     source_slots: dict        # class -> slot count (concrete classes)
     target_slots: dict
     pre_bindings: list        # canonical precondition bindings, by sel_ index
@@ -181,11 +229,12 @@ def _domain_codec(domain):
 class _World:
     """One side (source or target) of the bounded world."""
 
-    def __init__(self, tag, mm, bounds):
+    def __init__(self, tag, mm, bounds, assocs):
         self.tag = tag
         self.mm = mm
         self.slots = {c: bounds.get(c, 0) for c, ci in mm.info.items()
                       if not ci.abstract and bounds.get(c, 0) > 0}
+        self.assocs = assocs  # the associations whose links are encoded
 
     def all_slots(self, klass):
         """(concrete class, index) pairs compatible with a declared class."""
@@ -275,8 +324,21 @@ class Encoder:
         self.options = options
         self.deadline = deadline  # time.monotonic() value, or None
         self.t = transformation
-        self.src = _World("s", spec.metamodel(self.t.source), bounds.source)
-        self.tgt = _World("t", spec.metamodel(self.t.target), bounds.target)
+        # slicing (see the module docstring): the source links that a match
+        # or the precondition reads, or that a lower bound demands, and the
+        # target links that the postcondition reads
+        src_mm = spec.metamodel(self.t.source)
+        tgt_mm = spec.metamodel(self.t.target)
+        read_s = {l.assoc for _, rule in self.active_rules()
+                  for l in rule.match.links}
+        read_s |= {l.assoc for l in prop.precondition.links}
+        read_t = {l.assoc for l in prop.postcondition.links}
+        self.src = _World("s", src_mm, bounds.source,
+                          [a for a in src_mm.associations
+                           if a.name in read_s or a.lower >= 1])
+        self.tgt = _World("t", tgt_mm, bounds.target,
+                          [a for a in tgt_mm.associations
+                           if a.name in read_t])
         self.decls = []
         self.defs = []
         self.shared = {}          # Bool term text -> its defined name
@@ -340,28 +402,28 @@ class Encoder:
                     self.asserts.append(
                         f"(assert (=> (not {world.ex(c, i)}) "
                         f"(= {name} {_int(lo)})))")
-        for a in world.mm.associations:
-            rows = world.all_slots(a.source)
-            cols = world.all_slots(a.target)
-            for cs, i in rows:
-                for ct, j in cols:
-                    v = self.decl_bool(world.ln(a.name, cs, i, ct, j))
-                    self.asserts.append(
-                        f"(assert (=> {v} (and {world.ex(cs, i)} "
-                        f"{world.ex(ct, j)})))")
-            # multiplicities bind the source world only, and are deferred
-            # (see the module docstring)
-            if world is not self.src:
-                continue
-            for cs, i in rows:
-                row = [world.ln(a.name, cs, i, ct, j) for ct, j in cols]
-                if a.upper is not None:
-                    self._at_most(row, a.upper)
-                if a.lower >= 1:
-                    need = _or([_and(list(sub)) for sub in
-                                itertools.combinations(row, a.lower)])
-                    self.deferred.append(
-                        f"(assert (=> {world.ex(cs, i)} {need}))")
+        # source links; a target link is declared by the first apply link
+        # that writes it.  A link is read only next to the existence of both
+        # its ends, so only a lower bound, which a link to a missing slot
+        # could meet, needs the link's ends to exist; those assertions are
+        # deferred with the bounds (see the module docstring)
+        if world is self.src:
+            for a in world.assocs:
+                cols = world.all_slots(a.target)
+                for cs, i in world.all_slots(a.source):
+                    row = [self.decl_bool(world.ln(a.name, cs, i, ct, j))
+                           for ct, j in cols]
+                    if a.upper is not None:
+                        self._at_most(row, a.upper)
+                    if a.lower >= 1:
+                        self.deferred.extend(
+                            f"(assert (=> {v} (and {world.ex(cs, i)} "
+                            f"{world.ex(ct, j)})))"
+                            for v, (ct, j) in zip(row, cols))
+                        need = _or([_and(list(sub)) for sub in
+                                    itertools.combinations(row, a.lower)])
+                        self.deferred.append(
+                            f"(assert (=> {world.ex(cs, i)} {need}))")
         # ordered existence: each class's slots exist as a prefix (see the
         # module docstring)
         for c in sorted(world.slots):
@@ -465,7 +527,10 @@ class Encoder:
             if not (is_subtype(world.mm.info, cs, a.source)
                     and is_subtype(world.mm.info, ct, a.target)):
                 return "false"
-            terms.append(world.ln(l.assoc, cs, i, ct, j))
+            link = world.ln(l.assoc, cs, i, ct, j)
+            if world is self.tgt and link not in self.written_links:
+                return "false"  # no apply link writes it
+            terms.append(link)
         return self.share(_and(terms))
 
     # -- rules ------------------------------------------------------------------
@@ -496,14 +561,16 @@ class Encoder:
         # allowed lists the (value, slot) pairs the choice may take; a claim
         # on any other value is false in every model, so none is written
         choice_name = {}
-        # source slot -> [(li, apply element, fires, choice, allowed)] of the
-        # creations whose binding holds it, in creation order
+        # source slot -> [(li, apply element, creation)] of the creations
+        # whose binding holds it, in creation order; a creation is (source
+        # slots of its binding, fires, choice, allowed)
         creations_of = {}
         earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
                 fv = self.decl_bool(f"fr_{rule.name}_{bidx}")
                 fires_name[(rule.name, bidx)] = fv
+                src_slots = frozenset(binding.values())
                 for ae in rule.fresh_apply_elements():
                     slots = self.tgt.all_slots(ae.klass)
                     cv = f"ch_{rule.name}_{bidx}_{ae.name}"
@@ -520,9 +587,9 @@ class Encoder:
                     for c in {c for c, _ in slots}:
                         earlier[c] += 1
                     choice_name[(rule.name, bidx, ae.name)] = (cv, allowed)
-                    for src_slot in binding.values():
+                    for src_slot in src_slots:
                         creations_of.setdefault(src_slot, []).append(
-                            (li, ae, fv, cv, allowed))
+                            (li, ae, (src_slots, fv, cv, allowed)))
 
         # backward resolution candidates: creations of earlier layers whose
         # binding maps some match element to the demanded source slot
@@ -532,18 +599,19 @@ class Encoder:
             for apply_name, match_name in rule.backward:
                 apply_el = rule.apply.element_map()[apply_name]
                 src_slot = binding[match_name]
-                cands = [(fv2, cv2, allowed2) for lj, ae2, fv2, cv2, allowed2
+                cands = [creation for lj, ae2, creation
                          in creations_of.get(src_slot, ())
                          if lj < li and is_subtype(self.tgt.mm.info, ae2.klass,
                                                    apply_el.klass)]
                 resolved[apply_name] = cands
-                terms.append(_exactly_one([c[0] for c in cands]))
+                terms.append(_exactly_one([c[1] for c in cands]))
             return _and(terms), resolved
 
         # second pass: define each firing and wire up claims and links
         # (class, slot idx) -> [(source slots of the binding, claim term)]
         self.claims_by_slot = {}
         self.creation_index = []  # (binding, slot, fires, choice, k)
+        self.written_links = set()  # target links some apply link writes
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
                 self.checkpoint()
@@ -553,23 +621,20 @@ class Encoder:
                 self.asserts.append(
                     f"(assert (= {fv} {_and([match_term, bw_term])}))")
 
-                # slot expressions for apply elements
+                src_slots = frozenset(binding.values())
                 fresh = {ae.name: ae for ae in rule.fresh_apply_elements()}
 
-                def slot_cases(name):
-                    """(condition, (class, slot)) cases for an apply element."""
+                def creations(name):
+                    """The creations that may put apply element ``name`` in
+                    a slot: this firing's for a fresh element, else the
+                    backward candidates."""
                     if name in fresh:
-                        # the claim, which holds fv as well
-                        cv, allowed = choice_name[(rule.name, bidx, name)]
-                        return [(self.claim(fv, cv, k), slot)
-                                for k, slot in allowed]
-                    return [(self.claim(fv2, cv2, k), slot)
-                            for fv2, cv2, allowed2 in bw_cands.get(name, ())
-                            for k, slot in allowed2]
+                        return [(src_slots, fv,
+                                 *choice_name[(rule.name, bidx, name)])]
+                    return bw_cands.get(name, ())
 
                 # claims: firing picks a distinct existing slot per fresh
                 # element and binds its attributes
-                src_slots = frozenset(binding.values())
                 for ae in rule.fresh_apply_elements():
                     cv, allowed = choice_name[(rule.name, bidx, ae.name)]
                     if not allowed:
@@ -603,20 +668,11 @@ class Encoder:
 
                 # apply links between chosen slots
                 for l in rule.apply.links:
-                    a = self.tgt.mm.assoc_map()[l.assoc]
                     # a fresh end's claim already holds fv
                     lead = [] if l.source in fresh or l.target in fresh \
                         else [fv]
-                    for cond_s, (cs, i) in slot_cases(l.source):
-                        for cond_t, (ct, j) in slot_cases(l.target):
-                            if not (is_subtype(self.tgt.mm.info, cs, a.source)
-                                    and is_subtype(self.tgt.mm.info, ct,
-                                                   a.target)):
-                                continue
-                            cond = _and(lead + [cond_s, cond_t])
-                            self.asserts.append(
-                                f"(assert (=> {cond} "
-                                f"{self.tgt.ln(l.assoc, cs, i, ct, j)}))")
+                    self._apply_links(l, lead, creations(l.source),
+                                      creations(l.target))
 
         # target existence; each claim's assertion above gives claim => ex
         slots = [(c, j) for c in sorted(self.tgt.slots)
@@ -626,6 +682,54 @@ class Encoder:
                       in self.claims_by_slot.get((c, j), ())]
             self.asserts.append(
                 self._slot_existence(self.tgt.ex(c, j), claims))
+
+    def _apply_links(self, l, lead, ends_s, ends_t):
+        """Assert apply link ``l`` between each pair of slots that the
+        creations ``ends_s`` and ``ends_t`` may claim, for the pairs of
+        creations whose link a witness can read (see the module docstring).
+        ``lead`` holds the firing when neither end's claim does."""
+        needs = self.link_needs.get(l.assoc)
+        if not needs:
+            return
+        a = self.tgt.mm.assoc_map()[l.assoc]
+        for end_s in ends_s:
+            needs_t = [nt for ns, nt in needs if ns <= end_s[0]]
+            kept = [end_t for end_t in ends_t
+                    if any(nt <= end_t[0] for nt in needs_t)]
+            if not kept:  # before _slot_cases names any claim
+                continue
+            for cond_s, (cs, i) in self._slot_cases(end_s, a.source):
+                for end_t in kept:
+                    for cond_t, (ct, j) in self._slot_cases(end_t, a.target):
+                        cond = _and(lead + [cond_s, cond_t])
+                        link = self.tgt.ln(l.assoc, cs, i, ct, j)
+                        self.written_links.add(self.decl_bool(link))
+                        self.asserts.append(f"(assert (=> {cond} {link}))")
+
+    def _slot_cases(self, creation, klass):
+        """(claim, (class, slot)) for each slot of a class compatible with
+        ``klass`` that ``creation`` may claim."""
+        _, fv, cv, allowed = creation
+        return [(self.claim(fv, cv, k), (c, j)) for k, (c, j) in allowed
+                if is_subtype(self.tgt.mm.info, c, klass)]
+
+    def _link_needs(self):
+        """Target association the postcondition reads -> the (source end,
+        target end) pairs of source-slot sets, one per canonical
+        precondition binding and postcondition link of it: the slots of the
+        precondition elements that the link's end elements are traced to.
+        An apply link is read by a witness only if the creations behind its
+        ends hold both sets of some pair (see the module docstring)."""
+        traced = {}
+        for post_el, pre_el in self.prop.traces:
+            traced.setdefault(post_el, []).append(pre_el)
+        needs = {}
+        for l in self.prop.postcondition.links:
+            pairs = needs.setdefault(l.assoc, set())
+            for pre in self.pre_bindings:
+                pairs.add(tuple(frozenset(pre[e] for e in traced.get(end, ()))
+                                for end in (l.source, l.target)))
+        return needs
 
     def _slot_existence(self, ex, claims):
         """One assertion: target slot ``ex`` exists only if one of its
@@ -670,13 +774,10 @@ class Encoder:
     # -- property -------------------------------------------------------------------
 
     def encode_property(self):
-        pre_bindings = self.canonical_bindings(self.prop.precondition,
-                                               self.src)
-        self.pre_bindings = pre_bindings
         post_groups = self._post_components()
 
         cases = []
-        for pidx, pre in enumerate(pre_bindings):
+        for pidx, pre in enumerate(self.pre_bindings):
             self.checkpoint()
             sel = self.decl_bool(f"sel_{pidx}")
             pre_term = self.binding_term(self.prop.precondition, self.src,
@@ -685,13 +786,12 @@ class Encoder:
             for comp in post_groups:
                 witnesses = []
                 for post in self.enumerate_bindings(comp, self.tgt):
-                    w = [self.binding_term(comp, self.tgt, post)]
-                    for post_el, pre_el in self.prop.traces:
-                        if post_el not in post:
-                            continue
-                        w.append(self.trace_term(pre[pre_el],
-                                                 post[post_el]))
-                    witnesses.append(_and(w))
+                    w = [self.trace_term(pre[pre_el], post[post_el])
+                         for post_el, pre_el in self.prop.traces
+                         if post_el in post]
+                    if "false" not in w:
+                        w.append(self.binding_term(comp, self.tgt, post))
+                        witnesses.append(_and(w))
                 comp_refuted.append(_not(_or(witnesses)))
             no_witness = _or(comp_refuted) if comp_refuted else "false"
             self.asserts.append(
@@ -745,6 +845,9 @@ class Encoder:
     def encode(self):
         self.encode_world(self.src)
         self.encode_world(self.tgt)
+        self.pre_bindings = self.canonical_bindings(self.prop.precondition,
+                                                    self.src)
+        self.link_needs = self._link_needs()
         self.encode_rules()
         self.encode_property()
         lines = ["(set-logic QF_LIA)", "(set-option :produce-models true)"]
@@ -797,7 +900,7 @@ def decode_world(model, world):
                                     tuple(sorted(attrs.items()))))
     ids = {e.id for e in elements}
     links = []
-    for a in world.mm.associations:
+    for a in world.assocs:
         for cs, i in world.all_slots(a.source):
             for ct, j in world.all_slots(a.target):
                 if truthy(world.ln(a.name, cs, i, ct, j)):

@@ -288,8 +288,10 @@ def _violated_deferred(problem, source):
     breaks.
 
     The deferred assertions are the source multiplicities, written per link
-    row; re-checking them symbolically is unnecessary: the decoded source is
-    tested against each lower and upper bound concretely.
+    row, and the existing ends of the links that a lower bound counts;
+    re-checking them symbolically is unnecessary: the decoded source holds
+    links between existing elements only, and is tested against each lower
+    and upper bound concretely.
     """
     report = validate_conformance(source, problem.metadata["encoder"].src.mm)
     return [v for v in report.violations

@@ -1,6 +1,5 @@
 import io
 import itertools
-import os
 import re
 import time
 
@@ -15,7 +14,7 @@ from dsltv.engine import check_property_concrete, execute
 from dsltv.model import mandatory_closure, validate_conformance
 from dsltv.orchestrator import HOLDS, VIOLATED, PlanRejected, \
     VerificationConfig, plan_property, verify_property
-from dsltv.parser import parse_spec, parse_spec_file
+from dsltv.parser import parse_spec
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
 from dsltv import smtencode, smtrun, smtsolver
@@ -840,13 +839,17 @@ def test_ceiling_counts_an_at_most_term_as_its_counter_clauses():
 
 
 def test_upper_bound_encoding_grows_polynomially():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "specs", "mult.dslt")
-    spec = parse_spec_file(path)
+    # tags [0..3] is read by the precondition, so its links are encoded
+    spec = parse_spec(TAG_SPEC.replace("UPPER", "3"), "inline")
     bounds = PerClassBounds(source={"Item": 16, "Tag": 16},
-                            target={"ItemOut": 16})
-    problem = encode(spec, spec.property("ItemHasOut"), bounds,
+                            target={"Mark": 16})
+    problem = encode(spec, spec.property("ThreeTagsHaveMark"), bounds,
                      EncodeOptions(), spec.transformations[0])
+    # one deferred at-most-3 term per Item's row of 16 links
+    terms = [a for a in problem.deferred if a.startswith("(assert (<= (+ ")]
+    assert len(terms) == 16
+    assert all(t.count("(ite ln_s_tags_") == 16 and t.endswith(" 3))")
+               for t in terms)
     assertions = sum(1 for line in problem.text.splitlines()
                      if line.startswith("(assert")) + len(problem.deferred)
     # one clause per 4-subset of each 16-link row would be 16 * 1,820
@@ -932,3 +935,348 @@ def test_negative_constants_are_written_as_negations(monkeypatch):
         assert sizes == [cnf], prop.name
         assert out.getvalue().split()[0] == \
             ("sat" if want == VIOLATED else "unsat")
+
+
+# -- slicing to what the property reads ---------------------------------------
+
+def _assert_agrees_with_oracle(spec, source, target):
+    """For every property of ``spec``, ``verify`` and the encoding at the
+    source bounds ``source`` (with ``target`` slots per target class, one
+    for every creation) give the oracle's verdict, at the verifier's bounds
+    and at ``source``; every counterexample conforms and replays."""
+    t = spec.transformations[0]
+    mm = spec.metamodel(t.source)
+    bounds = PerClassBounds(source=source, target=target)
+    for prop in spec.properties:
+        verdict = verify_property(spec, prop)
+        own, _ = source_bounds_for(spec, prop,
+                                   RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+        assert verdict.status == oracle_verdict(spec, prop, own), prop.name
+        want = oracle_verdict(spec, prop, source)
+        problem = encode(spec, prop, bounds, EncodeOptions(), t)
+        solved, _ = lazy_closure_loop(problem, 60, spec)
+        assert solved.status == ("sat" if want == VIOLATED else "unsat"), \
+            prop.name
+        sources = []
+        if verdict.counterexample:
+            sources.append(verdict.counterexample[0])
+        if solved.status == "sat":
+            sources.append(decode_counterexample(solved.model, problem,
+                                                 spec)[0])
+        for src in sources:
+            assert validate_conformance(src, mm).conformant, prop.name
+            result = execute(t, src, spec)
+            assert not check_property_concrete(prop, src, result,
+                                               spec).holds, prop.name
+
+
+def _apply_links(text):
+    """The apply-link assertions of ``text``: a claim or firing implies a
+    target link."""
+    return [line for line in text.splitlines()
+            if re.fullmatch(r"\(assert \(=> \S.* ln_t_\w+\)\)", line)]
+
+
+def _keep_every_apply_link(monkeypatch):
+    """Make the encoder write every apply link of the associations that the
+    postcondition reads, as if no end were traced."""
+    monkeypatch.setattr(Encoder, "_link_needs", lambda self: {
+        l.assoc: {(frozenset(), frozenset())}
+        for l in self.prop.postcondition.links})
+
+
+# ref is read by a match and by a precondition; tag by neither.  With
+# LOWER = 0 its links are sliced away; with LOWER = 1 every A needs a B, so
+# B2TB makes a TB and AHasSomeTB holds, which the links' deferred lower
+# bounds must show.
+UNREAD_SPEC = """
+metamodel USrc {
+    class A { }
+    class B { }
+    assoc tag : A -> B [LOWER..*]
+    assoc ref : A -> B [0..*]
+}
+metamodel UTgt {
+    class TA { }
+    class TB { }
+    assoc tref : TA -> TB [0..*]
+}
+transformation unread : USrc -> UTgt {
+    layer Make {
+        rule A2TA { match { any a : A } apply { ta : TA } }
+        rule B2TB { match { any b : B } apply { tb : TB } }
+    }
+    layer Wire {
+        rule Ref2TRef {
+            match {
+                any a : A
+                any b : B
+                direct r : ref -- a.b
+            }
+            apply {
+                ta : TA
+                tb : TB
+                t : tref -- ta.tb
+            }
+            backward {
+                ta <--trace-- a
+                tb <--trace-- b
+            }
+        }
+    }
+}
+property RefHasTRef "A ref link maps to a tref link between the images." {
+    precondition {
+        any a : A
+        any b : B
+        direct r : ref -- a.b
+    }
+    postcondition {
+        ta : TA
+        tb : TB
+        t : tref -- ta.tb
+        ta <--trace-- a
+        tb <--trace-- b
+    }
+}
+property AHasSomeTB "Some TB exists wherever an A does." {
+    precondition { any a : A }
+    postcondition { tb : TB }
+}
+"""
+
+
+@pytest.mark.parametrize("lower, some_tb", [(0, VIOLATED), (1, HOLDS)])
+def test_unread_source_association_is_sliced_unless_bounded_below(lower,
+                                                                 some_tb):
+    spec = _inline_spec(UNREAD_SPEC.replace("LOWER", str(lower)))
+    t = spec.transformations[0]
+    assert oracle_verdict(spec, spec.property("AHasSomeTB"),
+                          {"A": 1, "B": 1}) == some_tb
+    for prop in spec.properties:
+        problem = encode(spec, prop, PerClassBounds(
+            source={"A": 2, "B": 2}, target={"TA": 2, "TB": 2}),
+            EncodeOptions(), t)
+        assert ("ln_s_tag_" in problem.text) == bool(lower), prop.name
+        assert bool(problem.deferred) == bool(lower), prop.name
+        assert "ln_s_ref_" in problem.text
+        # the postcondition of AHasSomeTB reads no tref link
+        assert ("ln_t_tref_" in problem.text) == \
+            (prop.name == "RefHasTRef"), prop.name
+    _assert_agrees_with_oracle(spec, {"A": 2, "B": 2},
+                               {"TA": 2, "TB": 2})
+
+
+# Special is a concrete subclass of Node, so the precondition has two
+# canonical bindings, x on Node_0 or on Special_0, with y on the next free
+# Special slot.  The ends of each postcondition link are traced to x and y:
+# only Next2TNext firings on (x, y) of some canonical binding write tnext
+# links.
+SUB_SPEC = """
+metamodel SubSrc {
+    class Node { }
+    class Special extends Node { }
+    assoc next : Node -> Special [0..*]
+}
+metamodel SubTgt {
+    class TN { }
+    assoc tnext : TN -> TN [0..*]
+}
+transformation sub : SubSrc -> SubTgt {
+    layer Make { rule Node2TN { match { any n : Node } apply { t : TN } } }
+    layer Wire {
+        rule Next2TNext {
+            match {
+                any a : Node
+                any b : Special
+                direct l : next -- a.b
+            }
+            apply {
+                ta : TN
+                tb : TN
+                e : tnext -- ta.tb
+            }
+            backward {
+                ta <--trace-- a
+                tb <--trace-- b
+            }
+        }
+    }
+}
+property NextHasTNext "A next link maps to a tnext link." {
+    precondition {
+        any x : Node
+        any y : Special
+        direct l : next -- x.y
+    }
+    postcondition {
+        tx : TN
+        ty : TN
+        e : tnext -- tx.ty
+        tx <--trace-- x
+        ty <--trace-- y
+    }
+}
+property NextHasBackTNext_ShouldFail "Negative: tnext runs forward only." {
+    precondition {
+        any x : Node
+        any y : Special
+        direct l : next -- x.y
+    }
+    postcondition {
+        tx : TN
+        ty : TN
+        e : tnext -- ty.tx
+        tx <--trace-- x
+        ty <--trace-- y
+    }
+}
+"""
+
+
+def test_apply_links_need_the_traces_of_both_ends(monkeypatch):
+    spec = _inline_spec(SUB_SPEC)
+    source = {"Node": 2, "Special": 2}
+    target = {"TN": 4}
+    bounds = PerClassBounds(source=source, target=target)
+    t = spec.transformations[0]
+    for prop in spec.properties:
+        problem = encode(spec, prop, bounds, EncodeOptions(), t)
+        assert problem.pre_bindings == [
+            {"x": ("Node", 0), "y": ("Special", 0)},
+            {"x": ("Special", 0), "y": ("Special", 1)}], prop.name
+        with monkeypatch.context() as m:
+            _keep_every_apply_link(m)
+            every = encode(spec, prop, bounds, EncodeOptions(), t)
+        assert 0 < len(_apply_links(problem.text)) \
+            < len(_apply_links(every.text)), prop.name
+    _assert_agrees_with_oracle(spec, source, target)
+
+
+# AB2P makes a P for each ab link, traced to both of its ends, and hangs it
+# off the TA of its A.  p has two traces in PairIsOwned and
+# PairIsOwnedByAnother_ShouldFail; the other properties leave the TA end of
+# their has link untraced, and SomeTAOwnsAP_ShouldFail both ends.
+PAIR_SPEC = """
+metamodel PairSrc {
+    class A { }
+    class B { }
+    assoc ab : A -> B [0..*]
+}
+metamodel PairTgt {
+    class TA { }
+    class P { }
+    assoc has : TA -> P [0..*]
+}
+transformation pairs : PairSrc -> PairTgt {
+    layer Make { rule A2TA { match { any a : A } apply { ta : TA } } }
+    layer Pair {
+        rule AB2P {
+            match {
+                any a : A
+                any b : B
+                direct l : ab -- a.b
+            }
+            apply {
+                ta : TA
+                p : P
+                h : has -- ta.p
+            }
+            backward { ta <--trace-- a }
+        }
+    }
+}
+property PairIsOwned "The P of a linked pair hangs off the pair's A." {
+    precondition {
+        any a : A
+        any b : B
+        direct l : ab -- a.b
+    }
+    postcondition {
+        ta : TA
+        p : P
+        h : has -- ta.p
+        ta <--trace-- a
+        p <--trace-- a
+        p <--trace-- b
+    }
+}
+property PairIsOwnedByAnother_ShouldFail "Negative: only its own A owns it." {
+    precondition {
+        any a : A
+        any a2 : A
+        any b : B
+        direct l : ab -- a.b
+    }
+    postcondition {
+        ta : TA
+        p : P
+        h : has -- ta.p
+        ta <--trace-- a2
+        p <--trace-- a
+        p <--trace-- b
+    }
+}
+property LinkedBHasOwnedP "A linked B's P is owned by some TA." {
+    precondition {
+        any a : A
+        any b : B
+        direct l : ab -- a.b
+    }
+    postcondition {
+        ta : TA
+        p : P
+        h : has -- ta.p
+        p <--trace-- b
+    }
+}
+property AnyBHasOwnedP_ShouldFail "Negative: an unlinked B has no P." {
+    precondition { any b : B }
+    postcondition {
+        ta : TA
+        p : P
+        h : has -- ta.p
+        p <--trace-- b
+    }
+}
+property SomeTAOwnsAP_ShouldFail "Negative: no link, no P." {
+    precondition { any b : B }
+    postcondition {
+        ta : TA
+        p : P
+        h : has -- ta.p
+    }
+}
+"""
+
+
+def test_apply_links_of_doubly_traced_and_untraced_ends(monkeypatch):
+    spec = _inline_spec(PAIR_SPEC)
+    source = {"A": 2, "B": 2}
+    target = {"TA": 2, "P": 4}
+    bounds = PerClassBounds(source=source, target=target)
+    t = spec.transformations[0]
+    links = {}
+    for prop in spec.properties:
+        problem = encode(spec, prop, bounds, EncodeOptions(), t)
+        with monkeypatch.context() as m:
+            _keep_every_apply_link(m)
+            every = encode(spec, prop, bounds, EncodeOptions(), t)
+        links[prop.name] = (len(_apply_links(problem.text)),
+                            len(_apply_links(every.text)))
+        # an untraced end needs nothing: with both ends untraced, every
+        # apply link is written
+        if prop.name == "SomeTAOwnsAP_ShouldFail":
+            assert problem.text == every.text
+    # AB2P fires on (A0, B0), (A0, B1), (A1, B0) and (A1, B1).  Value
+    # precedence gives their Ps 1, 2, 3 and 4 slots and the TAs of A0 and
+    # A1 1 and 2, so every apply link is 1 + 2 + 6 + 8 = 17 lines.  A
+    # witness for the canonical a = A0, b = B0 (and a2 = A1) reads only the
+    # first firing's link, needs a TA of A1 there, or reads the 1 + 6 links
+    # of the Ps of B0.
+    assert links == {"PairIsOwned": (1, 17),
+                     "PairIsOwnedByAnother_ShouldFail": (0, 17),
+                     "LinkedBHasOwnedP": (7, 17),
+                     "AnyBHasOwnedP_ShouldFail": (7, 17),
+                     "SomeTAOwnsAP_ShouldFail": (17, 17)}
+    _assert_agrees_with_oracle(spec, source, target)

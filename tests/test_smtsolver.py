@@ -11,14 +11,16 @@ import types
 import weakref
 
 import pytest
-from conftest import FIXTURES, load_spec
+from conftest import FIXTURES, fixture_specs, load_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsltv import smtsolver
 from dsltv.cli import main as cli_main
 from dsltv.cutoff import PerClassBounds
-from dsltv.smtencode import EncodeOptions, encode
+from dsltv.inheritance import is_subtype
+from dsltv.orchestrator import VerificationConfig, plan_property
+from dsltv.smtencode import EncodeOptions, EncodingCeilingError, encode
 from dsltv.smtrun import default_solver_command, discard_spare, run_solver
 from dsltv.parser import parse_spec_file
 from dsltv.smtsolver import Cnf, SmtScript, Solver, SmtSyntaxError
@@ -324,8 +326,8 @@ def _print_sexpr(form):
 
 @pytest.fixture(scope="module")
 def fixture_dumps(tmp_path_factory):
-    """(file name, text) of every problem ``verify --dump-smt`` writes for
-    the fixture specs."""
+    """(spec path/file name, text) of every problem ``verify --dump-smt``
+    writes for the fixture specs."""
     root = tmp_path_factory.mktemp("dumps")
     for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
                                  recursive=True)):
@@ -334,7 +336,8 @@ def fixture_dumps(tmp_path_factory):
                   str(root / os.path.relpath(path, FIXTURES))])
     dumps = sorted(root.rglob("*.smt2"))
     assert len(dumps) >= 40
-    return [(dump.name, dump.read_text()) for dump in dumps]
+    return [(str(dump.relative_to(root)), dump.read_text())
+            for dump in dumps]
 
 
 def test_every_fixture_problem_round_trips(fixture_dumps):
@@ -703,29 +706,42 @@ def _stress_problem(k):
                             k)
 
 
-def _mult_problem(k):
-    spec = parse_spec_file(os.path.join(FIXTURES, os.pardir, os.pardir,
+def _mult_spec():
+    return parse_spec_file(os.path.join(FIXTURES, os.pardir, os.pardir,
                                         "perfbench", "specs", "mult.dslt"))
-    return _uniform_problem(spec, "ItemHasOut", k)
 
 
-# (CNF variables, CNF clauses, conflicts) of the stress and mult ladders.
-# Grounding that produces another CNF, or a search that takes another path,
-# shows here first: update these deliberately, with the reason, when either
-# changes.  Splicing top-level connectives into clauses, instead of gating
-# them, took stress from (130, 394, 0), (371, 1302, 0) and (970, 3736, 0) to
+def _mult_problem(k):
+    return _uniform_problem(_mult_spec(), "ItemHasOut", k)
+
+
+# (CNF variables, CNF clauses, conflicts, text bytes) of the stress and mult
+# ladders.  An encoding that writes another text, grounding that produces
+# another CNF, or a search that takes another path, shows here first: update
+# these deliberately, with the reason, when any of them changes.  Splicing
+# top-level connectives into clauses, instead of gating them, took stress
+# from (130, 394, 0), (371, 1302, 0) and (970, 3736, 0) to
 # (103, 310, 0), (288, 1018, 0) and (762, 2986, 0); asserting target
 # existence with an at-most-one counter per slot, instead of an iff over
 # the pairwise exactly-one, took them to (83, 236, 0), (201, 648, 0) and
 # (392, 1418, 0), and mult to (117, 276, 0), (425, 1098, 0) and
 # (925, 2528, 0).  Writing claims for allowed slot values only, and
-# deferring the source upper bounds, took both to the values below.
-STRESS_LADDER = {2: (80, 220, 0), 3: (194, 587, 0), 4: (379, 1255, 0)}
-MULT_LADDER = {4: (74, 176, 0), 8: (228, 610, 0), 12: (462, 1364, 0)}
+# deferring the source upper bounds, took both to (80, 220, 0),
+# (194, 587, 0) and (379, 1255, 0), and (74, 176, 0), (228, 610, 0) and
+# (462, 1364, 0), with stress texts of 5,705, 14,675 and 31,260 bytes and
+# mult texts of 4,744, 14,959 and 30,874.  Slicing the encoding to what the
+# property reads (mult's tags links, all but one of stress's apply links,
+# the target links no apply link writes and the assertions that a link's
+# ends exist) took both to the values below.
+STRESS_LADDER = {2: (77, 193, 0, 3993), 3: (184, 493, 0, 8905),
+                 4: (361, 1023, 0, 16855)}
+MULT_LADDER = {4: (58, 144, 0, 2984), 8: (164, 482, 0, 7919),
+               12: (318, 1076, 0, 14890)}
 
 
 def _ladder(problem, rungs, monkeypatch):
-    """(CNF variables, CNF clauses, conflicts) of ``problem(k)`` per rung."""
+    """(CNF variables, CNF clauses, conflicts, text bytes) of
+    ``problem(k)`` per rung."""
     seen = []
 
     class Counting(Solver):
@@ -743,10 +759,10 @@ def _ladder(problem, rungs, monkeypatch):
     got = {}
     for k in rungs:
         seen.clear()
-        smtsolver.SmtScript().run(parse_sexprs(problem(k).text),
-                                  out=io.StringIO())
+        text = problem(k).text
+        smtsolver.SmtScript().run(parse_sexprs(text), out=io.StringIO())
         solver, = seen
-        got[k] = (*solver.size, solver.conflicts)
+        got[k] = (*solver.size, solver.conflicts, len(text.encode()))
     return got
 
 
@@ -817,10 +833,18 @@ def _outside_language(forms):
     return found
 
 
+def _mandatory_problem(k):
+    # owner [1..1] keeps its links through its lower bound, and at k >= 2
+    # its upper bound is a cardinality term of its own
+    return _uniform_problem(load_spec("corpus/c06_mandatory.dslt"),
+                            "ParentHasPOut", k)
+
+
 def test_encoder_writes_only_the_solver_language(fixture_dumps):
     texts = [text for _, text in fixture_dumps]
     for problem in [_stress_problem(k) for k in (2, 3, 4)] + \
-            [_mult_problem(k) for k in (4, 8, 12)]:
+            [_mult_problem(k) for k in (4, 8, 12)] + \
+            [_mandatory_problem(k) for k in (2, 3)]:
         texts += [problem.text,
                   problem.with_extra_assertions(problem.deferred).text]
     for text in texts:
@@ -877,6 +901,79 @@ def test_claims_name_allowed_slot_values_only(fixture_dumps):
                 assert int(k) in allowed[cv], (cv, k, line)
                 compared += 1
     assert compared > 100
+
+
+_DUMP_NAME = re.compile(r"(.+)_L([\d-]+)(_closed)?\.smt2")
+
+
+def _sliced_link_rows(spec, prop, t, rule_names=None):
+    """(link name prefix, existence variables of its row's slot and of the
+    first slots of the classes at the other end) of each row of links that
+    the encoding slices away: the rows of a source association that no
+    encoded rule's match and no precondition reads and no lower bound
+    demands, and of a target association that the postcondition does not
+    read."""
+    rules = [r for _, r in t.all_rules()
+             if rule_names is None or r.name in rule_names]
+    read = {l.assoc for r in rules for l in r.match.links} | \
+        {l.assoc for l in prop.precondition.links}
+    sliced = [("s", a) for a in spec.metamodel(t.source).associations
+              if a.name not in read and a.lower == 0]
+    read = {l.assoc for l in prop.postcondition.links}
+    sliced += [("t", a) for a in spec.metamodel(t.target).associations
+               if a.name not in read]
+    rows = []
+    for tag, a in sliced:
+        info = spec.metamodel(t.source if tag == "s" else t.target).info
+        cs, ct = ([c for c in info if not info[c].abstract
+                   and is_subtype(info, c, end)]
+                  for end in (a.source, a.target))
+        rows += [(f"ln_{tag}_{a.name}_{c}_", f"ex_{tag}_{c}_0",
+                  [f"ex_{tag}_{d}_0" for d in ct]) for c in cs]
+    return rows
+
+
+def test_unread_associations_have_no_links(fixture_dumps):
+    problems = []
+    for name, text in fixture_dumps:
+        spec_path, file_name = os.path.split(name)
+        m = _DUMP_NAME.fullmatch(file_name)
+        spec = load_spec(spec_path)
+        plan = plan_property(spec, spec.property(m[1]), VerificationConfig())
+        fragment = tuple(int(i) for i in m[2].split("-"))
+        problems.append((plan.spec, plan.prop, plan.t,
+                         plan.rule_names(fragment), text))
+        if not m[3]:
+            # a link's ends must exist only under a deferred lower bound
+            assert "(assert (=> ln_" not in text, name
+    # the ladder rungs, and every fixture property with every rule at
+    # uniform bound 2
+    rungs = [(load_spec("stress.dslt"), "ContainedClsHasDecl", k)
+             for k in (2, 3, 4)] + \
+        [(_mult_spec(), "ItemHasOut", k) for k in (4, 8, 12)] + \
+        [(spec, prop.name, 2) for _, spec in fixture_specs()
+         for prop in spec.properties]
+    for spec, name, k in rungs:
+        try:
+            text = _uniform_problem(spec, name, k).text
+        except EncodingCeilingError:  # an unbounded attribute domain
+            continue
+        problems.append((spec, spec.property(name), spec.transformations[0],
+                         None, text))
+    rows = 0
+    for spec, prop, t, rule_names, text in problems:
+        # a target link is declared by an apply link that writes it
+        assert set(re.findall(r"\(declare-const (ln_t_\w+) Bool\)", text)) \
+            <= set(re.findall(r"^\(assert \(=> .* (ln_t_\w+)\)\)$", text,
+                              re.M)), prop.name
+        for prefix, source, targets in _sliced_link_rows(spec, prop, t,
+                                                         rule_names):
+            assert prefix not in text, (prop.name, prefix)
+            # a row that would have had links: slots at both of its ends
+            if f"(declare-const {source} Bool)" in text and \
+                    any(f"(declare-const {x} Bool)" in text for x in targets):
+                rows += 1
+    assert rows > 25
 
 
 def _cnf_size(text, monkeypatch):
