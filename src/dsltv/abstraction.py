@@ -112,7 +112,10 @@ def collect_observables(spec):
     Observability sources: rule match guards, property attribute constraints,
     literal apply bindings (as equality predicates), and copy bindings, which
     propagate the target attribute's predicates back to the copied source
-    attribute (and vice versa, keeping the two partitions aligned).
+    attribute (and vice versa, keeping the two partitions aligned).  A copy
+    from a finite source domain observes each of its values (as equality
+    predicates on the target attribute), so that every value copied has a
+    block of its own in an abstracted target.
     """
     preds = {}
 
@@ -147,6 +150,12 @@ def collect_observables(spec):
                             (tgt_mm.name,
                              _declaring_class(tgt_mm, ae.klass, b.attr),
                              b.attr)))
+                        # the copy keeps every value of a finite source
+                        src_dom = src_mm.info[src_el.klass].attributes[
+                            b.value.attr]
+                        if src_dom.is_finite():
+                            for v in src_dom.values():
+                                note(tgt_mm, ae.klass, b.attr, "==", v)
                     else:
                         note(tgt_mm, ae.klass, b.attr, "==", b.value)
     for p in spec.properties:

@@ -3,8 +3,9 @@
 Given a property over a layered monotone transformation, compute:
   - the relevant rule set and backward-dependency depth (three pruning modes),
   - the three global cutoff formulas and their minimum K,
-  - per-class slot bounds as a least fixed point,
-  - the layer fragment to verify (Minimal / Baseline / Full).
+  - per-class slot bounds as a least fixed point, and target bounds that
+    cover what the rules can create,
+  - the layer fragment to verify (Minimal / Full).
 
 Relevance, the depth d and Minimal rest on one producer relation,
 `fragments.trace_producers` (the R3 check uses it too): the rules of the
@@ -12,11 +13,11 @@ layers below a cut-off that record a trace from a source type to a fresh
 element of a target type.  The property's demands, one per trace
 constraint and one per untraced postcondition element, seed the relevance
 worklist; each retained rule's backward pairs add demands on earlier
-layers.  d is the longest path over retained producers.  Baseline is the
-layers of the relevant rules, which that worklist has already closed
-under backward demands.  Minimal is the first producer per demand: the
-layer prefix up to the latest layer that holds the first relevant producer
-of some demand.
+layers.  d is the longest path over retained producers.  Minimal is the
+first producer per demand: the layer prefix up to the latest layer that
+holds the first relevant producer of some demand.  Only the relevant rules
+of a fragment's layers are encoded, so Full, every layer, encodes every
+relevant rule.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class RelevanceMode(Enum):
 
 class FragmentKind(Enum):
     MINIMAL = "minimal"
-    BASELINE = "baseline"
     FULL = "full"
 
 
@@ -258,22 +258,49 @@ def cutoff_params(spec, prop, relevance, closure, t):
 # Per-class bounds (least fixed point)
 # ---------------------------------------------------------------------------
 
+def target_production(spec, t, source, rule_names):
+    """Per concrete target class, the most elements that the rules named in
+    `rule_names` can create from a source with at most `source[c]` elements
+    of each concrete class c.
+
+    A rule fires at most once per binding of its match elements and creates
+    one element per fresh apply element.  An element of an abstract class
+    may take a slot of any concrete subtype, so it counts towards each of
+    them.  Nothing is capped: a firing that finds no free slot cannot fire,
+    and its source would leave the search with every violation it holds.
+    """
+    src_info = spec.metamodel(t.source).info
+    tgt_info = spec.metamodel(t.target).info
+    made = {c: 0 for c, ci in tgt_info.items() if not ci.abstract}
+    for _, rule in t.all_rules():
+        if rule.name not in rule_names:
+            continue
+        firings = 1
+        for e in rule.match.elements:
+            firings *= sum(source.get(c, 0)
+                           for c in src_info[e.klass].subtypes)
+        for e in rule.fresh_apply_elements():
+            for c in ([e.klass] if e.klass in made
+                      else tgt_info[e.klass].subtypes):
+                made[c] += firings
+    return made
+
+
 def per_class_bounds(spec, prop, relevance, k, t,
                      rule_names=None):
-    """Least fixed point of per-class slot obligations, capped at k.
+    """Least fixed point of per-class slot obligations.
 
     Source seeds are the property's precondition element counts (counting an
-    element for every concrete class compatible with its declared class);
-    mandatory lower bounds propagate on both sides; target production sums
-    bounded rule-firing counts.  `rule_names` restricts the producing rules
-    (defaults to the relevant set).
+    element for every concrete class compatible with its declared class),
+    and mandatory lower bounds propagate from them, capped at k.  A target
+    class gets its postcondition seed plus `target_production` from those
+    source bounds, uncapped, and then its mandatory lower bounds.
+    `rule_names` restricts the producing rules (defaults to the relevant
+    set).
     """
     src_mm = spec.metamodel(t.source)
     tgt_mm = spec.metamodel(t.target)
-    src_info = src_mm.info
-    tgt_info = tgt_mm.info
     names = relevance.relevant_rules if rule_names is None else set(rule_names)
-    rules = [rule for _, rule in t.all_rules() if rule.name in names]
 
     def seeds(pattern, info):
         counts = {c: 0 for c in info}
@@ -283,11 +310,12 @@ def per_class_bounds(spec, prop, relevance, k, t,
                     counts[c] += 1
         return {c: min(n, k) for c, n in counts.items()}
 
-    src = seeds(prop.precondition, src_info)
-    tgt_seed = seeds(prop.postcondition, tgt_info)
+    src = seeds(prop.precondition, src_mm.info)
+    tgt_seed = seeds(prop.postcondition, tgt_mm.info)
 
     def closure_fixpoint(base, mm):
-        """counts[B] = min(k, base[B] + sum of lower * count(forcing A))."""
+        """counts[B] = max(base[B], min(k, base[B] + sum of lower *
+        count(forcing A)))."""
         counts = dict(base)
         changed = True
         while changed:
@@ -307,21 +335,9 @@ def per_class_bounds(spec, prop, relevance, k, t,
         return counts
 
     src = closure_fixpoint(src, src_mm)
-
-    def source_count(klass):
-        # available choices for a match element of declared class `klass`
-        return min(k, sum(src[c] for c in src_info
-                          if is_subtype(src_info, c, klass)))
-
-    production = {c: 0 for c in tgt_info}
-    for rule in rules:
-        n_r = 1
-        for e in rule.match.elements:
-            n_r = min(k, n_r * source_count(e.klass))
-        for e in rule.fresh_apply_elements():
-            production[e.klass] = min(k, production[e.klass] + n_r)
-    tgt_base = {c: min(k, tgt_seed[c] + production[c]) for c in tgt_info}
-    tgt = closure_fixpoint(tgt_base, tgt_mm)
+    made = target_production(spec, t, src, names)
+    tgt = closure_fixpoint({c: n + made.get(c, 0)
+                            for c, n in tgt_seed.items()}, tgt_mm)
     return PerClassBounds(src, tgt)
 
 
@@ -333,17 +349,13 @@ def select_fragment(spec, prop, relevance, kind, t):
     """Ordered layer-index subset to verify.
 
     Minimal is the shortest layer prefix that holds, for every demanded
-    postcondition type / trace pair, its first relevant producer.  Baseline
-    is the layers of all relevant rules.  Full is every layer.
+    postcondition type / trace pair, its first relevant producer.  Full is
+    every layer.
     """
     n = len(t.layers)
     if kind is FragmentKind.FULL:
         return tuple(range(n))
     relevant = relevance.relevant_rules
-    if kind is FragmentKind.BASELINE:
-        # relevance retained the producers of every retained rule's backward
-        # pairs, so these layers are closed under backward demands
-        return tuple(sorted({t.rule_layer(r) for r in relevant}))
     src_info = spec.metamodel(t.source).info
     tgt_info = spec.metamodel(t.target).info
     if not relevant:

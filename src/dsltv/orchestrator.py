@@ -19,7 +19,7 @@ from .abstraction import synthesize_abstraction, validate_abstraction, \
 from .cutoff import (
     CutoffBounds, CutoffParams, FragmentKind, PerClassBounds, RelevanceMode,
     RelevanceResult, compute_cutoff, cutoff_params, per_class_bounds,
-    relevant_rules, select_fragment,
+    relevant_rules, select_fragment, target_production,
 )
 from .engine import check_property_concrete, execute
 from .fragments import check_flnr, check_gbpp
@@ -141,19 +141,21 @@ class PropertyPlan:
                             if self.t.rule_layer(r) in fragment))
 
     def bounds(self, fragment):
-        """Per-class slot bounds for `fragment`, or K for every concrete
-        class when per-class bounds are off."""
+        """Per-class slot bounds for `fragment`.  When per-class bounds are
+        off, every concrete source class gets K, and every concrete target
+        class K or what the fragment's rules can create from that source,
+        whichever is more."""
         k = self.cutoff.k
+        names = self.rule_names(fragment)
         if self.per_class:
             return per_class_bounds(self.spec, self.prop, self.relevance, k,
-                                    self.t,
-                                    rule_names=self.rule_names(fragment))
-
-        def uniform(mm_name):
-            return {c: k for c, ci in self.spec.metamodel(mm_name).info.items()
-                    if not ci.abstract}
-        return PerClassBounds(source=uniform(self.t.source),
-                              target=uniform(self.t.target))
+                                    self.t, rule_names=names)
+        source = {c: k for c, ci in
+                  self.spec.metamodel(self.t.source).info.items()
+                  if not ci.abstract}
+        made = target_production(self.spec, self.t, source, names)
+        return PerClassBounds(source=source,
+                              target={c: max(k, n) for c, n in made.items()})
 
 
 def plan_property(spec, prop, config):
@@ -286,15 +288,13 @@ class _PropertyRun:
             if verdict.status != VIOLATED:
                 break
             result = execute(plan.t, verdict.counterexample[0], plan.spec)
-            matching = set()
-            if self.config.fragment_kind is FragmentKind.MINIMAL:
-                # a rule has a match on the source exactly when its
-                # execution fired or skipped it
-                matched = {f.rule for f in result.firings} | \
-                    {rule for rule, _, _ in result.skipped}
-                matching = {plan.t.rule_layer(r) for r in
-                            matched & plan.relevance.relevant_rules} \
-                    - set(fragment)
+            # a rule has a match on the source exactly when its execution
+            # fired or skipped it; a Full fragment leaves no layer out
+            matched = {f.rule for f in result.firings} | \
+                {rule for rule, _, _ in result.skipped}
+            matching = {plan.t.rule_layer(r) for r in
+                        matched & plan.relevance.relevant_rules} \
+                - set(fragment)
             if not matching:
                 # no omitted relevant rule matches this source: the
                 # violation is real

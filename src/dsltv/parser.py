@@ -517,6 +517,23 @@ def _domain_kind(domain):
     return domain.enum
 
 
+def _uncopied(src_domain, domain):
+    """None when `domain` holds every value of `src_domain`, which has the
+    same kind; otherwise a description of a value it lacks.  A copy binding
+    keeps its value, and the encoder can put only the target domain's
+    values in a target attribute."""
+    if not domain.is_finite():
+        return None
+    if not src_domain.is_finite():
+        return "most values of its unbounded source domain"
+    kept = set(domain.values())
+    for v in src_domain.values():
+        if v not in kept:
+            return "the value " + (v.literal if isinstance(v, EnumValue)
+                                   else repr(v))
+    return None
+
+
 def _literal_kind(value):
     """The `_domain_kind` a literal belongs to."""
     if isinstance(value, EnumValue):
@@ -754,6 +771,10 @@ class _Resolver:
                                      f"'{b.value.element}.{b.value.attr}' "
                                      f"({_domain_kind(src_dom)}) into a "
                                      f"{_domain_kind(dom)} attribute", b)
+                        elif (missing := _uncopied(src_dom, dom)) is not None:
+                            self.err(f"{where}: binding '{e.name}.{b.attr}' copies "
+                                     f"'{b.value.element}.{b.value.attr}' into "
+                                     f"a domain without {missing}", b)
                 else:
                     self.check_literal_against(
                         dom, b.value, f"{where}: binding '{e.name}.{b.attr}'", b)

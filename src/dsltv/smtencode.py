@@ -752,15 +752,12 @@ class Encoder:
             svar = self.src.at(cs, i, b.value.attr)
             if type(sdom) is type(dom) and sdom == dom:
                 return f"(= {tvar} {svar})"
-            # translate value-by-value across differing finite domains
-            cases = []
-            for v in sdom.values():
-                try:
-                    cases.append(_and([f"(= {svar} {_int(senc(v))})",
-                                       f"(= {tvar} {_int(enc(v))})"]))
-                except KeyError:
-                    continue
-            return _or(cases)
+            # translate value-by-value across differing finite domains; the
+            # parser and the abstraction keep every source value in the
+            # target domain, so each value has its case
+            return _or([_and([f"(= {svar} {_int(senc(v))})",
+                              f"(= {tvar} {_int(enc(v))})"])
+                        for v in sdom.values()])
         return f"(= {tvar} {_int(enc(b.value))})"
 
     # -- traces ------------------------------------------------------------------

@@ -159,56 +159,55 @@ def test_execution_monotone_under_submodels(corpus):
 
 # -- 7: option composability ---------------------------------------------------
 
-_MIN, _BASE, _FULL = (FragmentKind.MINIMAL, FragmentKind.BASELINE,
-                      FragmentKind.FULL)
-_LEG, _TR, _TRA = (RelevanceMode.LEGACY, RelevanceMode.TRACE_AWARE,
-                   RelevanceMode.TRACE_ATTRIBUTE_AWARE)
-
-# (per_class, fragment_kind, relevance_mode): every per_class x fragment
-# combination at the default relevance (run by
-# test_all_option_combinations_agree), then each fragment with the two
-# other relevance modes, alternating per_class
-OPTION_ROWS = [
-    (True, _MIN, _TRA), (False, _MIN, _TRA), (True, _BASE, _TRA),
-    (False, _BASE, _TRA), (True, _FULL, _TRA), (False, _FULL, _TRA),
-    (True, _MIN, _LEG), (False, _MIN, _TR), (False, _BASE, _LEG),
-    (True, _BASE, _TR), (True, _FULL, _LEG), (False, _FULL, _TR),
-]
+# the three ablation axes: a VerificationConfig field and its values
+_AXES = (("per_class", (True, False)),
+         ("fragment_kind", tuple(FragmentKind)),
+         ("relevance_mode", tuple(RelevanceMode)))
 
 
-def test_option_pairs_agree(corpus):
-    values = [(True, False), tuple(FragmentKind), tuple(RelevanceMode)]
-    for i, j in itertools.combinations(range(3), 2):
-        assert {(row[i], row[j]) for row in OPTION_ROWS} == \
-            set(itertools.product(values[i], values[j])), (i, j)
-    default = VerificationConfig().relevance_mode
-    assert {row[:2] for row in OPTION_ROWS if row[2] is default} == \
-        set(itertools.product(values[0], values[1]))
-    for name, spec in corpus:
-        for prop in spec.properties:
-            for per_class, fragment, mode in OPTION_ROWS:
-                if mode is default:
-                    continue
-                config = VerificationConfig(per_class=per_class,
-                                            fragment_kind=fragment,
-                                            relevance_mode=mode)
+# (per_class, fragment_kind, relevance_mode) -> each property's verdict event
+# on the corpus plus cegar.dslt, without its time and fragment; filled once
+# per row, so the two tests below solve each row once between them
+_EVENTS = {}
+
+
+def _option_events(corpus, cegar_spec, row):
+    if row not in _EVENTS:
+        config = VerificationConfig(**dict(zip((n for n, _ in _AXES), row)))
+        # only cegar.dslt needs refinement, so only it separates the fragments
+        suites = list(corpus) + [("cegar.dslt", cegar_spec)]
+        events = []
+        for name, spec in suites:
+            for prop in spec.properties:
                 verdict = verify_property(spec, prop, config)
                 assert verdict.status == _expected(prop.name), \
-                    (name, prop.name, per_class, fragment, mode)
+                    (name, prop.name, row)
+                event = verdict.event(prop.name)
+                del event["timeSec"], event["fragment"]
+                events.append(event)
+        _EVENTS[row] = events
+    return _EVENTS[row]
 
 
-def test_all_option_combinations_agree(corpus):
-    combos = list(itertools.product((True, False), tuple(FragmentKind)))
-    assert len(combos) == 6
-    for name, spec in corpus:
-        for prop in spec.properties:
-            expected = _expected(prop.name)
-            for per_class, fragment in combos:
-                config = VerificationConfig(per_class=per_class,
-                                            fragment_kind=fragment)
-                verdict = verify_property(spec, prop, config)
-                assert verdict.status == expected, \
-                    (name, prop.name, per_class, fragment)
+def test_all_option_combinations_agree(corpus, cegar_spec):
+    configs = list(itertools.product(*(values for _, values in _AXES)))
+    assert len(configs) == 12
+    for row in configs:
+        _option_events(corpus, cegar_spec, row)
+
+
+def test_option_pairs_agree(corpus, cegar_spec):
+    # no option is a no-op: any two values of one axis, the other axes at
+    # their defaults, agree on every status but give a different verdict
+    # event on some property
+    default = VerificationConfig()
+    base = tuple(getattr(default, n) for n, _ in _AXES)
+    for i, (axis, values) in enumerate(_AXES):
+        for a, b in itertools.combinations(values, 2):
+            row_a = base[:i] + (a,) + base[i + 1:]
+            row_b = base[:i] + (b,) + base[i + 1:]
+            assert _option_events(corpus, cegar_spec, row_a) != \
+                _option_events(corpus, cegar_spec, row_b), (axis, a, b)
 
 
 # -- 8: refinement behavior -----------------------------------------------------

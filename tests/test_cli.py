@@ -165,10 +165,15 @@ def test_duplicate_names_are_reported_in_declaration_order(tmp_path):
 
 
 def test_usage_error_exits_three(capsys):
-    for bad in (["--fragment", "bogus"], ["--eager-closure"]):
+    # the removed baseline fragment names the choices that remain
+    for bad, named in ((["--fragment", "bogus"], ()),
+                       (["--eager-closure"], ()),
+                       (["--fragment", "baseline"], ("'minimal'", "'full'"))):
         with pytest.raises(SystemExit) as exc:
             main(["verify", UML, *bad])
         assert exc.value.code == 3, bad
+        err = capsys.readouterr().err
+        assert all(choice in err for choice in named), err
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
@@ -202,6 +207,7 @@ def test_explicit_flags_win_over_config_file(tmp_path):
     ("dependency-mode = bogus", "--dependency-mode"),
     ("per-class = maybe", "per-class"),
     ("lazy-closure = true", "lazy-closure"),
+    ("fragment = baseline", "choose from 'minimal', 'full'"),
 ])
 def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, line, key):
     cfg = tmp_path / "dsltv.cfg"

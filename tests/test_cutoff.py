@@ -124,9 +124,9 @@ def _producer_layers(spec, prop, t):
 
 
 def test_fragment_kinds_are_nested():
-    # every fixture, every dependency mode; in the trace modes Baseline is
-    # the layers of the producers the property demands, closed over their
-    # backward pairs
+    # every fixture, every dependency mode; in the trace modes the layers
+    # of the relevant rules are those of the producers the property
+    # demands, closed over their backward pairs
     for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
                                  recursive=True)):
         spec = load_spec(os.path.relpath(path, FIXTURES))
@@ -137,28 +137,27 @@ def test_fragment_kinds_are_nested():
             rel = relevant_rules(spec, prop, mode, t)
             minimal = select_fragment(spec, prop, rel, FragmentKind.MINIMAL,
                                       t)
-            baseline = select_fragment(spec, prop, rel,
-                                       FragmentKind.BASELINE, t)
             full = select_fragment(spec, prop, rel, FragmentKind.FULL, t)
+            relevant = tuple(sorted({t.rule_layer(r)
+                                     for r in rel.relevant_rules}))
             assert set(minimal) <= set(full), where
-            assert set(baseline) <= set(full), where
             if rel.relevant_rules:
                 # legacy relevance ignores trace sources, so a trace demand
                 # can lack a relevant producer; Minimal is then every layer
-                assert set(minimal) <= set(baseline) or (
+                assert set(minimal) <= set(relevant) or (
                     mode is RelevanceMode.LEGACY and minimal == full), where
             assert tuple(full) == tuple(range(n_layers))
             if mode is not RelevanceMode.LEGACY:
                 # no fixture has a guard that rules a producer out, or a
                 # rule that only links elements it resolves backward, so
                 # the walk reaches exactly the relevant rules
-                assert baseline == _producer_layers(spec, prop, t), where
+                assert relevant == _producer_layers(spec, prop, t), where
 
 
 def test_relevance_keeps_the_producers_of_backward_pairs():
-    # Baseline is the layers of the relevant rules; that set is closed
-    # under backward demands only because every earlier-layer producer of a
-    # relevant rule's backward pair is itself relevant, in every mode
+    # the relevant rules are closed under backward demands: every
+    # earlier-layer producer of a relevant rule's backward pair is itself
+    # relevant, in every mode
     checked = 0
     for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
                                  recursive=True)):

@@ -2,6 +2,7 @@ import json
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 from conftest import load_spec
 from oracle import oracle_verdict, source_bounds_for
@@ -9,7 +10,8 @@ from oracle import oracle_verdict, source_bounds_for
 from dsltv import cli, orchestrator
 from dsltv.cutoff import RelevanceMode, relevant_rules
 from dsltv.engine import check_property_concrete, execute
-from dsltv.model import InstanceModel, validate_conformance
+from dsltv.model import InstanceModel, dump_model, load_model, \
+    validate_conformance
 from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, PropertyVerdict,
                                 VerificationConfig, _PropertyRun,
                                 plan_property, verify_all, verify_property)
@@ -458,3 +460,126 @@ property XHasY { precondition { x : X } postcondition { any y : Y } }
     assert cli.main(["cutoff", str(path)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["XHasY"]["reason"] == "fragment"
+
+
+# -- verdicts that must match the oracle and replay through `dsltv run` --------
+
+def _assert_oracle_and_replay(tmp_path, text, expected, config=None):
+    """Every property of ``text`` gets its ``expected`` verdict, which the
+    oracle gives at the verifier's source bounds, and every counterexample
+    replays: ``dsltv run`` on the dumped source, then the concrete check on
+    the target it writes."""
+    spec = parse_spec(text, "inline")
+    assert not isinstance(spec, list), spec
+    path = tmp_path / "spec.dslt"
+    path.write_text(text)
+    for prop in spec.properties:
+        verdict = verify_property(spec, prop, config)
+        assert verdict.status == expected[prop.name], (prop.name, verdict)
+        bounds, t = source_bounds_for(spec, prop,
+                                      RelevanceMode.TRACE_ATTRIBUTE_AWARE)
+        assert oracle_verdict(spec, prop, bounds, t) == verdict.status, \
+            prop.name
+        if verdict.status != VIOLATED:
+            continue
+        source = verdict.counterexample[0]
+        model, out = tmp_path / "source.json", tmp_path / "target.json"
+        model.write_text(dump_model(source))
+        assert cli.main(["run", str(path), "--model", str(model),
+                         "--out", str(out)]) == 0
+        executed = SimpleNamespace(target=load_model(out.read_text()))
+        assert not check_property_concrete(prop, source, executed,
+                                           spec).holds, prop.name
+
+
+# A copies v, 0..3, into an attribute whose domain is wider (the encoder
+# translates value by value) or unbounded (abstraction keeps every value
+# copied, beside the blocks of w > 5).  No value gives w > 5.
+COPY_INTO = """
+metamodel SA {{ class A {{ v: Int[0..3] }} }}
+metamodel TB {{ class B {{ w: {domain} }} }}
+transformation ab : SA -> TB {{
+    layer L {{ rule A2B {{ match {{ any a : A }} apply {{ b : B {{ w = a.v }} }} }} }}
+}}
+property EveryAHasB {{
+    precondition {{ any a : A }}
+    postcondition {{
+        b : B
+        b <--trace-- a
+    }}
+}}
+property EveryAHasBigB {{
+    precondition {{ any a : A }}
+    postcondition {{
+        b : B where w > 5
+        b <--trace-- a
+    }}
+}}
+"""
+
+
+def test_copy_into_a_wider_or_abstracted_domain_keeps_every_value(tmp_path):
+    expected = {"EveryAHasB": HOLDS, "EveryAHasBigB": VIOLATED}
+    for domain in ("Int[0..7]", "Int"):
+        _assert_oracle_and_replay(
+            tmp_path, COPY_INTO.format(domain=domain), expected)
+    spec = parse_spec(COPY_INTO.format(domain="Int"), "inline")
+    plan = plan_property(spec, spec.property("EveryAHasBigB"),
+                         VerificationConfig())
+    w = plan.spec.metamodel("TB").info["B"].attributes["w"]
+    assert set(w.values()) == {-1, 0, 1, 2, 3, 4, 6}
+
+
+# R1 and R2 both make a D for an A with f = true, so R3's backward pair is
+# ambiguous there and R3 skips it: such an A has no E.  K is 1, and the
+# D bound must count both creations, not stop at K.
+TWO_PRODUCERS = """
+metamodel SA { class A { f: Bool } }
+metamodel TD {
+    class D { }
+    class E { }
+    assoc ref : E -> D [0..*]
+}
+transformation ad : SA -> TD {
+    layer One {
+        rule R1 { match { any a : A } apply { d : D } }
+        rule R2 { match { any a : A where f == true } apply { d : D } }
+    }
+    layer Two {
+        rule R3 {
+            match { any a : A }
+            apply {
+                e : E
+                d : D
+                l : ref -- e.d
+            }
+            backward { d <--trace-- a }
+        }
+    }
+}
+property EveryAHasE {
+    precondition { any a : A }
+    postcondition {
+        e : E
+        e <--trace-- a
+    }
+}
+property FalseAHasE {
+    precondition { any a : A where f == false }
+    postcondition {
+        e : E
+        e <--trace-- a
+    }
+}
+"""
+
+
+def test_target_bounds_cover_every_creation(tmp_path):
+    expected = {"EveryAHasE": VIOLATED, "FalseAHasE": HOLDS}
+    for per_class in (True, False):
+        config = VerificationConfig(per_class=per_class)
+        _assert_oracle_and_replay(tmp_path, TWO_PRODUCERS, expected, config)
+        spec = parse_spec(TWO_PRODUCERS, "inline")
+        plan = plan_property(spec, spec.property("EveryAHasE"), config)
+        assert plan.cutoff.k == 1
+        assert plan.bounds(plan.fragment).target["D"] >= 2, per_class

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from dsltv.cli import main
 from dsltv.inheritance import InheritanceCycleError
 from dsltv.parser import COMPARISON_OPS, parse_spec, parse_spec_file
 from dsltv.printer import print_spec
@@ -191,8 +192,53 @@ transformation t : M -> N {{
              "String": "String", "K": "K", "J": "J"}
     for src, tgt in itertools.product(kinds.keys() - {"J"}, kinds):
         result = parse_spec(template.format(src=src, tgt=tgt), "inline")
-        assert isinstance(result, list) == (kinds[src] != kinds[tgt]), \
-            (src, tgt, result)
+        # an unbounded Int has values that Int[0..3] lacks
+        rejected = kinds[src] != kinds[tgt] or (src, tgt) == ("Int",
+                                                              "Int[0..3]")
+        assert isinstance(result, list) == rejected, (src, tgt, result)
+
+
+COPY_DOMAINS = """
+metamodel M {{
+    enum K {{ X, Y }}
+    class A {{ v: {src} }}
+}}
+metamodel N {{
+    enum K {{ {literals} }}
+    class B {{ w: {tgt} }}
+}}
+transformation t : M -> N {{
+    layer L {{ rule R {{ match {{ any a : A }} apply {{ b : B {{ w = a.v }} }} }} }}
+}}
+"""
+
+
+@pytest.mark.parametrize("src, tgt, literals, missing", [
+    ("Int[0..3]", "Int[0..2]", "X", "the value 3"),
+    ("Int[0..3]", "Int[0..5]", "X", None),
+    ("Int[0..3]", "Int", "X", None),
+    ("Int", "Int[0..3]", "X", "most values of its unbounded source domain"),
+    ('String["a", "b"]', 'String["a"]', "X", "the value 'b'"),
+    ('String["a"]', 'String["b", "a"]', "X", None),
+    ('String["a"]', "String", "X", None),
+    ("K", "K", "X", "the value Y"),
+    ("K", "K", "Y, X", None),
+])
+def test_copy_into_a_domain_without_a_source_value_is_reported(
+        tmp_path, capsys, src, tgt, literals, missing):
+    text = COPY_DOMAINS.format(src=src, tgt=tgt, literals=literals)
+    result = parse_spec(text, "inline")
+    if missing is None:
+        assert not isinstance(result, list), result
+        return
+    assert _errors(text) == ("rule 'R': binding 'b.w' copies 'a.v' into a "
+                             f"domain without {missing}")
+    path = tmp_path / "copy.dslt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 3
+    assert missing in capsys.readouterr().err
 
 
 def test_trace_constraint_rejected_in_match():

@@ -1280,3 +1280,56 @@ def test_apply_links_of_doubly_traced_and_untraced_ends(monkeypatch):
                      "AnyBHasOwnedP_ShouldFail": (7, 17),
                      "SomeTAOwnsAP_ShouldFail": (17, 17)}
     _assert_agrees_with_oracle(spec, source, target)
+
+
+# -- fresh elements of one class ------------------------------------------------
+
+# A2TwoB creates two B elements per A, and their choices share slots: the
+# encoding asserts that one firing puts them in distinct slots.
+TWO_FRESH_SPEC = """
+metamodel S { class A { } }
+metamodel T { class B { } }
+transformation t : S -> T {
+    layer L { rule A2TwoB { match { any a : A } apply { b1 : B  b2 : B } } }
+}
+property EveryAHasTwoB "Each A makes two Bs of its own." {
+    precondition { any a : A }
+    postcondition {
+        b1 : B
+        b2 : B
+        b1 <--trace-- a
+        b2 <--trace-- a
+    }
+}
+property EveryAHasThreeB_ShouldFail "Negative: no A makes three Bs." {
+    precondition { any a : A }
+    postcondition {
+        b1 : B
+        b2 : B
+        b3 : B
+        b1 <--trace-- a
+        b2 <--trace-- a
+        b3 <--trace-- a
+    }
+}
+"""
+
+
+def test_fresh_elements_of_one_class_take_distinct_slots():
+    spec = _inline_spec(TWO_FRESH_SPEC)
+    t = spec.transformations[0]
+    problem = encode(spec, spec.property("EveryAHasTwoB"),
+                     PerClassBounds(source={"A": 2}, target={"B": 4}),
+                     EncodeOptions(), t)
+    # value precedence leaves b1 of the first firing slot 0 only, and b2
+    # slots 0 and 1; the second firing's choices share slots 0 to 3
+    distinct = re.findall(r"\(assert \(=> (fr_A2TwoB_\d) \(not \(and "
+                          r"\(= ch_A2TwoB_\d_b1 (\d)\) "
+                          r"\(= ch_A2TwoB_\d_b2 (\d)\)\)\)\)\)",
+                          problem.text)
+    assert ("fr_A2TwoB_0", "0", "0") in distinct
+    assert all(kx == ky for _, kx, ky in distinct) and len(distinct) > 1
+    assert verify_property(spec, "EveryAHasTwoB").status == HOLDS
+    assert verify_property(spec, "EveryAHasThreeB_ShouldFail").status \
+        == VIOLATED
+    _assert_agrees_with_oracle(spec, {"A": 2}, {"B": 4})

@@ -8,8 +8,11 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from dsltv import smtrun
-from dsltv.orchestrator import VerificationConfig, verify_all
+from dsltv.orchestrator import VerificationConfig, verify_all, \
+    verify_property
 from dsltv.smtrun import default_solver_command, discard_spare, run_solver
 
 from conftest import load_spec
@@ -226,3 +229,24 @@ def test_back_to_back_solves_do_not_sleep(monkeypatch):
     for _ in range(10):
         assert run_solver(SAT, 60).status == "sat"
     assert sleeps == []
+
+
+@pytest.mark.parametrize("answer", [
+    "unknown\n",
+    "sat\n((define-fun ex_s_Source_0 () Bool\n",
+    "Segmentation fault\n",
+])
+def test_unusable_answers_are_solver_errors(answer):
+    # a solver that reads the problem and prints an answer the verifier
+    # cannot use: no model, an unreadable one, or no answer at all
+    spec = load_spec("corpus/c01_copy.dslt")
+    config = VerificationConfig(solver_command=[
+        sys.executable, "-c",
+        f"import sys; sys.stdin.read(); sys.stdout.write({answer!r})"])
+    verdict = verify_property(spec, "SourceHasTarget", config)
+    assert (verdict.status, verdict.reason) == ("UNKNOWN", "solver-error")
+    assert verdict.detail.strip() == answer.strip()
+    # the solving child was reaped; only the spare is left
+    assert set(_children()) == {smtrun._spare.pid}
+    discard_spare()
+    assert _children() == {}
