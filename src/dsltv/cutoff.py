@@ -3,8 +3,8 @@
 Given a property over a layered monotone transformation, compute:
   - the relevant rule set and backward-dependency depth (three pruning modes),
   - the three global cutoff formulas and their minimum K,
-  - per-class slot bounds as a least fixed point, and target bounds that
-    cover what the rules can create,
+  - per-class source slot bounds as a least fixed point, and target
+    bounds that cover what the rules can create,
   - the layer fragment to verify (Minimal / Full).
 
 Relevance, the depth d and Minimal rest on one producer relation,
@@ -90,6 +90,9 @@ class CutoffBounds:
 
 @dataclass(frozen=True)
 class PerClassBounds:
+    """Slots per concrete source class, and per target class the cap on
+    the elements of exactly that class that the rules may create (see
+    `smtencode`)."""
     source: dict
     target: dict
 
@@ -259,19 +262,18 @@ def cutoff_params(spec, prop, relevance, closure, t):
 # ---------------------------------------------------------------------------
 
 def target_production(spec, t, source, rule_names):
-    """Per concrete target class, the most elements that the rules named in
-    `rule_names` can create from a source with at most `source[c]` elements
-    of each concrete class c.
+    """Per target class, the most elements of exactly that class that the
+    rules named in `rule_names` can create from a source with at most
+    `source[c]` elements of each concrete class c.
 
     A rule fires at most once per binding of its match elements and creates
-    one element per fresh apply element.  An element of an abstract class
-    may take a slot of any concrete subtype, so it counts towards each of
-    them.  Nothing is capped: a firing that finds no free slot cannot fire,
-    and its source would leave the search with every violation it holds.
+    one element of its class per fresh apply element.  A target bound at
+    least this large caps nothing (see `smtencode`): a firing beyond a cap
+    cannot fire, and its source would leave the search with every violation
+    it holds.
     """
     src_info = spec.metamodel(t.source).info
-    tgt_info = spec.metamodel(t.target).info
-    made = {c: 0 for c, ci in tgt_info.items() if not ci.abstract}
+    made = dict.fromkeys(spec.metamodel(t.target).info, 0)
     for _, rule in t.all_rules():
         if rule.name not in rule_names:
             continue
@@ -280,9 +282,7 @@ def target_production(spec, t, source, rule_names):
             firings *= sum(source.get(c, 0)
                            for c in src_info[e.klass].subtypes)
         for e in rule.fresh_apply_elements():
-            for c in ([e.klass] if e.klass in made
-                      else tgt_info[e.klass].subtypes):
-                made[c] += firings
+            made[e.klass] += firings
     return made
 
 
@@ -294,9 +294,9 @@ def per_class_bounds(spec, prop, relevance, k, t,
     element for every concrete class compatible with its declared class),
     and mandatory lower bounds propagate from them, capped at k.  A target
     class gets its postcondition seed plus `target_production` from those
-    source bounds, uncapped, and then its mandatory lower bounds.
-    `rule_names` restricts the producing rules (defaults to the relevant
-    set).
+    source bounds, uncapped, and then its mandatory lower bounds; so the
+    target bounds cap no creation.  `rule_names` restricts the producing
+    rules (defaults to the relevant set).
     """
     src_mm = spec.metamodel(t.source)
     tgt_mm = spec.metamodel(t.target)

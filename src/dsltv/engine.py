@@ -7,10 +7,11 @@ element created by an earlier layer; otherwise the firing is skipped and
 logged.  Every match thus ends in `firings` or `skipped`, so together they
 name exactly the rules that have a match on the source: the orchestrator
 reads one execution per counterexample both to refine a fragment and to
-confirm the violation.  Fresh target element ids are
-deterministic: "<ruleName>#<sorted source binding ids>#<applyElementName>".
-Trace links are recorded from every matched source element to every freshly
-created target element of the firing.
+confirm the violation.  Each firing creates one target element per
+fresh apply element, with the deterministic id "<ruleName>#<source ids of
+the binding, in match-element-name order>#<applyElementName>", so no two
+firings share one.  Trace links are recorded from every matched source
+element to every freshly created target element of the firing.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def execute(transformation, source, spec):
         visible_traces = set(traces)
         visible_elements = dict(tgt_elements)
         for rule in layer.rules:
-            backward_of = dict(rule.backward)
             for binding in enumerate_matches(rule.match, source, src_info):
                 bkey = tuple(sorted(binding.items()))
                 # backward resolution against earlier layers only
@@ -167,22 +167,18 @@ def execute(transformation, source, spec):
                     result.skipped.append((rule.name, bkey, reason))
                     continue
 
-                created = []
-                src_ids = sorted(binding.values())
+                src_ids = ",".join(eid for _, eid in bkey)
                 fresh_ids = {}
-                for ae in rule.apply.elements:
-                    if ae.name in backward_of:
-                        continue
-                    eid = f"{rule.name}#{','.join(src_ids)}#{ae.name}"
+                for ae in rule.fresh_apply_elements():
+                    eid = f"{rule.name}#{src_ids}#{ae.name}"
                     attrs = {}
                     for b in ae.bindings:
                         attrs[b.attr] = _eval_binding(b.value, binding,
                                                       source_elems)
-                    el = Element(eid, ae.klass, tuple(sorted(attrs.items())))
-                    if eid not in tgt_elements:
-                        tgt_elements[eid] = el
-                        created.append(eid)
+                    tgt_elements[eid] = Element(eid, ae.klass,
+                                                tuple(sorted(attrs.items())))
                     fresh_ids[ae.name] = eid
+                created = list(fresh_ids.values())
 
                 def apply_id(name):
                     return resolved.get(name) or fresh_ids[name]

@@ -2,8 +2,11 @@
 
 Two phases per property: a uniform sweep that shifts every per-class bound
 by an offset and re-verifies, and a selective pass decrementing one class at
-a time to find the binding classes.  Results render to a markdown report
-plus raw JSON.
+a time to find the binding classes.  A source row moves the slots of a
+source class; a target row moves the cap on the creations of a target
+class (see `smtencode`), which the planned bounds set high enough to cap
+nothing, so only a row below them can cap.  Results render to a markdown
+report plus raw JSON.
 """
 
 from __future__ import annotations

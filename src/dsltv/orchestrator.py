@@ -141,10 +141,10 @@ class PropertyPlan:
                             if self.t.rule_layer(r) in fragment))
 
     def bounds(self, fragment):
-        """Per-class slot bounds for `fragment`.  When per-class bounds are
-        off, every concrete source class gets K, and every concrete target
-        class K or what the fragment's rules can create from that source,
-        whichever is more."""
+        """Per-class bounds for `fragment`.  When per-class bounds are off,
+        every concrete source class gets K, and every target class K or
+        what the fragment's rules can create from that source, whichever is
+        more.  Either way the target bounds cap no creation."""
         k = self.cutoff.k
         names = self.rule_names(fragment)
         if self.per_class:

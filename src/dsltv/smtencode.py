@@ -1,36 +1,40 @@
 """Encoding of the bounded verification problem as SMT-LIB 2 text.
 
-World: per concrete class, a bounded number of slots with existence booleans,
-finite-domain integer attribute variables, and boolean link matrices.
-Rules: one firing boolean per injective source binding, defined as the
-conjunction of existence, links, guards, and backward resolution; fresh apply
-elements get integer slot-choice variables with at-most-one-creator.  A
-target slot exists iff exactly one firing claims it, asserted in three
-parts: each claim implies that the slot exists (with the claim's attribute
-bindings), the slot exists only if some claim holds, and at most one claim
-holds.  The parts allow the same assignments as the iff with the first
-part did.
-Where the slot exists, the second and third parts leave exactly one claim;
-where it does not, the first leaves none.  Conversely, the iff and the
-first part already ruled out two claims at once, since both would make the
-slot exist while "exactly one" fails.  Traces are implicit in the firing
-structure.  The query asserts that some canonical precondition binding
-holds and no postcondition witness exists for it; sat means
-counterexample.
+Source: per concrete class, a bounded number of slots with existence
+booleans, finite-domain integer attribute variables, and boolean link
+matrices.  Rules: one firing boolean per injective source binding, defined
+as the conjunction of existence, links, guards, and backward resolution.
+Target: one element per creation, that is, per firing and fresh apply
+element.  The query asserts that some canonical precondition binding holds
+and no postcondition witness exists for it; sat means counterexample.
 
-Every problem breaks the symmetry between the slots of one concrete class
-with four constraints:
+The target encoding is exact because DSLTrans never shares a fresh target
+element between firings: ``engine.execute`` makes one element per firing
+and fresh apply element, named by the rule, the match binding and the apply
+element.  So a creation is a target element of its own.  It exists iff its
+firing holds, its class is exactly the apply element's, and its attributes
+are its bindings' values: a literal is a constant, a copy is the source
+attribute it copies, and an unbound attribute is a free variable of its
+domain.  Its traces are static, from each source slot of its binding, so a
+postcondition witness enumerates, for an element traced to precondition
+elements, only the creations whose binding holds their slots, and reads no
+trace variable.  A backward pair resolves to exactly one of its candidates:
+the creations of earlier layers, of a compatible class, whose binding holds
+the demanded slot, as the engine resolves it through the traces of earlier
+layers.  ``decode_counterexample`` rebuilds the target from the firings,
+with the engine's element ids.
 
-- ordered existence on both sides: ex_s_c_{i+1} => ex_s_c_i and
-  ex_t_c_{j+1} => ex_t_c_j;
-- target value precedence: walking the creations (fresh apply elements of
-  every firing, in encoding order), a creation may claim the class-c slot j
-  only if j <= r_c, the number of earlier creations whose candidate slots
-  include a class-c slot.  A choice's declared range ends at its last
-  allowed value; a choice that also spans subclass slots excludes the
-  values below that one by one.  A claim on any other value would be false
-  in every model, so claims, slot existence, traces, apply links and
-  distinctness are written for the allowed values only;
+The target bounds of ``PerClassBounds`` cap creations.  When a class has
+more creations than its cap k, the encoding asserts that at most k of them
+fire, so a source that would make more leaves the search with every
+violation it holds.  A class with no cap is capped at 0.  The bounds that
+``verify`` plans cover what the rules can create (``target_production``),
+so they never cap anything; the fixed-bound experiments use caps.
+
+Every problem breaks the symmetry between the slots of one source class
+with two constraints:
+
+- ordered existence: ex_s_c_{i+1} => ex_s_c_i;
 - canonical precondition bindings: the query selects only bindings in which
   the pattern elements bound to concrete class c take slots 0, 1, ..., m-1
   of c in pattern-element order, one binding per assignment of elements to
@@ -43,49 +47,41 @@ They are sound together.  Take any model without them, and the injective
 precondition binding b that it selects.  Within one class, source slots are
 interchangeable everywhere in the encoding (existence, attributes, links
 and their multiplicities, the injective rule and precondition bindings, and
-through those every firing, choice, backward case and trace term), so
-renumbering each class with b's slots first, in pattern order,
-then its other existing slots, then the absent ones, yields a model again.
-b's slots exist (its binding term holds their existence), so source
-existence is ordered, and b has become the canonical binding of its class
-assignment.  Target slots are interchangeable in the same way and each
-existing one is claimed by exactly one firing creation, so renumbering them
-in claim order then meets both target constraints (a creation that does not
-fire leaves its choice free, and slot 0 is always allowed) without touching
-a source variable.  Source goes first because its renumbering permutes the
-firings, and with them the creation order that value precedence reads.  So
-a counterexample exists iff one exists whose violated binding is canonical.
-The argument holds with or without the deferred multiplicities (below),
-which are as symmetric as the rest, so it covers the relaxed first problem
-that the lazy closure loop solves as well as the closed one.
+through those every firing, creation, cap, backward case and witness), so
+renumbering each class with b's slots first, in pattern order, then its
+other existing slots, then the absent ones, permutes the firings and their
+creations and yields a model again.  b's slots exist (its binding term
+holds their existence), so existence is ordered, and b has become the
+canonical binding of its class assignment.  So a counterexample exists iff
+one exists whose violated binding is canonical.  The argument holds with or
+without the deferred multiplicities (below), which are as symmetric as the
+rest, so it covers the relaxed first problem that the lazy closure loop
+solves as well as the closed one.  Target elements need no symmetry
+breaking: each is named by its creation, and no two are interchangeable.
 ``tests/test_smtencode.py`` checks verdicts against the brute-force oracle
-with all four on.
+with both on.
 
-Each claim ``(and fr (= ch k))``, trace term and binding term is written
-once, as ``(define-fun d_n () Bool <body>)``, and every use refers to the
-name (Kodkod's subformula sharing, Torlak & Jackson, TACAS 2007).  The claim
-a backward case reads is the text of its creation's claim, so both get one
-name.  The definitions follow the declarations, and a body only refers to
-names made before it.  A defined name means its body, so verdicts cannot
-change; the text no longer repeats a claim in every existence clause,
-trace term, backward case and apply link.  An apply link's fresh end is
-named by its claim, which holds the firing, so the link's antecedent leaves
-the firing out whenever an end is fresh; the solver splices the same
-literals either way.  The bundled solver compiles a
-body at the name's first reference and reuses the literal.  Compiling the
-body again in place of a later reference would only find the gates made the
-first time, so the CNF is the one of the inlined text, clause for clause,
-and the search is unchanged.
+Each binding term, backward resolution and witness is written once, as
+``(define-fun d_n () Bool <body>)``, and every use refers to the name (Kodkod's subformula
+sharing, Torlak & Jackson, TACAS 2007).  The definitions follow the
+declarations, and a body only refers to names made before it.  A defined
+name means its body, so verdicts cannot change.  The bundled solver
+compiles a body at the name's first reference and reuses the literal.
+Compiling the body again in place of a later reference would only find the
+gates made the first time, so the CNF is the one of the inlined text,
+clause for clause, and the search is unchanged.
 
-A postcondition whose connected components have pairwise disjoint concrete
-class sets is refuted one component at a time: injectivity cannot couple
-them, so a witness of the whole exists iff each component has one.
+A postcondition whose connected components have pairwise disjoint class
+sets (the classes of the creations each element can be) is refuted one
+component at a time: injectivity cannot couple them, so a witness of the
+whole exists iff each component has one.
 
 A source association upper bound ``[..k]`` limits each link row
 x_0..x_{n-1} (the links out of one slot) with one term, ``(<= (+ (ite x_0 1
 0) ... (ite x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's
-sequential counter (see ``smtsolver``).  k = 0 becomes unit negations, and
-a row of at most k links needs no constraint.  These terms and the lower
+sequential counter (see ``smtsolver``); a cap is the same term over the
+firings of a class's creations.  k = 0 becomes unit negations, and a row of
+at most k terms needs no constraint.  The source bounds and the lower
 bounds ``[k..]``, with the assertions that the links they count have
 existing ends, are deferred (``EncodedProblem.deferred``): the problem
 text leaves them out, and ``smtrun.lazy_closure_loop`` adds them all only
@@ -94,15 +90,12 @@ when a model breaks one, as in counterexample-guided abstraction refinement
 grounds a counter.  Target multiplicities are not encoded: the target is
 what the rules make, neither execution nor the property checks it against
 its metamodel, and a bound there would only throw out sources whose output
-breaks it, turning their violations into a wrong HOLDS.  The "at most one
-claim" part of target existence is the same term with k = 1 over the
-slot's claims, conjoined with the slot's "exists only if claimed"
-implication into one assertion.
+breaks it, turning their violations into a wrong HOLDS.
 
 The encoding is sliced to what the property can observe (cone of influence,
 Clarke, Grumberg & Peled, *Model Checking*, 1999; Kodkod's slicing, Torlak
-& Jackson, TACAS 2007).  The full encoding would declare every link of both
-worlds, assert that each link's ends exist, and write every apply link.
+& Jackson, TACAS 2007).  The full encoding would declare every link of the
+source, assert that each link's ends exist, and write every apply link.
 The sliced one keeps less:
 
 - a source association that no encoded rule's match and no precondition
@@ -115,12 +108,13 @@ The sliced one keeps less:
   the slots of every precondition element that the end's postcondition
   element is traced to (``_link_needs``).  An end traced to nothing needs
   nothing;
-- a target link is declared by the first apply link that writes it, and a
-  witness that needs a link no apply link writes is false;
+- a target link, one variable per pair of creations, is declared by the
+  first apply link that writes it, and a witness that needs a link no
+  apply link writes is false;
 - a link's ends must exist only where a lower bound counts the link, and
-  that assertion is deferred with the lower bound (below).  Every other
-  read of a link, in a binding term, sits next to the existence of both
-  ends, and an upper bound only gains from a link fewer.
+  that assertion is deferred with the lower bound (above).  Every other
+  read of a source link, in a binding term, sits next to the existence of
+  both ends, and an upper bound only gains from a link fewer.
 
 The slicing applies to the encoding with its symmetry breaking, and its
 argument needs no symmetry.  Take a full model.  Each target link is true
@@ -128,22 +122,17 @@ wherever one of its apply links' conditions holds; make it true there only,
 and only for the written apply links.  That removes links, and target links
 are read only by witnesses, which the query negates, so the result is a
 sliced model: unsat is kept.  Conversely, take a sliced model.  Make each
-pruned source link false, clear each link whose slot at either end does not
-exist, and make each target link true exactly where the condition of one of
-its apply links, written or pruned, holds.  No binding term changes, so
-firings, claims and traces stay as they were, and an apply link's condition
-holds claims, which hold their slots' existence.  Every full assertion then
-holds, except perhaps the query.  Suppose a witness for the selected
-canonical binding b reads, for a postcondition link whose ends are traced
-to b's slots S and T, a link that only a pruned apply link's condition made
-true.  That condition holds the claims of the two creations behind the
-apply link, and each existing target slot is claimed by exactly one
-creation.  The witness's trace terms (``trace_term``) read only those
-claims, so the two creations hold S and T, and the apply link was not
-pruned.  Every other link the witness reads was true in the sliced model,
-so the witness was there too, which the query rules out; sat is kept.
-``decode_counterexample`` decodes the sliced model, with the links between
-existing slots only: its target holds the links that the property reads.
+pruned source link false, clear each source link whose slot at either end
+does not exist, and make each target link true exactly where the condition
+of one of its apply links, written or pruned, holds.  No binding term
+changes, so the firings stay as they were.  Every full assertion then
+holds, except perhaps the query.  A witness for the selected canonical
+binding b takes, for a postcondition element traced to b's slots S, only
+creations whose binding holds S; so each link it reads between the
+creations of two ends traced to S and T joins creations that hold S and T,
+and the apply links that write it were not pruned.  Every link the witness
+reads was thus true in the sliced model, so the witness was there too,
+which the query rules out; sat is kept.
 """
 
 from __future__ import annotations
@@ -156,7 +145,7 @@ from .inheritance import is_subtype
 from .model import Element, Link, TraceLink, model_from_parts
 from .spec_ast import (
     BoolDomain, CopyBinding, EnumRef, EnumValue, IntRange, IntSet,
-    PatternGraph, StringVocab,
+    PatternGraph, StringVocab, compare,
 )
 
 
@@ -190,7 +179,6 @@ class EncodedProblem:
     deferred: list            # withheld source multiplicity assertions,
                               # with the link-end ones lower bounds need
     source_slots: dict        # class -> slot count (concrete classes)
-    target_slots: dict
     pre_bindings: list        # canonical precondition bindings, by sel_ index
     metadata: dict = field(default_factory=dict)
 
@@ -199,8 +187,8 @@ class EncodedProblem:
         tail_at = lines.index("(check-sat)")
         new = lines[:tail_at] + list(assertions) + lines[tail_at:]
         return EncodedProblem("\n".join(new), self.deferred,
-                              self.source_slots, self.target_slots,
-                              self.pre_bindings, self.metadata)
+                              self.source_slots, self.pre_bindings,
+                              self.metadata)
 
 
 # -- attribute value codecs --------------------------------------------------
@@ -227,10 +215,11 @@ def _domain_codec(domain):
 
 
 class _World:
-    """One side (source or target) of the bounded world."""
+    """The bounded source world."""
 
-    def __init__(self, tag, mm, bounds, assocs):
-        self.tag = tag
+    tag = "s"
+
+    def __init__(self, mm, bounds, assocs):
         self.mm = mm
         self.slots = {c: bounds.get(c, 0) for c, ci in mm.info.items()
                       if not ci.abstract and bounds.get(c, 0) > 0}
@@ -255,6 +244,29 @@ class _World:
 
     def ln(self, assoc, cs, i, ct, j):
         return f"ln_{self.tag}_{assoc}_{cs}_{i}_{ct}_{j}"
+
+
+@dataclass(eq=False)
+class _Creation:
+    """The target element that firing ``fires`` of ``rule`` on ``binding``
+    makes for its fresh apply element ``element``; ``n`` numbers it."""
+    n: int
+    layer: int
+    rule: object
+    binding: dict             # match element -> source slot
+    fires: str
+    element: object
+
+    def __post_init__(self):
+        self.klass = self.element.klass
+        self.slots = frozenset(self.binding.values())
+
+    def element_id(self, src_id):
+        """The engine's id of this element, given the ids of source
+        slots."""
+        ids = ",".join(src_id(*slot) for _, slot in sorted(
+            self.binding.items()))
+        return f"{self.rule.name}#{ids}#{self.element.name}"
 
 
 def _and(terms):
@@ -295,12 +307,6 @@ def _exactly_one(terms):
     return f"(and (or {' '.join(terms)}) {pairs})"
 
 
-def _at_most_term(terms, k):
-    """At most ``k`` of ``terms`` hold, as the solver language writes it."""
-    ones = " ".join(f"(ite {t} 1 0)" for t in terms)
-    return f"(<= (+ {ones}) {k})"
-
-
 def _int(n):
     """The SMT-LIB text of the Int constant ``n``: a numeral, or ``(- 2)``
     for -2, which SMT-LIB 2.6 would read as a symbol."""
@@ -319,26 +325,22 @@ def _cmp_atom(op, var, value):
 class Encoder:
     def __init__(self, spec, prop, bounds, options, transformation,
                  deadline=None):
-        self.spec = spec
         self.prop = prop
         self.options = options
         self.deadline = deadline  # time.monotonic() value, or None
         self.t = transformation
+        self.caps = bounds.target
         # slicing (see the module docstring): the source links that a match
         # or the precondition reads, or that a lower bound demands, and the
         # target links that the postcondition reads
         src_mm = spec.metamodel(self.t.source)
-        tgt_mm = spec.metamodel(self.t.target)
+        self.tgt_mm = spec.metamodel(self.t.target)
         read_s = {l.assoc for _, rule in self.active_rules()
                   for l in rule.match.links}
         read_s |= {l.assoc for l in prop.precondition.links}
-        read_t = {l.assoc for l in prop.postcondition.links}
-        self.src = _World("s", src_mm, bounds.source,
+        self.src = _World(src_mm, bounds.source,
                           [a for a in src_mm.associations
                            if a.name in read_s or a.lower >= 1])
-        self.tgt = _World("t", tgt_mm, bounds.target,
-                          [a for a in tgt_mm.associations
-                           if a.name in read_t])
         self.decls = []
         self.defs = []
         self.shared = {}          # Bool term text -> its defined name
@@ -368,13 +370,6 @@ class Encoder:
                     [f"(= {name} {_int(v)})" for v in sparse]) + ")")
         return name
 
-    def claim(self, fv, cv, k):
-        """The shared name of the claim that firing ``fv`` puts its fresh
-        element in the ``k``-th slot its choice variable ``cv`` ranges
-        over.  Slot cases and claim assertions both take it from here, so
-        they always name the same term."""
-        return self.share(_and([fv, f"(= {cv} {_int(k)})"]))
-
     def share(self, term):
         """A name for the Bool term ``term``: the first call with a compound
         term defines a fresh name for it, and every later call with the same
@@ -388,9 +383,10 @@ class Encoder:
             self.defs.append(f"(define-fun {name} () Bool {term})")
         return name
 
-    # -- world ---------------------------------------------------------------
+    # -- source --------------------------------------------------------------
 
-    def encode_world(self, world):
+    def encode_source(self):
+        world = self.src
         for c in sorted(world.slots):
             for i in range(world.slots[c]):
                 self.decl_bool(world.ex(c, i))
@@ -402,28 +398,26 @@ class Encoder:
                     self.asserts.append(
                         f"(assert (=> (not {world.ex(c, i)}) "
                         f"(= {name} {_int(lo)})))")
-        # source links; a target link is declared by the first apply link
-        # that writes it.  A link is read only next to the existence of both
-        # its ends, so only a lower bound, which a link to a missing slot
-        # could meet, needs the link's ends to exist; those assertions are
-        # deferred with the bounds (see the module docstring)
-        if world is self.src:
-            for a in world.assocs:
-                cols = world.all_slots(a.target)
-                for cs, i in world.all_slots(a.source):
-                    row = [self.decl_bool(world.ln(a.name, cs, i, ct, j))
-                           for ct, j in cols]
-                    if a.upper is not None:
-                        self._at_most(row, a.upper)
-                    if a.lower >= 1:
-                        self.deferred.extend(
-                            f"(assert (=> {v} (and {world.ex(cs, i)} "
-                            f"{world.ex(ct, j)})))"
-                            for v, (ct, j) in zip(row, cols))
-                        need = _or([_and(list(sub)) for sub in
-                                    itertools.combinations(row, a.lower)])
-                        self.deferred.append(
-                            f"(assert (=> {world.ex(cs, i)} {need}))")
+        # a link is read only next to the existence of both its ends, so
+        # only a lower bound, which a link to a missing slot could meet,
+        # needs the link's ends to exist; those assertions are deferred
+        # with the bounds (see the module docstring)
+        for a in world.assocs:
+            cols = world.all_slots(a.target)
+            for cs, i in world.all_slots(a.source):
+                row = [self.decl_bool(world.ln(a.name, cs, i, ct, j))
+                       for ct, j in cols]
+                if a.upper is not None:
+                    self._at_most(row, a.upper, self.deferred)
+                if a.lower >= 1:
+                    self.deferred.extend(
+                        f"(assert (=> {v} (and {world.ex(cs, i)} "
+                        f"{world.ex(ct, j)})))"
+                        for v, (ct, j) in zip(row, cols))
+                    need = _or([_and(list(sub)) for sub in
+                                itertools.combinations(row, a.lower)])
+                    self.deferred.append(
+                        f"(assert (=> {world.ex(cs, i)} {need}))")
         # ordered existence: each class's slots exist as a prefix (see the
         # module docstring)
         for c in sorted(world.slots):
@@ -431,16 +425,17 @@ class Encoder:
                 self.asserts.append(
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
-    def _at_most(self, lits, k):
-        """Defer the assertion that at most k of ``lits`` hold (see the
-        module docstring)."""
+    def _at_most(self, lits, k, out):
+        """Append to ``out`` the assertion that at most k of ``lits`` hold
+        (see the module docstring)."""
         n = len(lits)
         if n <= k:
             return
         if k == 0:
-            self.deferred.extend(f"(assert {_not(x)})" for x in lits)
+            out.extend(f"(assert {_not(x)})" for x in dict.fromkeys(lits))
             return
-        self.deferred.append(f"(assert {_at_most_term(lits, k)})")
+        ones = " ".join(f"(ite {x} 1 0)" for x in lits)
+        out.append(f"(assert (<= (+ {ones}) {k}))")
         # the ceiling counts the term as the counter clauses it stands for
         self.counter_clauses += 2 * n * k + n - 3 * k - 2
 
@@ -460,43 +455,42 @@ class Encoder:
 
     # -- pattern helpers -------------------------------------------------------
 
-    def guard_term(self, world, c, i, constraints):
+    def guard_term(self, c, i, constraints):
         terms = []
         for g in constraints:
-            dom = world.mm.info[c].attributes.get(g.attr)
+            dom = self.src.mm.info[c].attributes.get(g.attr)
             if dom is None:
                 return "false"
-            enc, dec, lo, hi, sparse = _domain_codec(dom)
-            try:
-                v = enc(g.value)
-            except KeyError:
-                # literal outside the finite domain: == never holds
-                return "false" if g.op == "==" else "true"
-            terms.append(_cmp_atom(g.op, world.at(c, i, attr=g.attr), v))
+            terms.append(self._compare(self.src.at(c, i, g.attr), dom, g))
         return _and(terms)
 
-    def enumerate_bindings(self, pattern, world):
-        """Injective assignments of pattern elements to (class, slot) pairs,
-        guards not included (they become formula terms)."""
-        names = [e.name for e in pattern.elements]
-        by_name = pattern.element_map()
-        options = []
-        for n in names:
-            options.append(world.all_slots(by_name[n].klass))
-        bindings = []
-        for combo in itertools.product(*options):
-            if len(set(combo)) != len(combo):
-                continue
-            bindings.append(dict(zip(names, combo)))
-        return bindings
+    @staticmethod
+    def _compare(var, dom, g):
+        """Guard ``g`` on the attribute variable ``var`` of domain ``dom``."""
+        try:
+            v = _domain_codec(dom)[0](g.value)
+        except KeyError:
+            # literal outside the finite domain: == never holds
+            return "false" if g.op == "==" else "true"
+        return _cmp_atom(g.op, var, v)
 
-    def canonical_bindings(self, pattern, world):
+    def enumerate_bindings(self, pattern):
+        """Injective assignments of pattern elements to source (class, slot)
+        pairs, guards not included (they become formula terms)."""
+        names = [e.name for e in pattern.elements]
+        options = [self.src.all_slots(e.klass) for e in pattern.elements]
+        return [dict(zip(names, combo))
+                for combo in itertools.product(*options)
+                if len(set(combo)) == len(combo)]
+
+    def canonical_bindings(self, pattern):
         """One injective binding per assignment of pattern elements to
         compatible concrete classes: the elements bound to class c take
         slots 0, 1, ... of c in pattern order, and an assignment that puts
         more elements on c than c has slots has no binding.  Every injective
         binding is a renumbering of one of these within each class (see the
         module docstring)."""
+        world = self.src
         names = [e.name for e in pattern.elements]
         options = [[c for c in sorted(world.slots)
                     if is_subtype(world.mm.info, c, e.klass)]
@@ -512,14 +506,14 @@ class Encoder:
                 bindings.append(binding)
         return bindings
 
-    def binding_term(self, pattern, world, binding):
-        """existence + links + guards conjunction for one binding."""
+    def binding_term(self, pattern, binding):
+        """existence + links + guards conjunction for one source binding."""
+        world = self.src
         by_name = pattern.element_map()
         terms = []
         for n, (c, i) in binding.items():
             terms.append(world.ex(c, i))
-            terms.append(self.guard_term(world, c, i,
-                                         by_name[n].constraints))
+            terms.append(self.guard_term(c, i, by_name[n].constraints))
         for l in pattern.links:
             cs, i = binding[l.source]
             ct, j = binding[l.target]
@@ -527,10 +521,7 @@ class Encoder:
             if not (is_subtype(world.mm.info, cs, a.source)
                     and is_subtype(world.mm.info, ct, a.target)):
                 return "false"
-            link = world.ln(l.assoc, cs, i, ct, j)
-            if world is self.tgt and link not in self.written_links:
-                return "false"  # no apply link writes it
-            terms.append(link)
+            terms.append(world.ln(l.assoc, cs, i, ct, j))
         return self.share(_and(terms))
 
     # -- rules ------------------------------------------------------------------
@@ -546,172 +537,82 @@ class Encoder:
         return out
 
     def encode_rules(self):
-        """Firing variables, fresh-element claims, backward resolution."""
-        # first pass: firing and choice variables so later layers can refer
-        # back to earlier creations
+        """Firing variables, creations, backward resolution, apply links
+        and creation caps."""
+        # first pass: firing variables and creations, so later layers can
+        # refer back to earlier creations
         firing_data = []  # (li, rule, bindings list)
         for li, rule in self.active_rules():
-            bindings = self.enumerate_bindings(rule.match, self.src)
+            bindings = self.enumerate_bindings(rule.match)
             self.n_firing_vars += len(bindings)
             self.checkpoint()
             firing_data.append((li, rule, bindings))
 
-        fires_name = {}
-        # (rule, binding index, apply element) -> (choice, allowed), where
-        # allowed lists the (value, slot) pairs the choice may take; a claim
-        # on any other value is false in every model, so none is written
-        choice_name = {}
-        # source slot -> [(li, apply element, creation)] of the creations
-        # whose binding holds it, in creation order; a creation is (source
-        # slots of its binding, fires, choice, allowed)
+        self.creations = []
+        # source slot -> the creations whose binding holds it, in order
         creations_of = {}
-        earlier = dict.fromkeys(self.tgt.slots, 0)  # r_c, value precedence
+        fresh_of = {}  # firing -> apply element name -> its creation
         for li, rule, bindings in firing_data:
             for bidx, binding in enumerate(bindings):
                 fv = self.decl_bool(f"fr_{rule.name}_{bidx}")
-                fires_name[(rule.name, bidx)] = fv
-                src_slots = frozenset(binding.values())
+                fresh = fresh_of[fv] = {}
                 for ae in rule.fresh_apply_elements():
-                    slots = self.tgt.all_slots(ae.klass)
-                    cv = f"ch_{rule.name}_{bidx}_{ae.name}"
-                    # value precedence: the class-c slot j only if j <= r_c;
-                    # the range ends at the last allowed value and the
-                    # disallowed values below it are excluded one by one
-                    allowed = [(k, (c, j)) for k, (c, j) in enumerate(slots)
-                               if j <= earlier[c]]
-                    hi = allowed[-1][0] if allowed else 0
-                    self.decl_int(cv, 0, hi)
-                    for k in sorted(set(range(hi)) - {k for k, _ in allowed}):
-                        self.asserts.append(
-                            f"(assert (not (= {cv} {_int(k)})))")
-                    for c in {c for c, _ in slots}:
-                        earlier[c] += 1
-                    choice_name[(rule.name, bidx, ae.name)] = (cv, allowed)
-                    for src_slot in src_slots:
-                        creations_of.setdefault(src_slot, []).append(
-                            (li, ae, (src_slots, fv, cv, allowed)))
+                    cr = _Creation(len(self.creations), li, rule, binding,
+                                   fv, ae)
+                    self.creations.append(cr)
+                    fresh[ae.name] = cr
+                    for slot in binding.values():
+                        creations_of.setdefault(slot, []).append(cr)
 
-        # backward resolution candidates: creations of earlier layers whose
-        # binding maps some match element to the demanded source slot
-        def backward_term(li, rule, binding):
-            terms = []
-            resolved = {}
-            for apply_name, match_name in rule.backward:
-                apply_el = rule.apply.element_map()[apply_name]
-                src_slot = binding[match_name]
-                cands = [creation for lj, ae2, creation
-                         in creations_of.get(src_slot, ())
-                         if lj < li and is_subtype(self.tgt.mm.info, ae2.klass,
-                                                   apply_el.klass)]
-                resolved[apply_name] = cands
-                terms.append(_exactly_one([c[1] for c in cands]))
-            return _and(terms), resolved
-
-        # second pass: define each firing and wire up claims and links
-        # (class, slot idx) -> [(source slots of the binding, claim term)]
-        self.claims_by_slot = {}
-        self.creation_index = []  # (binding, slot, fires, choice, k)
+        # second pass: define each firing and write its apply links
+        self.firings = []         # (fires, rule, apply element -> creations)
         self.written_links = set()  # target links some apply link writes
         for li, rule, bindings in firing_data:
+            apply_map = rule.apply.element_map()
             for bidx, binding in enumerate(bindings):
                 self.checkpoint()
-                fv = fires_name[(rule.name, bidx)]
-                match_term = self.binding_term(rule.match, self.src, binding)
-                bw_term, bw_cands = backward_term(li, rule, binding)
+                fv = f"fr_{rule.name}_{bidx}"
+                # backward candidates: creations of earlier layers whose
+                # binding holds the demanded source slot
+                ends = {name: [cr] for name, cr in fresh_of[fv].items()}
+                bw_terms = []
+                for apply_name, match_name in rule.backward:
+                    klass = apply_map[apply_name].klass
+                    ends[apply_name] = [
+                        cr for cr in creations_of.get(binding[match_name], ())
+                        if cr.layer < li
+                        and is_subtype(self.tgt_mm.info, cr.klass, klass)]
+                    bw_terms.append(self.share(_exactly_one(
+                        [cr.fires for cr in ends[apply_name]])))
+                match_term = self.binding_term(rule.match, binding)
                 self.asserts.append(
-                    f"(assert (= {fv} {_and([match_term, bw_term])}))")
-
-                src_slots = frozenset(binding.values())
-                fresh = {ae.name: ae for ae in rule.fresh_apply_elements()}
-
-                def creations(name):
-                    """The creations that may put apply element ``name`` in
-                    a slot: this firing's for a fresh element, else the
-                    backward candidates."""
-                    if name in fresh:
-                        return [(src_slots, fv,
-                                 *choice_name[(rule.name, bidx, name)])]
-                    return bw_cands.get(name, ())
-
-                # claims: firing picks a distinct existing slot per fresh
-                # element and binds its attributes
-                for ae in rule.fresh_apply_elements():
-                    cv, allowed = choice_name[(rule.name, bidx, ae.name)]
-                    if not allowed:
-                        self.asserts.append(f"(assert (not {fv}))")
-                        continue
-                    for k, (c, j) in allowed:
-                        claim = self.claim(fv, cv, k)
-                        self.claims_by_slot.setdefault((c, j), []).append(
-                            (src_slots, claim))
-                        self.creation_index.append((binding, (c, j), fv, cv, k))
-                        bind_terms = [self.tgt.ex(c, j)]
-                        for b in ae.bindings:
-                            bind_terms.append(self._binding_assignment(
-                                b, c, j, binding))
-                        self.asserts.append(
-                            f"(assert (=> {claim} {_and(bind_terms)}))")
-                # same-class fresh elements must claim distinct slots
-                fresh_list = list(rule.fresh_apply_elements())
-                for x in range(len(fresh_list)):
-                    for y in range(x + 1, len(fresh_list)):
-                        ax, ay = fresh_list[x], fresh_list[y]
-                        cvx, sx = choice_name[(rule.name, bidx, ax.name)]
-                        cvy, sy = choice_name[(rule.name, bidx, ay.name)]
-                        for kx, s1 in sx:
-                            for ky, s2 in sy:
-                                if s1 == s2:
-                                    self.asserts.append(
-                                        f"(assert (=> {fv} (not (and "
-                                        f"(= {cvx} {_int(kx)}) "
-                                        f"(= {cvy} {_int(ky)})))))")
-
-                # apply links between chosen slots
+                    f"(assert (= {fv} {_and([match_term] + bw_terms)}))")
+                self.firings.append((fv, rule, ends))
                 for l in rule.apply.links:
-                    # a fresh end's claim already holds fv
-                    lead = [] if l.source in fresh or l.target in fresh \
-                        else [fv]
-                    self._apply_links(l, lead, creations(l.source),
-                                      creations(l.target))
+                    self._apply_links(l, fv, ends[l.source], ends[l.target])
 
-        # target existence; each claim's assertion above gives claim => ex
-        slots = [(c, j) for c in sorted(self.tgt.slots)
-                 for j in range(self.tgt.slots[c])]
-        for c, j in slots:
-            claims = [claim for _, claim
-                      in self.claims_by_slot.get((c, j), ())]
-            self.asserts.append(
-                self._slot_existence(self.tgt.ex(c, j), claims))
+        # caps: at most bounds.target[c] creations of class c fire
+        by_class = {}
+        for cr in self.creations:
+            by_class.setdefault(cr.klass, []).append(cr.fires)
+        for c, fires in sorted(by_class.items()):
+            self._at_most(fires, self.caps.get(c, 0), self.asserts)
 
-    def _apply_links(self, l, lead, ends_s, ends_t):
-        """Assert apply link ``l`` between each pair of slots that the
-        creations ``ends_s`` and ``ends_t`` may claim, for the pairs of
-        creations whose link a witness can read (see the module docstring).
-        ``lead`` holds the firing when neither end's claim does."""
+    def _apply_links(self, l, fv, ends_s, ends_t):
+        """Assert apply link ``l`` of firing ``fv`` between each pair of
+        creations of ``ends_s`` and ``ends_t`` whose link a witness can read
+        (see the module docstring)."""
         needs = self.link_needs.get(l.assoc)
         if not needs:
             return
-        a = self.tgt.mm.assoc_map()[l.assoc]
-        for end_s in ends_s:
-            needs_t = [nt for ns, nt in needs if ns <= end_s[0]]
-            kept = [end_t for end_t in ends_t
-                    if any(nt <= end_t[0] for nt in needs_t)]
-            if not kept:  # before _slot_cases names any claim
-                continue
-            for cond_s, (cs, i) in self._slot_cases(end_s, a.source):
-                for end_t in kept:
-                    for cond_t, (ct, j) in self._slot_cases(end_t, a.target):
-                        cond = _and(lead + [cond_s, cond_t])
-                        link = self.tgt.ln(l.assoc, cs, i, ct, j)
-                        self.written_links.add(self.decl_bool(link))
-                        self.asserts.append(f"(assert (=> {cond} {link}))")
-
-    def _slot_cases(self, creation, klass):
-        """(claim, (class, slot)) for each slot of a class compatible with
-        ``klass`` that ``creation`` may claim."""
-        _, fv, cv, allowed = creation
-        return [(self.claim(fv, cv, k), (c, j)) for k, (c, j) in allowed
-                if is_subtype(self.tgt.mm.info, c, klass)]
+        for x in ends_s:
+            needs_t = [nt for ns, nt in needs if ns <= x.slots]
+            for y in ends_t:
+                if any(nt <= y.slots for nt in needs_t):
+                    cond = _and(list(dict.fromkeys([fv, x.fires, y.fires])))
+                    link = self.decl_bool(f"ln_t_{l.assoc}_{x.n}_{y.n}")
+                    self.written_links.add(link)
+                    self.asserts.append(f"(assert (=> {cond} {link}))")
 
     def _link_needs(self):
         """Target association the postcondition reads -> the (source end,
@@ -731,70 +632,85 @@ class Encoder:
                                 for end in (l.source, l.target)))
         return needs
 
-    def _slot_existence(self, ex, claims):
-        """One assertion: target slot ``ex`` exists only if one of its
-        ``claims`` holds, and at most one of them holds.  With ``claim =>
-        ex`` for every claim this says ``ex`` iff exactly one claim holds
-        (see the module docstring)."""
-        parts = [f"(=> {ex} {_or(claims)})"]
-        if len(claims) > 1:
-            parts.append(_at_most_term(claims, 1))
-        return f"(assert {_and(parts)})"
-
-    def _binding_assignment(self, b, c, j, binding):
-        dom = self.tgt.mm.info[c].attributes[b.attr]
-        enc, dec, lo, hi, sparse = _domain_codec(dom)
-        tvar = self.tgt.at(c, j, b.attr)
-        if isinstance(b.value, CopyBinding):
-            cs, i = binding[b.value.element]
-            sdom = self.src.mm.info[cs].attributes[b.value.attr]
-            senc, sdec, slo, shi, ssparse = _domain_codec(sdom)
-            svar = self.src.at(cs, i, b.value.attr)
-            if type(sdom) is type(dom) and sdom == dom:
-                return f"(= {tvar} {svar})"
-            # translate value-by-value across differing finite domains; the
-            # parser and the abstraction keep every source value in the
-            # target domain, so each value has its case
-            return _or([_and([f"(= {svar} {_int(senc(v))})",
-                              f"(= {tvar} {_int(enc(v))})"])
-                        for v in sdom.values()])
-        return f"(= {tvar} {_int(enc(b.value))})"
-
-    # -- traces ------------------------------------------------------------------
-
-    def trace_term(self, src_slot, tgt_slot):
-        """Disjunction over creations recording trace src_slot -> tgt_slot."""
-        return self.share(_or([claim for src_slots, claim
-                               in self.claims_by_slot.get(tgt_slot, ())
-                               if src_slot in src_slots]))
-
     # -- property -------------------------------------------------------------------
 
     def encode_property(self):
         post_groups = self._post_components()
-
         cases = []
         for pidx, pre in enumerate(self.pre_bindings):
             self.checkpoint()
             sel = self.decl_bool(f"sel_{pidx}")
-            pre_term = self.binding_term(self.prop.precondition, self.src,
-                                         pre)
-            comp_refuted = []
-            for comp in post_groups:
-                witnesses = []
-                for post in self.enumerate_bindings(comp, self.tgt):
-                    w = [self.trace_term(pre[pre_el], post[post_el])
-                         for post_el, pre_el in self.prop.traces
-                         if post_el in post]
-                    if "false" not in w:
-                        w.append(self.binding_term(comp, self.tgt, post))
-                        witnesses.append(_and(w))
-                comp_refuted.append(_not(_or(witnesses)))
+            pre_term = self.binding_term(self.prop.precondition, pre)
+            traced = {}  # postcondition element -> the slots it is traced to
+            for post_el, pre_el in self.prop.traces:
+                traced.setdefault(post_el, set()).add(pre[pre_el])
+            comp_refuted = [
+                _not(_or(list(dict.fromkeys(
+                    self.witness_term(comp, post)
+                    for post in self._witnesses(comp, traced)))))
+                for comp in post_groups]
             no_witness = _or(comp_refuted) if comp_refuted else "false"
             self.asserts.append(
                 f"(assert (=> {sel} {_and([pre_term, no_witness])}))")
             cases.append(sel)
         self.asserts.append("(assert " + _or(cases) + ")")
+
+    def _candidates(self, element):
+        """The creations that postcondition ``element`` can be."""
+        return [cr for cr in self.creations
+                if is_subtype(self.tgt_mm.info, cr.klass, element.klass)]
+
+    def _witnesses(self, pattern, traced):
+        """Injective assignments of ``pattern``'s elements to creations, each
+        element to a creation whose binding holds the slots it is traced to
+        in ``traced``."""
+        names = [e.name for e in pattern.elements]
+        options = [[cr for cr in self._candidates(e)
+                    if traced.get(e.name, set()) <= cr.slots]
+                   for e in pattern.elements]
+        return [dict(zip(names, combo))
+                for combo in itertools.product(*options)
+                if len(set(combo)) == len(combo)]
+
+    def witness_term(self, pattern, post):
+        """Existence, guards and links of the creations ``post`` assigns to
+        ``pattern``'s elements."""
+        by_name = pattern.element_map()
+        terms = []
+        for n, cr in post.items():
+            terms.append(cr.fires)
+            terms += [self._creation_guard(cr, g)
+                      for g in by_name[n].constraints]
+        for l in pattern.links:
+            x, y = post[l.source], post[l.target]
+            link = f"ln_t_{l.assoc}_{x.n}_{y.n}"
+            if link not in self.written_links:
+                return "false"  # no apply link writes it
+            terms.append(link)
+        return self.share(_and(list(dict.fromkeys(terms))))
+
+    def _creation_guard(self, cr, g):
+        """Guard ``g`` on an attribute of creation ``cr``: a literal binding
+        decides it here, a copy reads the source attribute, and an unbound
+        attribute is a free variable of its domain."""
+        dom = self.tgt_mm.info[cr.klass].attributes.get(g.attr)
+        if dom is None:
+            return "false"
+        binding = next((b for b in cr.element.bindings if b.attr == g.attr),
+                       None)
+        if binding is None:
+            enc, dec, lo, hi, sparse = _domain_codec(dom)
+            return self._compare(self.decl_int(
+                f"at_t_{cr.n}_{g.attr}", lo, hi, sparse), dom, g)
+        if not isinstance(binding.value, CopyBinding):
+            return "true" if compare(g.op, binding.value, g.value) \
+                else "false"
+        # the copied value is the source attribute's: the parser and the
+        # abstraction keep every source value in the target domain
+        c, i = cr.binding[binding.value.element]
+        return self._compare(self.src.at(c, i, binding.value.attr),
+                             self.src.mm.info[c].attributes[
+                                 binding.value.attr], g)
 
     def _post_components(self):
         """Postcondition split into connected components when their class
@@ -817,18 +733,13 @@ class Encoder:
             groups.setdefault(find(e.name), []).append(e)
         if len(groups) <= 1:
             return [post]
-        # class sets (expanded to concrete classes) must be pairwise disjoint
-        concrete = []
-        for members in groups.values():
-            s = set()
-            for e in members:
-                s |= {c for c in self.tgt.slots
-                      if is_subtype(self.tgt.mm.info, c, e.klass)}
-            concrete.append(s)
-        for x in range(len(concrete)):
-            for y in range(x + 1, len(concrete)):
-                if concrete[x] & concrete[y]:
-                    return [post]
+        # the classes of the creations each group can take must be pairwise
+        # disjoint
+        classes = [{cr.klass for e in members for cr in self._candidates(e)}
+                   for members in groups.values()]
+        for x, y in itertools.combinations(classes, 2):
+            if x & y:
+                return [post]
         out = []
         for root, members in sorted(groups.items()):
             names = {e.name for e in members}
@@ -840,10 +751,8 @@ class Encoder:
     # -- assembly ---------------------------------------------------------------------
 
     def encode(self):
-        self.encode_world(self.src)
-        self.encode_world(self.tgt)
-        self.pre_bindings = self.canonical_bindings(self.prop.precondition,
-                                                    self.src)
+        self.encode_source()
+        self.pre_bindings = self.canonical_bindings(self.prop.precondition)
         self.link_needs = self._link_needs()
         self.encode_rules()
         self.encode_property()
@@ -853,10 +762,8 @@ class Encoder:
         lines += self.asserts
         lines += ["(check-sat)", "(get-model)", "(exit)"]
         return EncodedProblem(
-            "\n".join(lines), list(self.deferred),
-            dict(self.src.slots), dict(self.tgt.slots),
-            self.pre_bindings,
-            {"firingVariables": self.n_firing_vars},
+            "\n".join(lines), list(self.deferred), dict(self.src.slots),
+            self.pre_bindings, {"firingVariables": self.n_firing_vars},
         )
 
 
@@ -907,6 +814,40 @@ def decode_world(model, world):
     return model_from_parts(elements, links)
 
 
+def decode_target(model, enc, source):
+    """The target that the rules make from `source`, the decoded source of
+    a sat assignment: each firing creation with its bound attributes and
+    its traces, and the apply links of each firing, named as
+    ``engine.execute`` names them."""
+    src_id = enc.src.element_id
+    by_id = source.element_map()
+    ids = {}
+    elements, traces = [], []
+    for cr in enc.creations:
+        if not model.get(cr.fires, False):
+            continue
+        ids[cr] = cr.element_id(src_id)
+        attrs = {}
+        for b in cr.element.bindings:
+            if isinstance(b.value, CopyBinding):
+                b_id = src_id(*cr.binding[b.value.element])
+                attrs[b.attr] = by_id[b_id].attr_map()[b.value.attr]
+            else:
+                attrs[b.attr] = b.value
+        elements.append(Element(ids[cr], cr.klass,
+                                tuple(sorted(attrs.items()))))
+        traces += [TraceLink(src_id(*slot), ids[cr]) for slot in cr.slots]
+    links = []
+    for fv, rule, ends in enc.firings:
+        if model.get(fv, False):
+            # a firing holds exactly one candidate of each backward end
+            end = {name: next(ids[cr] for cr in crs if cr in ids)
+                   for name, crs in ends.items()}
+            links += [Link(l.assoc, end[l.source], end[l.target])
+                      for l in rule.apply.links]
+    return model_from_parts(elements, links, traces)
+
+
 def decode_counterexample(model, problem, spec, transformation=None,
                           source=None):
     """Rebuild (source model, target model, violated precondition binding)
@@ -915,19 +856,11 @@ def decode_counterexample(model, problem, spec, transformation=None,
     enc = problem.metadata["encoder"]
     if source is None:
         source = decode_world(model, enc.src)
-    target = decode_world(model, enc.tgt)
-
-    src_id, tgt_id = enc.src.element_id, enc.tgt.element_id
-    traces = set()
-    for binding, (c, j), fv, cv, k in enc.creation_index:
-        if model.get(fv, False) and model.get(cv, 0) == k:
-            traces.update(TraceLink(src_id(cs, i), tgt_id(c, j))
-                          for cs, i in binding.values())
-    target = model_from_parts(target.elements, target.links, traces)
-
+    target = decode_target(model, enc, source)
     violated = None
     for pidx, pre in enumerate(problem.pre_bindings):
         if model.get(f"sel_{pidx}", False):
-            violated = {name: src_id(c, i) for name, (c, i) in pre.items()}
+            violated = {name: enc.src.element_id(c, i)
+                        for name, (c, i) in pre.items()}
             break
     return source, target, violated

@@ -37,8 +37,8 @@ def test_selective_decrement_finds_binding_classes(kboundary_spec):
     prop = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
     result = selective_minus_one(kboundary_spec, prop)
     assert result.base_status == VIOLATED
-    # the TypeDecl bound covers every firing plus the postcondition's
-    # element, so one slot less still leaves a slot for each firing
+    # the TypeDecl cap covers every creation plus the postcondition's
+    # element, so one less still caps no creation
     assert result.binding_classes == ["source:Source"]
     assert result.matched
 
@@ -111,9 +111,7 @@ def test_infinite_domain_sweeps_the_proof_spec(tmp_path):
 def test_binding_ceiling_gives_unknown_rows():
     spec = parse_spec(INT_SPEC, "inline")
     prop = spec.property("AHasB")
-    # at ceiling 1 the A = 0 run, which fires nothing, fits; B has two slots
-    # (a creation and the postcondition's element), and at ceiling 0 their
-    # ordered-existence assertion alone would stop that run too
+    # at ceiling 1 the A = 0 run, which fires nothing, fits
     config = VerificationConfig(binding_ceiling=1)
     sweep = uniform_sweep(spec, prop, config)
     assert {st for _, st, _ in sweep.rows} == {UNKNOWN}

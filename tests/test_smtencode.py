@@ -1,5 +1,4 @@
 import io
-import itertools
 import re
 import time
 
@@ -66,8 +65,8 @@ def test_binding_ceiling_raises(uml2java):
         encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1), t)
 
 
-# Few firings, many assertions: every link matrix entry of both worlds
-# is an assertion of its own.
+# Few firings, and more assertions than firings: ordered existence, the
+# firings and the query.
 WIDE_SPEC = """
 metamodel WS { class A { } assoc next : A -> A [0..*] }
 metamodel WT { class B { } assoc to : B -> B [0..*] }
@@ -93,7 +92,7 @@ def test_assertion_count_hits_the_ceiling():
     assert encode(spec, prop, WIDE_BOUNDS,
                   EncodeOptions(binding_ceiling=1000), t).text
     with pytest.raises(EncodingCeilingError, match=r"\(4 firings, \d+ "):
-        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(binding_ceiling=20), t)
+        encode(spec, prop, WIDE_BOUNDS, EncodeOptions(binding_ceiling=5), t)
     with pytest.raises(EncodingDeadlineError):
         encode(spec, prop, WIDE_BOUNDS, EncodeOptions(), t,
                deadline=time.monotonic())
@@ -410,8 +409,9 @@ def test_run_solver_timeout_kills_child(uml2java):
 
 # -- slot symmetry breaking --------------------------------------------------
 
-# Two rules create a Node, a concrete class with the concrete subclass Leaf,
-# so their slot choices range over two classes; a third creates a Leaf.
+# Two rules create a Node, a concrete class with the concrete subclass Leaf;
+# a third creates a Leaf.  Each creation is an element of exactly its apply
+# element's class.
 SLOT_SPEC = """
 metamodel SymSrc {
     class A { flag: Bool }
@@ -518,35 +518,16 @@ def _slot_spec():
     return spec
 
 
-def _existing_slots(problem, model):
-    """Per target class, the indices of the existing slots."""
-    return {c: [j for j in range(n) if model.get(f"ex_t_{c}_{j}")]
-            for c, n in problem.target_slots.items()}
-
-
 def test_slot_symmetry_constraints_are_emitted():
     spec = _slot_spec()
     problem = encode(spec, spec.property("PairHasEdge"), SLOT_BOUNDS,
                      EncodeOptions(), spec.transformations[0])
     lines = problem.text.splitlines()
-    # A2Node's choices span Leaf and Node slots (Leaf_0..5, Node_0..5):
-    # the first creation may take only Leaf_0 (0) or Node_0 (6), so its
-    # range ends at 6 and the values in between are excluded
-    assert "(assert (and (<= 0 ch_A2Node_0_n) (<= ch_A2Node_0_n 6)))" \
-        in lines
-    excluded = {int(ln[len("(assert (not (= ch_A2Node_0_n "):-3])
-                for ln in lines
-                if ln.startswith("(assert (not (= ch_A2Node_0_n ")}
-    assert excluded == {1, 2, 3, 4, 5}
-    # B2Leaf's choices are one-class, after the two A2Node creations that
-    # may also take Leaf slots: a narrower range per creation
-    assert "(assert (and (<= 0 ch_B2Leaf_0_l) (<= ch_B2Leaf_0_l 2)))" \
-        in lines
-    assert "(assert (and (<= 0 ch_B2Leaf_1_l) (<= ch_B2Leaf_1_l 3)))" \
-        in lines
-    assert "(assert (=> ex_t_Node_1 ex_t_Node_0))" in lines
-    assert "(assert (=> ex_t_Leaf_5 ex_t_Leaf_4))" in lines
+    # source slots exist as a prefix; a target element is a creation, with
+    # no slot to order, choose or claim
     assert "(assert (=> ex_s_A_1 ex_s_A_0))" in lines
+    assert "(assert (=> ex_s_B_1 ex_s_B_0))" in lines
+    assert not re.search(r"\b(ex_t|ch)_", problem.text)
     assert len(set(lines)) == len(lines)
 
 
@@ -561,32 +542,30 @@ def test_slot_symmetry_breaking_agrees_with_oracle():
         assert verify_property(spec, prop, config).status == expected, \
             prop.name
 
-        # the same at explicit bounds with enough target slots for every
-        # firing, where several creations compete for Node slots
+        # the same at explicit bounds whose caps leave every creation free
         problem = encode(spec, prop, SLOT_BOUNDS, EncodeOptions(), t)
         verdict, _ = lazy_closure_loop(problem, 60, spec)
         assert verdict.status == ("sat" if expected == VIOLATED
                                   else "unsat"), prop.name
         if verdict.status != "sat":
             continue
-        for c, present in _existing_slots(problem,
-                                             verdict.model).items():
-            assert present == list(range(len(present))), (prop.name, c)
-        source, _, _ = decode_counterexample(verdict.model, problem, spec)
+        source, target, _ = decode_counterexample(verdict.model, problem,
+                                                  spec)
         assert validate_conformance(source, spec.metamodel(t.source)) \
             .conformant
         result = execute(t, source, spec)
+        assert target == result.target, prop.name
         assert not check_property_concrete(prop, source, result,
                                            spec).holds, prop.name
 
 
-def test_existing_target_slots_form_a_prefix():
+def test_every_creation_fires_on_a_full_source():
     spec = _slot_spec()
     prop = spec.property("AHasLeaf_ShouldFail")
     problem = encode(spec, prop, SLOT_BOUNDS, EncodeOptions(),
                      spec.transformations[0])
     # every source slot exists and every A is paired with every B, so all
-    # eight creations fire and fill Node and Leaf slots
+    # eight creations fire, each an element of its apply element's class
     declared = [line.split()[1] for line in problem.text.splitlines()
                 if line.startswith("(declare-const ")]
     forced = problem.with_extra_assertions(
@@ -594,10 +573,9 @@ def test_existing_target_slots_form_a_prefix():
          if v.startswith("ex_s_") or v.startswith("ln_s_")])
     verdict, _ = lazy_closure_loop(forced, 60, spec)
     assert verdict.status == "sat"
-    present = _existing_slots(forced, verdict.model)
-    assert sum(len(p) for p in present.values()) == 8
-    for c, p in present.items():
-        assert p == list(range(len(p))), c
+    _, target, _ = decode_counterexample(verdict.model, forced, spec)
+    assert sorted(e.klass for e in target.elements) == \
+        ["Leaf"] * 2 + ["Node"] * 6
 
 
 # -- canonical precondition bindings -----------------------------------------
@@ -624,7 +602,7 @@ def test_precondition_bindings_are_canonical(name, prop_name, source,
     # one binding per orbit: every injective binding renumbers the slots
     # of exactly one canonical binding within each class
     enc = problem.metadata["encoder"]
-    every = enc.enumerate_bindings(prop.precondition, enc.src)
+    every = enc.enumerate_bindings(prop.precondition)
     assert len(every) == injective
     signatures = [_class_signature(b, prop.precondition) for b in expected]
     assert sorted(signatures) == sorted(
@@ -706,34 +684,12 @@ def test_canonical_bindings_agree_with_oracle():
             {"x": ("Other", 0), "y": ("Leaf", 0)}], prop.name
 
 
-# -- cardinality: association upper bounds and target existence -------------
+# -- cardinality: association upper bounds and creation caps ----------------
 
 def _solver_answer(text):
     out = io.StringIO()
     solve_text(text, out=out)
     return out.getvalue().split()[0]
-
-
-def test_slot_existence_is_exactly_one_claim():
-    spec = _slot_spec()
-    for n in range(6):
-        enc = Encoder(spec, spec.property("AHasNode"), SLOT_BOUNDS,
-                      EncodeOptions(), spec.transformations[0])
-        ex = enc.decl_bool("ex")
-        claims = [enc.decl_bool(f"x{i}") for i in range(n)]
-        block = enc._slot_existence(ex, claims)
-        # each claim's own assertion in the encoding gives claim => ex
-        implied = [f"(assert (=> {x} {ex}))" for x in claims]
-        for values in itertools.product((False, True), repeat=n + 1):
-            units = [f"(assert {x})" if v else f"(assert (not {x}))"
-                     for x, v in zip([ex] + claims, values)]
-            text = "\n".join(enc.decls + [block] + implied + units
-                             + ["(check-sat)"])
-            # ex iff exactly one claim, and no claim without ex: the iff
-            # with claim => ex that the block replaces
-            held = sum(values[1:])
-            expected = "sat" if held == int(values[0]) else "unsat"
-            assert _solver_answer(text) == expected, (n, values)
 
 
 # An Item's tags row is limited by the association's upper bound UPPER; with
@@ -899,10 +855,11 @@ property CoolHasMark "A reading below 1 gets a mark of -3." {
 }
 """
 
-# verdict and (CNF variables, CNF clauses) at two slots per class
-NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (93, 287)),
-                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (94, 291)),
-                     "CoolHasMark": (HOLDS, (93, 287))}
+# verdict and (CNF variables, CNF clauses) at two source slots and a cap
+# of two per class
+NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (36, 96)),
+                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (37, 100)),
+                     "CoolHasMark": (HOLDS, (36, 96))}
 
 
 def test_negative_constants_are_written_as_negations(monkeypatch):
@@ -924,7 +881,7 @@ def test_negative_constants_are_written_as_negations(monkeypatch):
         assert oracle_verdict(spec, prop, {"Reading": 2}) == want
         assert verify_property(spec, prop).status == want
         text = encode(spec, prop, bounds, EncodeOptions(), t).text
-        assert "(- 2)" in text and "(- 3)" in text
+        assert "(- 2)" in text and "(- 1)" in text
         assert not [tok for tok in tokenize_sexprs(text)
                     if re.fullmatch("-[0-9]+", tok)]
         sizes.clear()
@@ -941,8 +898,8 @@ def test_negative_constants_are_written_as_negations(monkeypatch):
 
 def _assert_agrees_with_oracle(spec, source, target):
     """For every property of ``spec``, ``verify`` and the encoding at the
-    source bounds ``source`` (with ``target`` slots per target class, one
-    for every creation) give the oracle's verdict, at the verifier's bounds
+    source bounds ``source`` (with ``target`` caps per target class, that
+    cap no creation) give the oracle's verdict, at the verifier's bounds
     and at ``source``; every counterexample conforms and replays."""
     t = spec.transformations[0]
     mm = spec.metamodel(t.source)
@@ -971,8 +928,8 @@ def _assert_agrees_with_oracle(spec, source, target):
 
 
 def _apply_links(text):
-    """The apply-link assertions of ``text``: a claim or firing implies a
-    target link."""
+    """The apply-link assertions of ``text``: firings imply a target
+    link."""
     return [line for line in text.splitlines()
             if re.fullmatch(r"\(assert \(=> \S.* ln_t_\w+\)\)", line)]
 
@@ -1268,24 +1225,23 @@ def test_apply_links_of_doubly_traced_and_untraced_ends(monkeypatch):
         # apply link is written
         if prop.name == "SomeTAOwnsAP_ShouldFail":
             assert problem.text == every.text
-    # AB2P fires on (A0, B0), (A0, B1), (A1, B0) and (A1, B1).  Value
-    # precedence gives their Ps 1, 2, 3 and 4 slots and the TAs of A0 and
-    # A1 1 and 2, so every apply link is 1 + 2 + 6 + 8 = 17 lines.  A
-    # witness for the canonical a = A0, b = B0 (and a2 = A1) reads only the
-    # first firing's link, needs a TA of A1 there, or reads the 1 + 6 links
-    # of the Ps of B0.
-    assert links == {"PairIsOwned": (1, 17),
-                     "PairIsOwnedByAnother_ShouldFail": (0, 17),
-                     "LinkedBHasOwnedP": (7, 17),
-                     "AnyBHasOwnedP_ShouldFail": (7, 17),
-                     "SomeTAOwnsAP_ShouldFail": (17, 17)}
+    # AB2P fires on (A0, B0), (A0, B1), (A1, B0) and (A1, B1), each with
+    # one apply link from the one TA of its A to its own P, so every apply
+    # link is 4 lines.  A witness for the canonical a = A0, b = B0 (and
+    # a2 = A1) reads only the first firing's link, needs a TA of A1 there,
+    # or reads the links of the 2 Ps of B0.
+    assert links == {"PairIsOwned": (1, 4),
+                     "PairIsOwnedByAnother_ShouldFail": (0, 4),
+                     "LinkedBHasOwnedP": (2, 4),
+                     "AnyBHasOwnedP_ShouldFail": (2, 4),
+                     "SomeTAOwnsAP_ShouldFail": (4, 4)}
     _assert_agrees_with_oracle(spec, source, target)
 
 
 # -- fresh elements of one class ------------------------------------------------
 
-# A2TwoB creates two B elements per A, and their choices share slots: the
-# encoding asserts that one firing puts them in distinct slots.
+# A2TwoB creates two B elements per A: two creations of one firing, which
+# are distinct elements by construction.
 TWO_FRESH_SPEC = """
 metamodel S { class A { } }
 metamodel T { class B { } }
@@ -1318,18 +1274,51 @@ property EveryAHasThreeB_ShouldFail "Negative: no A makes three Bs." {
 def test_fresh_elements_of_one_class_take_distinct_slots():
     spec = _inline_spec(TWO_FRESH_SPEC)
     t = spec.transformations[0]
-    problem = encode(spec, spec.property("EveryAHasTwoB"),
-                     PerClassBounds(source={"A": 2}, target={"B": 4}),
-                     EncodeOptions(), t)
-    # value precedence leaves b1 of the first firing slot 0 only, and b2
-    # slots 0 and 1; the second firing's choices share slots 0 to 3
-    distinct = re.findall(r"\(assert \(=> (fr_A2TwoB_\d) \(not \(and "
-                          r"\(= ch_A2TwoB_\d_b1 (\d)\) "
-                          r"\(= ch_A2TwoB_\d_b2 (\d)\)\)\)\)\)",
-                          problem.text)
-    assert ("fr_A2TwoB_0", "0", "0") in distinct
-    assert all(kx == ky for _, kx, ky in distinct) and len(distinct) > 1
+    bounds = PerClassBounds(source={"A": 2}, target={"B": 4})
+    lines = encode(spec, spec.property("EveryAHasTwoB"), bounds,
+                   EncodeOptions(), t).text.splitlines()
+    # the first A's two Bs are the two creations of its firing, so the
+    # witness is that firing; three Bs of one A have no witness
+    assert "(assert (=> sel_0 (and ex_s_A_0 (not fr_A2TwoB_0))))" in lines
+    lines = encode(spec, spec.property("EveryAHasThreeB_ShouldFail"), bounds,
+                   EncodeOptions(), t).text.splitlines()
+    assert "(assert (=> sel_0 ex_s_A_0))" in lines
     assert verify_property(spec, "EveryAHasTwoB").status == HOLDS
     assert verify_property(spec, "EveryAHasThreeB_ShouldFail").status \
         == VIOLATED
     _assert_agrees_with_oracle(spec, {"A": 2}, {"B": 4})
+
+
+# A2Base creates an element of the abstract class Base, as the engine does:
+# it is no LeafT, so an A has no LeafT traced to it.
+ABSTRACT_APPLY_SPEC = """
+metamodel S { class A { } }
+metamodel T {
+    abstract class Base { }
+    class LeafT extends Base { }
+}
+transformation t : S -> T {
+    layer L { rule A2Base { match { any a : A } apply { b : Base } } }
+}
+property AHasLeafT "Every A maps to a LeafT." {
+    precondition { any a : A }
+    postcondition {
+        x : LeafT
+        x <--trace-- a
+    }
+}
+"""
+
+
+def test_fresh_element_of_an_abstract_class_keeps_its_class():
+    spec = _inline_spec(ABSTRACT_APPLY_SPEC)
+    t = spec.transformations[0]
+    prop = spec.property("AHasLeafT")
+    assert oracle_verdict(spec, prop, {"A": 2}) == VIOLATED
+    verdict = verify_property(spec, prop)
+    assert verdict.status == VIOLATED
+    source, target, _ = verdict.counterexample
+    result = execute(t, source, spec)
+    assert target == result.target
+    assert [e.klass for e in target.elements] == ["Base"]
+    assert not check_property_concrete(prop, source, result, spec).holds
