@@ -263,9 +263,7 @@ def cmd_cutoff(args):
                               "detail": exc.detail}
             code = EXIT_UNKNOWN
             continue
-        every_layer = tuple(range(len(plan.t.layers)))
-        out[prop.name] = cutoff_report(plan.params, plan.cutoff,
-                                       plan.bounds(every_layer))
+        out[prop.name] = cutoff_report(plan.params, plan.cutoff, plan.bounds)
     print(json.dumps(out, indent=2))
     return code
 

@@ -3,8 +3,7 @@
 Given a property over a layered monotone transformation, compute:
   - the relevant rule set and backward-dependency depth (three pruning modes),
   - the three global cutoff formulas and their minimum K,
-  - per-class source slot bounds as a least fixed point, and target
-    bounds that cover what the rules can create,
+  - per-class source slot bounds as a least fixed point,
   - the layer fragment to verify (Minimal / Full).
 
 Relevance, the depth d and Minimal rest on one producer relation,
@@ -22,7 +21,7 @@ relevant rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .fragments import trace_producers
@@ -90,15 +89,14 @@ class CutoffBounds:
 
 @dataclass(frozen=True)
 class PerClassBounds:
-    """Slots per concrete source class, and per target class the cap on
-    the elements of exactly that class that the rules may create (see
-    `smtencode`)."""
+    """Slots per concrete source class.  `target` optionally caps, per
+    target class, the elements of exactly that class that the rules may
+    create (see `smtencode`); a class not listed is uncapped."""
     source: dict
-    target: dict
+    target: dict = field(default_factory=dict)
 
     def max_bound(self):
-        vals = list(self.source.values()) + list(self.target.values())
-        return max(vals, default=0)
+        return max(self.source.values(), default=0)
 
 
 def compute_cutoff(params):
@@ -261,84 +259,37 @@ def cutoff_params(spec, prop, relevance, closure, t):
 # Per-class bounds (least fixed point)
 # ---------------------------------------------------------------------------
 
-def target_production(spec, t, source, rule_names):
-    """Per target class, the most elements of exactly that class that the
-    rules named in `rule_names` can create from a source with at most
-    `source[c]` elements of each concrete class c.
+def per_class_bounds(spec, prop, k, t):
+    """Least fixed point of per-class source slot obligations.
 
-    A rule fires at most once per binding of its match elements and creates
-    one element of its class per fresh apply element.  A target bound at
-    least this large caps nothing (see `smtencode`): a firing beyond a cap
-    cannot fire, and its source would leave the search with every violation
-    it holds.
-    """
-    src_info = spec.metamodel(t.source).info
-    made = dict.fromkeys(spec.metamodel(t.target).info, 0)
-    for _, rule in t.all_rules():
-        if rule.name not in rule_names:
-            continue
-        firings = 1
-        for e in rule.match.elements:
-            firings *= sum(source.get(c, 0)
-                           for c in src_info[e.klass].subtypes)
-        for e in rule.fresh_apply_elements():
-            made[e.klass] += firings
-    return made
-
-
-def per_class_bounds(spec, prop, relevance, k, t,
-                     rule_names=None):
-    """Least fixed point of per-class slot obligations.
-
-    Source seeds are the property's precondition element counts (counting an
+    Seeds are the property's precondition element counts (counting an
     element for every concrete class compatible with its declared class),
-    and mandatory lower bounds propagate from them, capped at k.  A target
-    class gets its postcondition seed plus `target_production` from those
-    source bounds, uncapped, and then its mandatory lower bounds; so the
-    target bounds cap no creation.  `rule_names` restricts the producing
-    rules (defaults to the relevant set).
+    and mandatory lower bounds propagate from them, capped at k.  The
+    target needs no bound: the rules make it from the source.
     """
-    src_mm = spec.metamodel(t.source)
-    tgt_mm = spec.metamodel(t.target)
-    names = relevance.relevant_rules if rule_names is None else set(rule_names)
-
-    def seeds(pattern, info):
-        counts = {c: 0 for c in info}
-        for e in pattern.elements:
-            for c in info:
-                if types_overlap(info, c, e.klass):
-                    counts[c] += 1
-        return {c: min(n, k) for c, n in counts.items()}
-
-    src = seeds(prop.precondition, src_mm.info)
-    tgt_seed = seeds(prop.postcondition, tgt_mm.info)
-
-    def closure_fixpoint(base, mm):
-        """counts[B] = max(base[B], min(k, base[B] + sum of lower *
-        count(forcing A)))."""
-        counts = dict(base)
-        changed = True
-        while changed:
-            changed = False
-            for b in base:
-                forced = 0
-                for a in mm.associations:
-                    if a.lower < 1 or a.target != b:
-                        continue
-                    forcing = sum(counts[c] for c in base
-                                  if is_subtype(mm.info, c, a.source))
-                    forced += a.lower * min(forcing, k)
-                demand = min(k, base[b] + forced)
-                if counts[b] < demand:
-                    counts[b] = demand
-                    changed = True
-        return counts
-
-    src = closure_fixpoint(src, src_mm)
-    made = target_production(spec, t, src, names)
-    tgt = closure_fixpoint({c: n + made.get(c, 0)
-                            for c, n in tgt_seed.items()}, tgt_mm)
-    return PerClassBounds(src, tgt)
+    mm = spec.metamodel(t.source)
+    seeds = {c: min(k, sum(types_overlap(mm.info, c, e.klass)
+                           for e in prop.precondition.elements))
+             for c in mm.info}
+    # counts[B] = max(seeds[B], min(k, seeds[B] + sum of lower *
+    # count(forcing A)))
+    counts = dict(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for b in seeds:
+            forced = 0
+            for a in mm.associations:
+                if a.lower < 1 or a.target != b:
+                    continue
+                forcing = sum(counts[c] for c in seeds
+                              if is_subtype(mm.info, c, a.source))
+                forced += a.lower * min(forcing, k)
+            demand = min(k, seeds[b] + forced)
+            if counts[b] < demand:
+                counts[b] = demand
+                changed = True
+    return PerClassBounds(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +333,6 @@ def cutoff_report(params, bounds, per_class):
                    "dPrime": params.d_prime},
         "bounds": {"coarse": bounds.k_coarse, "sharp": bounds.k_sharp,
                    "tight": bounds.k_tight, "k": bounds.k},
-        "perClass": {"source": dict(sorted(per_class.source.items())),
-                     "target": dict(sorted(per_class.target.items()))},
+        "perClass": {"source": dict(sorted(per_class.source.items()))},
         "dominant": list(bounds.dominant),
     }

@@ -1,12 +1,11 @@
 """Empirical cutoff-boundary validation.
 
-Two phases per property: a uniform sweep that shifts every per-class bound
-by an offset and re-verifies, and a selective pass decrementing one class at
-a time to find the binding classes.  A source row moves the slots of a
-source class; a target row moves the cap on the creations of a target
-class (see `smtencode`), which the planned bounds set high enough to cap
-nothing, so only a row below them can cap.  Results render to a markdown
-report plus raw JSON.
+Two phases per property: a uniform sweep that shifts every per-class source
+bound by an offset and re-verifies, and a selective pass decrementing one
+source class at a time to find the binding classes.  The target is what the
+rules make from the source, so it has no bound to vary.  Every run solves
+the fragment that `verify` decided on.  Results render to a markdown report
+plus raw JSON.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ class SweepResult:
 class PerturbationResult:
     property: str
     base_status: str
-    runs: list = field(default_factory=list)  # (class, side, status|skipped)
-    reasons: dict = field(default_factory=dict)  # (class, side) -> reason
+    runs: list = field(default_factory=list)  # (class, status|skipped)
+    reasons: dict = field(default_factory=dict)  # class -> UNKNOWN reason
     binding_classes: list = field(default_factory=list)
     matched: bool = False
 
@@ -60,9 +59,8 @@ class PerturbationResult:
         return {
             "property": self.property,
             "baseStatus": self.base_status,
-            "runs": [{"class": c, "side": s, "status": st,
-                      "reason": self.reasons.get((c, s))}
-                     for c, s, st in self.runs],
+            "runs": [{"class": c, "status": st, "reason": self.reasons.get(c)}
+                     for c, st in self.runs],
             "bindingClasses": list(self.binding_classes),
             "matched": self.matched,
         }
@@ -84,50 +82,42 @@ class BoundsLab:
             self.plan, self.rejection = None, exc
             self.base_verdict = base_verdict or exc.verdict()
             self.k, self.dominant = 0, ()
-            self.base = PerClassBounds(source={}, target={})
-            self.seed_source = self.seed_target = set()
+            self.base = PerClassBounds(source={})
+            self.seeds = set()
             return
         self.rejection = None
         self.base_verdict = base_verdict or verify_property(
             spec, self.prop, config, self.plan)
         self.k, self.dominant = self.plan.cutoff.k, self.plan.cutoff.dominant
-        self.base = self.plan.bounds(self.plan.fragment)
-        t = self.plan.t
-
-        def seeds(pattern, mm_name):
-            info = spec.metamodel(mm_name).info
-            return set().union(*(info[e.klass].subtypes
-                                 for e in pattern.elements))
-        self.seed_source = seeds(self.prop.precondition, t.source)
-        self.seed_target = seeds(self.prop.postcondition, t.target)
+        self.base = self.plan.bounds
+        # a decided verdict names the fragment refinement ended on; the
+        # plan's first fragment may hold only a spurious counterexample
+        self.fragment = self.plan.fragment \
+            if self.base_verdict.status == UNKNOWN \
+            else self.base_verdict.fragment
+        info = spec.metamodel(self.plan.t.source).info
+        self.seeds = set().union(*(info[e.klass].subtypes
+                                   for e in self.prop.precondition.elements))
 
     def shifted(self, delta):
-        def shift(side, seeds):
-            out = {}
-            for c, b in side.items():
-                if b <= 0:
-                    out[c] = 0  # classes out of play stay out of play
-                    continue
-                floor = 1 if c in seeds else 0
-                out[c] = max(floor, b + delta)
-            return out
-        return PerClassBounds(source=shift(self.base.source,
-                                           self.seed_source),
-                              target=shift(self.base.target,
-                                           self.seed_target))
+        out = {}
+        for c, b in self.base.source.items():
+            if b <= 0:
+                out[c] = 0  # classes out of play stay out of play
+                continue
+            floor = 1 if c in self.seeds else 0
+            out[c] = max(floor, b + delta)
+        return PerClassBounds(out)
 
-    def decremented(self, klass, side):
-        source = dict(self.base.source)
-        target = dict(self.base.target)
-        table = source if side == "source" else target
-        if table.get(klass, 0) <= 0:
+    def decremented(self, klass):
+        if self.base.source.get(klass, 0) <= 0:
             return None
-        table[klass] -= 1
-        return PerClassBounds(source=source, target=target)
+        return PerClassBounds({**self.base.source,
+                               klass: self.base.source[klass] - 1})
 
     def solve_at(self, bounds):
         """(status, seconds, reason) of one unrefined, unconfirmed attempt
-        at the plan's first fragment; reason is "<reason>: <detail>" when
+        at the decided fragment; reason is "<reason>: <detail>" when
         UNKNOWN, otherwise None.  These runs write no --dump-smt files."""
         start = time.monotonic()
         if self.rejection:
@@ -135,7 +125,7 @@ class BoundsLab:
         else:
             run = _PropertyRun(self.plan, replace(self.config, dump_dir=None),
                                start + self.config.timeout_seconds)
-            verdict = run.attempt(self.plan.fragment, bounds)
+            verdict = run.attempt(self.fragment, bounds)
         reason = verdict.reason and f"{verdict.reason}: {verdict.detail}"
         return verdict.status, time.monotonic() - start, reason
 
@@ -156,20 +146,18 @@ class BoundsLab:
     def selective_minus_one(self):
         base_status = self.base_verdict.status
         result = PerturbationResult(self.prop.name, base_status)
-        for side, table in (("source", self.base.source),
-                            ("target", self.base.target)):
-            for klass in sorted(table):
-                bounds = self.decremented(klass, side)
-                if bounds is None:
-                    result.runs.append((klass, side, "skipped"))
-                    continue
-                status, _, reason = self.solve_at(bounds)
-                result.runs.append((klass, side, status))
-                if reason:
-                    # an undecided run shows nothing about the class
-                    result.reasons[(klass, side)] = reason
-                elif base_status != UNKNOWN and status != base_status:
-                    result.binding_classes.append(f"{side}:{klass}")
+        for klass in sorted(self.base.source):
+            bounds = self.decremented(klass)
+            if bounds is None:
+                result.runs.append((klass, "skipped"))
+                continue
+            status, _, reason = self.solve_at(bounds)
+            result.runs.append((klass, status))
+            if reason:
+                # an undecided run shows nothing about the class
+                result.reasons[klass] = reason
+            elif base_status != UNKNOWN and status != base_status:
+                result.binding_classes.append(klass)
         if result.reasons or base_status == UNKNOWN:
             # an undecided run or base shows nothing about binding classes
             result.matched = False
@@ -245,10 +233,10 @@ def emit_report(results, spec_name="spec"):
         binding = ", ".join(pert.binding_classes) or "none"
         lines += [f"### {pert.property} (base {pert.base_status})", "",
                   f"Binding classes: {binding}", "",
-                  "| class | side | verdict |", "|---|---|---|"]
-        for c, side, status in pert.runs:
-            cell = _status_cell(status, pert.reasons.get((c, side)))
-            lines.append(f"| {c} | {side} | {cell} |")
+                  "| class | verdict |", "|---|---|"]
+        for c, status in pert.runs:
+            cell = _status_cell(status, pert.reasons.get(c))
+            lines.append(f"| {c} | {cell} |")
         lines.append("")
 
     return "\n".join(lines)

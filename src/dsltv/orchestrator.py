@@ -19,7 +19,7 @@ from .abstraction import synthesize_abstraction, validate_abstraction, \
 from .cutoff import (
     CutoffBounds, CutoffParams, FragmentKind, PerClassBounds, RelevanceMode,
     RelevanceResult, compute_cutoff, cutoff_params, per_class_bounds,
-    relevant_rules, select_fragment, target_production,
+    relevant_rules, select_fragment,
 )
 from .engine import check_property_concrete, execute
 from .fragments import check_flnr, check_gbpp
@@ -133,35 +133,19 @@ class PropertyPlan:
     params: CutoffParams
     cutoff: CutoffBounds
     fragment: tuple  # the first fragment to solve
-    per_class: bool
+    bounds: PerClassBounds  # source slots, the same for every fragment
 
     def rule_names(self, fragment):
         """Relevant rules of the layers in `fragment`, sorted."""
         return tuple(sorted(r for r in self.relevance.relevant_rules
                             if self.t.rule_layer(r) in fragment))
 
-    def bounds(self, fragment):
-        """Per-class bounds for `fragment`.  When per-class bounds are off,
-        every concrete source class gets K, and every target class K or
-        what the fragment's rules can create from that source, whichever is
-        more.  Either way the target bounds cap no creation."""
-        k = self.cutoff.k
-        names = self.rule_names(fragment)
-        if self.per_class:
-            return per_class_bounds(self.spec, self.prop, self.relevance, k,
-                                    self.t, rule_names=names)
-        source = {c: k for c, ci in
-                  self.spec.metamodel(self.t.source).info.items()
-                  if not ci.abstract}
-        made = target_production(self.spec, self.t, source, names)
-        return PerClassBounds(source=source,
-                              target={c: max(k, n) for c, n in made.items()})
-
 
 def plan_property(spec, prop, config):
-    """Fragment guards, attribute abstraction, relevance, cutoff and the
-    first fragment for one property.  Raises PlanRejected when the property
-    falls outside the verifiable fragment or its closure is unbounded."""
+    """Fragment guards, attribute abstraction, relevance, cutoff, source
+    bounds and the first fragment for one property.  Raises PlanRejected
+    when the property falls outside the verifiable fragment or its closure
+    is unbounded."""
     t = _transformation_for(spec, prop)
     flnr = check_flnr(t, spec.metamodel(t.source), spec.metamodel(t.target))
     violations = [v for v in flnr.violations if v.restriction != "R5"]
@@ -191,10 +175,17 @@ def plan_property(spec, prop, config):
     except UnboundedClosureError as exc:
         raise PlanRejected("budget", str(exc)) from None
     params = cutoff_params(spec, prop, relevance, closure, t)
+    cutoff = compute_cutoff(params)
+    if config.per_class:
+        bounds = per_class_bounds(spec, prop, cutoff.k, t)
+    else:
+        bounds = PerClassBounds({c: cutoff.k for c, ci in
+                                 spec.metamodel(t.source).info.items()
+                                 if not ci.abstract})
     return PropertyPlan(
-        spec, t, prop, relevance, params, compute_cutoff(params),
+        spec, t, prop, relevance, params, cutoff,
         select_fragment(spec, prop, relevance, config.fragment_kind, t),
-        config.per_class)
+        bounds)
 
 
 class _PropertyRun:
@@ -206,10 +197,10 @@ class _PropertyRun:
         self.firing_variables = 0  # rule firings encoded, over all attempts
 
     def attempt(self, fragment, bounds=None):
-        """Encode and solve `fragment` at `bounds`, by default the plan's
-        bounds for it; a violation is decoded but not yet confirmed."""
+        """Encode and solve `fragment` at `bounds`, by default the plan's;
+        a violation is decoded but not yet confirmed."""
         plan = self.plan
-        bounds = plan.bounds(fragment) if bounds is None else bounds
+        bounds = plan.bounds if bounds is None else bounds
         per_class_max = bounds.max_bound()
         common = dict(k=plan.cutoff.k, per_class_max=per_class_max,
                       fragment=fragment, dominant=plan.cutoff.dominant)

@@ -13,23 +13,23 @@ element between firings: ``engine.execute`` makes one element per firing
 and fresh apply element, named by the rule, the match binding and the apply
 element.  So a creation is a target element of its own.  It exists iff its
 firing holds, its class is exactly the apply element's, and its attributes
-are its bindings' values: a literal is a constant, a copy is the source
-attribute it copies, and an unbound attribute is a free variable of its
-domain.  Its traces are static, from each source slot of its binding, so a
-postcondition witness enumerates, for an element traced to precondition
-elements, only the creations whose binding holds their slots, and reads no
-trace variable.  A backward pair resolves to exactly one of its candidates:
+are its bindings' values: a literal is a constant and a copy is the source
+attribute it copies.  An attribute that no binding sets is absent, as in
+the engine, so a postcondition guard on it is false.  Its traces are
+static, from each source slot of its binding, so a postcondition witness
+enumerates, for an element traced to precondition elements, only the
+creations whose binding holds their slots, and reads no trace variable.  A backward pair resolves to exactly one of its candidates:
 the creations of earlier layers, of a compatible class, whose binding holds
 the demanded slot, as the engine resolves it through the traces of earlier
 layers.  ``decode_counterexample`` rebuilds the target from the firings,
 with the engine's element ids.
 
-The target bounds of ``PerClassBounds`` cap creations.  When a class has
-more creations than its cap k, the encoding asserts that at most k of them
-fire, so a source that would make more leaves the search with every
-violation it holds.  A class with no cap is capped at 0.  The bounds that
-``verify`` plans cover what the rules can create (``target_production``),
-so they never cap anything; the fixed-bound experiments use caps.
+The target is what the rules make from the source, so ``verify`` bounds
+only the source.  ``PerClassBounds.target`` may cap the creations of a
+target class: when a class has more creations than its cap k, the encoding
+asserts that at most k of them fire, so a source that would make more
+leaves the search with every violation it holds.  A class with no cap is
+uncapped.  ``verify`` sets no cap; fixed-bound experiments may.
 
 Every problem breaks the symmetry between the slots of one source class
 with two constraints:
@@ -138,6 +138,7 @@ which the query rules out; sat is kept.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -414,6 +415,12 @@ class Encoder:
                         f"(assert (=> {v} (and {world.ex(cs, i)} "
                         f"{world.ex(ct, j)})))"
                         for v, (ct, j) in zip(row, cols))
+                    if a.lower > 1:
+                        # the term below has one conjunction per choice of
+                        # `lower` links; the ceiling counts each, before
+                        # they are built
+                        self.counter_clauses += math.comb(len(row), a.lower)
+                        self.checkpoint()
                     need = _or([_and(list(sub)) for sub in
                                 itertools.combinations(row, a.lower)])
                     self.deferred.append(
@@ -476,12 +483,13 @@ class Encoder:
 
     def enumerate_bindings(self, pattern):
         """Injective assignments of pattern elements to source (class, slot)
-        pairs, guards not included (they become formula terms)."""
+        pairs, guards not included (they become formula terms), one at a
+        time."""
         names = [e.name for e in pattern.elements]
         options = [self.src.all_slots(e.klass) for e in pattern.elements]
-        return [dict(zip(names, combo))
+        return (dict(zip(names, combo))
                 for combo in itertools.product(*options)
-                if len(set(combo)) == len(combo)]
+                if len(set(combo)) == len(combo))
 
     def canonical_bindings(self, pattern):
         """One injective binding per assignment of pattern elements to
@@ -543,8 +551,13 @@ class Encoder:
         # refer back to earlier creations
         firing_data = []  # (li, rule, bindings list)
         for li, rule in self.active_rules():
-            bindings = self.enumerate_bindings(rule.match)
-            self.n_firing_vars += len(bindings)
+            bindings = []
+            # stop enumerating once the firings pass the ceiling
+            for binding in self.enumerate_bindings(rule.match):
+                bindings.append(binding)
+                self.n_firing_vars += 1
+                if self.n_firing_vars > self.options.binding_ceiling:
+                    break
             self.checkpoint()
             firing_data.append((li, rule, bindings))
 
@@ -596,7 +609,8 @@ class Encoder:
         for cr in self.creations:
             by_class.setdefault(cr.klass, []).append(cr.fires)
         for c, fires in sorted(by_class.items()):
-            self._at_most(fires, self.caps.get(c, 0), self.asserts)
+            if c in self.caps:
+                self._at_most(fires, self.caps[c], self.asserts)
 
     def _apply_links(self, l, fv, ends_s, ends_t):
         """Assert apply link ``l`` of firing ``fv`` between each pair of
@@ -691,17 +705,13 @@ class Encoder:
 
     def _creation_guard(self, cr, g):
         """Guard ``g`` on an attribute of creation ``cr``: a literal binding
-        decides it here, a copy reads the source attribute, and an unbound
-        attribute is a free variable of its domain."""
-        dom = self.tgt_mm.info[cr.klass].attributes.get(g.attr)
-        if dom is None:
-            return "false"
+        decides it here, a copy reads the source attribute, and a guard on
+        an attribute that no binding sets is false, as in the engine, which
+        leaves that attribute out of the element."""
         binding = next((b for b in cr.element.bindings if b.attr == g.attr),
                        None)
         if binding is None:
-            enc, dec, lo, hi, sparse = _domain_codec(dom)
-            return self._compare(self.decl_int(
-                f"at_t_{cr.n}_{g.attr}", lo, hi, sparse), dom, g)
+            return "false"
         if not isinstance(binding.value, CopyBinding):
             return "true" if compare(g.op, binding.value, g.value) \
                 else "false"

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from dsltv.cli import main as cli_main
 from dsltv.parser import parse_spec_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -57,3 +58,19 @@ def kboundary_spec():
 def corpus():
     return [(os.path.basename(p), load_spec(os.path.relpath(p, FIXTURES)))
             for p in corpus_paths()]
+
+
+@pytest.fixture(scope="session")
+def fixture_dumps(tmp_path_factory):
+    """(spec path/file name, text) of every problem ``verify --dump-smt``
+    writes for the fixture specs."""
+    root = tmp_path_factory.mktemp("dumps")
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
+                                 recursive=True)):
+        # one directory per spec: property names repeat across specs
+        cli_main(["verify", path, "--dump-smt",
+                  str(root / os.path.relpath(path, FIXTURES))])
+    dumps = sorted(root.rglob("*.smt2"))
+    assert len(dumps) >= 40
+    return [(str(dump.relative_to(root)), dump.read_text())
+            for dump in dumps]

@@ -58,7 +58,7 @@ def source_bounds_for(spec, prop, mode):
     relevance = relevant_rules(spec, prop, mode, t)
     closure = mandatory_closure(spec.metamodel(t.source))
     k = compute_cutoff(cutoff_params(spec, prop, relevance, closure, t)).k
-    return per_class_bounds(spec, prop, relevance, k, t).source, t
+    return per_class_bounds(spec, prop, k, t).source, t
 
 
 def oracle_verdict(spec, prop, bounds, transformation=None):

@@ -232,7 +232,7 @@ def test_reference_verdicts(uml2java):
     holds = verify_property(
         uml2java, uml2java.property("PackageHasPackageDeclaration"), config)
     assert holds.status == HOLDS
-    assert holds.per_class_max == 2
+    assert holds.per_class_max == 1
     violated = verify_property(
         uml2java,
         uml2java.property("ClassMappedToInterfaceDeclaration_ShouldFail"),

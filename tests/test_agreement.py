@@ -63,6 +63,7 @@ INLINE = {
     "TWO_FRESH_SPEC": test_smtencode.TWO_FRESH_SPEC,
     "ABSTRACT_APPLY_SPEC": test_smtencode.ABSTRACT_APPLY_SPEC,
     "WIDE_SPEC": test_smtencode.WIDE_SPEC,
+    "UNBOUND_ATTR_SPEC": test_smtencode.UNBOUND_ATTR_SPEC,
     "ABSTRACT_POST": test_orchestrator.ABSTRACT_POST,
     "PAIR_EDGE": test_orchestrator.PAIR_EDGE,
     "COPY_INTO": test_orchestrator.COPY_INTO.format(domain="Int[0..7]"),
@@ -85,7 +86,7 @@ def _specs():
 def _rule_sets(spec):
     """(proof spec, transformation, rule names, bounds) of each distinct
     rule set that a plan of one of ``spec``'s properties encodes: its first
-    fragment and the Full one, each at the plan's bounds for it."""
+    fragment and the Full one, each at the plan's bounds."""
     out = {}
     for prop in spec.properties:
         try:
@@ -94,7 +95,7 @@ def _rule_sets(spec):
             continue
         for fragment in (plan.fragment, tuple(range(len(plan.t.layers)))):
             names = plan.rule_names(fragment)
-            bounds = plan.bounds(fragment)
+            bounds = plan.bounds
             key = (plan.t.name, names, tuple(sorted(bounds.source.items())))
             out.setdefault(key, (plan.spec, plan.t, prop, names, bounds))
     return list(out.values())

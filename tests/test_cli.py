@@ -414,7 +414,7 @@ def test_dump_smt_writes_the_closed_problem(tmp_path, capsys):
     config = VerificationConfig()
     plan = plan_property(spec, spec.property(name), config)
     assert plan.fragment == (0,)
-    problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+    problem = encode(plan.spec, plan.prop, plan.bounds,
                      EncodeOptions(binding_ceiling=config.binding_ceiling,
                                    rule_names=plan.rule_names(plan.fragment)),
                      plan.t)

@@ -92,11 +92,12 @@ def test_per_class_bounds_cap_and_seed(uml2java):
     prop, rel, params, t = _pipeline(uml2java,
                                      "PackageHasPackageDeclaration")
     k = compute_cutoff(params).k
-    bounds = per_class_bounds(uml2java, prop, rel, k, t)
-    assert bounds.max_bound() == 2
+    bounds = per_class_bounds(uml2java, prop, k, t)
+    assert bounds.max_bound() == 1
     assert all(0 <= v <= k for v in bounds.source.values())
-    assert all(0 <= v <= k for v in bounds.target.values())
-    assert bounds.source["Package"] >= 1
+    # the seed, and the Model that a Package's mandatory owner forces
+    assert bounds.source["Package"] == bounds.source["Model"] == 1
+    assert bounds.target == {}
 
 
 def _producer_layers(spec, prop, t):
@@ -183,7 +184,7 @@ def test_cutoff_report_shape(uml2java):
     prop, rel, params, t = _pipeline(uml2java,
                                      "PackageHasPackageDeclaration")
     k = compute_cutoff(params).k
-    per_class = per_class_bounds(uml2java, prop, rel, k, t)
+    per_class = per_class_bounds(uml2java, prop, k, t)
     report = cutoff_report(params, compute_cutoff(params), per_class)
     assert report["params"] == {"c": params.c, "m": params.m, "p": params.p,
                                 "d": params.d, "a": params.a, "r": params.r,

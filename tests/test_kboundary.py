@@ -37,9 +37,7 @@ def test_selective_decrement_finds_binding_classes(kboundary_spec):
     prop = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
     result = selective_minus_one(kboundary_spec, prop)
     assert result.base_status == VIOLATED
-    # the TypeDecl cap covers every creation plus the postcondition's
-    # element, so one less still caps no creation
-    assert result.binding_classes == ["source:Source"]
+    assert result.binding_classes == ["Source"]
     assert result.matched
 
 
@@ -49,6 +47,21 @@ def test_selective_decrement_positive_has_no_binding(kboundary_spec):
     assert result.base_status == HOLDS
     assert result.binding_classes == []
     assert result.matched
+
+
+def test_rows_solve_the_fragment_verify_decided_on(cegar_spec):
+    # the first fragment's counterexample is spurious, and verify decides
+    # HOLDS on the fragment one refinement round gives
+    prop = cegar_spec.property("SourceHasWidget")
+    verdict = verify_property(cegar_spec, prop)
+    assert (verdict.status, verdict.cegar_rounds, verdict.fragment) == \
+        (HOLDS, 1, (0, 1))
+    sweep = uniform_sweep(cegar_spec, prop)
+    assert [st for _, st, _ in sweep.rows] == [HOLDS] * 7
+    assert sweep.matched
+    pert = selective_minus_one(cegar_spec, prop)
+    assert pert.binding_classes == []
+    assert pert.matched
 
 
 def test_report_and_json(kboundary_spec):
@@ -69,8 +82,13 @@ def test_report_and_json(kboundary_spec):
     assert doc[0]["sweep"]["property"] == kboundary_spec.properties[0].name
 
 
+# an A's mandatory owner gives C a bound of 1 beside A's seed
 INT_SPEC = """
-metamodel M { class A { n: Int } }
+metamodel M {
+    class A { n: Int }
+    class C { }
+    assoc owner : A -> C [1..1]
+}
 metamodel N { class B { } }
 transformation t : M -> N {
     layer L { rule A2B { match { any a : A } apply { b : B } } }
@@ -111,7 +129,7 @@ def test_infinite_domain_sweeps_the_proof_spec(tmp_path):
 def test_binding_ceiling_gives_unknown_rows():
     spec = parse_spec(INT_SPEC, "inline")
     prop = spec.property("AHasB")
-    # at ceiling 1 the A = 0 run, which fires nothing, fits
+    # at ceiling 1 only the A = 0 run, which fires nothing, fits
     config = VerificationConfig(binding_ceiling=1)
     sweep = uniform_sweep(spec, prop, config)
     assert {st for _, st, _ in sweep.rows} == {UNKNOWN}
@@ -119,10 +137,10 @@ def test_binding_ceiling_gives_unknown_rows():
     assert not sweep.matched
     pert = selective_minus_one(spec, prop, config)
     assert pert.base_status == UNKNOWN
-    assert pert.reasons[("B", "target")].startswith("ceiling: ")
-    # source:A at bound 0 needs no firing and HOLDS, but an undecided base
-    # makes no class binding
-    assert ("A", "source", HOLDS) in pert.runs
+    assert pert.reasons["C"].startswith("ceiling: ")
+    # A at bound 0 needs no firing and HOLDS, but an undecided base makes
+    # no class binding
+    assert ("A", HOLDS) in pert.runs
     assert pert.binding_classes == []
     assert not pert.matched
     results = [{"sweep": sweep, "perturbation": pert}]
@@ -152,8 +170,8 @@ def test_verify_kboundary_and_cutoff_agree(name, capsys):
         verdict = verify_property(spec, prop)
         sweep = uniform_sweep(spec, prop, base_verdict=verdict)
         assert sweep.base_k == verdict.k == report[prop.name]["bounds"]["k"]
-        if verdict.cegar_rounds == 0:
-            assert sweep.per_class_max == verdict.per_class_max
+        assert sweep.per_class_max == verdict.per_class_max == max(
+            report[prop.name]["perClass"]["source"].values())
 
 
 def test_kboundary_plans_each_property_once(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import time
 from dataclasses import replace
 from types import SimpleNamespace
 
-from conftest import load_spec
+from conftest import fixture_path, fixture_specs, load_spec
 from oracle import oracle_verdict, source_bounds_for
 
 from dsltv import cli, orchestrator
@@ -23,7 +23,7 @@ def test_uml2java_verdicts(uml2java):
     results = {name: v for name, v in verify_all(uml2java, config)
                if name is not None}
     assert results["PackageHasPackageDeclaration"].status == HOLDS
-    assert results["PackageHasPackageDeclaration"].per_class_max == 2
+    assert results["PackageHasPackageDeclaration"].per_class_max == 1
     assert results["ClassMappedToInterfaceDeclaration_ShouldFail"].status \
         == VIOLATED
 
@@ -166,6 +166,22 @@ def test_ceiling_verdict_counts_its_firing_variables(uml2java):
     assert (event["status"], event["reason"]) == (UNKNOWN, "ceiling")
     firings = int(event["detail"].split("(")[1].split(" firings")[0])
     assert event["firingVariables"] == firings > 0
+
+
+def test_lower_bound_blowup_ends_at_the_ceiling_at_once(capsys):
+    # contains [2..*] at K = 102 gives each Package a lower-bound term of
+    # C(204, 2) = 20,706 conjunctions; the encoding stops before writing
+    # the one that passes the ceiling
+    for extra in ([], ["--budget", "100000000"]):
+        start = time.monotonic()
+        assert cli.main(["verify", "--no-per-class", *extra, "--property",
+                         "PropertyHasField",
+                         fixture_path("uml2java_b4.dslt")]) == 2
+        assert time.monotonic() - start < 1
+        event = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert (event["status"], event["reason"], event["perClassMax"]) \
+            == (UNKNOWN, "ceiling", 102)
+        assert event["detail"].startswith("encoding exceeded ceiling 200000")
 
 
 def test_verdict_event_counts_closure_rounds():
@@ -531,8 +547,8 @@ def test_copy_into_a_wider_or_abstracted_domain_keeps_every_value(tmp_path):
 
 
 # R1 and R2 both make a D for an A with f = true, so R3's backward pair is
-# ambiguous there and R3 skips it: such an A has no E.  K is 1, and the
-# D bound must count both creations, not stop at K.
+# ambiguous there and R3 skips it: such an A has no E.  K is 1, and no
+# bound may stop D's creations at K.
 TWO_PRODUCERS = """
 metamodel SA { class A { f: Bool } }
 metamodel TD {
@@ -574,7 +590,7 @@ property FalseAHasE {
 """
 
 
-def test_target_bounds_cover_every_creation(tmp_path):
+def test_target_bounds_cover_every_creation(tmp_path, fixture_dumps):
     expected = {"EveryAHasE": VIOLATED, "FalseAHasE": HOLDS}
     for per_class in (True, False):
         config = VerificationConfig(per_class=per_class)
@@ -582,4 +598,13 @@ def test_target_bounds_cover_every_creation(tmp_path):
         spec = parse_spec(TWO_PRODUCERS, "inline")
         plan = plan_property(spec, spec.property("EveryAHasE"), config)
         assert plan.cutoff.k == 1
-        assert plan.bounds(plan.fragment).target["D"] >= 2, per_class
+        # the plan bounds the source only, so no creation is capped
+        assert plan.bounds.target == {}, per_class
+    for rel, spec in fixture_specs():
+        for prop in spec.properties:
+            plan = plan_property(spec, prop, VerificationConfig())
+            assert plan.bounds.target == {}, (rel, prop.name)
+    # a cap is a cardinality term over firings, or unit negations of them
+    for name, text in fixture_dumps:
+        assert "(ite fr_" not in text and "(assert (not fr_" not in text, \
+            name

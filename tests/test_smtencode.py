@@ -27,7 +27,7 @@ def _bounds(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
     closure = mandatory_closure(spec.metamodel(t.source))
     rel = relevant_rules(spec, prop, mode, t)
     k = compute_cutoff(cutoff_params(spec, prop, rel, closure, t)).k
-    return prop, per_class_bounds(spec, prop, rel, k, t), t
+    return prop, per_class_bounds(spec, prop, k, t), t
 
 
 def test_encoded_text_is_wellformed_smtlib(uml2java):
@@ -63,6 +63,42 @@ def test_binding_ceiling_raises(uml2java):
     prop, bounds, t = _bounds(uml2java, "OwnedPropertyHasOwnedField")
     with pytest.raises(EncodingCeilingError):
         encode(uml2java, prop, bounds, EncodeOptions(binding_ceiling=1), t)
+
+
+TRIPLE_SPEC = """
+metamodel S { class A { } }
+metamodel T { class B { } }
+transformation t : S -> T {
+    layer L {
+        rule Triple2B {
+            match {
+                any x : A
+                any y : A
+                any z : A
+            }
+            apply { b : B }
+        }
+    }
+}
+property AHasB "Every A is in a triple's B." {
+    precondition { any a : A }
+    postcondition {
+        b : B
+        b <--trace-- a
+    }
+}
+"""
+
+
+def test_binding_enumeration_stops_at_the_ceiling():
+    # 60 * 59 * 58 = 205,320 injective bindings; the encoder stops at the
+    # first one past the ceiling instead of listing them all
+    spec = _inline_spec(TRIPLE_SPEC)
+    with pytest.raises(EncodingCeilingError,
+                       match=r"\(1001 firings, ") as exc:
+        encode(spec, spec.property("AHasB"), PerClassBounds({"A": 60}),
+               EncodeOptions(binding_ceiling=1000), spec.transformations[0])
+    assert exc.value.firing_variables == 1001
 
 
 # Few firings, and more assertions than firings: ordered existence, the
@@ -184,7 +220,7 @@ def test_lazy_closure_defers_lower_bounds(uml2java):
              (c06, "ChildHasPOut_ShouldFail", 1)]
     for spec, name, rounds in cases:
         plan = plan_property(spec, spec.property(name), VerificationConfig())
-        problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+        problem = encode(plan.spec, plan.prop, plan.bounds,
                          EncodeOptions(rule_names=plan.rule_names(
                              plan.fragment)), plan.t)
         deferred = list(problem.deferred)
@@ -202,7 +238,7 @@ def test_closure_check_reads_the_counterexamples_source(monkeypatch):
     c06 = load_spec("corpus/c06_mandatory.dslt")
     plan = plan_property(c06, c06.property("ChildHasPOut_ShouldFail"),
                          VerificationConfig())
-    problem = encode(plan.spec, plan.prop, plan.bounds(plan.fragment),
+    problem = encode(plan.spec, plan.prop, plan.bounds,
                      EncodeOptions(rule_names=plan.rule_names(
                          plan.fragment)), plan.t)
     checked = []
@@ -386,7 +422,7 @@ def test_lazy_closure_agrees_with_eager_bounds():
             try:
                 plan = plan_property(spec, prop, config)
                 problem = encode(plan.spec, plan.prop,
-                                 plan.bounds(plan.fragment),
+                                 plan.bounds,
                                  EncodeOptions(rule_names=plan.rule_names(
                                      plan.fragment)), plan.t)
             except (PlanRejected, EncodingCeilingError):
@@ -602,7 +638,7 @@ def test_precondition_bindings_are_canonical(name, prop_name, source,
     # one binding per orbit: every injective binding renumbers the slots
     # of exactly one canonical binding within each class
     enc = problem.metadata["encoder"]
-    every = enc.enumerate_bindings(prop.precondition)
+    every = list(enc.enumerate_bindings(prop.precondition))
     assert len(every) == injective
     signatures = [_class_signature(b, prop.precondition) for b in expected]
     assert sorted(signatures) == sorted(
@@ -678,7 +714,7 @@ def test_canonical_bindings_agree_with_oracle():
             prop.name
     for prop in spec.properties:
         problem = encode(spec, prop, plan_property(spec, prop, config)
-                         .bounds((0,)), EncodeOptions(), t)
+                         .bounds, EncodeOptions(), t)
         assert problem.pre_bindings == [
             {"x": ("Leaf", 0), "y": ("Leaf", 1)},
             {"x": ("Other", 0), "y": ("Leaf", 0)}], prop.name
@@ -1322,3 +1358,45 @@ def test_fresh_element_of_an_abstract_class_keeps_its_class():
     assert target == result.target
     assert [e.klass for e in target.elements] == ["Base"]
     assert not check_property_concrete(prop, source, result, spec).holds
+
+
+# A2B binds no w, so the engine's B has no w and every guard on it is
+# false, even one that each value of w meets.
+UNBOUND_ATTR_SPEC = """
+metamodel S { class A { } }
+metamodel T { class B { w: Int[0..3] } }
+transformation t : S -> T {
+    layer L { rule A2B { match { any a : A } apply { b : B } } }
+}
+property AHasBWithW "Every A maps to a B whose w is at least 0." {
+    precondition { any a : A }
+    postcondition {
+        b : B where w >= 0
+        b <--trace-- a
+    }
+}
+property AHasBWithWNot7 "Every A maps to a B whose w is not 7." {
+    precondition { any a : A }
+    postcondition {
+        b : B where w != 7
+        b <--trace-- a
+    }
+}
+"""
+
+
+def test_guard_on_an_unbound_attribute_is_false():
+    spec = _inline_spec(UNBOUND_ATTR_SPEC)
+    t = spec.transformations[0]
+    for prop in spec.properties:
+        assert oracle_verdict(spec, prop, {"A": 2}) == VIOLATED, prop.name
+        verdict = verify_property(spec, prop)
+        assert verdict.status == VIOLATED, prop.name
+        source, target, _ = verdict.counterexample
+        result = execute(t, source, spec)
+        assert target == result.target, prop.name
+        assert not check_property_concrete(prop, source, result,
+                                           spec).holds, prop.name
+        text = encode(spec, prop, PerClassBounds(source={"A": 2}),
+                      EncodeOptions(), t).text
+        assert "at_t_" not in text, prop.name

@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import glob
 import io
 import itertools
 import os
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsltv import smtsolver
-from dsltv.cli import main as cli_main
 from dsltv.cutoff import PerClassBounds
 from dsltv.inheritance import is_subtype
 from dsltv.orchestrator import VerificationConfig, plan_property
@@ -322,22 +320,6 @@ def _print_sexpr(form):
     if isinstance(form, list):
         return "(" + " ".join(map(_print_sexpr, form)) + ")"
     return form
-
-
-@pytest.fixture(scope="module")
-def fixture_dumps(tmp_path_factory):
-    """(spec path/file name, text) of every problem ``verify --dump-smt``
-    writes for the fixture specs."""
-    root = tmp_path_factory.mktemp("dumps")
-    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.dslt"),
-                                 recursive=True)):
-        # one directory per spec: property names repeat across specs
-        cli_main(["verify", path, "--dump-smt",
-                  str(root / os.path.relpath(path, FIXTURES))])
-    dumps = sorted(root.rglob("*.smt2"))
-    assert len(dumps) >= 40
-    return [(str(dump.relative_to(root)), dump.read_text())
-            for dump in dumps]
 
 
 def test_every_fixture_problem_round_trips(fixture_dumps):
