@@ -33,10 +33,6 @@ class IntBlock:
             return self.hi
         return 0
 
-    def contains(self, v):
-        return (self.lo is None or v >= self.lo) and \
-            (self.hi is None or v <= self.hi)
-
 
 @dataclass(frozen=True)
 class StringBlock:
@@ -52,17 +48,6 @@ class StringBlock:
 class AbstractionMap:
     # (metamodel, class, attr) -> list of IntBlock | StringBlock
     blocks: dict = field(default_factory=dict)
-
-    def abstract_value(self, key, v):
-        for b in self.blocks[key]:
-            if isinstance(b, IntBlock) and b.contains(v):
-                return b.rep
-            if isinstance(b, StringBlock) and b.value == v:
-                return b.rep
-        for b in self.blocks[key]:
-            if isinstance(b, StringBlock) and b.value is None:
-                return b.rep
-        raise KeyError(f"value {v!r} not covered by abstraction of {key}")
 
     def to_json(self):
         out = {}

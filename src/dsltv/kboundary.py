@@ -134,13 +134,18 @@ class BoundsLab:
             else "positive"
         result = SweepResult(self.prop.name, self.k, self.base.max_bound(),
                              self.dominant, pattern)
+        expected = []
         for delta in OFFSETS:
-            status, elapsed, reason = self.solve_at(self.shifted(delta))
+            bounds = self.shifted(delta)
+            status, elapsed, reason = self.solve_at(bounds)
             result.rows.append((delta, status, elapsed))
             if reason:
                 result.reasons[delta] = reason
-        result.matched = all(s == _expected_at(pattern, d)
-                             for d, s, _ in result.rows)
+            # where the floors undo the shift, the row re-solves the base
+            expected.append(_expected_at(
+                pattern, 0 if bounds.source == self.base.source else delta))
+        result.matched = all(s == e for (_, s, _), e in zip(result.rows,
+                                                            expected))
         return result
 
     def selective_minus_one(self):

@@ -319,52 +319,3 @@ def mandatory_closure(mm):
         return total
 
     return ClosureInfo({c: forced(c) for c in sorted(edges)})
-
-
-def induce_submodel(model, keep, mm):
-    """Induced subgraph on `keep`, extended with the least mandatory closure.
-
-    Links whose endpoints are both kept survive; traces likewise.  Elements
-    are added while some kept element misses a mandatory lower bound, reusing
-    the original model's own links (the source model conforms, so following
-    its links terminates).
-    """
-    info = mm.info
-    elems = model.element_map()
-    kept = set(keep)
-    for eid in kept:
-        if eid not in elems:
-            raise KeyError(f"unknown element id {eid!r}")
-    out_links = {}
-    for l in model.links:
-        out_links.setdefault((l.src, l.assoc), []).append(l)
-
-    mandatory = [a for a in mm.associations if a.lower >= 1]
-    changed = True
-    while changed:
-        changed = False
-        for a in mandatory:
-            for eid in sorted(kept):
-                e = elems[eid]
-                if not is_subtype(info, e.klass, a.source):
-                    continue
-                have = [l for l in out_links.get((eid, a.name), ())
-                        if l.tgt in kept]
-                missing = a.lower - len(have)
-                if missing <= 0:
-                    continue
-                candidates = [l for l in out_links.get((eid, a.name), ())
-                              if l.tgt not in kept]
-                candidates.sort(key=lambda l: l.tgt)
-                if len(candidates) < missing:
-                    raise UnboundedClosureError(
-                        f"cannot satisfy lower bound of {a.name} for {eid!r}")
-                for l in candidates[:missing]:
-                    kept.add(l.tgt)
-                    changed = True
-
-    return model_from_parts(
-        (e for e in model.elements if e.id in kept),
-        (l for l in model.links if l.src in kept and l.tgt in kept),
-        (t for t in model.traces if t.src in kept and t.tgt in kept),
-    )

@@ -1,9 +1,10 @@
 """Encoding of the bounded verification problem as SMT-LIB 2 text.
 
 Source: per concrete class, a bounded number of slots with existence
-booleans, finite-domain integer attribute variables, and boolean link
-matrices.  Rules: one firing boolean per injective source binding, defined
-as the conjunction of existence, links, guards, and backward resolution.
+booleans, finite-domain integer variables for the attributes that a guard
+or a copy reads, and boolean link matrices.  Rules: one firing boolean per
+injective source binding, defined as the conjunction of existence, links,
+guards, and backward resolution.
 Target: one element per creation, that is, per firing and fresh apply
 element.  The query asserts that some canonical precondition binding holds
 and no postcondition witness exists for it; sat means counterexample.
@@ -18,11 +19,15 @@ attribute it copies.  An attribute that no binding sets is absent, as in
 the engine, so a postcondition guard on it is false.  Its traces are
 static, from each source slot of its binding, so a postcondition witness
 enumerates, for an element traced to precondition elements, only the
-creations whose binding holds their slots, and reads no trace variable.  A backward pair resolves to exactly one of its candidates:
-the creations of earlier layers, of a compatible class, whose binding holds
-the demanded slot, as the engine resolves it through the traces of earlier
-layers.  ``decode_counterexample`` rebuilds the target from the firings,
-with the engine's element ids.
+creations whose binding holds their slots, and reads no trace variable.
+A backward pair resolves to exactly one of its candidates: the creations
+of earlier layers, of a compatible class, whose binding holds the demanded
+slot, as the engine resolves it through the traces of earlier layers.
+Exactly one of m candidates is written in Sinz's sequential form (CP 2005,
+k = 1), linear in m: the disjunction p_i of the first i candidates is a
+shared name, and the term is p_m and, for each i > 1, not both p_{i-1} and
+candidate i.  ``decode_counterexample`` rebuilds the target from the
+firings, with the engine's element ids.
 
 The target is what the rules make from the source, so ``verify`` bounds
 only the source.  ``PerClassBounds.target`` may cap the creations of a
@@ -114,7 +119,10 @@ The sliced one keeps less:
 - a link's ends must exist only where a lower bound counts the link, and
   that assertion is deferred with the lower bound (above).  Every other
   read of a source link, in a binding term, sits next to the existence of
-  both ends, and an upper bound only gains from a link fewer.
+  both ends, and an upper bound only gains from a link fewer;
+- a source attribute variable, with its range, is declared by the first
+  guard or copy that reads it (``Encoder.src_attr``), and no assertion
+  ties the attribute of an absent slot to a value.
 
 The slicing applies to the encoding with its symmetry breaking, and its
 argument needs no symmetry.  Take a full model.  Each target link is true
@@ -133,6 +141,19 @@ creations of two ends traced to S and T joins creations that hold S and T,
 and the apply links that write it were not pruned.  Every link the witness
 reads was thus true in the sliced model, so the witness was there too,
 which the query rules out; sat is kept.
+
+Attributes are sliced the same way.  A full model, with every attribute
+declared and an absent slot's attributes pinned to its domain's first
+value, is a sliced model once the undeclared variables are dropped: the
+sliced assertions are a subset of the full ones, so unsat is kept.  A
+sliced model becomes a full one when every undeclared attribute, and every
+attribute of an absent slot, takes its domain's first value: no assertion
+reads an undeclared name, and an absent slot's attribute is read only next
+to its existence, in a binding term, or through a creation whose firing
+needs that binding, so every assertion keeps its value and sat is kept.
+``decode_world`` reads a missing name as that first value, so the decoded
+source is the one the argument extends the model to, and confirmation
+replays it.
 """
 
 from __future__ import annotations
@@ -298,16 +319,6 @@ def _not(t):
     return f"(not {t})"
 
 
-def _exactly_one(terms):
-    """Exactly one of ``terms`` holds.  They are names or compound terms,
-    never the constants true and false."""
-    if len(terms) <= 1:
-        return terms[0] if terms else "false"
-    pairs = " ".join(f"(not (and {a} {b}))"
-                     for a, b in itertools.combinations(terms, 2))
-    return f"(and (or {' '.join(terms)}) {pairs})"
-
-
 def _int(n):
     """The SMT-LIB text of the Int constant ``n``: a numeral, or ``(- 2)``
     for -2, which SMT-LIB 2.6 would read as a symbol."""
@@ -360,9 +371,15 @@ class Encoder:
             self.decls.append(f"(declare-const {name} Bool)")
         return name
 
-    def decl_int(self, name, lo, hi, sparse=None):
+    def src_attr(self, c, i, attr):
+        """The variable of attribute ``attr`` of source slot (c, i),
+        declared with its domain's range at the first read (see the module
+        docstring)."""
+        name = self.src.at(c, i, attr)
         if name not in self.int_vars:
             self.int_vars.add(name)
+            _, _, lo, hi, sparse = _domain_codec(
+                self.src.mm.info[c].attributes[attr])
             self.decls.append(f"(declare-const {name} Int)")
             self.asserts.append(f"(assert (and (<= {_int(lo)} {name}) "
                                 f"(<= {name} {_int(hi)})))")
@@ -384,6 +401,18 @@ class Encoder:
             self.defs.append(f"(define-fun {name} () Bool {term})")
         return name
 
+    def exactly_one(self, terms):
+        """Exactly one of ``terms``, which are names, holds, in Sinz's
+        sequential form over the shared prefix disjunctions p_1 = t_1,
+        p_i = (or p_{i-1} t_i) (see the module docstring)."""
+        if len(terms) <= 1:
+            return terms[0] if terms else "false"
+        prefix, clauses = terms[0], []
+        for t in terms[1:]:
+            clauses.append(f"(not (and {prefix} {t}))")
+            prefix = self.share(f"(or {prefix} {t})")
+        return _and([prefix] + clauses)
+
     # -- source --------------------------------------------------------------
 
     def encode_source(self):
@@ -391,14 +420,6 @@ class Encoder:
         for c in sorted(world.slots):
             for i in range(world.slots[c]):
                 self.decl_bool(world.ex(c, i))
-                for attr, dom in sorted(world.mm.info[c].attributes.items()):
-                    enc, dec, lo, hi, sparse = _domain_codec(dom)
-                    name = world.at(c, i, attr)
-                    self.decl_int(name, lo, hi, sparse)
-                    # nonexistent slots pin attributes to the default
-                    self.asserts.append(
-                        f"(assert (=> (not {world.ex(c, i)}) "
-                        f"(= {name} {_int(lo)})))")
         # a link is read only next to the existence of both its ends, so
         # only a lower bound, which a link to a missing slot could meet,
         # needs the link's ends to exist; those assertions are deferred
@@ -463,23 +484,25 @@ class Encoder:
     # -- pattern helpers -------------------------------------------------------
 
     def guard_term(self, c, i, constraints):
+        attrs = self.src.mm.info[c].attributes
+        if any(g.attr not in attrs for g in constraints):
+            return "false"
         terms = []
         for g in constraints:
-            dom = self.src.mm.info[c].attributes.get(g.attr)
-            if dom is None:
+            terms.append(self._compare(c, i, g.attr, g))
+            if terms[-1] == "false":
                 return "false"
-            terms.append(self._compare(self.src.at(c, i, g.attr), dom, g))
         return _and(terms)
 
-    @staticmethod
-    def _compare(var, dom, g):
-        """Guard ``g`` on the attribute variable ``var`` of domain ``dom``."""
+    def _compare(self, c, i, attr, g):
+        """Guard ``g`` on attribute ``attr`` of source slot (c, i)."""
         try:
-            v = _domain_codec(dom)[0](g.value)
+            v = _domain_codec(self.src.mm.info[c].attributes[attr])[0](
+                g.value)
         except KeyError:
             # literal outside the finite domain: == never holds
             return "false" if g.op == "==" else "true"
-        return _cmp_atom(g.op, var, v)
+        return _cmp_atom(g.op, self.src_attr(c, i, attr), v)
 
     def enumerate_bindings(self, pattern):
         """Injective assignments of pattern elements to source (class, slot)
@@ -518,10 +541,7 @@ class Encoder:
         """existence + links + guards conjunction for one source binding."""
         world = self.src
         by_name = pattern.element_map()
-        terms = []
-        for n, (c, i) in binding.items():
-            terms.append(world.ex(c, i))
-            terms.append(self.guard_term(c, i, by_name[n].constraints))
+        links = []
         for l in pattern.links:
             cs, i = binding[l.source]
             ct, j = binding[l.target]
@@ -529,8 +549,16 @@ class Encoder:
             if not (is_subtype(world.mm.info, cs, a.source)
                     and is_subtype(world.mm.info, ct, a.target)):
                 return "false"
-            terms.append(world.ln(l.assoc, cs, i, ct, j))
-        return self.share(_and(terms))
+            links.append(world.ln(l.assoc, cs, i, ct, j))
+        # the guards come after every way to be false, so that a false
+        # binding declares no attribute
+        terms = []
+        for n, (c, i) in binding.items():
+            guard = self.guard_term(c, i, by_name[n].constraints)
+            if guard == "false":
+                return "false"
+            terms += [world.ex(c, i), guard]
+        return self.share(_and(terms + links))
 
     # -- rules ------------------------------------------------------------------
 
@@ -595,7 +623,7 @@ class Encoder:
                         cr for cr in creations_of.get(binding[match_name], ())
                         if cr.layer < li
                         and is_subtype(self.tgt_mm.info, cr.klass, klass)]
-                    bw_terms.append(self.share(_exactly_one(
+                    bw_terms.append(self.share(self.exactly_one(
                         [cr.fires for cr in ends[apply_name]])))
                 match_term = self.binding_term(rule.match, binding)
                 self.asserts.append(
@@ -690,18 +718,22 @@ class Encoder:
         """Existence, guards and links of the creations ``post`` assigns to
         ``pattern``'s elements."""
         by_name = pattern.element_map()
-        terms = []
-        for n, cr in post.items():
-            terms.append(cr.fires)
-            terms += [self._creation_guard(cr, g)
-                      for g in by_name[n].constraints]
+        links = []
         for l in pattern.links:
             x, y = post[l.source], post[l.target]
             link = f"ln_t_{l.assoc}_{x.n}_{y.n}"
             if link not in self.written_links:
                 return "false"  # no apply link writes it
-            terms.append(link)
-        return self.share(_and(list(dict.fromkeys(terms))))
+            links.append(link)
+        # as in binding_term, a false witness declares no attribute
+        terms = []
+        for n, cr in post.items():
+            terms.append(cr.fires)
+            for g in by_name[n].constraints:
+                terms.append(self._creation_guard(cr, g))
+                if terms[-1] == "false":
+                    return "false"
+        return self.share(_and(list(dict.fromkeys(terms + links))))
 
     def _creation_guard(self, cr, g):
         """Guard ``g`` on an attribute of creation ``cr``: a literal binding
@@ -718,9 +750,7 @@ class Encoder:
         # the copied value is the source attribute's: the parser and the
         # abstraction keep every source value in the target domain
         c, i = cr.binding[binding.value.element]
-        return self._compare(self.src.at(c, i, binding.value.attr),
-                             self.src.mm.info[c].attributes[
-                                 binding.value.attr], g)
+        return self._compare(c, i, binding.value.attr, g)
 
     def _post_components(self):
         """Postcondition split into connected components when their class

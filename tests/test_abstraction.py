@@ -64,20 +64,6 @@ def test_synthesis_replaces_infinite_domains():
     assert len(label.words) >= 2  # literal plus catch-all
 
 
-def test_abstract_value_respects_blocks():
-    spec = _spec()
-    _, amap = synthesize_abstraction(spec)
-    key = ("Src", "Item", "weight")
-    lo = amap.abstract_value(key, 3)
-    hi = amap.abstract_value(key, 10**6)
-    assert lo < 10 <= hi
-    skey = ("Src", "Item", "label")
-    assert amap.abstract_value(skey, "skip") == "skip"
-    catch_all = amap.abstract_value(skey, "anything-else")
-    assert catch_all != "skip"
-    assert amap.abstract_value(skey, "another") == catch_all
-
-
 def test_validation_accepts_synthesized_map():
     spec = _spec()
     _, amap = synthesize_abstraction(spec)

@@ -2,12 +2,15 @@
 
 For every spec in scope, every rule set that a plan encodes (the first
 fragment and the Full one) is encoded at the planned bounds without the
-property query, and a source model is pinned with unit assertions.  The
-solver must answer sat, and the target and traces decoded from its model
-must be the ones ``engine.execute`` makes from that source with the same
-rules, element for element: both name a created element by its rule, match
-binding and apply element.  The target is a function of the source, so a
-model that differs from the decoded one must not exist either.
+property query, and a source model is pinned with unit assertions on the
+variables that the encoding declares.  The solver must answer sat.  The
+source decoded from its model must agree with the pinned one on elements,
+read links and declared attributes, and make the same firings under
+``engine.execute`` with the same rules.  The target and traces decoded from
+the model must be the ones ``engine.execute`` makes from the decoded source,
+element for element: both name a created element by its rule, match binding
+and apply element.  The target is a function of the source, so a model that
+differs from the decoded one must not exist either.
 
 This is translation validation (Pnueli, Siegel & Singerman, TACAS 1998)
 over bounded-exhaustive inputs (Korat, Boyapati, Khurshid & Marinov, ISSTA
@@ -159,7 +162,8 @@ def _on_slots(source, world):
 
 def _pins(enc, source):
     """Unit assertions that fix every source variable of ``enc`` to
-    ``source``, whose elements sit on their slots."""
+    ``source``, whose elements sit on their slots: existence, links, and
+    the attributes that the encoding declares."""
     world = enc.src
     present = {e.id: e for e in source.elements}
     links = set(source.links)
@@ -172,6 +176,8 @@ def _pins(enc, source):
             if e is None:
                 continue
             for attr, value in e.attrs:
+                if world.at(c, i, attr) not in enc.int_vars:
+                    continue
                 enc_value = _domain_codec(world.mm.info[c].attributes[attr])[0]
                 pins.append(f"(assert (= {world.at(c, i, attr)} "
                             f"{_int(enc_value(value))}))")
@@ -184,6 +190,22 @@ def _pins(enc, source):
                             if link in links else
                             f"(assert (not {world.ln(a.name, cs, i, ct, j)}))")
     return pins
+
+
+def _encoded_part(enc, source):
+    """``source`` as far as ``enc`` holds it: its elements with the
+    attributes that ``enc`` declares, and the links of the associations that
+    it reads."""
+    world = enc.src
+    slot = {world.element_id(c, i): (c, i)
+            for c in world.slots for i in range(world.slots[c])}
+    read = {a.name for a in world.assocs}
+    return model_from_parts(
+        (Element(e.id, e.klass, tuple(
+            (attr, v) for attr, v in e.attrs
+            if world.at(*slot[e.id], attr) in enc.int_vars))
+         for e in source.elements),
+        (l for l in source.links if l.assoc in read))
 
 
 def _rules_only(spec, t, prop, names, bounds):
@@ -226,12 +248,15 @@ def _check(spec, t, prop, names, bounds, rng):
         answer, model = _solve(pinned)
         assert answer == "sat", (t.name, names, source)
         decoded = decode_world(model, enc.src)
-        # the encoding holds the links of the associations it reads
-        read = {a.name for a in enc.src.assocs}
-        assert decoded == model_from_parts(
-            source.elements, (l for l in source.links if l.assoc in read))
-        assert decode_target(model, enc, decoded) == \
-            execute(engine_t, source, spec).target, (t.name, names, source)
+        assert _encoded_part(enc, decoded) == _encoded_part(enc, source), \
+            (t.name, names, source)
+        # what the encoding leaves out changes no firing, and the target
+        # is what the rules make from the decoded source
+        replayed = execute(engine_t, decoded, spec)
+        assert replayed.firings == execute(engine_t, source, spec).firings, \
+            (t.name, names, source)
+        assert decode_target(model, enc, decoded) == replayed.target, \
+            (t.name, names, source)
         assert _solve(pinned + _blocked(enc, model))[0] == "unsat", \
             (t.name, names, source)
     return len(sources), complete

@@ -29,6 +29,16 @@ def test_check_text_exit_zero(capsys):
     assert "satisfied" in out
 
 
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-m", "dsltv", "check",
+                          fixture_path("cegar.dslt")], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "property SourceHasWidget: ok" in run.stdout
+
+
 def test_check_json_schema(capsys):
     assert main(["check", UML, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

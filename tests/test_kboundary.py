@@ -25,6 +25,18 @@ def test_negative_sweep_flips_exactly_at_base(kboundary_spec):
     assert sweep.matched
 
 
+def test_rows_the_floors_pin_to_the_base_expect_its_status():
+    # Source sits at its seed bound of 1, so every negative offset
+    # re-solves the base problem and must find its violation again
+    spec = load_spec("corpus/c01_copy.dslt")
+    lab = kboundary.BoundsLab(spec, "SourceHasTwoTargets_ShouldFail")
+    assert all(lab.shifted(d).source == lab.base.source for d in (-3, -2, -1))
+    sweep = lab.uniform_sweep()
+    assert sweep.expected_pattern == "negative"
+    assert [st for _, st, _ in sweep.rows] == [VIOLATED] * 7
+    assert sweep.matched
+
+
 def test_positive_sweep_holds_everywhere(kboundary_spec):
     prop = kboundary_spec.property("SourceHasTypeDecl")
     sweep = uniform_sweep(kboundary_spec, prop)

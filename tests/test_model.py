@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dsltv.model import (InstanceModel, ModelFormatError, UnboundedClosureError,
-                         dump_model, induce_submodel, load_model,
+                         dump_model, load_model,
                          mandatory_closure, model_from_parts,
                          validate_conformance)
 from dsltv.orchestrator import VIOLATED, VerificationConfig, verify_property
@@ -147,26 +147,3 @@ transformation t : M -> N {
 """, "inline")
     with pytest.raises(UnboundedClosureError):
         mandatory_closure(spec.metamodel("M"))
-
-
-def test_induce_submodel_completes_mandatory_links():
-    spec = parse_spec("""
-metamodel M {
-    class Child { }
-    class Parent { }
-    assoc owner : Child -> Parent [1..1]
-}
-metamodel N { class B { } }
-transformation t : M -> N {
-    layer L { rule R { match { any p : Parent } apply { b : B } } }
-}
-""", "inline")
-    mm = spec.metamodel("M")
-    full = (InstanceModel()
-            .with_element("c", "Child", {})
-            .with_element("p", "Parent", {})
-            .with_link("owner", "c", "p"))
-    sub = induce_submodel(full, {"c"}, mm)
-    assert {e.id for e in sub.elements} == {"c", "p"}
-    assert validate_conformance(sub, mm).conformant
-    assert sub.elements <= full.elements and sub.links <= full.links

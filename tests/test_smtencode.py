@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import time
 
@@ -893,9 +894,9 @@ property CoolHasMark "A reading below 1 gets a mark of -3." {
 
 # verdict and (CNF variables, CNF clauses) at two source slots and a cap
 # of two per class
-NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (36, 96)),
-                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (37, 100)),
-                     "CoolHasMark": (HOLDS, (36, 96))}
+NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (36, 94)),
+                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (37, 98)),
+                     "CoolHasMark": (HOLDS, (36, 94))}
 
 
 def test_negative_constants_are_written_as_negations(monkeypatch):
@@ -1400,3 +1401,144 @@ def test_guard_on_an_unbound_attribute_is_false():
         text = encode(spec, prop, PerClassBounds(source={"A": 2}),
                       EncodeOptions(), t).text
         assert "at_t_" not in text, prop.name
+
+
+# -- attributes declared where they are read ----------------------------------
+
+# Flag2Out's guard reads flag; nothing reads size, which Flag2Out copies
+# into an Out that no guard reads.
+UNREAD_ATTR_SPEC = """
+metamodel S { class A { flag: Bool  size: Int[2..5] } }
+metamodel T { class Out { s: Int[2..5] } }
+transformation t : S -> T {
+    layer L {
+        rule Flag2Out {
+            match { any a : A where flag == true }
+            apply { o : Out { s = a.size } }
+        }
+    }
+}
+property AHasOut_ShouldFail "Every A maps to an Out." {
+    precondition { any a : A }
+    postcondition {
+        o : Out
+        o <--trace-- a
+    }
+}
+"""
+
+
+def test_unread_attribute_decodes_to_its_first_value():
+    spec = _inline_spec(UNREAD_ATTR_SPEC)
+    t = spec.transformations[0]
+    prop = spec.property("AHasOut_ShouldFail")
+    _assert_agrees_with_oracle(spec, {"A": 2}, {})
+    assert oracle_verdict(spec, prop, {"A": 2}) == VIOLATED
+    text = encode(spec, prop, PerClassBounds(source={"A": 2}),
+                  EncodeOptions(), t).text
+    assert "at_s_A_0_flag" in text and "_size" not in text
+    verdict = verify_property(spec, prop)
+    assert verdict.status == VIOLATED
+    source, target, _ = verdict.counterexample
+    # the attribute that the encoding leaves out takes its first value
+    assert source.elements and \
+        {e.attr_map()["size"] for e in source.elements} == {2}
+    assert target == execute(t, source, spec).target
+
+
+# Only R2TR writes tr links, between A2TA and B2TB creations, so a witness
+# whose TA is C2TA's reads a link that nothing writes and is false before
+# its guard reads C's u through the copy.
+FALSE_WITNESS_SPEC = """
+metamodel S {
+    class A { }
+    class B { }
+    class C { u: Int[0..3] }
+    assoc r : A -> B [0..*]
+}
+metamodel T {
+    class TA { w: Int[0..3] }
+    class TB { }
+    assoc tr : TA -> TB [0..*]
+}
+transformation t : S -> T {
+    layer Make {
+        rule A2TA { match { any a : A } apply { ta : TA { w = 1 } } }
+        rule C2TA { match { any c : C } apply { ta : TA { w = c.u } } }
+        rule B2TB { match { any b : B } apply { tb : TB } }
+    }
+    layer Wire {
+        rule R2TR {
+            match {
+                any a : A
+                any b : B
+                direct l : r -- a.b
+            }
+            apply {
+                ta : TA
+                tb : TB
+                e : tr -- ta.tb
+            }
+            backward {
+                ta <--trace-- a
+                tb <--trace-- b
+            }
+        }
+    }
+}
+property BHasOneLink_ShouldFail "Every B gets a tr link from a TA of w 1." {
+    precondition { any b : B }
+    postcondition {
+        ta : TA where w == 1
+        tb : TB
+        e : tr -- ta.tb
+        tb <--trace-- b
+    }
+}
+"""
+
+
+def test_a_false_witness_declares_no_attribute():
+    spec = _inline_spec(FALSE_WITNESS_SPEC)
+    source = {"A": 1, "B": 1, "C": 1}
+    text = encode(spec, spec.properties[0], PerClassBounds(source=source),
+                  EncodeOptions(), spec.transformations[0]).text
+    assert "at_s_" not in text
+    _assert_agrees_with_oracle(spec, source, {})
+
+
+def _symbols(line):
+    """The names in an SMT-LIB line, but for its connectives."""
+    return set(re.findall(r"[A-Za-z_]\w*", line)) - {"assert", "and", "or",
+                                                     "not"}
+
+
+def test_no_absent_slot_pins_and_every_attribute_is_read(fixture_dumps):
+    for name, text in fixture_dumps:
+        assert "(=> (not ex_s_" not in text, name
+        lines = [_symbols(line) for line in text.splitlines()
+                 if not line.startswith("(declare-const ")]
+        for attr in re.findall(r"\(declare-const (at_s_\w+) Int\)", text):
+            # a range assertion names no symbol but the attribute
+            assert any(attr in names and names != {attr}
+                       for names in lines), (name, attr)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_exactly_one_is_sequential(m):
+    spec = _inline_spec(UNREAD_ATTR_SPEC)
+    enc = Encoder(spec, spec.properties[0], PerClassBounds(source={"A": 1}),
+                  EncodeOptions(), spec.transformations[0])
+    names = [f"c_{i}" for i in range(m)]
+    term = enc.exactly_one(names)
+    # one shared prefix disjunction and one exclusion per later candidate
+    assert len(enc.defs) == max(m - 1, 0) == term.count("(not (and ")
+    for values in itertools.product((False, True), repeat=m):
+        out = io.StringIO()
+        solve_text("\n".join(
+            [f"(declare-const {n} Bool)" for n in names] + enc.defs
+            + [f"(assert {term})"]
+            + [f"(assert {n if v else f'(not {n})'})"
+               for n, v in zip(names, values)] + ["(check-sat)"]), out=out)
+        assert out.getvalue().split()[0] == \
+            ("sat" if sum(values) == 1 else "unsat"), values
