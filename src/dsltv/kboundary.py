@@ -70,12 +70,14 @@ class BoundsLab:
     """One property's plan, base verdict, base bounds and seed classes,
     built once for every phase, and a solve-at-bounds primitive that
     bypasses fragment refinement so every run measures exactly the requested
-    bounds.  A property the plan rejects has no bounds to vary; every run of
-    it is UNKNOWN with the rejection's reason."""
+    bounds, each distinct bounds once.  A property the plan rejects has no
+    bounds to vary; every run of it is UNKNOWN with the rejection's
+    reason."""
 
     def __init__(self, spec, prop, config=None, base_verdict=None):
         self.config = config = config or VerificationConfig()
         self.prop = spec.property(prop) if isinstance(prop, str) else prop
+        self.solved = {}  # bounds key -> solve_at's result
         try:
             self.plan = plan_property(spec, self.prop, config)
         except PlanRejected as exc:
@@ -118,7 +120,16 @@ class BoundsLab:
     def solve_at(self, bounds):
         """(status, seconds, reason) of one unrefined, unconfirmed attempt
         at the decided fragment; reason is "<reason>: <detail>" when
-        UNKNOWN, otherwise None.  These runs write no --dump-smt files."""
+        UNKNOWN, otherwise None.  Each distinct bounds is solved once per
+        lab: a later run at the same bounds gets the first run's triple.
+        These runs write no --dump-smt files."""
+        key = tuple(tuple(sorted(side.items()))
+                    for side in (bounds.source, bounds.target))
+        if key not in self.solved:
+            self.solved[key] = self._solve(bounds)
+        return self.solved[key]
+
+    def _solve(self, bounds):
         start = time.monotonic()
         if self.rejection:
             verdict = self.rejection.verdict()
@@ -177,14 +188,6 @@ def _expected_at(pattern, delta):
     if pattern == "positive":
         return HOLDS
     return HOLDS if delta < 0 else VIOLATED
-
-
-def uniform_sweep(spec, prop, config=None, base_verdict=None):
-    return BoundsLab(spec, prop, config, base_verdict).uniform_sweep()
-
-
-def selective_minus_one(spec, prop, config=None, base_verdict=None):
-    return BoundsLab(spec, prop, config, base_verdict).selective_minus_one()
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,9 @@ other existing slots, then the absent ones, permutes the firings and their
 creations and yields a model again.  b's slots exist (its binding term
 holds their existence), so existence is ordered, and b has become the
 canonical binding of its class assignment.  So a counterexample exists iff
-one exists whose violated binding is canonical.  The argument holds with or
-without the deferred multiplicities (below), which are as symmetric as the
-rest, so it covers the relaxed first problem that the lazy closure loop
-solves as well as the closed one.  Target elements need no symmetry
-breaking: each is named by its creation, and no two are interchangeable.
+one exists whose violated binding is canonical.  Target elements need no
+symmetry breaking: each is named by its creation, and no two are
+interchangeable.
 ``tests/test_smtencode.py`` checks verdicts against the brute-force oracle
 with both on.
 
@@ -86,16 +84,13 @@ x_0..x_{n-1} (the links out of one slot) with one term, ``(<= (+ (ite x_0 1
 0) ... (ite x_{n-1} 1 0)) k)``, which the bundled solver grounds as Sinz's
 sequential counter (see ``smtsolver``); a cap is the same term over the
 firings of a class's creations.  k = 0 becomes unit negations, and a row of
-at most k terms needs no constraint.  The source bounds and the lower
-bounds ``[k..]``, with the assertions that the links they count have
-existing ends, are deferred (``EncodedProblem.deferred``): the problem
-text leaves them out, and ``smtrun.lazy_closure_loop`` adds them all only
-when a model breaks one, as in counterexample-guided abstraction refinement
-(Clarke et al., CAV 2000).  A first solve that answers unsat thus never
-grounds a counter.  Target multiplicities are not encoded: the target is
-what the rules make, neither execution nor the property checks it against
-its metamodel, and a bound there would only throw out sources whose output
-breaks it, turning their violations into a wrong HOLDS.
+at most k terms needs no constraint.  A lower bound ``[k..]`` says that
+the row of an existing slot holds all k links of one of its k-subsets, and
+that each link in the row has existing ends.  Target multiplicities are not
+encoded: the target is what the rules make, neither execution nor the
+property checks it against its metamodel, and a bound there would only
+throw out sources whose output breaks it, turning their violations into a
+wrong HOLDS.
 
 The encoding is sliced to what the property can observe (cone of influence,
 Clarke, Grumberg & Peled, *Model Checking*, 1999; Kodkod's slicing, Torlak
@@ -116,10 +111,9 @@ The sliced one keeps less:
 - a target link, one variable per pair of creations, is declared by the
   first apply link that writes it, and a witness that needs a link no
   apply link writes is false;
-- a link's ends must exist only where a lower bound counts the link, and
-  that assertion is deferred with the lower bound (above).  Every other
-  read of a source link, in a binding term, sits next to the existence of
-  both ends, and an upper bound only gains from a link fewer;
+- a link's ends must exist only where a lower bound counts the link.
+  Every other read of a source link, in a binding term, sits next to the
+  existence of both ends, and an upper bound only gains from a link fewer;
 - a source attribute variable, with its range, is declared by the first
   guard or copy that reads it (``Encoder.src_attr``), and no assertion
   ties the attribute of an absent slot to a value.
@@ -198,19 +192,15 @@ class EncodeOptions:
 @dataclass
 class EncodedProblem:
     text: str
-    deferred: list            # withheld source multiplicity assertions,
-                              # with the link-end ones lower bounds need
     source_slots: dict        # class -> slot count (concrete classes)
     pre_bindings: list        # canonical precondition bindings, by sel_ index
     metadata: dict = field(default_factory=dict)
 
-    def with_extra_assertions(self, assertions):
-        lines = self.text.splitlines()
-        tail_at = lines.index("(check-sat)")
-        new = lines[:tail_at] + list(assertions) + lines[tail_at:]
-        return EncodedProblem("\n".join(new), self.deferred,
-                              self.source_slots, self.pre_bindings,
-                              self.metadata)
+    @property
+    def deferred(self):
+        """Empty: every source multiplicity is in ``text``.  Kept only for
+        ``perfbench/tracer.py``, which counts it."""
+        return ()
 
 
 # -- attribute value codecs --------------------------------------------------
@@ -357,7 +347,6 @@ class Encoder:
         self.defs = []
         self.shared = {}          # Bool term text -> its defined name
         self.asserts = []
-        self.deferred = []
         self.bool_vars = set()
         self.int_vars = set()
         self.n_firing_vars = 0
@@ -422,17 +411,16 @@ class Encoder:
                 self.decl_bool(world.ex(c, i))
         # a link is read only next to the existence of both its ends, so
         # only a lower bound, which a link to a missing slot could meet,
-        # needs the link's ends to exist; those assertions are deferred
-        # with the bounds (see the module docstring)
+        # needs the link's ends to exist (see the module docstring)
         for a in world.assocs:
             cols = world.all_slots(a.target)
             for cs, i in world.all_slots(a.source):
                 row = [self.decl_bool(world.ln(a.name, cs, i, ct, j))
                        for ct, j in cols]
                 if a.upper is not None:
-                    self._at_most(row, a.upper, self.deferred)
+                    self._at_most(row, a.upper)
                 if a.lower >= 1:
-                    self.deferred.extend(
+                    self.asserts.extend(
                         f"(assert (=> {v} (and {world.ex(cs, i)} "
                         f"{world.ex(ct, j)})))"
                         for v, (ct, j) in zip(row, cols))
@@ -444,7 +432,7 @@ class Encoder:
                         self.checkpoint()
                     need = _or([_and(list(sub)) for sub in
                                 itertools.combinations(row, a.lower)])
-                    self.deferred.append(
+                    self.asserts.append(
                         f"(assert (=> {world.ex(cs, i)} {need}))")
         # ordered existence: each class's slots exist as a prefix (see the
         # module docstring)
@@ -453,25 +441,25 @@ class Encoder:
                 self.asserts.append(
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
 
-    def _at_most(self, lits, k, out):
-        """Append to ``out`` the assertion that at most k of ``lits`` hold
-        (see the module docstring)."""
+    def _at_most(self, lits, k):
+        """Assert that at most k of ``lits`` hold (see the module
+        docstring)."""
         n = len(lits)
         if n <= k:
             return
         if k == 0:
-            out.extend(f"(assert {_not(x)})" for x in dict.fromkeys(lits))
+            self.asserts.extend(f"(assert {_not(x)})"
+                                for x in dict.fromkeys(lits))
             return
         ones = " ".join(f"(ite {x} 1 0)" for x in lits)
-        out.append(f"(assert (<= (+ {ones}) {k}))")
+        self.asserts.append(f"(assert (<= (+ {ones}) {k}))")
         # the ceiling counts the term as the counter clauses it stands for
         self.counter_clauses += 2 * n * k + n - 3 * k - 2
 
     def checkpoint(self):
         """Stop the encoding once its firings or its emitted assertions pass
         the binding ceiling, or once its deadline has passed."""
-        emitted = len(self.asserts) + len(self.deferred) \
-            + self.counter_clauses
+        emitted = len(self.asserts) + self.counter_clauses
         ceiling = self.options.binding_ceiling
         if self.n_firing_vars > ceiling or emitted > ceiling:
             raise EncodingCeilingError(
@@ -638,7 +626,7 @@ class Encoder:
             by_class.setdefault(cr.klass, []).append(cr.fires)
         for c, fires in sorted(by_class.items()):
             if c in self.caps:
-                self._at_most(fires, self.caps[c], self.asserts)
+                self._at_most(fires, self.caps[c])
 
     def _apply_links(self, l, fv, ends_s, ends_t):
         """Assert apply link ``l`` of firing ``fv`` between each pair of
@@ -802,8 +790,8 @@ class Encoder:
         lines += self.asserts
         lines += ["(check-sat)", "(get-model)", "(exit)"]
         return EncodedProblem(
-            "\n".join(lines), list(self.deferred), dict(self.src.slots),
-            self.pre_bindings, {"firingVariables": self.n_firing_vars},
+            "\n".join(lines), dict(self.src.slots), self.pre_bindings,
+            {"firingVariables": self.n_firing_vars},
         )
 
 
@@ -888,14 +876,11 @@ def decode_target(model, enc, source):
     return model_from_parts(elements, links, traces)
 
 
-def decode_counterexample(model, problem, spec, transformation=None,
-                          source=None):
+def decode_counterexample(model, problem, spec, transformation=None):
     """Rebuild (source model, target model, violated precondition binding)
-    from a sat assignment; `source`, when given, is the assignment's source
-    model, already decoded."""
+    from a sat assignment."""
     enc = problem.metadata["encoder"]
-    if source is None:
-        source = decode_world(model, enc.src)
+    source = decode_world(model, enc.src)
     target = decode_target(model, enc, source)
     violated = None
     for pidx, pre in enumerate(problem.pre_bindings):

@@ -43,8 +43,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .model import validate_conformance
-from .smtencode import decode_world
 from .smtsolver import parse_sexprs
 
 
@@ -54,8 +52,6 @@ class SolverVerdict:
     model: dict = None
     wall_time: float = 0.0
     raw_output: str = ""
-    source: object = None     # the model's source, once the closure check
-                              # has decoded it
 
     def __post_init__(self):
         assert (self.model is not None) == (self.status == "sat")
@@ -243,8 +239,10 @@ def run_solver(problem, timeout_seconds, solver_command=None):
 
     The spare for the next solve is started, then the problem goes to the
     child's stdin.  The child is killed and reaped once its output ends or
-    the timeout expires.
+    the timeout expires.  A timeout already spent starts no child.
     """
+    if timeout_seconds <= 0:
+        return SolverVerdict("timeout")
     cmd = list(solver_command or default_solver_command())
     start = time.monotonic()
     try:
@@ -283,46 +281,10 @@ def run_solver(problem, timeout_seconds, solver_command=None):
         _reap(proc)
 
 
-def _violated_deferred(problem, source):
-    """The association bounds that `source`, a sat model's decoded source,
-    breaks.
-
-    The deferred assertions are the source multiplicities, written per link
-    row, and the existing ends of the links that a lower bound counts;
-    re-checking them symbolically is unnecessary: the decoded source holds
-    links between existing elements only, and is tested against each lower
-    and upper bound concretely.
-    """
-    report = validate_conformance(source, problem.metadata["encoder"].src.mm)
-    return [v for v in report.violations
-            if v.kind in ("multiplicity-lower", "multiplicity-upper")]
-
-
 def lazy_closure_loop(problem, timeout_seconds, spec, transformation=None,
                       solver_command=None):
-    """Solve with the source multiplicities deferred.
-
-    When a sat model breaks a deferred lower or upper bound, all of them
-    are added and the problem is solved once more, which gives the verdict
-    of solving with them from the start.  A sat model that breaks none
-    meets them all, so it is the verdict as it stands, with its decoded
-    source.  Returns the verdict and the number of closure rounds (0 or
-    1).  The check reads neither `spec` nor `transformation`.
-    """
-    deadline = time.monotonic() + timeout_seconds
-    verdict = _solve_by(problem, deadline, solver_command)
-    if verdict.status != "sat" or not problem.deferred:
-        return verdict, 0
-    source = decode_world(verdict.model, problem.metadata["encoder"].src)
-    if not _violated_deferred(problem, source):
-        verdict.source = source
-        return verdict, 0
-    closed = problem.with_extra_assertions(problem.deferred)
-    return _solve_by(closed, deadline, solver_command), 1
-
-
-def _solve_by(problem, deadline, solver_command):
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        return SolverVerdict("timeout")
-    return run_solver(problem, remaining, solver_command)
+    """``run_solver``'s verdict and 0 closure rounds: every source
+    multiplicity is in the problem text, so nothing is left to close.  Kept
+    only for ``perfbench``, which calls and traces it by this name; it reads
+    neither `spec` nor `transformation`."""
+    return run_solver(problem, timeout_seconds, solver_command), 0

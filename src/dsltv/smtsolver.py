@@ -8,7 +8,8 @@ It reads exactly that language and reports anything else as an error:
 - commands ``set-logic``, ``set-option`` (both ignored), ``declare-const``
   of sort Bool or Int, ``define-fun`` of a zero-arity Bool name, each name
   declared or defined once and before its first use, ``assert``,
-  ``check-sat``, ``get-model`` and ``exit``;
+  ``check-sat``, ``get-model`` and ``exit``; a command's names are checked
+  when it is read, so a term only ever refers to names made before it;
 - Bool terms: declared and defined names, ``true``, ``false``, ``and``,
   ``or``, ``not``, binary ``=>`` and binary ``=`` over Bool terms;
 - atoms ``=``, ``<=``, ``<``, ``>=`` and ``>`` whose two sides are each an
@@ -450,9 +451,8 @@ class SmtError(ValueError):
 class SmtScript:
     def __init__(self):
         self.sorts = {}        # name -> "Bool" | "Int"
-        self.defs = {}         # defined name -> (body, index in defs)
+        self.defs = {}         # defined name -> body
         self.assertions = []
-        self.visible = []      # per assertion: the definitions made before it
         self.last = None       # the last check-sat's answer
         self._model = None
 
@@ -480,13 +480,14 @@ class SmtScript:
                 if form[2] != [] or form[3] != "Bool":
                     raise SmtError("only zero-arity Bool definitions "
                                    "supported")
+                self._check_scope(form[4])
                 self._check_fresh(name)
-                self.defs[name] = (form[4], len(self.defs))
+                self.defs[name] = form[4]
             elif head == "assert":
                 if len(form) != 2:
                     raise SmtError(f"assert takes one term: {form!r}")
+                self._check_scope(form[1])
                 self.assertions.append(form[1])
-                self.visible.append(len(self.defs))
             elif head == "check-sat":
                 self.last = self.check(out)
             elif head == "get-model":
@@ -500,6 +501,20 @@ class SmtScript:
         # SMT-LIB forbids a second declaration or definition of a name
         if name in self.sorts or name in self.defs:
             raise SmtError(f"{name!r} is already declared")
+
+    def _check_scope(self, term):
+        """Every name in ``term``, other than an operator, ``true``,
+        ``false`` and a numeral, is declared or defined already: a name is
+        in scope from its command on, whether it is declared or defined."""
+        sorts, defs = self.sorts, self.defs
+        todo = [term]
+        while todo:
+            e = todo.pop()
+            if e.__class__ is list:
+                todo += e[1:]       # the head is an operator
+            elif e not in sorts and e not in defs and e != "true" \
+                    and e != "false" and not (e.isascii() and e.isdigit()):
+                raise SmtError(f"{e!r} is used before its declaration")
 
     # -- grounding ---------------------------------------------------------
 
@@ -558,8 +573,7 @@ class SmtScript:
                                     for j in range(i + 1, len(vs))]
 
         grounding = _Grounding(circuit, self.defs, bool_vars, onehot)
-        for a, visible in zip(self.assertions, self.visible):
-            grounding.visible = visible
+        for a in self.assertions:
             grounding.assert_term(a)
 
         solver = Solver(circuit.cnf)
@@ -605,13 +619,12 @@ class _Grounding:
 
     def __init__(self, circuit, defs, bool_vars, onehot):
         self.circuit = circuit
-        self.defs = defs              # defined name -> (body, index)
+        self.defs = defs              # defined name -> body
         self.bool_vars = bool_vars
         self.onehot = onehot          # int var -> {value: sat literal}
         self.atoms = {}               # (op, operand, operand) -> literal
         self.defined = {}             # defined name -> literal
         self.spliced = ({}, {})       # per polarity: defined name -> literals
-        self.visible = 0              # definitions the current term may use
 
     def assert_term(self, e, positive=True, clause=()):
         """Add clauses that make ``e`` (``(not e)`` when not ``positive``)
@@ -624,7 +637,7 @@ class _Grounding:
         per conjunct.  A cardinality term reached with an empty ``clause``
         in positive polarity becomes its counter.  Any other term ends the
         clause with the literals of ``clause_lits``."""
-        term, visible = self.shape(e)
+        term = self.shape(e)
         head = term[0] if term.__class__ is list and term else None
         if head == "not" and len(term) == 2:
             flipped, kept = term[1:], ()
@@ -633,16 +646,13 @@ class _Grounding:
         elif head == "=>" and len(term) == 3:
             flipped, kept = term[1:2], term[2:]
         elif head == "<=" and positive and not clause and _is_at_most(term):
-            outer, self.visible = self.visible, visible
             self.at_most([x[1] for x in term[1][1:]], int(term[2]))
-            self.visible = outer
             return
         else:
             lits = list(clause)
             self.clause_lits(e, positive, lits)
             self.circuit.cnf.add(lits)
             return
-        outer, self.visible = self.visible, visible
         if head == "=>" and positive:
             # the negated antecedent joins the clause of the consequent
             clause = list(clause)
@@ -653,7 +663,6 @@ class _Grounding:
             self.assert_term(x, not positive, clause)
         for x in kept:
             self.assert_term(x, positive, clause)
-        self.visible = outer
 
     def at_most(self, terms, k):
         """Clauses saying that at most ``k`` of the Bool ``terms`` hold:
@@ -701,8 +710,8 @@ class _Grounding:
             if lit is not None:          # the common case, taken first
                 lits.append(lit if positive else -lit)
                 return
-            term, visible = self.shape(e)
-            if term is not e:            # a defined name, visible here
+            term = self.shape(e)
+            if term is not e:            # a defined name
                 memo = self.spliced[positive]
                 done = memo.get(e)
                 if done is not None:
@@ -710,7 +719,7 @@ class _Grounding:
                     return
                 start = len(lits)
         else:
-            term, visible = e, self.visible
+            term = e
         head = term[0] if term.__class__ is list and term else None
         if head == "not" and len(term) == 2:
             flipped, kept = term[1:], ()
@@ -722,29 +731,21 @@ class _Grounding:
             lit = self.compile_bool(e)
             lits.append(lit if positive else -lit)
             return
-        outer, self.visible = self.visible, visible
         for x in flipped:
             self.clause_lits(x, not positive, lits)
         for x in kept:
             self.clause_lits(x, positive, lits)
-        self.visible = outer
         if memo is not None:
             memo[e] = lits[start:]
 
     def shape(self, e):
-        """``e`` with a defined name replaced by its body, repeatedly, and
-        the definitions the result may use.  ``assert_term`` and
-        ``clause_lits`` test this shape, so that a name splices into a
-        clause exactly as its body written in its place would."""
-        visible = self.visible
-        while e.__class__ is str:
-            entry = self.defs.get(e)
-            if entry is None:
-                break
-            if entry[1] >= visible:
-                raise SmtError(f"{e!r} is used before its definition")
-            e, visible = entry
-        return e, visible
+        """``e`` with a defined name replaced by its body, repeatedly.
+        ``assert_term`` and ``clause_lits`` test this shape, so that a name
+        splices into a clause exactly as its body written in its place
+        would."""
+        while e.__class__ is str and e in self.defs:
+            e = self.defs[e]
+        return e
 
     def defined_lit(self, name):
         """Literal of a defined name.  Its body is compiled at the first
@@ -752,17 +753,12 @@ class _Grounding:
         again in place of a later reference would only find every gate in
         ``circuit.cache``, so the names leave the CNF as inlined bodies
         would give it."""
-        entry = self.defs.get(name)
-        if entry is None:
-            raise SmtError(f"unknown Bool term {name!r}")
-        body, index = entry
-        if index >= self.visible:
-            raise SmtError(f"{name!r} is used before its definition")
         lit = self.defined.get(name)
         if lit is None:
-            outer, self.visible = self.visible, index
+            body = self.defs.get(name)
+            if body is None:
+                raise SmtError(f"{name!r} is not a Bool term")
             lit = self.defined[name] = self.compile_bool(body)
-            self.visible = outer
         return lit
 
     def operand(self, e):

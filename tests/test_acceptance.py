@@ -17,7 +17,7 @@ import pytest
 from dsltv.cutoff import (CutoffParams, FragmentKind, RelevanceMode,
                           compute_cutoff)
 from dsltv.engine import check_property_concrete, execute
-from dsltv.kboundary import selective_minus_one, uniform_sweep
+from dsltv.kboundary import BoundsLab
 from dsltv.model import model_from_parts, validate_conformance
 from dsltv.orchestrator import (HOLDS, UNKNOWN, VIOLATED, VerificationConfig,
                                 plan_property, verify_property)
@@ -91,17 +91,16 @@ def test_oracle_equivalence_on_corpus(corpus):
 def test_boundary_pattern(kboundary_spec):
     start = time.monotonic()
     negative = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
-    sweep = uniform_sweep(kboundary_spec, negative)
-    statuses = {off: st for off, st, _ in sweep.rows}
+    lab = BoundsLab(kboundary_spec, negative)
+    statuses = {off: st for off, st, _ in lab.uniform_sweep().rows}
     assert all(statuses[off] == HOLDS for off in (-3, -2, -1))
     assert all(statuses[off] == VIOLATED for off in (0, 1, 2, 3))
-    selective = selective_minus_one(kboundary_spec, negative)
-    assert len(selective.binding_classes) >= 1
+    assert len(lab.selective_minus_one().binding_classes) >= 1
 
     positive = kboundary_spec.property("SourceHasTypeDecl")
-    sweep = uniform_sweep(kboundary_spec, positive)
-    assert all(st == HOLDS for _, st, _ in sweep.rows)
-    assert selective_minus_one(kboundary_spec, positive).binding_classes == []
+    lab = BoundsLab(kboundary_spec, positive)
+    assert all(st == HOLDS for _, st, _ in lab.uniform_sweep().rows)
+    assert lab.selective_minus_one().binding_classes == []
     assert time.monotonic() - start < 60
 
 

@@ -11,9 +11,7 @@ import pytest
 from dsltv import cli, smtrun
 from dsltv.cli import main, parse_args
 from dsltv.model import dump_model, load_model
-from dsltv.orchestrator import VerificationConfig, plan_property
 from dsltv.parser import parse_spec_file
-from dsltv.smtencode import EncodeOptions, encode
 
 from conftest import fixture_path
 
@@ -409,28 +407,6 @@ def test_closed_stdout_ends_quietly(tmp_path):
     started = [int(p) for p in pids.read_text().split()]
     assert len(started) >= 2
     assert not [p for p in started if _running(p)]
-
-
-def test_dump_smt_writes_the_closed_problem(tmp_path, capsys):
-    path = fixture_path("corpus/c06_mandatory.dslt")
-    name = "ChildHasPOut_ShouldFail"
-    rc, events = _verify_events(capsys, [path, "--property", name,
-                                         "--dump-smt", str(tmp_path)])
-    assert rc == 1
-    assert events[0]["closureRounds"] == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        f"{name}_L0.smt2", f"{name}_L0_closed.smt2"]
-    spec = parse_spec_file(path)
-    config = VerificationConfig()
-    plan = plan_property(spec, spec.property(name), config)
-    assert plan.fragment == (0,)
-    problem = encode(plan.spec, plan.prop, plan.bounds,
-                     EncodeOptions(binding_ceiling=config.binding_ceiling,
-                                   rule_names=plan.rule_names(plan.fragment)),
-                     plan.t)
-    assert (tmp_path / f"{name}_L0.smt2").read_text() == problem.text
-    assert (tmp_path / f"{name}_L0_closed.smt2").read_text() == \
-        problem.with_extra_assertions(problem.deferred).text
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -6,8 +6,7 @@ from conftest import fixture_path, load_spec
 
 from dsltv import cli, kboundary, orchestrator
 from dsltv.cli import main
-from dsltv.kboundary import (emit_report, results_json, selective_minus_one,
-                             uniform_sweep)
+from dsltv.kboundary import BoundsLab, emit_report, results_json
 from dsltv.orchestrator import HOLDS, UNKNOWN, VIOLATED, VerificationConfig, \
     plan_property, verify_property
 from dsltv.parser import parse_spec
@@ -15,7 +14,7 @@ from dsltv.parser import parse_spec
 
 def test_negative_sweep_flips_exactly_at_base(kboundary_spec):
     prop = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
-    sweep = uniform_sweep(kboundary_spec, prop)
+    sweep = BoundsLab(kboundary_spec, prop).uniform_sweep()
     assert sweep.expected_pattern == "negative"
     assert sweep.base_k == 2
     statuses = {off: st for off, st, _ in sweep.rows}
@@ -29,7 +28,7 @@ def test_rows_the_floors_pin_to_the_base_expect_its_status():
     # Source sits at its seed bound of 1, so every negative offset
     # re-solves the base problem and must find its violation again
     spec = load_spec("corpus/c01_copy.dslt")
-    lab = kboundary.BoundsLab(spec, "SourceHasTwoTargets_ShouldFail")
+    lab = BoundsLab(spec, "SourceHasTwoTargets_ShouldFail")
     assert all(lab.shifted(d).source == lab.base.source for d in (-3, -2, -1))
     sweep = lab.uniform_sweep()
     assert sweep.expected_pattern == "negative"
@@ -37,9 +36,34 @@ def test_rows_the_floors_pin_to_the_base_expect_its_status():
     assert sweep.matched
 
 
+def test_each_distinct_bounds_is_solved_once(monkeypatch):
+    # the sweep's seven rows hold four distinct source bounds (offsets -3..0
+    # all floor to the base) and the decrement adds a fifth, so the eight
+    # runs take five attempts
+    spec = load_spec("corpus/c01_copy.dslt")
+    lab = BoundsLab(spec, "SourceHasTwoTargets_ShouldFail")
+    attempts = []
+    real = orchestrator._PropertyRun.attempt
+
+    def counting(self, fragment, bounds=None):
+        attempts.append(bounds.source)
+        return real(self, fragment, bounds)
+
+    monkeypatch.setattr(orchestrator._PropertyRun, "attempt", counting)
+    sweep = lab.uniform_sweep()
+    pert = lab.selective_minus_one()
+    assert len(sweep.rows) + len(pert.runs) == 8
+    assert len(attempts) == 5
+    assert len({tuple(sorted(b.items())) for b in attempts}) == 5
+    # a repeated run reports the first run's status and time
+    assert len({row[1:] for row in sweep.rows[:4]}) == 1
+    assert [st for _, st, _ in sweep.rows] == [VIOLATED] * 7
+    assert sweep.matched and pert.matched
+
+
 def test_positive_sweep_holds_everywhere(kboundary_spec):
     prop = kboundary_spec.property("SourceHasTypeDecl")
-    sweep = uniform_sweep(kboundary_spec, prop)
+    sweep = BoundsLab(kboundary_spec, prop).uniform_sweep()
     assert sweep.expected_pattern == "positive"
     assert all(st == HOLDS for _, st, _ in sweep.rows)
     assert sweep.matched
@@ -47,7 +71,7 @@ def test_positive_sweep_holds_everywhere(kboundary_spec):
 
 def test_selective_decrement_finds_binding_classes(kboundary_spec):
     prop = kboundary_spec.property("SourceSharesTypeDecl_ShouldFail")
-    result = selective_minus_one(kboundary_spec, prop)
+    result = BoundsLab(kboundary_spec, prop).selective_minus_one()
     assert result.base_status == VIOLATED
     assert result.binding_classes == ["Source"]
     assert result.matched
@@ -55,7 +79,7 @@ def test_selective_decrement_finds_binding_classes(kboundary_spec):
 
 def test_selective_decrement_positive_has_no_binding(kboundary_spec):
     prop = kboundary_spec.property("SourceHasTypeDecl")
-    result = selective_minus_one(kboundary_spec, prop)
+    result = BoundsLab(kboundary_spec, prop).selective_minus_one()
     assert result.base_status == HOLDS
     assert result.binding_classes == []
     assert result.matched
@@ -68,10 +92,11 @@ def test_rows_solve_the_fragment_verify_decided_on(cegar_spec):
     verdict = verify_property(cegar_spec, prop)
     assert (verdict.status, verdict.cegar_rounds, verdict.fragment) == \
         (HOLDS, 1, (0, 1))
-    sweep = uniform_sweep(cegar_spec, prop)
+    lab = BoundsLab(cegar_spec, prop)
+    sweep = lab.uniform_sweep()
     assert [st for _, st, _ in sweep.rows] == [HOLDS] * 7
     assert sweep.matched
-    pert = selective_minus_one(cegar_spec, prop)
+    pert = lab.selective_minus_one()
     assert pert.binding_classes == []
     assert pert.matched
 
@@ -79,10 +104,9 @@ def test_rows_solve_the_fragment_verify_decided_on(cegar_spec):
 def test_report_and_json(kboundary_spec):
     results = []
     for prop in kboundary_spec.properties:
-        results.append({
-            "sweep": uniform_sweep(kboundary_spec, prop),
-            "selective": selective_minus_one(kboundary_spec, prop),
-        })
+        lab = BoundsLab(kboundary_spec, prop)
+        results.append({"sweep": lab.uniform_sweep(),
+                        "selective": lab.selective_minus_one()})
     text = emit_report(results, "kboundary_tight")
     assert "| Spec |" in text or "Spec" in text.splitlines()[2]
     for prop in kboundary_spec.properties:
@@ -120,13 +144,14 @@ def test_infinite_domain_sweeps_the_proof_spec(tmp_path):
     # first, so every fixed-bound run encodes the finite proof spec
     spec = parse_spec(INT_SPEC, "inline")
     prop = spec.property("AHasB")
-    sweep = uniform_sweep(spec, prop)
+    lab = BoundsLab(spec, prop)
+    sweep = lab.uniform_sweep()
     assert sweep.expected_pattern == "positive"
     assert sweep.base_k > 0
     assert {st for _, st, _ in sweep.rows} == {HOLDS}
     assert sweep.reasons == {}
     assert sweep.matched
-    pert = selective_minus_one(spec, prop)
+    pert = lab.selective_minus_one()
     assert pert.base_status == HOLDS
     assert pert.reasons == {}
     assert pert.matched
@@ -142,12 +167,12 @@ def test_binding_ceiling_gives_unknown_rows():
     spec = parse_spec(INT_SPEC, "inline")
     prop = spec.property("AHasB")
     # at ceiling 1 only the A = 0 run, which fires nothing, fits
-    config = VerificationConfig(binding_ceiling=1)
-    sweep = uniform_sweep(spec, prop, config)
+    lab = BoundsLab(spec, prop, VerificationConfig(binding_ceiling=1))
+    sweep = lab.uniform_sweep()
     assert {st for _, st, _ in sweep.rows} == {UNKNOWN}
     assert sweep.reasons[0].startswith("ceiling: ")
     assert not sweep.matched
-    pert = selective_minus_one(spec, prop, config)
+    pert = lab.selective_minus_one()
     assert pert.base_status == UNKNOWN
     assert pert.reasons["C"].startswith("ceiling: ")
     # A at bound 0 needs no firing and HOLDS, but an undecided base makes
@@ -166,7 +191,7 @@ def test_sweep_rows_stop_at_the_deadline_while_encoding(kboundary_spec):
     # every row stops inside the encoding instead of after it
     config = VerificationConfig(timeout_seconds=1e-6)
     for prop in kboundary_spec.properties:
-        sweep = uniform_sweep(kboundary_spec, prop, config)
+        sweep = BoundsLab(kboundary_spec, prop, config).uniform_sweep()
         assert [st for _, st, _ in sweep.rows] == [UNKNOWN] * 7, prop.name
         assert set(sweep.reasons.values()) == {
             "timeout: deadline reached while encoding"}, prop.name
@@ -180,7 +205,7 @@ def test_verify_kboundary_and_cutoff_agree(name, capsys):
     spec = load_spec(name)
     for prop in spec.properties:
         verdict = verify_property(spec, prop)
-        sweep = uniform_sweep(spec, prop, base_verdict=verdict)
+        sweep = BoundsLab(spec, prop, base_verdict=verdict).uniform_sweep()
         assert sweep.base_k == verdict.k == report[prop.name]["bounds"]["k"]
         assert sweep.per_class_max == verdict.per_class_max == max(
             report[prop.name]["perClass"]["source"].values())

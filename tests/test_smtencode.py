@@ -2,6 +2,7 @@ import io
 import itertools
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,13 +13,13 @@ from dsltv.cutoff import PerClassBounds, RelevanceMode, compute_cutoff, \
     cutoff_params, per_class_bounds, relevant_rules
 from dsltv.engine import check_property_concrete, execute
 from dsltv.model import mandatory_closure, validate_conformance
-from dsltv.orchestrator import HOLDS, VIOLATED, PlanRejected, \
-    VerificationConfig, plan_property, verify_property
+from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
+    plan_property, verify_property
 from dsltv.parser import parse_spec
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
 from dsltv import smtencode, smtrun, smtsolver
-from dsltv.smtrun import lazy_closure_loop, run_solver
+from dsltv.smtrun import run_solver
 from dsltv.smtsolver import parse_sexprs, solve_text, tokenize_sexprs
 
 
@@ -42,7 +43,7 @@ def test_encoded_text_is_wellformed_smtlib(uml2java):
 def test_holding_property_is_unsat(uml2java):
     prop, bounds, t = _bounds(uml2java, "PackageHasPackageDeclaration")
     problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
-    verdict, _ = lazy_closure_loop(problem, 60, uml2java)
+    verdict = run_solver(problem, 60)
     assert verdict.status == "unsat"
 
 
@@ -50,7 +51,7 @@ def test_violated_property_decodes_to_confirmed_counterexample(uml2java):
     prop, bounds, t = _bounds(uml2java,
                               "ClassMappedToInterfaceDeclaration_ShouldFail")
     problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
-    verdict, _ = lazy_closure_loop(problem, 60, uml2java)
+    verdict = run_solver(problem, 60)
     assert verdict.status == "sat"
     source, target, binding = decode_counterexample(verdict.model, problem,
                                                     uml2java)
@@ -212,56 +213,6 @@ def test_class_disjoint_postcondition_is_split():
                                                spec).holds
 
 
-def test_lazy_closure_defers_lower_bounds(uml2java):
-    # in its first fragment, the first model of the mandatory-owner
-    # property leaves a Child without its owner, so the loop adds the
-    # deferred lower bounds
-    c06 = load_spec("corpus/c06_mandatory.dslt")
-    cases = [(uml2java, "PackageHasPackageDeclaration", 0),
-             (c06, "ChildHasPOut_ShouldFail", 1)]
-    for spec, name, rounds in cases:
-        plan = plan_property(spec, spec.property(name), VerificationConfig())
-        problem = encode(plan.spec, plan.prop, plan.bounds,
-                         EncodeOptions(rule_names=plan.rule_names(
-                             plan.fragment)), plan.t)
-        deferred = list(problem.deferred)
-        assert deferred
-        assert not any(a in problem.text for a in deferred)
-        verdict, taken = lazy_closure_loop(problem, 60, spec, plan.t)
-        assert (verdict.status, taken) == (run_solver(
-            problem.with_extra_assertions(deferred), 60).status, rounds)
-        assert problem.deferred == deferred
-
-
-def test_closure_check_reads_the_counterexamples_source(monkeypatch):
-    # the bound check decodes the source only, and the verdict carries that
-    # source for its counterexample
-    c06 = load_spec("corpus/c06_mandatory.dslt")
-    plan = plan_property(c06, c06.property("ChildHasPOut_ShouldFail"),
-                         VerificationConfig())
-    problem = encode(plan.spec, plan.prop, plan.bounds,
-                     EncodeOptions(rule_names=plan.rule_names(
-                         plan.fragment)), plan.t)
-    checked = []
-
-    def record(source, mm):
-        checked.append(source)
-        return validate_conformance(source, mm)
-
-    monkeypatch.setattr(smtrun, "validate_conformance", record)
-    # with the lower bounds asserted, the first model keeps them: the check
-    # passes, and that model is the verdict's
-    closed = problem.with_extra_assertions(problem.deferred)
-    verdict, rounds = lazy_closure_loop(closed, 60, c06, plan.t)
-    assert (verdict.status, rounds) == ("sat", 0)
-    assert checked == [verdict.source]
-    source, _, _ = decode_counterexample(verdict.model, closed, c06, plan.t)
-    assert source == verdict.source
-    assert decode_counterexample(verdict.model, closed, c06, plan.t,
-                                 source=verdict.source)[0] is verdict.source
-    assert any(e.klass == "Child" for e in source.elements)
-
-
 def _inline_spec(text):
     spec = parse_spec(text, "inline")
     assert not isinstance(spec, list), spec
@@ -269,9 +220,8 @@ def _inline_spec(text):
 
 
 # Every A has exactly one r link.  The first property's precondition needs
-# two, so it holds vacuously; the first problem leaves the bounds out, and
-# its every model breaks the upper one.  The second one's first model has
-# one link and keeps both bounds.
+# two, so it holds vacuously, and only the upper bound shows it.  The second
+# one's models have one link.
 TWO_LINKS_SPEC = """
 metamodel OneSrc {
     class A { }
@@ -314,17 +264,50 @@ property LinkedAHasTC_ShouldFail "Negative: no rule makes a TC." {
 """
 
 
-def test_deferred_upper_bound_takes_one_closure_round():
+def test_each_attempt_solves_one_text_that_holds_the_source_bounds(
+        monkeypatch, fixture_dumps):
+    solved = []
+    real = smtrun.run_solver
+
+    def recording(problem, *args, **kwargs):
+        solved.append(problem.text)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(smtrun, "run_solver", recording)
+    statuses = [verify_property(spec, prop).status
+                for _, spec in fixture_specs() for prop in spec.properties]
+    # one solve per attempt: 40 properties and one CEGAR round
+    assert (len(statuses), len(solved)) == (40, 41)
+    # the source bounds that these two properties' models would otherwise
+    # break: Child's owner [1..1] and Package's contains [2..*], each with
+    # the existing ends of the links it counts
+    bounds = {
+        "corpus/c06_mandatory.dslt/ChildHasPOut_ShouldFail_L0.smt2": [
+            "(assert (=> ln_s_owner_Child_0_Parent_0 "
+            "(and ex_s_Child_0 ex_s_Parent_0)))",
+            "(assert (=> ex_s_Child_0 ln_s_owner_Child_0_Parent_0))"],
+        "uml2java_b4.dslt/PropertyHasField_L0-1.smt2": [
+            "(assert (=> ln_s_contains_Package_0_DataType_0 "
+            "(and ex_s_Package_0 ex_s_DataType_0)))",
+            "(assert (=> ex_s_Package_0 (and ln_s_contains_Package_0_Class_0"
+            " ln_s_contains_Package_0_DataType_0)))"],
+    }
+    texts = dict(fixture_dumps)
+    for name, lines in bounds.items():
+        assert texts[name] in solved, name
+        assert set(lines) <= set(texts[name].splitlines()), name
+    # an upper bound alone rules out TwoLinksHaveTC's precondition
     spec = _inline_spec(TWO_LINKS_SPEC)
     prop = spec.property("TwoLinksHaveTC")
     assert oracle_verdict(spec, prop, {"A": 1, "B": 3}) == HOLDS
-    verdict = verify_property(spec, prop)
-    assert verdict.status == HOLDS
-    assert verdict.event(prop.name)["closureRounds"] == 1
+    solved.clear()
+    assert verify_property(spec, prop).status == HOLDS
+    assert len(solved) == 1
+    assert any(line.startswith("(assert (<= (+ (ite ln_s_r_A_0_B_0 1 0) ")
+               and line.endswith(") 1))") for line in solved[0].splitlines())
 
 
 def test_sat_verdict_decodes_its_source_once(monkeypatch):
-    # the closure check decodes the source, and the counterexample reuses it
     decoded = []
     real = smtencode.decode_world
 
@@ -332,11 +315,10 @@ def test_sat_verdict_decodes_its_source_once(monkeypatch):
         decoded.append(world.tag)
         return real(model, world)
 
-    monkeypatch.setattr(smtrun, "decode_world", counting)
     monkeypatch.setattr(smtencode, "decode_world", counting)
     spec = _inline_spec(TWO_LINKS_SPEC)
     verdict = verify_property(spec, spec.property("LinkedAHasTC_ShouldFail"))
-    assert (verdict.status, verdict.closure_rounds) == (VIOLATED, 0)
+    assert verdict.status == VIOLATED
     assert decoded.count("s") == 1
 
 
@@ -413,33 +395,10 @@ def test_target_upper_bounds_are_not_encoded():
     assert not check_property_concrete(prop, source, result, spec).holds
 
 
-def test_lazy_closure_agrees_with_eager_bounds():
-    # for every fixture property, solving with the source multiplicities
-    # deferred gives the status of solving with them from the start
-    config = VerificationConfig()
-    solved = 0
-    for rel, spec in fixture_specs():
-        for prop in spec.properties:
-            try:
-                plan = plan_property(spec, prop, config)
-                problem = encode(plan.spec, plan.prop,
-                                 plan.bounds,
-                                 EncodeOptions(rule_names=plan.rule_names(
-                                     plan.fragment)), plan.t)
-            except (PlanRejected, EncodingCeilingError):
-                continue
-            verdict, _ = lazy_closure_loop(problem, 60, spec, plan.t)
-            eager = problem.with_extra_assertions(problem.deferred).text
-            assert verdict.status == _solver_answer(eager), (rel, prop.name)
-            solved += 1
-    assert solved >= 35
-
-
 def test_run_solver_timeout_kills_child(uml2java):
     prop, bounds, t = _bounds(uml2java, "OwnedPropertyHasOwnedField",
                               RelevanceMode.LEGACY)
     problem = encode(uml2java, prop, bounds, EncodeOptions(), t)
-    problem = problem.with_extra_assertions(problem.deferred)
     verdict = run_solver(problem, timeout_seconds=0.05)
     assert verdict.status in ("timeout", "sat", "unsat")
 
@@ -581,7 +540,7 @@ def test_slot_symmetry_breaking_agrees_with_oracle():
 
         # the same at explicit bounds whose caps leave every creation free
         problem = encode(spec, prop, SLOT_BOUNDS, EncodeOptions(), t)
-        verdict, _ = lazy_closure_loop(problem, 60, spec)
+        verdict = run_solver(problem, 60)
         assert verdict.status == ("sat" if expected == VIOLATED
                                   else "unsat"), prop.name
         if verdict.status != "sat":
@@ -605,10 +564,11 @@ def test_every_creation_fires_on_a_full_source():
     # eight creations fire, each an element of its apply element's class
     declared = [line.split()[1] for line in problem.text.splitlines()
                 if line.startswith("(declare-const ")]
-    forced = problem.with_extra_assertions(
-        [f"(assert {v})" for v in declared
-         if v.startswith("ex_s_") or v.startswith("ln_s_")])
-    verdict, _ = lazy_closure_loop(forced, 60, spec)
+    forced = replace(problem, text=problem.text.replace(
+        "(check-sat)", "".join(f"(assert {v})\n" for v in declared
+                               if v.startswith(("ex_s_", "ln_s_")))
+        + "(check-sat)"))
+    verdict = run_solver(forced, 60)
     assert verdict.status == "sat"
     _, target, _ = decode_counterexample(verdict.model, forced, spec)
     assert sorted(e.klass for e in target.elements) == \
@@ -798,7 +758,7 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
         verdict = verify_property(spec, prop)
         assert verdict.status == want, (upper, prop.name)
         problem = encode(spec, prop, TAG_BOUNDS, EncodeOptions(), t)
-        solved, _ = lazy_closure_loop(problem, 60, spec)
+        solved = run_solver(problem, 60)
         assert solved.status == ("sat" if want == VIOLATED else "unsat")
         sources = []
         if verdict.counterexample:
@@ -814,15 +774,15 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
 
 
 def test_ceiling_counts_an_at_most_term_as_its_counter_clauses():
-    # each Item's row of 5 tags under [0..2] is one deferred term, which the
-    # ceiling counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
+    # each Item's row of 5 tags under [0..2] is one term, which the ceiling
+    # counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
     spec = parse_spec(TAG_SPEC.replace("UPPER", "2"), "inline")
     enc = Encoder(spec, spec.property("ThreeTagsHaveMark"), TAG_BOUNDS,
                   EncodeOptions(), spec.transformations[0])
     enc.encode()
-    terms = [a for a in enc.deferred if a.startswith("(assert (<= (+ ")]
+    terms = [a for a in enc.asserts if a.startswith("(assert (<= (+ ")]
     assert len(terms) == TAG_BOUNDS.source["Item"]
-    emitted = len(enc.asserts) + len(enc.deferred) + len(terms) * 17
+    emitted = len(enc.asserts) + len(terms) * 17
     enc.options.binding_ceiling = emitted
     enc.checkpoint()
     enc.options.binding_ceiling = emitted - 1
@@ -838,13 +798,13 @@ def test_upper_bound_encoding_grows_polynomially():
                             target={"Mark": 16})
     problem = encode(spec, spec.property("ThreeTagsHaveMark"), bounds,
                      EncodeOptions(), spec.transformations[0])
-    # one deferred at-most-3 term per Item's row of 16 links
-    terms = [a for a in problem.deferred if a.startswith("(assert (<= (+ ")]
+    # one at-most-3 term per Item's row of 16 links
+    lines = problem.text.splitlines()
+    terms = [a for a in lines if a.startswith("(assert (<= (+ ")]
     assert len(terms) == 16
     assert all(t.count("(ite ln_s_tags_") == 16 and t.endswith(" 3))")
                for t in terms)
-    assertions = sum(1 for line in problem.text.splitlines()
-                     if line.startswith("(assert")) + len(problem.deferred)
+    assertions = sum(1 for line in lines if line.startswith("(assert"))
     # one clause per 4-subset of each 16-link row would be 16 * 1,820
     assert assertions < 3000
 
@@ -948,7 +908,7 @@ def _assert_agrees_with_oracle(spec, source, target):
         assert verdict.status == oracle_verdict(spec, prop, own), prop.name
         want = oracle_verdict(spec, prop, source)
         problem = encode(spec, prop, bounds, EncodeOptions(), t)
-        solved, _ = lazy_closure_loop(problem, 60, spec)
+        solved = run_solver(problem, 60)
         assert solved.status == ("sat" if want == VIOLATED else "unsat"), \
             prop.name
         sources = []
@@ -981,8 +941,8 @@ def _keep_every_apply_link(monkeypatch):
 
 # ref is read by a match and by a precondition; tag by neither.  With
 # LOWER = 0 its links are sliced away; with LOWER = 1 every A needs a B, so
-# B2TB makes a TB and AHasSomeTB holds, which the links' deferred lower
-# bounds must show.
+# B2TB makes a TB and AHasSomeTB holds, which the links' lower bounds must
+# show.
 UNREAD_SPEC = """
 metamodel USrc {
     class A { }
@@ -1052,7 +1012,11 @@ def test_unread_source_association_is_sliced_unless_bounded_below(lower,
             source={"A": 2, "B": 2}, target={"TA": 2, "TB": 2}),
             EncodeOptions(), t)
         assert ("ln_s_tag_" in problem.text) == bool(lower), prop.name
-        assert bool(problem.deferred) == bool(lower), prop.name
+        # each A's lower bound, and its links' existing ends
+        assert ("(assert (=> ex_s_A_0 (or ln_s_tag_A_0_B_0 ln_s_tag_A_0_B_1))"
+                ")" in problem.text.splitlines()) == bool(lower), prop.name
+        assert ("(assert (=> ln_s_tag_A_0_B_0 (and ex_s_A_0 ex_s_B_0)))"
+                in problem.text.splitlines()) == bool(lower), prop.name
         assert "ln_s_ref_" in problem.text
         # the postcondition of AHasSomeTB reads no tref link
         assert ("ln_t_tref_" in problem.text) == \

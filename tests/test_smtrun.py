@@ -137,6 +137,15 @@ def test_timeout_is_followed_by_a_solve():
     assert verdict.model == {"a": True}
 
 
+def test_a_spent_timeout_starts_no_child(monkeypatch):
+    # an attempt whose deadline passed during encoding solves nothing
+    started = []
+    monkeypatch.setattr(smtrun, "_start", started.append)
+    for timeout in (0, -1.0):
+        assert run_solver(SAT, timeout).status == "timeout"
+    assert started == []
+
+
 def test_changing_the_command_replaces_the_spare():
     script = [sys.executable, "-I", "-S",
               os.path.join(os.path.dirname(smtrun.__file__), "smtsolver.py")]

@@ -200,7 +200,7 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
                            "true)", ")"]
     errors = {
         "(declare-const a Bool) (assert d) (check-sat)":
-            "unknown Bool term 'd'",
+            "'d' is used before its declaration",
         "(declare-const a Bool) (define-fun d () Bool a)"
         " (define-fun d () Bool a)": "'d' is already declared",
         "(declare-const a Bool) (define-fun a () Bool true)":
@@ -212,18 +212,29 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
         "(define-fun n () Int 3)":
             "only zero-arity Bool definitions supported",
         "(define-fun d () Bool)": "malformed define-fun",
+        # one scope rule for both kinds of name: a declared constant, like a
+        # defined name, is in scope from its command on
+        "(assert x) (declare-const x Bool) (check-sat)":
+            "'x' is used before its declaration",
+        "(assert (and (<= 0 n) (<= n 1))) (declare-const n Int)"
+        " (check-sat)": "'n' is used before its declaration",
+        "(declare-const a Bool) (define-fun d () Bool (and a x))"
+        " (declare-const x Bool) (assert d) (check-sat)":
+            "'x' is used before its declaration",
         "(declare-const a Bool) (assert d) (define-fun d () Bool a)"
-        " (check-sat)": "'d' is used before its definition",
+        " (check-sat)": "'d' is used before its declaration",
         "(declare-const a Bool) (define-fun d () Bool (not e))"
         " (define-fun e () Bool a) (assert d) (check-sat)":
-            "'e' is used before its definition",
+            "'e' is used before its declaration",
         "(define-fun d () Bool (not d)) (assert d) (check-sat)":
-            "'d' is used before its definition",
-        # e's spliced literals are kept by the first assertion, yet d, made
-        # before e, still may not use them
+            "'d' is used before its declaration",
+        # e is defined by the time of the assertions, yet d, made before e,
+        # still may not use it
         "(declare-const a Bool) (define-fun d () Bool (or e a))"
         " (define-fun e () Bool (or a a)) (assert (or e a)) (assert d)"
-        " (check-sat)": "'e' is used before its definition",
+        " (check-sat)": "'e' is used before its declaration",
+        "(declare-const n Int) (assert (and (<= 0 n) (<= n 1))) (assert n)"
+        " (check-sat)": "'n' is not a Bool term",
     }
     for n, (text, message) in enumerate(errors.items()):
         path = tmp_path / f"bad{n}.smt2"
@@ -832,8 +843,7 @@ def test_encoder_writes_only_the_solver_language(fixture_dumps):
     for problem in [_stress_problem(k) for k in (2, 3, 4)] + \
             [_mult_problem(k) for k in (4, 8, 12)] + \
             [_mandatory_problem(k) for k in (2, 3)]:
-        texts += [problem.text,
-                  problem.with_extra_assertions(problem.deferred).text]
+        texts.append(problem.text)
     for text in texts:
         # no quoted symbol, string or comment
         assert not set('|";') & set(text), text[:200]
@@ -866,7 +876,7 @@ def test_encoding_size_stays_within_budget(fixture_dumps):
     assert len(_mult_problem(12).text.encode()) <= 5_000
 
 
-_DUMP_NAME = re.compile(r"(.+)_L([\d-]+)(_closed)?\.smt2")
+_DUMP_NAME = re.compile(r"(.+)_L([\d-]+)\.smt2")
 
 
 def _sliced_link_rows(spec, prop, t, rule_names=None):
@@ -911,9 +921,12 @@ def test_unread_associations_have_no_links(fixture_dumps):
         fragment = tuple(int(i) for i in m[2].split("-"))
         problems.append((plan.spec, plan.prop, plan.t,
                          plan.rule_names(fragment), text))
-        if not m[3]:
-            # a link's ends must exist only under a deferred lower bound
-            assert "(assert (=> ln_" not in text, name
+        # a link's ends must exist only under a lower bound
+        bounded = tuple(f"(assert (=> ln_s_{a.name}_" for a in
+                        plan.spec.metamodel(plan.t.source).associations
+                        if a.lower >= 1)
+        assert all(line.startswith(bounded) for line in text.splitlines()
+                   if line.startswith("(assert (=> ln_")), name
     # the ladder rungs, and every fixture property with every rule at
     # uniform bound 2
     rungs = [(load_spec("stress.dslt"), "ContainedClsHasDecl", k)
