@@ -1,10 +1,10 @@
 """Encoding of the bounded verification problem as SMT-LIB 2 text.
 
 Source: per concrete class, a bounded number of slots with existence
-booleans, finite-domain integer variables for the attributes that a guard
-or a copy reads, and boolean link matrices.  Rules: one firing boolean per
-injective source binding, defined as the conjunction of existence, links,
-guards, and backward resolution.
+booleans, one boolean per domain value of each attribute that a guard reads,
+and boolean link matrices.  Rules: one firing boolean per injective source
+binding, defined as the conjunction of existence, links, guards, and
+backward resolution.
 Target: one element per creation, that is, per firing and fresh apply
 element.  The query asserts that some canonical precondition binding holds
 and no postcondition witness exists for it; sat means counterexample.
@@ -28,6 +28,14 @@ k = 1), linear in m: the disjunction p_i of the first i candidates is a
 shared name, and the term is p_m and, for each i > 1, not both p_{i-1} and
 candidate i.  ``decode_counterexample`` rebuilds the target from the
 firings, with the engine's element ids.
+
+An attribute is written in the direct encoding (Walsh, CP 2000), as
+Kodkod's translator writes finite domains (Torlak & Jackson, TACAS 2007):
+one Bool per value of ``domain.values()``, with exactly one of them true.
+A guard ``attr op c`` is the disjunction of the Bools of the values v that
+pass ``compare(op, v, c)``, the engine's own test, or ``true`` or
+``false`` when all or none do, as for a literal outside the domain.  So a
+guard holds iff the engine's guard holds on the value whose Bool is true.
 
 The target is what the rules make from the source, so ``verify`` bounds
 only the source.  ``PerClassBounds.target`` may cap the creations of a
@@ -85,12 +93,17 @@ x_0..x_{n-1} (the links out of one slot) with one term, ``(<= (+ (ite x_0 1
 sequential counter (see ``smtsolver``); a cap is the same term over the
 firings of a class's creations.  k = 0 becomes unit negations, and a row of
 at most k terms needs no constraint.  A lower bound ``[k..]`` says that
-the row of an existing slot holds all k links of one of its k-subsets, and
-that each link in the row has existing ends.  Target multiplicities are not
-encoded: the target is what the rules make, neither execution nor the
-property checks it against its metamodel, and a bound there would only
-throw out sources whose output breaks it, turning their violations into a
-wrong HOLDS.
+the row of an existing slot holds at least k links, and that each link in
+the row has existing ends.  At least 1 is the row's disjunction; at least
+k >= 2 is r_{n-1,k-1} of the shared definitions r_{i,j} = "at least j+1 of
+x_0..x_i" = (or r_{i-1,j} (and r_{i-1,j-1} x_i)), with r_{i,-1} true and
+r_{-1,j} false: fewer than n*k of them, where the k-subsets of the row
+would take C(n, k) conjunctions.  The ceiling counts each as an assertion.
+
+Target multiplicities are not encoded: the target is what the rules make,
+neither execution nor the property checks it against its metamodel, and a
+bound there would only throw out sources whose output breaks it, turning
+their violations into a wrong HOLDS.
 
 The encoding is sliced to what the property can observe (cone of influence,
 Clarke, Grumberg & Peled, *Model Checking*, 1999; Kodkod's slicing, Torlak
@@ -114,9 +127,11 @@ The sliced one keeps less:
 - a link's ends must exist only where a lower bound counts the link.
   Every other read of a source link, in a binding term, sits next to the
   existence of both ends, and an upper bound only gains from a link fewer;
-- a source attribute variable, with its range, is declared by the first
-  guard or copy that reads it (``Encoder.src_attr``), and no assertion
-  ties the attribute of an absent slot to a value.
+- a source attribute's value Bools, with their exactly-one, are declared
+  by the first guard that reads it, on the source or through a copy
+  (``Encoder.src_value``); a guard that every value or no value passes
+  reads nothing, and no assertion ties the attribute of an absent slot to
+  a value.
 
 The slicing applies to the encoding with its symmetry breaking, and its
 argument needs no symmetry.  Take a full model.  Each target link is true
@@ -136,33 +151,31 @@ and the apply links that write it were not pruned.  Every link the witness
 reads was thus true in the sliced model, so the witness was there too,
 which the query rules out; sat is kept.
 
-Attributes are sliced the same way.  A full model, with every attribute
-declared and an absent slot's attributes pinned to its domain's first
-value, is a sliced model once the undeclared variables are dropped: the
-sliced assertions are a subset of the full ones, so unsat is kept.  A
-sliced model becomes a full one when every undeclared attribute, and every
-attribute of an absent slot, takes its domain's first value: no assertion
-reads an undeclared name, and an absent slot's attribute is read only next
-to its existence, in a binding term, or through a creation whose firing
-needs that binding, so every assertion keeps its value and sat is kept.
-``decode_world`` reads a missing name as that first value, so the decoded
-source is the one the argument extends the model to, and confirmation
-replays it.
+Attributes are sliced the same way.  A full model, with the value Bools of
+every attribute declared and an absent slot's attributes pinned to their
+domains' first values, is a sliced model once the undeclared Bools are
+dropped: the sliced assertions are a subset of the full ones, so unsat is
+kept.  A sliced model becomes a full one when every undeclared attribute,
+and every attribute of an absent slot, takes its domain's first value,
+that is, its first value Bool holds and its others do not.  No assertion
+reads an undeclared Bool, an exactly-one holds for any one value, and an
+absent slot's attribute is read only next to its existence, in a binding
+term, or through a creation whose firing needs that binding, so every
+assertion keeps its value and sat is kept.  ``decode_world`` reads an
+attribute as the value whose Bool holds, and an undeclared one as its first
+value, so the decoded source is the one the argument extends the model to,
+and confirmation replays it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
 from .inheritance import is_subtype
 from .model import Element, Link, TraceLink, model_from_parts
-from .spec_ast import (
-    BoolDomain, CopyBinding, EnumRef, EnumValue, IntRange, IntSet,
-    PatternGraph, StringVocab, compare,
-)
+from .spec_ast import CopyBinding, PatternGraph, compare
 
 
 class _EncodingStopped(Exception):
@@ -203,27 +216,12 @@ class EncodedProblem:
         return ()
 
 
-# -- attribute value codecs --------------------------------------------------
-
-def _domain_codec(domain):
-    """(encode(value)->int, decode(int)->value, lo, hi, sparse values or None)"""
-    if isinstance(domain, BoolDomain):
-        return (lambda v: 1 if v else 0), (lambda i: bool(i)), 0, 1, None
-    if isinstance(domain, IntRange):
-        return (lambda v: v), (lambda i: i), domain.lo, domain.hi, None
-    if isinstance(domain, IntSet):
-        m = domain.members
-        return (lambda v: v), (lambda i: i), min(m), max(m), list(m)
-    if isinstance(domain, StringVocab):
-        idx = {w: i for i, w in enumerate(domain.words)}
-        return (lambda v: idx[v]), (lambda i: domain.words[i]), 0, \
-            len(domain.words) - 1, None
-    if isinstance(domain, EnumRef):
-        idx = {l: i for i, l in enumerate(domain.literals)}
-        return (lambda v: idx[v.literal]),  \
-            (lambda i: EnumValue(domain.enum, domain.literals[i])), 0, \
-            len(domain.literals) - 1, None
-    raise EncodingCeilingError(f"infinite attribute domain {domain!r}")
+def _values(domain):
+    """The values of a finite attribute domain, in the order its value
+    Bools are numbered."""
+    if not domain.is_finite():
+        raise EncodingCeilingError(f"infinite attribute domain {domain!r}")
+    return domain.values()
 
 
 class _World:
@@ -251,8 +249,9 @@ class _World:
     def ex(self, c, i):
         return f"ex_{self.tag}_{c}_{i}"
 
-    def at(self, c, i, attr):
-        return f"at_{self.tag}_{c}_{i}_{attr}"
+    def at(self, c, i, attr, k):
+        """The Bool of value k of attribute ``attr`` of slot (c, i)."""
+        return f"at_{self.tag}_{c}_{i}_{attr}_{k}"
 
     def ln(self, assoc, cs, i, ct, j):
         return f"ln_{self.tag}_{assoc}_{cs}_{i}_{ct}_{j}"
@@ -309,21 +308,6 @@ def _not(t):
     return f"(not {t})"
 
 
-def _int(n):
-    """The SMT-LIB text of the Int constant ``n``: a numeral, or ``(- 2)``
-    for -2, which SMT-LIB 2.6 would read as a symbol."""
-    return str(n) if n >= 0 else f"(- {-n})"
-
-
-def _cmp_atom(op, var, value):
-    value = _int(value)
-    if op == "==":
-        return f"(= {var} {value})"
-    if op == "!=":
-        return f"(not (= {var} {value}))"
-    return f"({op} {var} {value})"
-
-
 class Encoder:
     def __init__(self, spec, prop, bounds, options, transformation,
                  deadline=None):
@@ -348,7 +332,7 @@ class Encoder:
         self.shared = {}          # Bool term text -> its defined name
         self.asserts = []
         self.bool_vars = set()
-        self.int_vars = set()
+        self.attrs = {}           # (class, slot, attribute) -> value Bools
         self.n_firing_vars = 0
         self.counter_clauses = 0
 
@@ -360,22 +344,19 @@ class Encoder:
             self.decls.append(f"(declare-const {name} Bool)")
         return name
 
-    def src_attr(self, c, i, attr):
-        """The variable of attribute ``attr`` of source slot (c, i),
-        declared with its domain's range at the first read (see the module
-        docstring)."""
-        name = self.src.at(c, i, attr)
-        if name not in self.int_vars:
-            self.int_vars.add(name)
-            _, _, lo, hi, sparse = _domain_codec(
-                self.src.mm.info[c].attributes[attr])
-            self.decls.append(f"(declare-const {name} Int)")
-            self.asserts.append(f"(assert (and (<= {_int(lo)} {name}) "
-                                f"(<= {name} {_int(hi)})))")
-            if sparse is not None and list(sparse) != list(range(lo, hi + 1)):
-                self.asserts.append("(assert " + _or(
-                    [f"(= {name} {_int(v)})" for v in sparse]) + ")")
-        return name
+    def src_value(self, c, i, attr):
+        """The value Bools of attribute ``attr`` of source slot (c, i), one
+        per value of its domain, declared with their exactly-one at the
+        first read (see the module docstring)."""
+        key = (c, i, attr)
+        names = self.attrs.get(key)
+        if names is None:
+            n = len(_values(self.src.mm.info[c].attributes[attr]))
+            names = self.attrs[key] = [
+                self.decl_bool(self.src.at(c, i, attr, k)) for k in range(n)]
+            self.asserts.append(f"(assert {_or(names)})")
+            self._at_most(names, 1)
+        return names
 
     def share(self, term):
         """A name for the Bool term ``term``: the first call with a compound
@@ -424,22 +405,33 @@ class Encoder:
                         f"(assert (=> {v} (and {world.ex(cs, i)} "
                         f"{world.ex(ct, j)})))"
                         for v, (ct, j) in zip(row, cols))
-                    if a.lower > 1:
-                        # the term below has one conjunction per choice of
-                        # `lower` links; the ceiling counts each, before
-                        # they are built
-                        self.counter_clauses += math.comb(len(row), a.lower)
-                        self.checkpoint()
-                    need = _or([_and(list(sub)) for sub in
-                                itertools.combinations(row, a.lower)])
                     self.asserts.append(
-                        f"(assert (=> {world.ex(cs, i)} {need}))")
+                        f"(assert (=> {world.ex(cs, i)} "
+                        f"{self.at_least(row, a.lower)}))")
         # ordered existence: each class's slots exist as a prefix (see the
         # module docstring)
         for c in sorted(world.slots):
             for i in range(world.slots[c] - 1):
                 self.asserts.append(
                     f"(assert (=> {world.ex(c, i + 1)} {world.ex(c, i)}))")
+
+    def at_least(self, terms, k):
+        """At least k >= 1 of ``terms``, which are names, hold (see the
+        module docstring); the ceiling counts each definition made."""
+        if k == 1:
+            return _or(terms)
+        made = len(self.defs)
+        n = len(terms)
+        row = ["false"] * k     # row[j] = r_{i-1,j}
+        for i, t in enumerate(terms):
+            prev = ["true"] + row   # prev[j] = r_{i-1,j-1}
+            # an r_{i,j} with j < k - n + i cannot reach k - 1: not made
+            row = [row[j] if j < k - n + i else
+                   self.share(_or([row[j], _and([prev[j], t])]))
+                   for j in range(k)]
+        self.counter_clauses += len(self.defs) - made
+        self.checkpoint()
+        return row[k - 1]
 
     def _at_most(self, lits, k):
         """Assert that at most k of ``lits`` hold (see the module
@@ -483,14 +475,17 @@ class Encoder:
         return _and(terms)
 
     def _compare(self, c, i, attr, g):
-        """Guard ``g`` on attribute ``attr`` of source slot (c, i)."""
-        try:
-            v = _domain_codec(self.src.mm.info[c].attributes[attr])[0](
-                g.value)
-        except KeyError:
-            # literal outside the finite domain: == never holds
-            return "false" if g.op == "==" else "true"
-        return _cmp_atom(g.op, self.src_attr(c, i, attr), v)
+        """Guard ``g`` on attribute ``attr`` of source slot (c, i): the
+        disjunction of the value Bools whose values pass ``compare``, the
+        engine's test, or a constant when all or none of them pass."""
+        passing = [compare(g.op, v, g.value) for v in
+                   _values(self.src.mm.info[c].attributes[attr])]
+        if all(passing):
+            return "true"
+        if not any(passing):
+            return "false"
+        return _or([name for name, ok in
+                    zip(self.src_value(c, i, attr), passing) if ok])
 
     def enumerate_bindings(self, pattern):
         """Injective assignments of pattern elements to source (class, slot)
@@ -822,12 +817,12 @@ def decode_world(model, world):
                 continue
             attrs = {}
             for attr, dom in sorted(world.mm.info[c].attributes.items()):
-                encf, dec, lo, hi, sparse = _domain_codec(dom)
-                raw = model.get(world.at(c, i, attr), lo)
-                try:
-                    attrs[attr] = dec(raw)
-                except (IndexError, KeyError):
-                    attrs[attr] = dec(lo)
+                # the value whose Bool holds; an undeclared attribute
+                # takes its domain's first value (see the module docstring)
+                values = _values(dom)
+                attrs[attr] = next(
+                    (v for k, v in enumerate(values)
+                     if truthy(world.at(c, i, attr, k))), values[0])
             elements.append(Element(world.element_id(c, i), c,
                                     tuple(sorted(attrs.items()))))
     ids = {e.id for e in elements}

@@ -23,13 +23,14 @@ is flushed, without the interpreter's teardown.  Once the child's output
 has ended, the child is killed and reaped at once: ``Popen.wait`` with a
 timeout would poll, sleeping a millisecond while the child exits.
 
-A ``--solver`` command must accept what the encoder writes: zero-arity
-``define-fun`` commands naming shared Bool terms, negative Int constants
-written as ``(- n)``, cardinality terms ``(<= (+ (ite x 1 0) ...) k)``
-(standard QF_LIA; untried with z3 or cvc5), and plain tokens only, with no
-quoted symbol, string or comment.  Its output is read by the same reader,
-so a model holding one of those is a solver-error.  ``smtsolver``'s
-docstring gives the bundled solver's language and how it grounds it.
+A ``--solver`` command must accept what the encoder writes: Bool
+declarations, zero-arity ``define-fun`` commands naming shared Bool terms,
+cardinality terms ``(<= (+ (ite x 1 0) ...) k)`` (standard QF_LIA;
+untried with z3 or cvc5), and plain tokens only, with no quoted symbol,
+string or comment.  Its output is read by the same reader, so a model
+holding one of those, or a value other than ``true`` and ``false``, is a
+solver-error.  ``smtsolver``'s docstring gives the bundled solver's
+language and how it grounds it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def default_solver_command():
 
 
 def parse_model_text(text):
-    """Extract variable values from solver output following 'sat'."""
+    """Extract variable values from solver output following 'sat'.  Every
+    name the encoder declares is a Bool, so any other value raises."""
     start = text.find("(")
     if start < 0:
         return {}
@@ -91,9 +93,9 @@ def parse_model_text(text):
         if not isinstance(form, list):
             return
         if form and form[0] == "define-fun" and len(form) >= 5:
-            name = form[1]
-            value = form[4]
-            model[name] = _decode_value(value)
+            if form[4] not in ("true", "false"):
+                raise ValueError(f"not a Bool value: {form[4]!r}")
+            model[form[1]] = form[4] == "true"
         else:
             for sub in form:
                 visit(sub)
@@ -101,18 +103,6 @@ def parse_model_text(text):
     for f in forms:
         visit(f)
     return model
-
-
-def _decode_value(value):
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    if isinstance(value, str) and value.lstrip("-").isdigit():
-        return int(value)
-    if isinstance(value, list) and len(value) == 2 and value[0] == "-":
-        return -_decode_value(value[1])
-    return value
 
 
 # The one spare child, keyed by its command (Popen.args), or None.  The lock

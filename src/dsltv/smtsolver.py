@@ -6,27 +6,21 @@ It reads exactly that language and reports anything else as an error:
   them and space, tab, CR and LF; a ``|``, ``"`` or ``;`` anywhere (a
   quoted symbol, a string or a comment) is an error;
 - commands ``set-logic``, ``set-option`` (both ignored), ``declare-const``
-  of sort Bool or Int, ``define-fun`` of a zero-arity Bool name, each name
+  of sort Bool, ``define-fun`` of a zero-arity Bool name, each name
   declared or defined once and before its first use, ``assert``,
   ``check-sat``, ``get-model`` and ``exit``; a command's names are checked
   when it is read, so a term only ever refers to names made before it;
 - Bool terms: declared and defined names, ``true``, ``false``, ``and``,
   ``or``, ``not``, binary ``=>`` and binary ``=`` over Bool terms;
-- atoms ``=``, ``<=``, ``<``, ``>=`` and ``>`` whose two sides are each an
-  Int name or an Int constant, written as a numeral (``3``) or as
-  ``(- 3)``: SMT-LIB reads ``-3`` as a symbol;
 - cardinality terms ``(<= (+ (ite x_0 1 0) ... (ite x_{n-1} 1 0)) k)``: at
   most k of the n >= 2 Bool terms x_i hold, k a numeral.  Such a term is
   asserted or is a conjunct of an asserted ``and``, in positive polarity
   only; ``+`` and ``ite`` occur nowhere else.
 
-Every Int name needs a lower and an upper bound asserted as ``(<= c x)``
-and ``(<= x c)``, bare or as conjuncts of an asserted ``and`` (the encoder
-always asserts them).  Integers are grounded with a one-hot boolean
-encoding, formulas are Tseitin-transformed to CNF, and a small CDCL search
-(watched literals, first-UIP learning, VSIDS, restarts) decides
-satisfiability.  A defined name's body is compiled at the first reference
-and the literal reused.
+Formulas are Tseitin-transformed to CNF, and a small CDCL search (watched
+literals, first-UIP learning, VSIDS, restarts) decides satisfiability.  A
+defined name's body is compiled at the first reference and the literal
+reused.
 
 Top-level connectives become clauses without gates (the top-level half of
 Plaisted & Greenbaum's transform, 1986).  A top-level ``and`` is asserted
@@ -55,12 +49,11 @@ enters its clauses as it would in ``(or (not x_i) ...)``, so a defined name
 splices its operands there.  The registers are not declared names, so no
 model prints them.
 
-Grounding compiles each distinct comparison atom once and reuses its
-literal, and keeps the literals that a defined name splices into a clause,
+Grounding keeps the literals that a defined name splices into a clause,
 per polarity; gates are shared by their sorted inputs, and binary clauses
 are ordered without the set and sort of the general clause path.
-None of the memos changes the CNF: a repeated atom or defined name would
-only find its gates again.  Literal values and watch lists are lists indexed
+The memo leaves the CNF as it was: a repeated defined name would only find
+its gates again.  Literal values and watch lists are lists indexed
 directly by the signed literal, and VSIDS picks its decision variable from a
 lazy binary heap that is rebuilt whenever it holds more than 2n entries; see
 ``Solver``.
@@ -450,7 +443,7 @@ class SmtError(ValueError):
 
 class SmtScript:
     def __init__(self):
-        self.sorts = {}        # name -> "Bool" | "Int"
+        self.declared = {}     # declared Bool names, in order (values None)
         self.defs = {}         # defined name -> body
         self.assertions = []
         self.last = None       # the last check-sat's answer
@@ -469,10 +462,10 @@ class SmtScript:
             if head == "declare-const":
                 if len(form) != 3 or form[1].__class__ is not str:
                     raise SmtError(f"malformed declare-const: {form!r}")
-                if form[2] not in ("Bool", "Int"):
+                if form[2] != "Bool":
                     raise SmtError(f"unsupported sort {form[2]!r}")
                 self._check_fresh(form[1])
-                self.sorts[form[1]] = form[2]
+                self.declared[form[1]] = None
             elif head == "define-fun":
                 if len(form) != 5 or form[1].__class__ is not str:
                     raise SmtError(f"malformed define-fun: {form!r}")
@@ -499,80 +492,29 @@ class SmtScript:
 
     def _check_fresh(self, name):
         # SMT-LIB forbids a second declaration or definition of a name
-        if name in self.sorts or name in self.defs:
+        if name in self.declared or name in self.defs:
             raise SmtError(f"{name!r} is already declared")
 
     def _check_scope(self, term):
         """Every name in ``term``, other than an operator, ``true``,
         ``false`` and a numeral, is declared or defined already: a name is
         in scope from its command on, whether it is declared or defined."""
-        sorts, defs = self.sorts, self.defs
+        declared, defs = self.declared, self.defs
         todo = [term]
         while todo:
             e = todo.pop()
             if e.__class__ is list:
                 todo += e[1:]       # the head is an operator
-            elif e not in sorts and e not in defs and e != "true" \
+            elif e not in declared and e not in defs and e != "true" \
                     and e != "false" and not (e.isascii() and e.isdigit()):
                 raise SmtError(f"{e!r} is used before its declaration")
 
     # -- grounding ---------------------------------------------------------
 
-    def derive_bounds(self):
-        """Bound the Int variables by the assertions of the shapes
-        ``(<= c x)`` and ``(<= x c)``, with c a constant, taken bare or as
-        conjuncts of asserted conjunctions."""
-        lo = {}
-        hi = {}
-        todo = list(self.assertions)
-        while todo:
-            e = todo.pop()
-            if e.__class__ is not list or not e:
-                continue
-            if e[0] == "and":
-                todo.extend(e[1:])
-            elif e[0] == "<=" and len(e) == 3:
-                a, b = e[1], e[2]
-                if b.__class__ is str and self.sorts.get(b) == "Int":
-                    v = _constant(a)
-                    if v is not None:
-                        lo[b] = max(lo[b], v) if b in lo else v
-                if a.__class__ is str and self.sorts.get(a) == "Int":
-                    v = _constant(b)
-                    if v is not None:
-                        hi[a] = min(hi[a], v) if a in hi else v
-        return lo, hi
-
     def check(self, out):
         circuit = Circuit()
-        bool_vars = {}
-        for name, sort in self.sorts.items():
-            if sort == "Bool":
-                bool_vars[name] = circuit.var()
-
-        lo, hi = self.derive_bounds()
-        onehot = {}  # int var -> {value: sat literal}
-        for name, sort in self.sorts.items():
-            if sort != "Int":
-                continue
-            if name not in lo or name not in hi:
-                raise SmtError(
-                    f"cannot derive finite bounds for Int variable {name!r}")
-            if lo[name] > hi[name]:
-                # contradictory asserted bounds: trivially unsatisfiable
-                self._model = None
-                print("unsat", file=out)
-                return "unsat"
-            lits = {v: circuit.var() for v in range(lo[name], hi[name] + 1)}
-            onehot[name] = lits
-            vs = list(lits.values())
-            circuit.cnf.add(vs)
-            # vs ascends, so each pair is already ordered by variable
-            circuit.cnf.clauses += [[-vs[i], -vs[j]]
-                                    for i in range(len(vs))
-                                    for j in range(i + 1, len(vs))]
-
-        grounding = _Grounding(circuit, self.defs, bool_vars, onehot)
+        bool_vars = {name: circuit.var() for name in self.declared}
+        grounding = _Grounding(circuit, self.defs, bool_vars)
         for a in self.assertions:
             grounding.assert_term(a)
 
@@ -580,13 +522,8 @@ class SmtScript:
         sat = solver.solve()
         self._model = None
         if sat:
-            model = {}
-            for name, lit in bool_vars.items():
-                model[name] = solver.model_value(lit)
-            for name, lits in onehot.items():   # exactly one literal holds
-                model[name] = next(v for v, l in lits.items()
-                                   if solver.model_value(l))
-            self._model = model
+            self._model = {name: solver.model_value(lit)
+                           for name, lit in bool_vars.items()}
             print("sat", file=out)
             return "sat"
         print("unsat", file=out)
@@ -599,13 +536,8 @@ class SmtScript:
             return
         lines = ["(model"]
         for name in sorted(self._model):
-            v = self._model[name]
-            if isinstance(v, bool):
-                sv, sort = ("true" if v else "false"), "Bool"
-            else:
-                sv = str(v) if v >= 0 else f"(- {-v})"
-                sort = "Int"
-            lines.append(f"  (define-fun {name} () {sort} {sv})")
+            value = "true" if self._model[name] else "false"
+            lines.append(f"  (define-fun {name} () Bool {value})")
         lines.append(")")
         print("\n".join(lines), file=out)
 
@@ -617,12 +549,10 @@ class _Grounding:
     would keep the circuit and its CNF alive until the cyclic collector
     runs."""
 
-    def __init__(self, circuit, defs, bool_vars, onehot):
+    def __init__(self, circuit, defs, bool_vars):
         self.circuit = circuit
         self.defs = defs              # defined name -> body
         self.bool_vars = bool_vars
-        self.onehot = onehot          # int var -> {value: sat literal}
-        self.atoms = {}               # (op, operand, operand) -> literal
         self.defined = {}             # defined name -> literal
         self.spliced = ({}, {})       # per polarity: defined name -> literals
 
@@ -703,7 +633,7 @@ class _Grounding:
         The literals a defined name splices are kept in ``spliced``, one
         table per polarity, and a later use of the name appends them
         without walking its body again.  The walk would only find the same
-        atoms and gates, so the memo leaves the CNF as it was."""
+        gates, so the memo leaves the CNF as it was."""
         memo = None
         if e.__class__ is str:
             lit = self.bool_vars.get(e)
@@ -761,48 +691,6 @@ class _Grounding:
             lit = self.defined[name] = self.compile_bool(body)
         return lit
 
-    def operand(self, e):
-        """An Int operand: a declared Int name as it is, or the value of a
-        constant."""
-        if e.__class__ is str and e in self.onehot:
-            return e
-        value = _constant(e)
-        if value is None:
-            raise SmtError(f"not an Int name or constant: {e!r}")
-        return value
-
-    def atom_lit(self, op, left, right):
-        """Comparison atom between two Int operands, compiled by enumerating
-        the domains of its variables.
-
-        Each atom is compiled once and its literal kept in ``atoms``, keyed
-        by its operands, so ``(- 2)`` is keyed by its value.  Compiling it
-        again would only find every gate in ``circuit.cache``, so the memo
-        leaves the CNF as it was."""
-        key = (op, self.operand(left), self.operand(right))
-        lit = self.atoms.get(key)
-        if lit is None:
-            lit = self.atoms[key] = self._compile_atom(*key)
-        return lit
-
-    def _compile_atom(self, op, a, b):
-        test = _COMPARE[op]
-        if a == b:                  # x op x holds for every value of x
-            a = b = 0
-        circuit, onehot = self.circuit, self.onehot
-        if a.__class__ is str:
-            if b.__class__ is str:
-                good = [circuit.and_([la, lb])
-                        for va, la in onehot[a].items()
-                        for vb, lb in onehot[b].items() if test(va, vb)]
-            else:
-                good = [l for v, l in onehot[a].items() if test(v, b)]
-        elif b.__class__ is str:
-            good = [l for v, l in onehot[b].items() if test(a, v)]
-        else:
-            return circuit.const_true if test(a, b) else -circuit.const_true
-        return circuit.or_(good)
-
     def compile_bool(self, e):
         circuit = self.circuit
         if e.__class__ is str:
@@ -824,40 +712,15 @@ class _Grounding:
             if len(e) != 2:
                 raise _arity_error(e, "1 operand")
             return -compile_bool(e[1])
-        if head in ("=", "<=", "<", ">=", ">"):
+        if head == "=":
             if len(e) != 3:
                 raise _arity_error(e, "2 operands")
-            if head == "=" and not self.is_int_term(e[1]):
-                return circuit.iff(compile_bool(e[1]), compile_bool(e[2]))
-            return self.atom_lit(head, e[1], e[2])
+            return circuit.iff(compile_bool(e[1]), compile_bool(e[2]))
         if head == "=>":
             if len(e) != 3:
                 raise _arity_error(e, "2 operands")
             return circuit.or_([-compile_bool(e[1]), compile_bool(e[2])])
         raise SmtError(f"unsupported operator {head!r}")
-
-    def is_int_term(self, e):
-        """Whether ``e`` is an Int name or constant; an ``=`` over such an
-        operand is an atom, any other is an iff of Bool terms."""
-        if e.__class__ is str:
-            return e in self.onehot or _constant(e) is not None
-        return e[:1] == ["-"]
-
-
-_COMPARE = {"=": int.__eq__, "<=": int.__le__, "<": int.__lt__,
-            ">=": int.__ge__, ">": int.__gt__}
-
-
-def _constant(e):
-    """The value of an Int constant, a numeral such as "3" or a negation
-    such as ``(- 3)``, else None."""
-    if e.__class__ is list and len(e) == 2 and e[0] == "-":
-        e, sign = e[1], -1
-    else:
-        sign = 1
-    if e.__class__ is str and e.isascii() and e.isdigit():
-        return sign * int(e)
-    return None
 
 
 def _is_at_most(e):

@@ -38,8 +38,8 @@ from dsltv.model import Element, InstanceModel, Link, model_from_parts, \
 from dsltv.orchestrator import PlanRejected, VerificationConfig, \
     plan_property
 from dsltv.parser import parse_spec, parse_spec_file
-from dsltv.smtencode import EncodeOptions, Encoder, _domain_codec, _int, \
-    decode_target, decode_world
+from dsltv.smtencode import EncodeOptions, Encoder, decode_target, \
+    decode_world
 from dsltv.smtrun import parse_model_text
 from dsltv.smtsolver import solve_text
 
@@ -61,6 +61,8 @@ INLINE = {
     "TAG_SPEC": test_smtencode.TAG_SPEC.replace("UPPER", "3"),
     "NEGATIVE_SPEC": test_smtencode.NEGATIVE_SPEC,
     "UNREAD_SPEC": test_smtencode.UNREAD_SPEC.replace("LOWER", "1"),
+    "UNREAD_SPEC_2": test_smtencode.UNREAD_SPEC.replace("LOWER", "2"),
+    "OUT_OF_DOMAIN_SPEC": test_smtencode.OUT_OF_DOMAIN_SPEC,
     "SUB_SPEC": test_smtencode.SUB_SPEC,
     "PAIR_SPEC": test_smtencode.PAIR_SPEC,
     "TWO_FRESH_SPEC": test_smtencode.TWO_FRESH_SPEC,
@@ -163,7 +165,7 @@ def _on_slots(source, world):
 def _pins(enc, source):
     """Unit assertions that fix every source variable of ``enc`` to
     ``source``, whose elements sit on their slots: existence, links, and
-    the attributes that the encoding declares."""
+    the value Bool of each attribute that the encoding declares."""
     world = enc.src
     present = {e.id: e for e in source.elements}
     links = set(source.links)
@@ -176,11 +178,9 @@ def _pins(enc, source):
             if e is None:
                 continue
             for attr, value in e.attrs:
-                if world.at(c, i, attr) not in enc.int_vars:
-                    continue
-                enc_value = _domain_codec(world.mm.info[c].attributes[attr])[0]
-                pins.append(f"(assert (= {world.at(c, i, attr)} "
-                            f"{_int(enc_value(value))}))")
+                if (c, i, attr) in enc.attrs:
+                    k = world.mm.info[c].attributes[attr].values().index(value)
+                    pins.append(f"(assert {world.at(c, i, attr, k)})")
     for a in world.assocs:
         for cs, i in world.all_slots(a.source):
             for ct, j in world.all_slots(a.target):
@@ -203,7 +203,7 @@ def _encoded_part(enc, source):
     return model_from_parts(
         (Element(e.id, e.klass, tuple(
             (attr, v) for attr, v in e.attrs
-            if world.at(*slot[e.id], attr) in enc.int_vars))
+            if (*slot[e.id], attr) in enc.attrs))
          for e in source.elements),
         (l for l in source.links if l.assoc in read))
 

@@ -168,9 +168,11 @@ def test_ceiling_verdict_counts_its_firing_variables(uml2java):
 
 
 def test_lower_bound_blowup_ends_at_the_ceiling_at_once(capsys):
-    # contains [2..*] at K = 102 gives each Package a lower-bound term of
-    # C(204, 2) = 20,706 conjunctions; the encoding stops before writing
-    # the one that passes the ceiling
+    # contains [2..*] at K = 102 gives each Package a row of 204 links,
+    # whose at-least-2 takes 405 shared definitions where its 2-subsets
+    # would take C(204, 2) = 20,706 conjunctions, 41,310 in all; the source
+    # is encoded, and the encoding stops at the first firing past the
+    # ceiling
     for extra in ([], ["--budget", "100000000"]):
         start = time.monotonic()
         assert cli.main(["verify", "--no-per-class", *extra, "--property",
@@ -180,7 +182,9 @@ def test_lower_bound_blowup_ends_at_the_ceiling_at_once(capsys):
         event = json.loads(capsys.readouterr().out.splitlines()[0])
         assert (event["status"], event["reason"], event["perClassMax"]) \
             == (UNKNOWN, "ceiling", 102)
-        assert event["detail"].startswith("encoding exceeded ceiling 200000")
+        assert event["firingVariables"] == 200_001
+        assert event["detail"].startswith(
+            "encoding exceeded ceiling 200000 (200001 firings, ")
 
 
 def test_verify_all_order_and_summary(uml2java):

@@ -18,9 +18,9 @@ from dsltv.orchestrator import HOLDS, VIOLATED, VerificationConfig, \
 from dsltv.parser import parse_spec
 from dsltv.smtencode import EncodeOptions, EncodingCeilingError, \
     EncodingDeadlineError, Encoder, decode_counterexample, encode
-from dsltv import smtencode, smtrun, smtsolver
+from dsltv import smtencode, smtrun
 from dsltv.smtrun import run_solver
-from dsltv.smtsolver import parse_sexprs, solve_text, tokenize_sexprs
+from dsltv.smtsolver import solve_text, tokenize_sexprs
 
 
 def _bounds(spec, prop_name, mode=RelevanceMode.TRACE_ATTRIBUTE_AWARE):
@@ -280,7 +280,8 @@ def test_each_attempt_solves_one_text_that_holds_the_source_bounds(
     assert (len(statuses), len(solved)) == (40, 41)
     # the source bounds that these two properties' models would otherwise
     # break: Child's owner [1..1] and Package's contains [2..*], each with
-    # the existing ends of the links it counts
+    # the existing ends of the links it counts; [2..*] is a shared at-least
+    # definition
     bounds = {
         "corpus/c06_mandatory.dslt/ChildHasPOut_ShouldFail_L0.smt2": [
             "(assert (=> ln_s_owner_Child_0_Parent_0 "
@@ -289,8 +290,9 @@ def test_each_attempt_solves_one_text_that_holds_the_source_bounds(
         "uml2java_b4.dslt/PropertyHasField_L0-1.smt2": [
             "(assert (=> ln_s_contains_Package_0_DataType_0 "
             "(and ex_s_Package_0 ex_s_DataType_0)))",
-            "(assert (=> ex_s_Package_0 (and ln_s_contains_Package_0_Class_0"
-            " ln_s_contains_Package_0_DataType_0)))"],
+            "(define-fun d_0 () Bool (and ln_s_contains_Package_0_Class_0"
+            " ln_s_contains_Package_0_DataType_0))",
+            "(assert (=> ex_s_Package_0 d_0))"],
     }
     texts = dict(fixture_dumps)
     for name, lines in bounds.items():
@@ -775,14 +777,17 @@ def test_upper_bound_counter_agrees_with_oracle(upper, expected):
 
 def test_ceiling_counts_an_at_most_term_as_its_counter_clauses():
     # each Item's row of 5 tags under [0..2] is one term, which the ceiling
-    # counts as the 2nk + n - 3k - 1 = 18 clauses of its counter
+    # counts as the 2nk + n - 3k - 1 = 18 clauses of its counter, and each
+    # Item's flag is at most one of its 2 value Bools, counted as 2
     spec = parse_spec(TAG_SPEC.replace("UPPER", "2"), "inline")
     enc = Encoder(spec, spec.property("ThreeTagsHaveMark"), TAG_BOUNDS,
                   EncodeOptions(), spec.transformations[0])
     enc.encode()
     terms = [a for a in enc.asserts if a.startswith("(assert (<= (+ ")]
-    assert len(terms) == TAG_BOUNDS.source["Item"]
-    emitted = len(enc.asserts) + len(terms) * 17
+    rows = [a for a in terms if a.startswith("(assert (<= (+ (ite ln_s_")]
+    assert len(rows) == TAG_BOUNDS.source["Item"]
+    assert len(terms) == 2 * len(rows)
+    emitted = len(enc.asserts) + len(rows) * 17 + (len(terms) - len(rows))
     enc.options.binding_ceiling = emitted
     enc.checkpoint()
     enc.options.binding_ceiling = emitted - 1
@@ -800,7 +805,7 @@ def test_upper_bound_encoding_grows_polynomially():
                      EncodeOptions(), spec.transformations[0])
     # one at-most-3 term per Item's row of 16 links
     lines = problem.text.splitlines()
-    terms = [a for a in lines if a.startswith("(assert (<= (+ ")]
+    terms = [a for a in lines if a.startswith("(assert (<= (+ (ite ln_s_")]
     assert len(terms) == 16
     assert all(t.count("(ite ln_s_tags_") == 16 and t.endswith(" 3))")
                for t in terms)
@@ -852,43 +857,28 @@ property CoolHasMark "A reading below 1 gets a mark of -3." {
 }
 """
 
-# verdict and (CNF variables, CNF clauses) at two source slots and a cap
-# of two per class
-NEGATIVE_EXPECTED = {"ColdestHasAlarm": (HOLDS, (36, 94)),
-                     "ChillyHasAlarm_ShouldFail": (VIOLATED, (37, 98)),
-                     "CoolHasMark": (HOLDS, (36, 94))}
+# the verdict of each property at two source slots
+NEGATIVE_EXPECTED = {"ColdestHasAlarm": HOLDS,
+                     "ChillyHasAlarm_ShouldFail": VIOLATED,
+                     "CoolHasMark": HOLDS}
 
 
-def test_negative_constants_are_written_as_negations(monkeypatch):
-    # SMT-LIB 2.6 reads -2 as a symbol, so the encoder writes (- 2)
-    spec = parse_spec(NEGATIVE_SPEC, "inline")
-    assert not isinstance(spec, list), spec
+def test_negative_domains_agree_with_the_oracle():
+    # a guard is a disjunction of value Bools, so neither a negative
+    # constant nor an Int reaches the text
+    spec = _inline_spec(NEGATIVE_SPEC)
     t = spec.transformations[0]
-    sizes = []
-
-    class Sized(smtsolver.Solver):
-        def __init__(self, cnf):
-            sizes.append((cnf.nvars, len(cnf.clauses)))
-            super().__init__(cnf)
-
-    bounds = PerClassBounds(source={"Reading": 2},
-                            target={"Alarm": 2, "Mark": 2})
+    target = {"Alarm": 2, "Mark": 2}
+    bounds = PerClassBounds(source={"Reading": 2}, target=target)
     for prop in spec.properties:
-        want, cnf = NEGATIVE_EXPECTED[prop.name]
+        want = NEGATIVE_EXPECTED[prop.name]
         assert oracle_verdict(spec, prop, {"Reading": 2}) == want
         assert verify_property(spec, prop).status == want
         text = encode(spec, prop, bounds, EncodeOptions(), t).text
-        assert "(- 2)" in text and "(- 1)" in text
+        assert "(- " not in text and " Int)" not in text
         assert not [tok for tok in tokenize_sexprs(text)
                     if re.fullmatch("-[0-9]+", tok)]
-        sizes.clear()
-        out = io.StringIO()
-        with monkeypatch.context() as m:
-            m.setattr(smtsolver, "Solver", Sized)
-            smtsolver.SmtScript().run(parse_sexprs(text), out=out)
-        assert sizes == [cnf], prop.name
-        assert out.getvalue().split()[0] == \
-            ("sat" if want == VIOLATED else "unsat")
+    _assert_agrees_with_oracle(spec, {"Reading": 2}, target)
 
 
 # -- slicing to what the property reads ---------------------------------------
@@ -1000,7 +990,8 @@ property AHasSomeTB "Some TB exists wherever an A does." {
 """
 
 
-@pytest.mark.parametrize("lower, some_tb", [(0, VIOLATED), (1, HOLDS)])
+@pytest.mark.parametrize("lower, some_tb",
+                         [(0, VIOLATED), (1, HOLDS), (2, HOLDS)])
 def test_unread_source_association_is_sliced_unless_bounded_below(lower,
                                                                  some_tb):
     spec = _inline_spec(UNREAD_SPEC.replace("LOWER", str(lower)))
@@ -1012,9 +1003,15 @@ def test_unread_source_association_is_sliced_unless_bounded_below(lower,
             source={"A": 2, "B": 2}, target={"TA": 2, "TB": 2}),
             EncodeOptions(), t)
         assert ("ln_s_tag_" in problem.text) == bool(lower), prop.name
-        # each A's lower bound, and its links' existing ends
-        assert ("(assert (=> ex_s_A_0 (or ln_s_tag_A_0_B_0 ln_s_tag_A_0_B_1))"
-                ")" in problem.text.splitlines()) == bool(lower), prop.name
+        # each A's lower bound, at least 2 through a shared definition, and
+        # its links' existing ends
+        defs = dict(re.findall(r"^\(define-fun (\S+) \(\) Bool (.*)\)$",
+                               problem.text, re.M))
+        needs = re.findall(r"^\(assert \(=> ex_s_A_0 (.*)\)\)$",
+                           problem.text, re.M)
+        row = "ln_s_tag_A_0_B_0 ln_s_tag_A_0_B_1"
+        assert [defs.get(x, x) for x in needs] == \
+            [[], [f"(or {row})"], [f"(and {row})"]][lower], prop.name
         assert ("(assert (=> ln_s_tag_A_0_B_0 (and ex_s_A_0 ex_s_B_0)))"
                 in problem.text.splitlines()) == bool(lower), prop.name
         assert "ln_s_ref_" in problem.text
@@ -1367,6 +1364,59 @@ def test_guard_on_an_unbound_attribute_is_false():
         assert "at_t_" not in text, prop.name
 
 
+# v == 9 and w == "z" never hold and their negations always do: each
+# literal lies outside its attribute's domain.
+OUT_OF_DOMAIN_SPEC = """
+metamodel S { class A { v: Int[0..3]  w: String["x", "y"] } }
+metamodel T {
+    class B { }
+    class C { }
+}
+transformation t : S -> T {
+    layer L {
+        rule Nine2B { match { any a : A where v == 9 } apply { b : B } }
+        rule Zed2B { match { any a : A where w == "z" } apply { b : B } }
+        rule NotNine2C { match { any a : A where v != 9 } apply { c : C } }
+    }
+}
+property AHasC "Every A maps to a C." {
+    precondition { any a : A }
+    postcondition {
+        c : C
+        c <--trace-- a
+    }
+}
+property AHasB_ShouldFail "Every A maps to a B." {
+    precondition { any a : A where w != "z" }
+    postcondition {
+        b : B
+        b <--trace-- a
+    }
+}
+property NineAHasB "An A whose v is 9 maps to a B." {
+    precondition { any a : A where v == 9 }
+    postcondition {
+        b : B
+        b <--trace-- a
+    }
+}
+"""
+
+
+def test_guard_with_a_literal_outside_its_domain():
+    spec = _inline_spec(OUT_OF_DOMAIN_SPEC)
+    t = spec.transformations[0]
+    expected = {"AHasC": HOLDS, "AHasB_ShouldFail": VIOLATED,
+                "NineAHasB": HOLDS}
+    for prop in spec.properties:
+        assert oracle_verdict(spec, prop, {"A": 2}) == expected[prop.name]
+        # every guard is a constant, so no attribute is declared
+        text = encode(spec, prop, PerClassBounds(source={"A": 2}),
+                      EncodeOptions(), t).text
+        assert "at_s_" not in text, prop.name
+    _assert_agrees_with_oracle(spec, {"A": 2}, {})
+
+
 # -- attributes declared where they are read ----------------------------------
 
 # Flag2Out's guard reads flag; nothing reads size, which Flag2Out copies
@@ -1474,7 +1524,7 @@ def test_a_false_witness_declares_no_attribute():
 def _symbols(line):
     """The names in an SMT-LIB line, but for its connectives."""
     return set(re.findall(r"[A-Za-z_]\w*", line)) - {"assert", "and", "or",
-                                                     "not"}
+                                                     "not", "ite"}
 
 
 def test_no_absent_slot_pins_and_every_attribute_is_read(fixture_dumps):
@@ -1482,9 +1532,12 @@ def test_no_absent_slot_pins_and_every_attribute_is_read(fixture_dumps):
         assert "(=> (not ex_s_" not in text, name
         lines = [_symbols(line) for line in text.splitlines()
                  if not line.startswith("(declare-const ")]
-        for attr in re.findall(r"\(declare-const (at_s_\w+) Int\)", text):
-            # a range assertion names no symbol but the attribute
-            assert any(attr in names and names != {attr}
+        attrs = {}  # attribute -> its value Bools
+        for value in re.findall(r"\(declare-const (at_s_\w+) Bool\)", text):
+            attrs.setdefault(value.rsplit("_", 1)[0], set()).add(value)
+        for attr, values in attrs.items():
+            # its exactly-one names no symbol but its value Bools
+            assert any(names & values and not names <= values
                        for names in lines), (name, attr)
 
 

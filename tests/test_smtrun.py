@@ -243,11 +243,13 @@ def test_back_to_back_solves_do_not_sleep(monkeypatch):
 @pytest.mark.parametrize("answer", [
     "unknown\n",
     "sat\n((define-fun ex_s_Source_0 () Bool\n",
+    "sat\n(model\n  (define-fun ex_s_Source_0 () Int 1)\n)\n",
     "Segmentation fault\n",
 ])
 def test_unusable_answers_are_solver_errors(answer):
     # a solver that reads the problem and prints an answer the verifier
-    # cannot use: no model, an unreadable one, or no answer at all
+    # cannot use: no model, an unreadable one, one with a value that is
+    # neither true nor false, or no answer at all
     spec = load_spec("corpus/c01_copy.dslt")
     config = VerificationConfig(solver_command=[
         sys.executable, "-c",

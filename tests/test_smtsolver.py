@@ -73,23 +73,6 @@ def test_pigeonhole_is_unsat():
     assert _solve("\n".join(lines)).strip() == "unsat"
 
 
-def test_bounded_integers():
-    out = _solve("""
-(declare-const x Int)
-(declare-const y Int)
-(assert (and (<= (- 2) x) (<= x 3)))
-(assert (<= (- 2) y))
-(assert (<= y 3))
-(assert (< x y))
-(assert (<= y (- 1)))
-(check-sat)
-(get-model)
-""")
-    assert out.split() == ["sat", "(model",
-                           "(define-fun", "x", "()", "Int", "(-", "2))",
-                           "(define-fun", "y", "()", "Int", "(-", "1))", ")"]
-
-
 def test_deep_nesting_is_an_error_line(tmp_path, capsys):
     deep = tmp_path / "deep.smt2"
     deep.write_text("(declare-const a Bool)(assert " + "(not " * 1500 + "a"
@@ -109,22 +92,14 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
         "(declare-const)",
         "(declare-fun f)",
         "(declare-const (a) Bool)",
-        "(declare-const a Bool) (push 1) (declare-const a Int)",
-        "(declare-const a Bool) (declare-const a Int)",
+        "(declare-const a Bool) (push 1) (declare-const a Bool)",
         "(declare-const a Bool) (assert (ite a)) (check-sat)",
         "(declare-const a Bool) (assert (not)) (check-sat)",
         "(declare-const a Bool) (assert (=> a)) (check-sat)",
         "(declare-const a Bool) (assert (xor)) (check-sat)",
         "(declare-const a Bool) (assert (=)) (check-sat)",
         "(assert ()) (check-sat)",
-        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
-        " (assert (<= x)) (check-sat)",
-        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
-        " (assert (= x (-))) (check-sat)",
-        "(declare-const x Int) (assert (<= 0 x)) (assert (<= x 2))"
-        " (assert (= x ())) (check-sat)",
-        "(declare-const x Int) (assert (<= --1 x)) (assert (<= x 2))"
-        " (check-sat)",
+        "(declare-const a Bool) (assert (= a ())) (check-sat)",
         # constructs outside the language the encoder writes
         "(declare-const |a| Bool) (check-sat)",
         '(set-option :x "s") (check-sat)',
@@ -165,20 +140,11 @@ def test_malformed_scripts_are_reported_not_raised(tmp_path, capsys):
             " (ite b 1 0)) 1))",
         )
     ] + [
-        "(declare-const x Int) (declare-const y Int)"
-        " (assert (<= 0 x)) (assert (<= x 2))"
-        f" (assert (<= 0 y)) (assert (<= y 2)) (assert {atom}) (check-sat)"
-        for atom in ("(distinct x y)", "(= x y 1)", "(= (+ x 1) 2)",
-                     "(= (- x 1) 0)", "(<= (- x) 0)", "(< (* 2 x) 2)",
-                     "(= x (ite (= y 0) 1 2))")
-    ] + [
-        # x is bounded only by shapes other than (<= c x) and (<= x c)
-        f"(declare-const x Int) {bounds} (check-sat)"
-        for bounds in ("(assert (>= x 0)) (assert (<= x 2))",
-                       "(assert (<= 0 x)) (assert (< x 3))",
-                       "(assert (= x 1))",
-                       "(assert (<= -1 x)) (assert (<= x 2))",
-                       "(assert (<= 0 x)) (assert (=> true (<= x 2)))")
+        # no comparison atom: every term is a Bool
+        f"(declare-const a Bool) (declare-const b Bool) (assert {atom})"
+        " (check-sat)"
+        for atom in ("(<= a b)", "(< a b)", "(>= a b)", "(> a b)",
+                     "(= a 1)", "(= a (- 1))", "(or a (<= 0 1))")
     ]
     for n, text in enumerate(scripts):
         path = tmp_path / f"bad{n}.smt2"
@@ -211,13 +177,14 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
             "only zero-arity Bool definitions supported",
         "(define-fun n () Int 3)":
             "only zero-arity Bool definitions supported",
+        # every declared name is a Bool
+        "(declare-const x Int) (check-sat)": "unsupported sort 'Int'",
         "(define-fun d () Bool)": "malformed define-fun",
+        "(assert 1) (check-sat)": "'1' is not a Bool term",
         # one scope rule for both kinds of name: a declared constant, like a
         # defined name, is in scope from its command on
         "(assert x) (declare-const x Bool) (check-sat)":
             "'x' is used before its declaration",
-        "(assert (and (<= 0 n) (<= n 1))) (declare-const n Int)"
-        " (check-sat)": "'n' is used before its declaration",
         "(declare-const a Bool) (define-fun d () Bool (and a x))"
         " (declare-const x Bool) (assert d) (check-sat)":
             "'x' is used before its declaration",
@@ -233,8 +200,6 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
         "(declare-const a Bool) (define-fun d () Bool (or e a))"
         " (define-fun e () Bool (or a a)) (assert (or e a)) (assert d)"
         " (check-sat)": "'e' is used before its declaration",
-        "(declare-const n Int) (assert (and (<= 0 n) (<= n 1))) (assert n)"
-        " (check-sat)": "'n' is not a Bool term",
     }
     for n, (text, message) in enumerate(errors.items()):
         path = tmp_path / f"bad{n}.smt2"
@@ -246,22 +211,6 @@ def test_definitions_are_scoped_and_checked(tmp_path, capsys):
 def test_get_model_before_check_sat_is_an_error_line():
     assert _solve("(declare-const a Bool)\n(get-model)\n").strip() == \
         '(error "no model available")'
-
-
-def test_disequality_forces_order():
-    out = _solve("""
-(declare-const x Int)
-(declare-const y Int)
-(assert (<= 0 x)) (assert (<= x 1))
-(assert (<= 0 y)) (assert (<= y 1))
-(assert (not (= x y)))
-(assert (>= x y))
-(check-sat)
-(get-model)
-""")
-    assert out.startswith("sat")
-    assert "(define-fun x () Int 1)" in out
-    assert "(define-fun y () Int 0)" in out
 
 
 def test_cli_reports_errors(tmp_path, capsys):
@@ -460,73 +409,33 @@ def test_solver_agrees_with_brute_force():
 
 
 class _RandomProblem:
-    """A random script over at most 3 Bools and 2 Ints with domains inside
-    [-2..3] and zero-arity Bool definitions, in exactly the language the
-    grounder accepts: each side of a comparison is an Int name, a numeral
-    or ``(- n)``, ``=`` and ``=>`` take two operands, and the Ints are
-    bounded by ``(<= c x)`` and ``(<= x c)``.  ``atoms`` keeps the
-    comparisons made so far, so later ones can repeat them.  A definition's
-    body may use the earlier ones, and the assertions nest conjunctions,
-    disjunctions and implications at the top, where the grounder asserts
-    them as clauses.  Some assertions take a shape the grounder splices
-    into clauses, with each of its parts inline or behind a definition.
-    Others are cardinality terms ``(<= (+ (ite x 1 0) ...) k)``, asserted
-    alone or as a conjunct of an asserted ``and``, the only positions where
-    the grounder takes them."""
+    """A random script over at most 4 Bools and zero-arity Bool definitions,
+    in exactly the language the grounder accepts: ``=`` and ``=>`` take two
+    operands.  A definition's body may use the earlier ones, and the
+    assertions nest conjunctions, disjunctions and implications at the top,
+    where the grounder asserts them as clauses.  Some assertions take a
+    shape the grounder splices into clauses, with each of its parts inline
+    or behind a definition.  Others are cardinality terms ``(<= (+ (ite x 1
+    0) ...) k)``, asserted alone or as a conjunct of an asserted ``and``,
+    the only positions where the grounder takes them."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.bools = [f"b{i}" for i in range(rng.randint(0, 3))]
-        self.ints = {}
-        for i in range(rng.randint(0, 2)):
-            lo = rng.randint(-2, 3)
-            self.ints[f"x{i}"] = (lo, rng.randint(lo, 3))
-        self.atoms = []
+        self.bools = [f"b{i}" for i in range(rng.randint(0, 4))]
         self.defs = []
         for i in range(rng.randint(0, 3)):
             self.defs.append((f"d{i}", self.bool_term(2)))
 
-    def const(self, n=None):
-        n = self.rng.randint(-2, 3) if n is None else n
-        return str(n) if n >= 0 else ["-", str(-n)]
-
-    def operand(self):
-        if self.ints and self.rng.random() < 0.7:
-            return self.rng.choice(list(self.ints))
-        return self.const()
-
-    def atom(self):
-        rng = self.rng
-        if self.atoms and rng.random() < 0.4:
-            op, *args = rng.choice(self.atoms)
-            return [op, *(args[::-1] if rng.random() < 0.5 else args)]
-        atom = [rng.choice(("=", "<=", "<", ">=", ">")), self.operand(),
-                self.operand()]
-        self.atoms.append(atom)
-        return atom
-
     def bool_term(self, depth):
         rng = self.rng
-        roll = rng.random()
-        if depth == 0 or roll < 0.25:
+        if depth == 0 or rng.random() < 0.3:
             names = self.bools + [name for name, _ in self.defs]
-            if names and rng.random() < 0.6:
+            if names and rng.random() < 0.8:
                 return rng.choice(names)
-            if self.ints and rng.random() < 0.8:
-                return self.atom()
             return rng.choice(("true", "false"))
-        if roll < 0.35 and (self.ints or not self.bools):
-            return self.atom()
         op = rng.choice(("and", "or", "not", "=>", "="))
         width = {"not": 1, "=>": 2, "=": 2}.get(op) or rng.randint(1, 3)
         return [op, *(self.bool_term(depth - 1) for _ in range(width))]
-
-    def bounds(self, x, lo, hi):
-        low, high = ["<=", self.const(lo), x], ["<=", x, self.const(hi)]
-        looser = ["<=", self.const(lo - 1), x]   # the tighter bound counts
-        return self.rng.choice([[low, high], [["and", low, high]],
-                                [["and", high, looser], low],
-                                [["and", ["and", low], high, looser]]])
 
     def named(self, term):
         """``term``, or at random the name of a new definition of it."""
@@ -577,13 +486,12 @@ class _RandomProblem:
 
     def assertions(self):
         rng = self.rng
-        out = [b for x, (lo, hi) in self.ints.items()
-               for b in self.bounds(x, lo, hi)]
+        out = []
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
-            if roll < 0.1:
+            if roll < 0.15:
                 out.append(self.at_most())
-            elif roll < 0.2:
+            elif roll < 0.3:
                 parts = [self.at_most(), self.top_term(1)]
                 rng.shuffle(parts)
                 out.append(["and", *parts])
@@ -595,8 +503,6 @@ class _RandomProblem:
         envs = [{}]
         for b in self.bools:
             envs = [{**env, b: v} for env in envs for v in (False, True)]
-        for x, (lo, hi) in self.ints.items():
-            envs = [{**env, x: v} for env in envs for v in range(lo, hi + 1)]
         for env in envs:
             for name, body in self.defs:
                 env[name] = _bool_value(body, env)
@@ -604,7 +510,6 @@ class _RandomProblem:
 
     def script(self, assertions):
         decls = [f"(declare-const {b} Bool)" for b in self.bools] + \
-            [f"(declare-const {x} Int)" for x in self.ints] + \
             [f"(define-fun {name} () Bool {_print_sexpr(body)})"
              for name, body in self.defs]
         return "\n".join(decls + [f"(assert {_print_sexpr(a)})"
@@ -612,36 +517,14 @@ class _RandomProblem:
                          ["(check-sat)", "(get-model)"])
 
 
-def _int_value(e, env):
-    if isinstance(e, list):             # (- n)
-        return -int(e[1])
-    return env[e] if e in env else int(e)
-
-
-def _is_int(e, env):
-    """Whether ``e`` is an Int operand: a name of an Int, a numeral or
-    ``(- n)``."""
-    if isinstance(e, list):
-        return e[0] == "-"
-    return e.isdigit() or type(env.get(e)) is int
-
-
-_COMPARE = {"=": int.__eq__, "<=": int.__le__, "<": int.__lt__,
-            ">=": int.__ge__, ">": int.__gt__}
-
-
 def _bool_value(e, env):
     if isinstance(e, str):
         return {"true": True, "false": False}.get(e, env.get(e))
     op, args = e[0], e[1:]
-    if op == "<=" and isinstance(args[0], list) and args[0][0] == "+":
+    if op == "<=":
         # a cardinality term: the ite operands are all (ite x 1 0)
         held = sum(_bool_value(x[1], env) for x in args[0][1:])
         return held <= int(args[1])
-    if op == "=" and not _is_int(args[0], env):
-        return _bool_value(args[0], env) == _bool_value(args[1], env)
-    if op in _COMPARE:
-        return _COMPARE[op](_int_value(args[0], env), _int_value(args[1], env))
     vals = [_bool_value(x, env) for x in args]
     if op == "and":
         return all(vals)
@@ -649,6 +532,8 @@ def _bool_value(e, env):
         return any(vals)
     if op == "not":
         return not vals[0]
+    if op == "=":
+        return vals[0] == vals[1]
     assert op == "=>"
     return not vals[0] or vals[1]
 
@@ -669,13 +554,10 @@ def test_grounding_agrees_with_brute_force():
         if expected:
             model = {}
             for _, name, _, sort, value in forms[1][1:]:
-                if sort == "Bool":
-                    model[name] = value == "true"
-                else:           # a negative value is printed as (- n)
-                    model[name] = int(value) if isinstance(value, str) \
-                        else -int(value[1])
+                assert sort == "Bool" and value in ("true", "false"), text
+                model[name] = value == "true"
             # the model names no definition; the bodies give their values
-            assert set(model) == set(problem.bools) | set(problem.ints)
+            assert set(model) == set(problem.bools)
             for name, body in problem.defs:
                 model[name] = _bool_value(body, model)
             assert all(_bool_value(a, model) for a in assertions), text
@@ -774,10 +656,10 @@ def test_mult_ladder_cnf_and_search_are_pinned(monkeypatch):
 
 
 # The SMT-LIB that the encoder writes and the bundled solver reads (see the
-# smtsolver module docstring); a negative constant (- n) is not an operator.
+# smtsolver module docstring).
 COMMANDS = {"set-logic", "set-option", "declare-const", "define-fun",
             "assert", "check-sat", "get-model", "exit"}
-OPERATORS = {"and", "or", "not", "=>", "=", "<=", "<", ">=", ">"}
+OPERATORS = {"and", "or", "not", "=>", "="}
 
 
 def _at_most_operands(e):
@@ -801,8 +683,7 @@ def _outside_language(forms):
     found = []
 
     def visit(e):
-        if e.__class__ is str or (len(e) == 2 and e[0] == "-"
-                                  and e[1].isdigit()):
+        if e.__class__ is str:
             return
         if e[0] not in OPERATORS:
             found.append(e[0])
@@ -828,6 +709,8 @@ def _outside_language(forms):
                 visit_conjunct(term)
         elif form[0] == "define-fun":
             visit(form[4])
+        elif form[0] == "declare-const" and form[2] != "Bool":
+            found.append(f"sort {form[2]}")
     return found
 
 
@@ -865,7 +748,8 @@ def test_encoder_writes_only_the_solver_language(fixture_dumps):
                 f"(assert (=> a {card}))", f"(define-fun d () Bool {card})",
                 "(assert (<= (+ (ite a 2 0) (ite a 1 0)) 1))",
                 "(assert (<= (+ (ite a 1 0) (ite a 1 0)) (- 1)))",
-                "(assert (= (+ (ite a 1 0) (ite a 1 0)) 1))"):
+                "(assert (= (+ (ite a 1 0) (ite a 1 0)) 1))",
+                "(declare-const x Int)", "(assert (<= a a))"):
         assert _outside_language(parse_sexprs(a + bad)) != [], bad
 
 
@@ -1065,11 +949,12 @@ def test_solve_leaves_no_reference_cycles(monkeypatch):
     monkeypatch.setattr(smtsolver, "Cnf", Tracked)
     text = """
 (declare-const a Bool)
-(declare-const x Int)
-(declare-const y Int)
-(assert (and (<= 0 x) (<= x 3) (<= (- 1) y) (<= y 3)))
-(assert (or a (= x y)))
-(assert (=> a (< x (- 1))))
+(declare-const b Bool)
+(declare-const c Bool)
+(define-fun d () Bool (and b c))
+(assert (or a d))
+(assert (=> a (= b (not c))))
+(assert (<= (+ (ite a 1 0) (ite b 1 0) (ite c 1 0)) 2))
 (check-sat)
 (get-model)
 """
